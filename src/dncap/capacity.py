@@ -12,7 +12,8 @@ a truncated-series estimate with convergence probes for everything else.
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .spectrum import (
     empirical_capacity,
     tail_window,
 )
-from .systems import Symbol, WeightedFsm
+from .systems import FSM, MEMORYLESS, BranchSystem, Symbol, WeightedFsm, memoryless_fsm
 
 DIVERGENCE_THRESHOLD = 1e6
 PROBE_DELTA = 0.1
@@ -175,15 +176,6 @@ class ConvergenceProbe:
         return self.converges_above and self.diverges_below
 
 
-def _partial_sums(spectrum: WeightSpectrum, s: float) -> list[float]:
-    sums = []
-    total = 0.0
-    for weight, count in spectrum.entries:
-        total += _term(count, float(weight), s)
-        sums.append(total)
-    return sums
-
-
 def _probe(
     spectrum: WeightSpectrum,
     value: float,
@@ -195,8 +187,8 @@ def _probe(
     s_below = value - delta
     terms_above = [_term(c, float(w), s_above) for w, c in spectrum.entries]
     terms_below = [_term(c, float(w), s_below) for w, c in spectrum.entries]
-    sums_above = _partial_sums(spectrum, s_above)
-    sums_below = _partial_sums(spectrum, s_below)
+    sums_above = list(accumulate(terms_above))
+    sums_below = list(accumulate(terms_below))
     window = max(2, tail_window(len(spectrum), tail_fraction))
     tail_above = terms_above[-window:]
     tail_below = terms_below[-window:]
@@ -260,3 +252,35 @@ def abscissa_estimate(
         iterations=empirical.iterations,
     )
     return estimate, probe
+
+
+def combinatorial_capacity(
+    system: BranchSystem,
+    spectrum: Callable[[], WeightSpectrum],
+    method: str = "auto",
+    tail_fraction: float = TAIL_FRACTION,
+) -> CapacityEstimate:
+    """Combinatorial capacity by the root, spectral or abscissa method.
+
+    ``auto`` picks the root for memoryless alphabets, the spectral radius for
+    FSMs and the abscissa otherwise.  Only the abscissa calls ``spectrum``.
+    """
+    if method == "auto":
+        if system.kind == MEMORYLESS:
+            method = "root"
+        elif system.kind == FSM and system.fsm is not None:
+            method = "spectral"
+        else:
+            method = "abscissa"
+    if method == "root":
+        if system.kind != MEMORYLESS:
+            raise InvalidSystemError("root method requires a memoryless system")
+        return characteristic_root(system.alphabet)
+    if method == "spectral":
+        if system.fsm is not None:
+            return fsm_capacity(system.fsm)
+        if system.kind == MEMORYLESS:
+            return fsm_capacity(memoryless_fsm(system.alphabet))
+        raise InvalidSystemError("spectral method requires an FSM-backed system")
+    estimate, _ = abscissa_estimate(spectrum(), tail_fraction=tail_fraction)
+    return estimate

@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .capacity import abscissa_estimate, characteristic_root, fsm_capacity
+from .capacity import combinatorial_capacity, fsm_capacity
 from .errors import (
     BudgetExceededError,
     EstimatorError,
@@ -20,7 +20,7 @@ from .maxent import level_report_tsv, maxent_rate_estimate
 from .sampler import maxent_chain, sample_level_paths, sample_paths, samples_tsv
 from .specfile import load_system
 from .spectrum import density_check, empirical_capacity, spectrum_tsv, weight_spectrum
-from .systems import FSM, GENERATOR, MEMORYLESS, memoryless_fsm
+from .systems import GENERATOR, memoryless_fsm
 from .verify import FAIL, INCONCLUSIVE, PASS, verify_equality
 
 
@@ -60,28 +60,9 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_capacity(args) -> int:
     system, _ = load_system(args.spec)
-    method = args.method
-    if method == "auto":
-        method = {MEMORYLESS: "root", FSM: "spectral", GENERATOR: "abscissa"}[
-            system.kind
-        ]
-    if method == "root":
-        if system.kind != MEMORYLESS:
-            raise InvalidSystemError("root method requires a memoryless system")
-        estimate = characteristic_root(system.alphabet)
-    elif method == "spectral":
-        if system.fsm is None:
-            if system.kind == MEMORYLESS:
-                estimate = fsm_capacity(memoryless_fsm(system.alphabet))
-            else:
-                raise InvalidSystemError(
-                    "spectral method requires an FSM-backed system"
-                )
-        else:
-            estimate = fsm_capacity(system.fsm)
-    else:
-        spectrum = weight_spectrum(system, args.wmax)
-        estimate, _ = abscissa_estimate(spectrum)
+    estimate = combinatorial_capacity(
+        system, lambda: weight_spectrum(system, args.wmax), args.method
+    )
     print(json.dumps(estimate.to_json_dict()))
     return 0
 

@@ -9,14 +9,16 @@ explicit KL gap.
 """
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Hashable
 
 from .errors import BudgetExceededError
 from .estimates import EMPIRICAL, CapacityEstimate
 from .solvers import bisect_decreasing
-from .spectrum import TAIL_FRACTION, tail_window
+from .spectrum import TAIL_FRACTION, frontier_walk, tail_window
 from .systems import BranchSystem, Weight
 
 LEVEL_BUDGET = 2 ** 22
@@ -25,38 +27,26 @@ _STALE_RATE_TOL = 1e-6
 Path = tuple[str, ...]
 
 
+def _depth_buckets(frontier: dict[tuple, int]) -> dict[Weight, int]:
+    buckets: dict[Weight, int] = {}
+    for (_, weight), count in frontier.items():
+        buckets[weight] = buckets.get(weight, 0) + count
+    return buckets
+
+
 def level_support(
     system: BranchSystem, level: int, budget: int = LEVEL_BUDGET
 ) -> dict[Weight, int]:
     """Exact {path weight: count} table for the depth-``level`` support.
 
-    Walks the tree level by level while merging (node handle, weight) states,
-    so supports far beyond explicit enumeration stay cheap.  ``budget`` caps
-    the number of branch expansions, not the support cardinality.
+    Reads depth ``level`` off ``frontier_walk``, so supports far beyond
+    explicit enumeration stay cheap.  ``budget`` caps the number of branch
+    expansions, not the support cardinality.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    frontier: dict[tuple[Hashable, Weight], int] = {
-        (system.root, Fraction(0)): 1
-    }
-    work = 0
-    for _ in range(level):
-        next_frontier: dict[tuple[Hashable, Weight], int] = {}
-        for (handle, acc), count in frontier.items():
-            branches = system.expand(handle)
-            work += len(branches)
-            if work > budget:
-                raise BudgetExceededError(
-                    f"level support walk exceeded budget of {budget} expansions"
-                )
-            for sym, child in branches:
-                key = (child, acc + sym.weight)
-                next_frontier[key] = next_frontier.get(key, 0) + count
-        frontier = next_frontier
-    buckets: dict[Weight, int] = {}
-    for (_, weight), count in frontier.items():
-        buckets[weight] = buckets.get(weight, 0) + count
-    return buckets
+    walk = frontier_walk(system, budget=budget)
+    return _depth_buckets(next(islice(walk, level - 1, None)))
 
 
 def enumerate_level_paths(
@@ -110,7 +100,10 @@ def solve_level_rate(
     the nonnegative root is unique and no greatest-root disambiguation is
     needed.  A singleton support short-circuits to rate 0.
     """
-    buckets = level_support(system, level, budget)
+    return _solve_buckets(level, level_support(system, level, budget))
+
+
+def _solve_buckets(level: int, buckets: dict[Weight, int]) -> LevelSolution:
     support_size = sum(buckets.values())
     terms = [(float(w), c) for w, c in buckets.items()]
     if support_size == 1:
@@ -188,19 +181,18 @@ def maxent_rate_estimate(
 ) -> tuple[CapacityEstimate, tuple[LevelSolution, ...]]:
     """Maximum entropy rate proxy: trailing-window max of the per-level optima.
 
-    Levels are solved from 1 to ``l_max``; if a level blows the enumeration
-    budget the sequence computed so far is returned (callers can tell from
-    its length).  The window aggregation mirrors the empirical capacity
-    estimator so the two sides of the equality check are symmetric.
+    Levels 1 to ``l_max`` are solved along one walk; if it blows the budget,
+    the sequence computed so far is returned (callers can tell from its
+    length).  The window aggregation mirrors the empirical capacity estimator
+    so the two sides of the equality check are symmetric.
     """
     if l_max < 2:
         raise ValueError("l_max must be >= 2")
     levels: list[LevelSolution] = []
-    for level in range(1, l_max + 1):
-        try:
-            levels.append(solve_level_rate(system, level, budget))
-        except BudgetExceededError:
-            break
+    walk = islice(frontier_walk(system, budget=budget), l_max)
+    with suppress(BudgetExceededError):
+        for level, frontier in enumerate(walk, 1):
+            levels.append(_solve_buckets(level, _depth_buckets(frontier)))
     if not levels:
         raise BudgetExceededError("no level fit within the enumeration budget")
     window = tail_window(len(levels), tail_fraction)

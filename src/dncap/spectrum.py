@@ -11,7 +11,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidSystemError
+from .errors import BudgetExceededError, InvalidSystemError
 from .estimates import EMPIRICAL, CapacityEstimate
 from .systems import BranchSystem, is_exact, parse_weight
 
@@ -53,38 +53,53 @@ class WeightSpectrum:
         return tuple(c for _, c in self.entries)
 
 
-def weight_spectrum(system: BranchSystem, w_max) -> WeightSpectrum:
-    """Count accepted strings by exact weight, up to and including w_max.
+def frontier_walk(system: BranchSystem, w_max=None, budget: int | None = None):
+    """Yield the merged {(handle, weight): count} frontier at depths 1, 2, ...
 
     Walks the tree breadth-first while merging frontier states that share a
     (node handle, accumulated weight) pair, which turns the exponential path
     walk into a transfer-matrix style recurrence for FSMs and a balanced walk
     for generators.  Distinct root paths carry distinct label tuples, so path
-    counts and string counts coincide.
+    counts and string counts coincide.  Branches heavier than ``w_max`` are
+    dropped, and the walk stops at the first empty depth; ``budget`` caps
+    the total number of branch expansions.
     """
+    frontier: dict[tuple, int] = {(system.root, Fraction(0)): 1}
+    work = 0
+    while frontier:
+        next_frontier: dict[tuple, int] = {}
+        for (handle, acc), count in frontier.items():
+            branches = system.expand(handle)
+            work += len(branches)
+            if budget is not None and work > budget:
+                raise BudgetExceededError(
+                    f"level support walk exceeded budget of {budget} expansions"
+                )
+            for sym, child in branches:
+                weight = acc + sym.weight
+                if w_max is None or weight <= w_max:
+                    key = (child, weight)
+                    next_frontier[key] = next_frontier.get(key, 0) + count
+        frontier = next_frontier
+        yield frontier
+
+
+def weight_spectrum(system: BranchSystem, w_max) -> WeightSpectrum:
+    """Count accepted strings by exact weight, up to and including w_max."""
     w_max = parse_weight(w_max)
     if not is_exact(w_max):
         raise InvalidSystemError("w_max must be an exact rational")
     if w_max <= 0:
         raise InvalidSystemError("w_max must be positive")
     buckets: dict[Fraction, int] = {}
-    frontier: dict[tuple, int] = {(system.root, Fraction(0)): 1}
-    while frontier:
-        next_frontier: dict[tuple, int] = {}
-        for (handle, acc), count in frontier.items():
-            for sym, child in system.expand(handle):
-                if not is_exact(sym.weight):
-                    raise InvalidSystemError(
-                        f"symbol {sym.label!r} has an inexact weight; "
-                        "spectrum enumeration needs exact rationals"
-                    )
-                new_weight = acc + sym.weight
-                if new_weight > w_max:
-                    continue
-                buckets[new_weight] = buckets.get(new_weight, 0) + count
-                key = (child, new_weight)
-                next_frontier[key] = next_frontier.get(key, 0) + count
-        frontier = next_frontier
+    for frontier in frontier_walk(system, w_max):
+        for (_, weight), count in frontier.items():
+            if not is_exact(weight):
+                raise InvalidSystemError(
+                    f"path weight {weight!r} is inexact; "
+                    "spectrum enumeration needs exact rationals"
+                )
+            buckets[weight] = buckets.get(weight, 0) + count
     entries = tuple(sorted(buckets.items()))
     return WeightSpectrum(entries=entries, w_max=w_max)
 

@@ -10,12 +10,12 @@ C + eps and at least one must exceed C - eps.
 
 from dataclasses import dataclass
 
-from .capacity import abscissa_estimate, characteristic_root, fsm_capacity
+from .capacity import combinatorial_capacity
 from .errors import BudgetExceededError
 from .estimates import CapacityEstimate
 from .maxent import LEVEL_BUDGET, LevelSolution, maxent_rate_estimate
 from .spectrum import TAIL_FRACTION, empirical_capacity, tail_window, weight_spectrum
-from .systems import FSM, MEMORYLESS, BranchSystem
+from .systems import BranchSystem
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -47,19 +47,6 @@ class VerifyReport:
         }
 
 
-def _combinatorial_side(
-    system: BranchSystem, spectrum, tail_fraction: float
-) -> CapacityEstimate:
-    # Exact method first: roots for memoryless and FSM structure, truncated
-    # series only for bare generators.
-    if system.kind == MEMORYLESS:
-        return characteristic_root(system.alphabet)
-    if system.kind == FSM and system.fsm is not None:
-        return fsm_capacity(system.fsm)
-    estimate, _ = abscissa_estimate(spectrum, tail_fraction=tail_fraction)
-    return estimate
-
-
 def verify_equality(
     system: BranchSystem,
     w_max,
@@ -77,7 +64,7 @@ def verify_equality(
     """
     spectrum = weight_spectrum(system, w_max)
     _, growth = empirical_capacity(spectrum, tail_fraction)
-    c_comb = _combinatorial_side(system, spectrum, tail_fraction)
+    c_comb = combinatorial_capacity(system, lambda: spectrum, tail_fraction=tail_fraction)
     try:
         c_prob, levels = maxent_rate_estimate(system, l_max, tail_fraction, budget)
     except BudgetExceededError:

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 import dncap as d
-from conftest import dyck, golden_mean_system, mem_equal, mem_unequal, rll_system
+from conftest import (
+    dyck,
+    golden_mean_system,
+    mem_equal,
+    mem_rational,
+    mem_unequal,
+    rll_system,
+)
 from oracles import LN_GOLDEN, bisect_root
 
 
@@ -181,8 +188,45 @@ class TestRateEstimate:
 
     def test_budget_exhaustion_reports_partial_sequence(self):
         estimate, levels = d.maxent_rate_estimate(dyck(), 30, budget=300)
+
+        def fits(level):
+            try:
+                d.solve_level_rate(dyck(), level, budget=300)
+            except d.BudgetExceededError:
+                return False
+            return True
+
         assert 1 <= len(levels) < 30
+        assert len(levels) == sum(fits(level) for level in range(1, 31))
         assert estimate.value > 0
+
+    def test_trajectory_is_one_walk(self):
+        def counted(system):
+            calls = [0]
+
+            def expand(handle):
+                calls[0] += 1
+                return system.expand(handle)
+
+            return d.BranchSystem(system.kind, system.root, expand), calls
+
+        walked, walk_calls = counted(dyck())
+        d.level_support(walked, 60)
+        estimated, estimate_calls = counted(dyck())
+        d.maxent_rate_estimate(estimated, 60)
+        assert estimate_calls[0] == walk_calls[0]
+
+    @pytest.mark.parametrize(
+        "factory,l_max",
+        [(dyck, 30), (mem_unequal, 12), (golden_mean_system, 20),
+         (mem_rational, 12)],
+    )
+    def test_trajectory_matches_per_level_solves(self, factory, l_max):
+        system = factory()
+        _, levels = d.maxent_rate_estimate(system, l_max)
+        assert levels == tuple(
+            d.solve_level_rate(system, level) for level in range(1, l_max + 1)
+        )
 
     def test_lmax_validation(self):
         with pytest.raises(ValueError):
