@@ -45,7 +45,6 @@ from .sampler import (
     sample_paths,
     samples_tsv,
 )
-from .solvers import bisect_decreasing, power_iteration, spectral_radius_nonneg
 from .specfile import load_system, parse_system
 from .spectrum import (
     DensityReport,
@@ -93,7 +92,6 @@ __all__ = [
     "WeightSpectrum",
     "WeightedFsm",
     "abscissa_estimate",
-    "bisect_decreasing",
     "characteristic_root",
     "check_label_uniqueness",
     "density_check",
@@ -119,12 +117,10 @@ __all__ = [
     "memoryless_fsm",
     "parse_system",
     "parse_weight",
-    "power_iteration",
     "sample_level_paths",
     "sample_paths",
     "samples_tsv",
     "solve_level_rate",
-    "spectral_radius_nonneg",
     "spectrum_tsv",
     "symbols",
     "transition_matrix",

@@ -24,7 +24,7 @@ from .estimates import (
     SPECTRAL_RADIUS,
     CapacityEstimate,
 )
-from .solvers import bisect_decreasing, spectral_radius_nonneg
+from .solvers import Perron, bisect_decreasing, perron
 from .spectrum import (
     DENSITY_POLY_CAP,
     TAIL_FRACTION,
@@ -33,12 +33,18 @@ from .spectrum import (
     empirical_capacity,
     tail_window,
 )
-from .systems import FSM, MEMORYLESS, BranchSystem, Symbol, WeightedFsm, memoryless_fsm
+from .systems import (
+    FSM, MEMORYLESS, BranchSystem, Symbol, WeightedFsm, memoryless_fsm,
+    strong_components,
+)
 
 DIVERGENCE_THRESHOLD = 1e6
 PROBE_DELTA = 0.1
 _EXP_OVERFLOW = 700.0
 _RATIO_SLACK = 1e-12
+NEWTON_MAX_ITER = 100
+CERTIFY_MAX_ITER = 20
+_EPS = float(np.finfo(float).eps)
 
 
 def _term(count: int, weight: float, s) -> complex | float:
@@ -102,54 +108,81 @@ def characteristic_root(alphabet: Sequence[Symbol]) -> CapacityEstimate:
 
 def transition_matrix(fsm: WeightedFsm, s: float) -> np.ndarray:
     """M(s) with M[i, j] = sum over i->j transitions of e^{-w s}."""
-    matrix = np.zeros((fsm.num_states, fsm.num_states))
-    for src, sym, dst in fsm.transitions:
-        matrix[src, dst] += math.exp(-float(sym.weight) * s)
+    return _matrix(fsm.num_states, *_edges(fsm.transitions), s)
+
+
+def _edges(transitions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    src, weights, dst = zip(*((i, float(sym.weight), j) for i, sym, j in transitions))
+    return np.array(src), np.array(weights), np.array(dst)
+
+
+def _matrix(n: int, src, weights, dst, s: float) -> np.ndarray:
+    matrix = np.zeros((n, n))
+    np.add.at(matrix, (src, dst), np.exp(-weights * s))
     return matrix
-
-
-def _has_reachable_cycle(fsm: WeightedFsm) -> bool:
-    # Finite states with out-degree >= 1 always loop eventually; kept as a
-    # guard for duck-typed inputs that bypassed construction checks.
-    state = fsm.start
-    seen = set()
-    while state not in seen:
-        seen.add(state)
-        outs = fsm.outgoing.get(state, ())
-        if not outs:
-            return False
-        state = outs[0][1]
-    return True
 
 
 def fsm_capacity(fsm: WeightedFsm) -> CapacityEstimate:
     """Capacity of a regular channel: the s with spectral radius rho(M(s)) = 1.
 
-    rho(M(s)) is strictly decreasing in s because every transition weight is
-    positive, so an outer bisection over s wraps an inner shifted power
-    iteration.  The initial upper bound ln(max out-degree)/min weight + 1 is
-    doubled by the bisection until rho drops below one.
+    rho(M(s)) is the largest Perron root over the strongly connected
+    components that carry a transition, so each is solved on its own, the
+    largest root wins and ``iterations`` sums their Newton steps.
     """
-    if not _has_reachable_cycle(fsm):
-        raise InvalidSystemError(
-            "no cycle reachable from start; capacity is undefined"
-        )
-
-    def radius(s: float) -> float:
-        rho, _, _ = spectral_radius_nonneg(transition_matrix(fsm, s))
-        return rho
-
-    out_degree = max(len(outs) for outs in fsm.outgoing.values())
-    min_weight = min(float(sym.weight) for _, sym, _ in fsm.transitions)
-    hi = math.log(max(out_degree, 2)) / min_weight + 1.0
-    result = bisect_decreasing(radius, 0.0, hi)
+    src, weights, dst = _edges(fsm.transitions)
+    label = np.array(strong_components(fsm))
+    inner = label[src] == label[dst]
+    roots = []
+    for component in np.unique(label[src[inner]]):
+        states = np.flatnonzero(label == component)
+        keep = inner & (label[src] == component)
+        roots.append(_component_root(
+            len(states), np.searchsorted(states, src[keep]), weights[keep],
+            np.searchsorted(states, dst[keep]),
+        ))
+    if not roots:
+        raise InvalidSystemError("no cycle reachable from start; capacity is undefined")
+    value, _, _, residual, _ = max(roots)
+    bracket = (max(r[1] for r in roots), max(r[2] for r in roots))
     return CapacityEstimate(
-        value=result.root,
-        method=SPECTRAL_RADIUS,
-        bracket=(result.lo, result.hi),
-        residual=result.residual,
-        iterations=result.iterations,
+        value, SPECTRAL_RADIUS, bracket, residual, sum(r[4] for r in roots)
     )
+
+
+def _component_root(n: int, src, weights, dst) -> tuple:
+    """(value, lo, hi, residual, Newton steps) of rho(M(s)) = 1 on one component.
+
+    ln rho(M(s)) is convex and decreasing (Kingman 1961), so Newton from s = 0
+    climbs to the root without overshooting.  Its slope comes from the Perron
+    vectors, d rho/ds = -u^T (W o M) v / u^T v summed over the transitions,
+    and each ``perron`` call is warm-started with the previous vectors.  Newton
+    stops once a step no longer moves s to the right (rho <= 1 to rounding);
+    [lo, hi] is then widened around s, from |rho - 1| plus a rounding slack,
+    until CW-min(M(lo)) >= 1 >= CW-max(M(hi)).
+    """
+
+    def solve(s: float, *warm) -> tuple[Perron, float]:
+        p = perron(_matrix(n, src, weights, dst, s), *warm)
+        slope = p.left[src] * weights * np.exp(-weights * s) @ p.right[dst]
+        return p, float(slope / (p.left @ p.right) / p.rho)  # -d ln rho / ds
+
+    s, warm = 0.0, ()
+    for steps in range(NEWTON_MAX_ITER + 1):
+        p, decay = solve(s, *warm)
+        warm = (p.right, p.left)
+        step = math.log(p.rho) / decay
+        if not s + step > s:
+            break
+        s += step
+    else:
+        raise EstimatorError(f"Newton on rho(M(s)) = 1 did not settle in {steps} steps")
+    margin = (abs(p.rho - 1.0) + 8 * _EPS) / (p.rho * decay)
+    for _ in range(CERTIFY_MAX_ITER):
+        lo, hi = max(s - margin, 0.0), s + margin
+        if solve(lo, *warm)[0].lo >= 1.0 and solve(hi, *warm)[0].hi <= 1.0:
+            return s, lo, hi, abs(p.rho - 1.0), steps
+        margin *= 4.0
+    raise EstimatorError(f"no certified bracket around the root {s}")
 
 
 @dataclass(frozen=True)

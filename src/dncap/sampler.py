@@ -1,10 +1,11 @@
 """Maxentropic sampling: stationary chains for FSMs, level samplers otherwise.
 
 For a regular channel the capacity-achieving source is an explicit Markov
-chain: scale each transition by e^{-w s*} and tilt by the Perron right
-eigenvector of M(s*).  Non-regular channels get no stationary construction
-here; they are sampled exactly from the depth-l maxent distribution via
-subtree partition sums, with no optimality claim beyond the solved level.
+chain (Parry 1964): scale each transition by e^{-w s*} and tilt by the Perron
+right eigenvector v of M(s*); with u the left one, its stationary law is u o v.
+Non-regular channels get no stationary construction here; they are sampled
+exactly from the depth-l maxent distribution via subtree partition sums, with
+no optimality claim beyond the solved level.
 """
 
 import math
@@ -18,7 +19,7 @@ from .capacity import transition_matrix
 from .errors import EstimatorError, InvalidSystemError
 from .estimates import SPECTRAL_RADIUS, CapacityEstimate
 from .maxent import LEVEL_BUDGET, solve_level_rate
-from .solvers import power_iteration
+from .solvers import perron
 from .systems import BranchSystem, Symbol, WeightedFsm
 
 _ROW_SUM_TOL = 1e-8
@@ -53,20 +54,12 @@ class MaxentChain:
         return entropy / mean_weight
 
 
-def _stationary_distribution(rows) -> np.ndarray:
-    n = len(rows)
-    P = np.zeros((n, n))
-    for i, row in enumerate(rows):
-        for _, j, prob in row:
-            P[i, j] += prob
-    # Perron vector of the transposed row-stochastic matrix; the +I shift in
-    # power_iteration's caller is not needed because we shift here explicitly.
-    _, pi, _ = power_iteration(P.T + np.eye(n))
-    return pi / pi.sum()
-
-
 def maxent_chain(fsm: WeightedFsm, capacity: CapacityEstimate) -> MaxentChain:
-    """Build the stationary maxentropic chain from an fsm capacity estimate."""
+    """Build the stationary maxentropic chain from an fsm capacity estimate.
+
+    One ``perron`` call on M(s*) gives v for the tilt and u o v for the
+    stationary law.
+    """
     if capacity.method != SPECTRAL_RADIUS:
         raise ValueError("capacity must come from the spectral-radius solver")
     if not fsm.is_strongly_connected():
@@ -75,9 +68,8 @@ def maxent_chain(fsm: WeightedFsm, capacity: CapacityEstimate) -> MaxentChain:
             "(otherwise the Perron eigenvector is not unique)"
         )
     s_star = capacity.value
-    matrix = transition_matrix(fsm, s_star)
-    _, vector, _ = power_iteration(matrix + np.eye(fsm.num_states))
-    vector = vector / vector[fsm.start]
+    p = perron(transition_matrix(fsm, s_star))
+    vector = p.right / p.right[fsm.start]
     rows = []
     for state in range(fsm.num_states):
         row = []
@@ -92,7 +84,7 @@ def maxent_chain(fsm: WeightedFsm, capacity: CapacityEstimate) -> MaxentChain:
                 f"state {state}: transition probabilities sum to {row_sum}"
             )
         rows.append(tuple(row))
-    stationary = _stationary_distribution(rows)
+    stationary = p.left * p.right / (p.left @ p.right)
     chain = MaxentChain(
         fsm=fsm,
         capacity=s_star,

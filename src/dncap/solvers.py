@@ -1,14 +1,22 @@
-"""Numeric kernels: monotone bisection and nonnegative power iteration."""
+"""Numeric kernels: monotone bisection and the certified Perron kernel.
 
+``perron`` is the one Perron root and vector computation in the package; its
+iteration cap raises ``EstimatorError`` instead of returning unconverged.
+"""
+
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .errors import EstimatorError
+
 BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
-POWER_TOL = 1e-14
-POWER_MAX_ITER = 10000
+PERRON_TOL = 1e-15
+PERRON_MAX_ITER = 100
+_FLOOR = 1e-300  # a sum-one Perron iterate's entries below this count as zero
 
 
 @dataclass(frozen=True)
@@ -69,63 +77,77 @@ def bisect_decreasing(
     )
 
 
-def power_iteration(
-    matrix: np.ndarray,
-    tol: float = POWER_TOL,
-    max_iter: int = POWER_MAX_ITER,
-) -> tuple[float, np.ndarray, int]:
-    """Dominant eigenvalue and eigenvector of a nonnegative square matrix.
+@dataclass(frozen=True)
+class Perron:
+    """Perron root with Collatz-Wielandt (CW) bounds lo <= rho <= hi (min and
+    max of (M x)_i / x_i over positive iterates x), and the positive right
+    and left vectors.  ``rho`` is Noda's estimate, the final ``hi``."""
 
-    Starts from the uniform positive vector and tracks the Rayleigh-style
-    ratio sum(Ax)/sum(x) under 1-norm normalization; stops when successive
-    ratios differ by less than ``tol`` relatively.  Convergence is only
-    guaranteed for matrices whose dominant eigenvalue is strictly larger in
-    modulus than the rest (e.g. after a +I shift of a nonnegative matrix);
-    see ``spectral_radius_nonneg`` for the shifted wrapper.
+    rho: float
+    lo: float
+    hi: float
+    right: np.ndarray
+    left: np.ndarray
+
+
+def perron(
+    matrix: np.ndarray,
+    right: np.ndarray | None = None,
+    left: np.ndarray | None = None,
+) -> Perron:
+    """Perron root and vectors of an irreducible nonnegative matrix.
+
+    Noda iteration on each side, warm-started from ``right`` and ``left``.
     """
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError("matrix must be square")
-    if n == 1:
-        return float(matrix[0, 0]), np.ones(1), 1
-    x = np.full(n, 1.0 / n)
-    ratio = 0.0
-    for iteration in range(1, max_iter + 1):
-        y = matrix @ x
-        total = float(y.sum())
-        if total == 0.0:
-            return 0.0, x, iteration
-        new_ratio = total  # sum(x) == 1
-        new_x = y / total
-        # The ratio alone can stabilize immediately (constant row sums make
-        # it exact from step one), so require the vector to settle as well.
-        settled = (
-            abs(new_ratio - ratio) <= tol * max(1.0, abs(new_ratio))
-            and float(np.abs(new_x - x).max()) <= 10.0 * tol
-        )
-        x = new_x
-        if settled:
-            return new_ratio, x, iteration
-        ratio = new_ratio
-    return ratio, x, max_iter
-
-
-def spectral_radius_nonneg(
-    matrix: np.ndarray,
-    tol: float = POWER_TOL,
-    max_iter: int = POWER_MAX_ITER,
-) -> tuple[float, np.ndarray, int]:
-    """Perron root and vector of a nonnegative matrix via a shifted iteration.
-
-    Power iteration runs on matrix + I: the shift adds exactly 1 to the
-    Perron root of a nonnegative matrix and makes the iteration converge
-    even on periodic (imprimitive) transition structures, without any
-    cycle-structure analysis.
-    """
-    matrix = np.asarray(matrix, dtype=float)
     if (matrix < 0).any():
         raise ValueError("matrix must be elementwise nonnegative")
-    shifted = matrix + np.eye(matrix.shape[0])
-    rho_shifted, vector, iterations = power_iteration(shifted, tol, max_iter)
-    return rho_shifted - 1.0, vector, iterations
+    lo, hi, right = _noda(matrix, right)
+    _, _, left = _noda(matrix.T, left)
+    return Perron(hi, lo, hi, right, left)
+
+
+def _noda(matrix, x):
+    """Noda iteration x <- (hi I - M)^{-1} x, with hi the CW upper bound.
+
+    For irreducible M the inverse is positive, so x stays positive and hi
+    falls monotonically to rho.  Each step solves with D^{-1} M D, D = diag(x),
+    whose Perron vector is near all-ones, so tiny entries of x stay accurate.
+    lo and hi are the best CW bounds over the iterates.  Returns (lo, hi, x)
+    once they close to PERRON_TOL * hi, or after bounding the iterate that
+    follows a step moving x by less than sqrt(PERRON_TOL): the convergence is
+    quadratic (Elsner 1976), so that iterate sits at the rounding floor.
+    """
+    n = len(matrix)
+    x = np.full(n, 1.0 / n) if x is None else x
+    scaled = np.empty_like(matrix)
+    lo, hi, settled = 0.0, math.inf, False
+    for _ in range(PERRON_MAX_ITER):
+        np.multiply(matrix, x, out=scaled)
+        scaled /= x[:, None]
+        ratios = scaled.sum(axis=1)
+        lo, hi = max(lo, float(ratios.min())), min(hi, float(ratios.max()))
+        if settled or hi - lo <= PERRON_TOL * hi:
+            return lo, hi, x
+        # D^{-1} M D - hi I, shifted in place; the PERRON_TOL nudge keeps it
+        # nonsingular when hi has rounded to rho.
+        shift = hi * (1.0 + PERRON_TOL)
+        scaled.flat[:: n + 1] -= shift
+        try:
+            z = np.linalg.solve(scaled, np.full(n, -1.0))
+        except np.linalg.LinAlgError:  # singular after rounding: x is final
+            return lo, hi, x
+        z /= z.sum()  # a shift rounded to just below rho flips the sign
+        settled = z.max() <= z.min() * (1.0 + math.sqrt(PERRON_TOL))
+        y = x * np.abs(z)  # rounding can flip entries that are ~0 relatively
+        y /= y.sum()
+        alive = y > _FLOOR
+        if not alive.all():
+            # x chases entries that are zero in floating point (M is reducible
+            # there): bound on the rest, rho(M) >= rho(M_SS) >= CW-min of M_SS.
+            return max(lo, float((scaled @ alive)[alive].min()) + shift), hi, x
+        x = y
+    raise EstimatorError(f"Perron iteration did not settle in {PERRON_MAX_ITER} steps")

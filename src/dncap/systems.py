@@ -142,14 +142,8 @@ class WeightedFsm:
                 raise InvalidSystemError(
                     f"state {state} has duplicate outgoing labels"
                 )
-        reached = {self.start}
-        frontier = [self.start]
-        while frontier:
-            state = frontier.pop()
-            for _, dst in outgoing[state]:
-                if dst not in reached:
-                    reached.add(dst)
-                    frontier.append(dst)
+        successors = {i: [dst for _, dst in outs] for i, outs in outgoing.items()}
+        reached = set(_finish_order(successors, [self.start]))
         if len(reached) != self.num_states:
             missing = sorted(set(range(self.num_states)) - reached)
             raise InvalidSystemError(
@@ -176,23 +170,43 @@ class WeightedFsm:
         return True
 
     def is_strongly_connected(self) -> bool:
-        forward: dict[int, set] = {i: set() for i in range(self.num_states)}
-        backward: dict[int, set] = {i: set() for i in range(self.num_states)}
-        for src, _, dst in self.transitions:
-            forward[src].add(dst)
-            backward[dst].add(src)
+        return len(set(strong_components(self))) == 1
 
-        def closure(adj):
-            seen = {0}
-            stack = [0]
-            while stack:
-                for nxt in adj[stack.pop()]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            return len(seen) == self.num_states
 
-        return closure(forward) and closure(backward)
+def _finish_order(successors, roots, seen=None) -> list[int]:
+    """States reachable from ``roots`` and not in ``seen``, in depth-first
+    finishing order; ``seen`` gains every state visited."""
+    seen = set() if seen is None else seen
+    order = []
+    for root in roots:
+        path = [] if root in seen else [(root, iter(successors[root]))]
+        seen.add(root)
+        while path:
+            nxt = next((x for x in path[-1][1] if x not in seen), None)
+            if nxt is None:
+                order.append(path.pop()[0])
+            else:
+                seen.add(nxt)
+                path.append((nxt, iter(successors[nxt])))
+    return order
+
+
+def strong_components(fsm: WeightedFsm) -> list[int]:
+    """Each state's strongly connected component, named by one of its states.
+
+    Kosaraju: a backward search in reverse forward-finishing order stays
+    inside one component.  Reads only ``num_states`` and ``transitions``.
+    """
+    forward: list[list[int]] = [[] for _ in range(fsm.num_states)]
+    backward: list[list[int]] = [[] for _ in range(fsm.num_states)]
+    for src, _, dst in fsm.transitions:
+        forward[src].append(dst)
+        backward[dst].append(src)
+    label, seen = [0] * fsm.num_states, set()
+    for root in reversed(_finish_order(forward, range(fsm.num_states))):
+        for state in _finish_order(backward, [root], seen):
+            label[state] = root
+    return label
 
 
 def fsm_to_branch_system(fsm: WeightedFsm, name: str = "") -> BranchSystem:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import dncap as d
+from dncap import capacity, solvers
+from dncap.solvers import perron
 from conftest import dyck, golden_mean_system, mem_equal, mem_unequal, rll_system
 from oracles import LN_GOLDEN, bisect_root
 
@@ -87,29 +89,49 @@ class TestCharacteristicRoot:
             d.characteristic_root(())
 
 
-class TestPowerIteration:
-    def test_all_ones_matrix(self):
-        rho, vector, _ = d.power_iteration(np.ones((3, 3)))
-        assert abs(rho - 3.0) < 1e-12
-        assert np.allclose(vector, 1 / 3)
-
-    def test_known_tridiagonal_perron_root(self):
-        matrix = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
-        rho, _, _ = d.power_iteration(matrix)
-        assert abs(rho - (2.0 + math.sqrt(2.0))) < 1e-9
-
-    def test_periodic_matrix_needs_the_shift(self):
-        flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-        rho, vector, _ = d.spectral_radius_nonneg(flip)
-        assert abs(rho - 1.0) < 1e-12
-        assert np.allclose(vector, 0.5)
+class TestPerron:
+    @pytest.mark.parametrize(
+        "matrix, rho",
+        [
+            (np.ones((3, 3)), 3.0),
+            (np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]),
+             2.0 + math.sqrt(2.0)),
+            # periodic: the kernel needs no +I shift to converge here
+            (np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0),
+        ],
+        ids=["all_ones", "tridiagonal", "periodic_flip"],
+    )
+    def test_known_perron_root(self, matrix, rho):
+        result = perron(matrix)
+        assert result.lo <= rho <= result.hi
+        assert abs(result.rho - rho) < 1e-12
+        assert (result.right > 0).all() and (result.left > 0).all()
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            d.spectral_radius_nonneg(np.array([[1.0, -1.0], [0.0, 1.0]]))
+            perron(np.array([[1.0, -1.0], [0.0, 1.0]]))
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(solvers, "PERRON_MAX_ITER", 1)
+        with pytest.raises(d.EstimatorError, match="did not settle"):
+            perron(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]))
 
 
 class TestFsmCapacity:
+    def test_transition_matrix_matches_a_loop(self):
+        fsm = d.make_rll(1, 3)
+        parallel = d.WeightedFsm(2, 0, (
+            (0, d.Symbol("a", "1/3"), 1), (0, d.Symbol("b", "5/2"), 1),
+            (1, d.Symbol("a", 2), 0),
+        ))
+        for machine in (fsm, parallel):
+            expected = np.zeros((machine.num_states, machine.num_states))
+            for src, sym, dst in machine.transitions:
+                expected[src, dst] += math.exp(-float(sym.weight) * 0.7)
+            assert np.allclose(
+                d.transition_matrix(machine, 0.7), expected, rtol=1e-15, atol=0.0
+            )
+
     def test_binary_self_loops(self):
         fsm = d.memoryless_fsm(d.symbols({"0": 1, "1": 1}))
         assert abs(d.fsm_capacity(fsm).value - math.log(2)) < 1e-9
@@ -155,19 +177,15 @@ class TestFsmCapacity:
         fsm = d.make_rll(1, 3)
         estimate = d.fsm_capacity(fsm)
         samples = np.linspace(0.0, estimate.bracket[1] + 0.5, 10)
-        radii = [
-            d.spectral_radius_nonneg(d.transition_matrix(fsm, s))[0]
-            for s in samples
-        ]
+        radii = [perron(d.transition_matrix(fsm, s)).rho for s in samples]
         assert all(a > b for a, b in zip(radii, radii[1:]))
 
     def test_bisection_certificate(self):
         fsm = d.make_golden_mean()
         estimate = d.fsm_capacity(fsm)
         lo, hi = estimate.bracket
-        rho_lo = d.spectral_radius_nonneg(d.transition_matrix(fsm, lo))[0]
-        rho_hi = d.spectral_radius_nonneg(d.transition_matrix(fsm, hi))[0]
-        assert rho_lo >= 1.0 >= rho_hi
+        assert perron(d.transition_matrix(fsm, lo)).lo >= 1.0
+        assert perron(d.transition_matrix(fsm, hi)).hi <= 1.0
 
     def test_no_cycle_duck_typed_input(self):
         fake = types.SimpleNamespace(
@@ -177,6 +195,88 @@ class TestFsmCapacity:
         )
         with pytest.raises(d.InvalidSystemError, match="cycle"):
             d.fsm_capacity(fake)
+
+    def test_cycle_with_self_loop_matches_closed_form(self):
+        # slow mixing: the second eigenvalue of M(s) nears the Perron root
+        n = 200
+        loop = (0, d.Symbol("b", 1), 0)
+        fsm = d.WeightedFsm(n, 0, tuple(
+            (i, d.Symbol("a", 1), (i + 1) % n) for i in range(n)
+        ) + (loop,))
+        root = bisect_root(lambda s: math.exp(-s) + math.exp(-n * s) - 1, 0.0, 1.0)
+        estimate = d.fsm_capacity(fsm)
+        assert abs(estimate.value - root) < 1e-12
+        assert estimate.bracket[0] <= root <= estimate.bracket[1]
+        chain = d.maxent_chain(fsm, estimate)
+        assert abs(chain.analytic_entropy_rate() - root) < 1e-9
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            ((0, "a", 0), (0, "b", 0), (0, "c", 1), (1, "a", 1)),
+            ((0, "a", 0), (0, "b", 1), (1, "a", 1), (1, "b", 1)),
+        ],
+        ids=["two_loops_upstream", "two_loops_downstream"],
+    )
+    def test_reducible_fsm_takes_the_largest_component(self, edges):
+        fsm = d.WeightedFsm(2, 0, tuple(
+            (src, d.Symbol(label, 1), dst) for src, label, dst in edges
+        ))
+        estimate = d.fsm_capacity(fsm)
+        assert abs(estimate.value - math.log(2)) < 1e-12
+        assert estimate.bracket[0] <= math.log(2) <= estimate.bracket[1]
+
+    def test_tiny_perron_entries_keep_their_accuracy(self):
+        # two 1/100 loops set the root, 100 ln 2; there the 7-weight edges
+        # scale to 1e-211, and so does state 1's Perron entry
+        fsm = d.WeightedFsm(2, 0, (
+            (0, d.Symbol("a", "1/100"), 0), (0, d.Symbol("b", "1/100"), 0),
+            (0, d.Symbol("c", 7), 1), (1, d.Symbol("a", 7), 0),
+        ))
+        root = 100 * math.log(2)
+        estimate = d.fsm_capacity(fsm)
+        assert abs(estimate.value - root) < 1e-12
+        assert estimate.bracket[0] <= root <= estimate.bracket[1]
+
+    def test_cycle_that_underflows_is_certified_on_the_rest(self):
+        # the 4000-weight cycle through state 2 is e^-1925 at the root: zero
+        # in floating point, so M(s) is reducible there and rho is golden
+        fsm = d.WeightedFsm(3, 0, (
+            (0, d.Symbol("a", 1), 0), (0, d.Symbol("b", 1), 1),
+            (1, d.Symbol("a", 1), 0), (1, d.Symbol("b", 2000), 2),
+            (2, d.Symbol("a", 2000), 0),
+        ))
+        estimate = d.fsm_capacity(fsm)
+        lo, hi = estimate.bracket
+        assert abs(estimate.value - LN_GOLDEN) < 1e-12
+        assert lo <= LN_GOLDEN <= hi and hi - lo < 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bracket_certified_on_random_fsms(self, seed):
+        # a union of permutations, one of them an n-cycle
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 61))
+        order = rng.permutation(n)
+        edges = [(order[k], "a", order[(k + 1) % n]) for k in range(n)]
+        for label in "bc":
+            perm = rng.permutation(n)
+            edges += [(i, label, perm[i]) for i in range(n)]
+        fsm = d.WeightedFsm(n, 0, tuple(
+            (int(i), d.Symbol(label, int(rng.integers(1, 5))), int(j))
+            for i, label, j in edges
+        ))
+        lo, hi = d.fsm_capacity(fsm).bracket
+
+        def radius(s):
+            return max(abs(np.linalg.eigvals(d.transition_matrix(fsm, s))))
+
+        assert radius(lo) >= 1.0 - 1e-12
+        assert radius(hi) <= 1.0 + 1e-12
+
+    def test_newton_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(capacity, "NEWTON_MAX_ITER", 0)
+        with pytest.raises(d.EstimatorError, match="did not settle"):
+            d.fsm_capacity(d.memoryless_fsm(d.symbols({"0": 1, "1": 2})))
 
 
 class TestAbscissaEstimate:

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+from dncap import capacity
 from dncap.cli import main
 
 MEM_EQUAL = {
@@ -124,6 +125,12 @@ class TestCapacity:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert abs(doc["value"] - math.log(2)) < 1e-9
+
+    def test_iteration_cap_exits_three(self, tmp_spec, capsys, monkeypatch):
+        monkeypatch.setattr(capacity, "NEWTON_MAX_ITER", 0)
+        code = main(["capacity", tmp_spec(MEM_UNEQUAL), "--method", "spectral"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: Newton")
 
 
 class TestMaxent:
