@@ -24,7 +24,7 @@ from .estimates import (
     SPECTRAL_RADIUS,
     CapacityEstimate,
 )
-from .solvers import Perron, bisect_decreasing, perron
+from .solvers import newton_root, partition_root, perron
 from .spectrum import (
     DENSITY_POLY_CAP,
     TAIL_FRACTION,
@@ -42,9 +42,6 @@ DIVERGENCE_THRESHOLD = 1e6
 PROBE_DELTA = 0.1
 _EXP_OVERFLOW = 700.0
 _RATIO_SLACK = 1e-12
-NEWTON_MAX_ITER = 100
-CERTIFY_MAX_ITER = 20
-_EPS = float(np.finfo(float).eps)
 
 
 def _term(count: int, weight: float, s) -> complex | float:
@@ -81,29 +78,18 @@ def gf_eval(spectrum: WeightSpectrum, s, w_truncate=None):
 def characteristic_root(alphabet: Sequence[Symbol]) -> CapacityEstimate:
     """Capacity of a memoryless alphabet: the root of sum_i e^{-w_i s} = 1.
 
-    The left side is strictly decreasing in s, so the unique nonnegative
-    solution is found by bisection from the bracket [0, ln|A| / min w].  A
-    singleton alphabet has the exact root 0.
+    Solved by ``partition_root`` with unit counts: Newton from s = 0, with a
+    bracket whose ends the computed sum certifies, the measured residual
+    |sum - 1| and ``iterations`` the Newton steps (0 for a singleton, whose
+    root is exactly 0).
     """
     alphabet = tuple(alphabet)
     if not alphabet:
         raise InvalidSystemError("alphabet must be nonempty")
-    weights = [float(sym.weight) for sym in alphabet]
-    if len(alphabet) == 1:
-        return CapacityEstimate(0.0, CHARACTERISTIC_ROOT, (0.0, 0.0), 0.0, 0)
-
-    def target(s: float) -> float:
-        return sum(math.exp(-w * s) for w in weights)
-
-    hi = math.log(len(weights)) / min(weights)
-    result = bisect_decreasing(target, 0.0, hi)
-    return CapacityEstimate(
-        value=result.root,
-        method=CHARACTERISTIC_ROOT,
-        bracket=(result.lo, result.hi),
-        residual=result.residual,
-        iterations=result.iterations,
+    value, lo, hi, residual, steps = partition_root(
+        [float(sym.weight) for sym in alphabet], np.zeros(len(alphabet))
     )
+    return CapacityEstimate(value, CHARACTERISTIC_ROOT, (lo, hi), residual, steps)
 
 
 def transition_matrix(fsm: WeightedFsm, s: float) -> np.ndarray:
@@ -150,39 +136,28 @@ def fsm_capacity(fsm: WeightedFsm) -> CapacityEstimate:
 
 
 def _component_root(n: int, src, weights, dst) -> tuple:
-    """(value, lo, hi, residual, Newton steps) of rho(M(s)) = 1 on one component.
+    """``newton_root`` of ln rho(M(s)) = 0 on one component.
 
-    ln rho(M(s)) is convex and decreasing (Kingman 1961), so Newton from s = 0
-    climbs to the root without overshooting.  Its slope comes from the Perron
-    vectors, d rho/ds = -u^T (W o M) v / u^T v summed over the transitions,
-    and each ``perron`` call is warm-started with the previous vectors.  Newton
-    stops once a step no longer moves s to the right (rho <= 1 to rounding);
-    [lo, hi] is then widened around s, from |rho - 1| plus a rounding slack,
-    until CW-min(M(lo)) >= 1 >= CW-max(M(hi)).
+    ln rho(M(s)) is convex and decreasing (Kingman 1961).  Its slope comes
+    from the Perron vectors, d rho/ds = -u^T (W o M) v / u^T v summed over
+    the transitions, each ``perron`` call is warm-started with the previous
+    vectors, and the logs of the CW bounds certify the bracket.
     """
+    warm = ()
 
-    def solve(s: float, *warm) -> tuple[Perron, float]:
+    def solve(s: float) -> tuple:
+        nonlocal warm
         p = perron(_matrix(n, src, weights, dst, s), *warm)
-        slope = p.left[src] * weights * np.exp(-weights * s) @ p.right[dst]
-        return p, float(slope / (p.left @ p.right) / p.rho)  # -d ln rho / ds
-
-    s, warm = 0.0, ()
-    for steps in range(NEWTON_MAX_ITER + 1):
-        p, decay = solve(s, *warm)
         warm = (p.right, p.left)
-        step = math.log(p.rho) / decay
-        if not s + step > s:
-            break
-        s += step
-    else:
-        raise EstimatorError(f"Newton on rho(M(s)) = 1 did not settle in {steps} steps")
-    margin = (abs(p.rho - 1.0) + 8 * _EPS) / (p.rho * decay)
-    for _ in range(CERTIFY_MAX_ITER):
-        lo, hi = max(s - margin, 0.0), s + margin
-        if solve(lo, *warm)[0].lo >= 1.0 and solve(hi, *warm)[0].hi <= 1.0:
-            return s, lo, hi, abs(p.rho - 1.0), steps
-        margin *= 4.0
-    raise EstimatorError(f"no certified bracket around the root {s}")
+        slope = p.left[src] * weights * np.exp(-weights * s) @ p.right[dst]
+        decay = float(slope / (p.left @ p.right) / p.rho)
+        return math.log(p.rho), decay, _log(p.lo), math.log(p.hi)
+
+    return newton_root(solve)
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 @dataclass(frozen=True)

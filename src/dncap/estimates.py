@@ -17,7 +17,9 @@ class CapacityEstimate:
     ``bracket`` is the final enclosing interval (for root-based methods the
     target function changes sign across it); ``residual`` is the absolute
     deviation of the target function from its target at ``value`` and is 0.0
-    for enumeration-based estimates.
+    for enumeration-based estimates.  ``iterations`` counts Newton steps for
+    root-based methods and the length of the sequence behind an
+    enumeration-based estimate.
     """
 
     value: float

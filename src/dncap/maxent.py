@@ -16,9 +16,9 @@ from itertools import islice
 from typing import Hashable
 
 from .errors import BudgetExceededError
-from .estimates import EMPIRICAL, CapacityEstimate
-from .solvers import bisect_decreasing
-from .spectrum import TAIL_FRACTION, frontier_walk, tail_window
+from .estimates import CapacityEstimate
+from .solvers import partition_root
+from .spectrum import TAIL_FRACTION, frontier_walk, tail_estimate
 from .systems import BranchSystem, Weight
 
 LEVEL_BUDGET = 2 ** 22
@@ -77,8 +77,9 @@ class LevelSolution:
     """Per-level maxent data: the optimal rate and its entropy bookkeeping.
 
     ``entropy == rate * avg_weight`` holds by construction of the maxent
-    distribution (the equality case of the information inequality), and
-    sum_x e^{-w(x) rate} stays within 1e-10 of one (the root certificate).
+    distribution (the equality case of the information inequality).  ``rate``
+    is the Newton root of ln sum_x e^{-w(x) s} = 0, so that sum is one up to
+    rounding.
     """
 
     level: int
@@ -95,31 +96,25 @@ def solve_level_rate(
 ) -> LevelSolution:
     """Best entropy per average weight at one depth.
 
-    Solves sum over the depth-``level`` support of e^{-w(x) s} = 1 by
-    bisection; the left side is strictly decreasing for positive weights, so
-    the nonnegative root is unique and no greatest-root disambiguation is
-    needed.  A singleton support short-circuits to rate 0.
+    Solves sum over the depth-``level`` support of e^{-w(x) s} = 1 by Newton
+    on its logarithm, a logsumexp over the buckets' ln N - w s, so the big-int
+    counts of deep levels never leave the float range.  The left side is
+    strictly decreasing for positive weights, so the nonnegative root is
+    unique; a singleton support gets rate 0 in zero Newton steps.
     """
     return _solve_buckets(level, level_support(system, level, budget))
 
 
 def _solve_buckets(level: int, buckets: dict[Weight, int]) -> LevelSolution:
-    support_size = sum(buckets.values())
-    terms = [(float(w), c) for w, c in buckets.items()]
-    if support_size == 1:
-        weight = terms[0][0]
-        return LevelSolution(level, 0.0, weight, 0.0, 1)
-
-    def partition(s: float) -> float:
-        return sum(c * math.exp(-w * s) for w, c in terms)
-
-    min_weight = min(w for w, _ in terms)
-    hi = math.log(support_size) / min_weight
-    result = bisect_decreasing(partition, 0.0, hi)
-    rate = result.root
-    avg_weight = sum(c * w * math.exp(-w * rate) for w, c in terms)
-    entropy = sum(c * (w * rate) * math.exp(-w * rate) for w, c in terms)
-    return LevelSolution(level, rate, avg_weight, entropy, support_size)
+    weights = [float(w) for w in buckets]
+    log_counts = [math.log(c) for c in buckets.values()]
+    rate = partition_root(weights, log_counts)[0]
+    avg_weight = sum(
+        w * math.exp(lc - w * rate) for w, lc in zip(weights, log_counts)
+    )
+    return LevelSolution(
+        level, rate, avg_weight, rate * avg_weight, sum(buckets.values())
+    )
 
 
 @dataclass(frozen=True)
@@ -183,8 +178,9 @@ def maxent_rate_estimate(
 
     Levels 1 to ``l_max`` are solved along one walk; if it blows the budget,
     the sequence computed so far is returned (callers can tell from its
-    length).  The window aggregation mirrors the empirical capacity estimator
-    so the two sides of the equality check are symmetric.
+    length).  The window aggregation is ``tail_estimate``, the one the
+    empirical capacity estimator uses, so the two sides of the equality check
+    are symmetric.
     """
     if l_max < 2:
         raise ValueError("l_max must be >= 2")
@@ -195,15 +191,7 @@ def maxent_rate_estimate(
             levels.append(_solve_buckets(level, _depth_buckets(frontier)))
     if not levels:
         raise BudgetExceededError("no level fit within the enumeration budget")
-    window = tail_window(len(levels), tail_fraction)
-    tail = [sol.rate for sol in levels[-window:]]
-    estimate = CapacityEstimate(
-        value=max(tail),
-        method=EMPIRICAL,
-        bracket=(min(tail), max(tail)),
-        residual=0.0,
-        iterations=len(levels),
-    )
+    estimate = tail_estimate([sol.rate for sol in levels], tail_fraction)
     return estimate, tuple(levels)
 
 

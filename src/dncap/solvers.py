@@ -1,7 +1,10 @@
-"""Numeric kernels: monotone bisection and the certified Perron kernel.
+"""Numeric kernels: the Newton root driver and the certified Perron kernel.
 
-``perron`` is the one Perron root and vector computation in the package; its
-iteration cap raises ``EstimatorError`` instead of returning unconverged.
+``newton_root`` is the one root-finding loop in the package: every capacity
+equation (the characteristic equation, rho(M(s)) = 1 and the per-level
+partition sums) is ln f(s) = 0 for a convex, decreasing ln f.  ``perron`` is
+the one Perron root and vector computation.  Every iteration cap raises
+``EstimatorError`` instead of returning unconverged.
 """
 
 import math
@@ -12,69 +15,63 @@ import numpy as np
 
 from .errors import EstimatorError
 
-BISECT_TOL = 1e-12
-BISECT_MAX_ITER = 200
+NEWTON_MAX_ITER = 100
+CERTIFY_MAX_ITER = 20
 PERRON_TOL = 1e-15
 PERRON_MAX_ITER = 100
+_EPS = float(np.finfo(float).eps)
 _FLOOR = 1e-300  # a sum-one Perron iterate's entries below this count as zero
 
 
-@dataclass(frozen=True)
-class RootResult:
-    root: float
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-    residual: float
-    iterations: int
+def newton_root(solve: Callable[[float], tuple]) -> tuple:
+    """(value, lo, hi, residual, Newton steps) of ln f(s) = 0 for s >= 0.
 
-
-def bisect_decreasing(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    target: float = 1.0,
-    tol: float = BISECT_TOL,
-    max_iter: int = BISECT_MAX_ITER,
-) -> RootResult:
-    """Solve f(s) = target for a strictly decreasing f on [lo, inf).
-
-    ``hi`` is doubled until f(hi) drops below the target, so the initial
-    upper bound only needs to be eventually valid.  Returns the bracket
-    midpoint once the bracket is narrower than ``tol`` (absolute).
+    ``solve(s)`` returns ln f(s), the decay -d ln f/ds, and a lower and an
+    upper bound on ln f(s).  ln f must be convex and decreasing with
+    ln f(0) >= 0, so Newton from s = 0 climbs to the root without
+    overshooting; it stops once a step no longer moves s to the right
+    (ln f <= 0 to rounding).  [lo, hi] = [s - m, s + m] is then widened 4x,
+    from the Newton distance m = (|ln f| + 8 eps) / decay, until
+    lower(lo) >= 0 >= upper(hi).  ``residual`` is the measured
+    |f(value) - 1|.  Both loops raise ``EstimatorError`` at their caps.
     """
-    f_lo = f(lo)
-    if f_lo < target:
-        raise ValueError(
-            f"f(lo)={f_lo} already below target {target}; no root in [lo, inf)"
-        )
-    if f_lo == target:
-        return RootResult(lo, lo, lo, f_lo, f_lo, 0.0, 0)
-    if hi <= lo:
-        hi = lo + 1.0
-    f_hi = f(hi)
-    expansions = 0
-    while f_hi > target:
-        lo, f_lo = hi, f_hi
-        hi = 2.0 * hi if hi > 0 else 1.0
-        f_hi = f(hi)
-        expansions += 1
-        if expansions > 200:
-            raise ValueError("could not bracket the root by doubling hi")
-    iterations = 0
-    while hi - lo > tol and iterations < max_iter:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid > target:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-        iterations += 1
-    root = 0.5 * (lo + hi)
-    return RootResult(
-        root, lo, hi, f_lo, f_hi, abs(f(root) - target), iterations,
-    )
+    s = 0.0
+    for steps in range(NEWTON_MAX_ITER + 1):
+        log_f, decay, _, _ = solve(s)
+        step = log_f / decay
+        if not s + step > s:
+            break
+        s += step
+    else:
+        raise EstimatorError(f"Newton did not settle in {steps} steps")
+    margin = (abs(log_f) + 8 * _EPS) / decay
+    for _ in range(CERTIFY_MAX_ITER):
+        lo, hi = max(s - margin, 0.0), s + margin
+        if solve(lo)[2] >= 0.0 and solve(hi)[3] <= 0.0:
+            return s, lo, hi, abs(math.expm1(log_f)), steps
+        margin *= 4.0
+    raise EstimatorError(f"no certified bracket around the root {s}")
+
+
+def partition_root(weights, log_counts) -> tuple:
+    """``newton_root`` of Z(s) = sum_i c_i e^{-w_i s} = 1, from w_i and ln c_i.
+
+    ln Z is a logsumexp of ln c - w s, so huge counts and deep levels stay in
+    range; its decay is the q-weighted mean weight, q = c e^{-w s} / Z.  The
+    computed ln Z serves as both bounds.
+    """
+    weights = np.asarray(weights, dtype=float)
+    log_counts = np.asarray(log_counts, dtype=float)
+
+    def solve(s: float) -> tuple:
+        exponents = log_counts - weights * s
+        top = exponents.max()
+        q = np.exp(exponents - top)
+        total = q.sum()
+        log_z = float(top + math.log(total))
+        return log_z, float(weights @ q / total), log_z, log_z
+
+    return newton_root(solve)
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,17 @@ def tail_window(length: int, tail_fraction: float) -> int:
     return max(1, math.ceil(tail_fraction * length))
 
 
+def tail_estimate(values, tail_fraction: float) -> CapacityEstimate:
+    """The limsup proxy: max of the trailing window, bracketed by its range.
+
+    ``iterations`` is the length of the whole sequence.
+    """
+    tail = values[-tail_window(len(values), tail_fraction):]
+    return CapacityEstimate(
+        max(tail), EMPIRICAL, (min(tail), max(tail)), 0.0, len(values)
+    )
+
+
 def empirical_capacity(
     spectrum: WeightSpectrum, tail_fraction: float = TAIL_FRACTION
 ) -> tuple[CapacityEstimate, tuple[tuple[float, float], ...]]:
@@ -185,16 +196,7 @@ def empirical_capacity(
     if len(spectrum) < 2:
         raise ValueError("empirical capacity needs a spectrum with >= 2 entries")
     sequence = growth_sequence(spectrum)
-    window = tail_window(len(sequence), tail_fraction)
-    tail = [c for _, c in sequence[-window:]]
-    estimate = CapacityEstimate(
-        value=max(tail),
-        method=EMPIRICAL,
-        bracket=(min(tail), max(tail)),
-        residual=0.0,
-        iterations=len(sequence),
-    )
-    return estimate, sequence
+    return tail_estimate([c for _, c in sequence], tail_fraction), sequence
 
 
 def spectrum_tsv(spectrum: WeightSpectrum) -> str:

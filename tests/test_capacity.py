@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dncap as d
-from dncap import capacity, solvers
+from dncap import solvers
 from dncap.solvers import perron
 from conftest import dyck, golden_mean_system, mem_equal, mem_unequal, rll_system
 from oracles import LN_GOLDEN, bisect_root
@@ -50,12 +50,16 @@ class TestGfEval:
 class TestCharacteristicRoot:
     def test_equal_weights(self):
         estimate = d.characteristic_root(d.symbols({"0": 1, "1": 1}))
-        assert abs(estimate.value - math.log(2)) < 1e-9
-        assert estimate.residual <= 1e-12
+        assert abs(estimate.value - math.log(2)) <= 1e-15
+        assert estimate.residual <= 1e-15
+        lo, hi = estimate.bracket
+        assert lo <= math.log(2) <= hi and hi - lo <= 1e-14
 
     def test_unequal_weights_hit_golden_ratio(self):
         estimate = d.characteristic_root(d.symbols({"0": 1, "1": 2}))
-        assert abs(estimate.value - LN_GOLDEN) < 1e-9
+        assert abs(estimate.value - LN_GOLDEN) <= 1e-15
+        lo, hi = estimate.bracket
+        assert lo <= LN_GOLDEN <= hi and hi - lo <= 1e-14
 
     def test_singleton_is_exactly_zero(self):
         estimate = d.characteristic_root(d.symbols({"a": 1}))
@@ -72,7 +76,7 @@ class TestCharacteristicRoot:
 
         lo, hi = estimate.bracket
         assert target(lo) >= 1.0 >= target(hi)
-        assert hi - lo <= 1e-12
+        assert hi - lo <= 1e-14
 
     def test_target_monotone_on_bracket(self):
         alphabet = d.symbols({"a": 1, "b": "5/2"})
@@ -274,9 +278,12 @@ class TestFsmCapacity:
         assert radius(hi) <= 1.0 + 1e-12
 
     def test_newton_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(capacity, "NEWTON_MAX_ITER", 0)
+        monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 0)
+        alphabet = d.symbols({"0": 1, "1": 2})
         with pytest.raises(d.EstimatorError, match="did not settle"):
-            d.fsm_capacity(d.memoryless_fsm(d.symbols({"0": 1, "1": 2})))
+            d.fsm_capacity(d.memoryless_fsm(alphabet))
+        with pytest.raises(d.EstimatorError, match="did not settle"):
+            d.characteristic_root(alphabet)
 
 
 class TestAbscissaEstimate:

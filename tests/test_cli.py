@@ -2,8 +2,9 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
-from dncap import capacity
+from dncap import solvers
 from dncap.cli import main
 
 MEM_EQUAL = {
@@ -127,7 +128,7 @@ class TestCapacity:
         assert abs(doc["value"] - math.log(2)) < 1e-9
 
     def test_iteration_cap_exits_three(self, tmp_spec, capsys, monkeypatch):
-        monkeypatch.setattr(capacity, "NEWTON_MAX_ITER", 0)
+        monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 0)
         code = main(["capacity", tmp_spec(MEM_UNEQUAL), "--method", "spectral"])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: Newton")
@@ -141,6 +142,19 @@ class TestMaxent:
         rows = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert len(rows) == 6
         assert "maxent_level_rates" in out
+
+    def test_deep_levels_do_not_overflow(self):
+        # level 1024 holds 2**1024 paths, beyond the float range
+        spec = Path(__file__).resolve().parent.parent / "demos/specs/binary_equal.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "dncap.cli", "maxent", str(spec), "--lmax", "1030"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0
+        assert "Traceback" not in result.stderr
+        rows = [l for l in result.stdout.splitlines() if not l.startswith("#")]
+        assert len(rows) == 1030
+        assert abs(float(rows[-1].split("\t")[2]) - math.log(2)) <= 1e-15
 
 
 class TestSample:

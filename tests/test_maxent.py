@@ -61,6 +61,13 @@ class TestSolveLevelRate:
             solution.rate * solution.avg_weight, rel=1e-9
         )
 
+    def test_dyck_levels_match_closed_form(self):
+        # one bucket per level: C(l, l // 2) prefixes of weight l
+        for level in range(1, 61):
+            rate = d.solve_level_rate(dyck(), level).rate
+            closed = math.log(math.comb(level, level // 2)) / level
+            assert rate == pytest.approx(closed, rel=1e-15, abs=0.0), level
+
     def test_singleton_support_short_circuits(self):
         system = d.make_memoryless(d.symbols({"a": "7/2"}))
         solution = d.solve_level_rate(system, 4)
@@ -178,6 +185,19 @@ class TestRateEstimate:
     def test_equal_weights_constant_log_two(self):
         estimate, levels = d.maxent_rate_estimate(mem_equal(), 10)
         assert all(abs(sol.rate - math.log(2)) < 1e-9 for sol in levels)
+
+    @pytest.mark.parametrize(
+        "weights,l_max,closed",
+        [({"0": 1, "1": 1}, 2000, math.log(2)),
+         ({"a": 1, "b": 1, "c": 1}, 700, math.log(3))],
+        ids=["binary", "ternary"],
+    )
+    def test_deep_levels_stay_at_the_closed_form(self, weights, l_max, closed):
+        # counts pass 2**1024 (the float range) near level 1024 and 646
+        system = d.make_memoryless(d.symbols(weights))
+        _, levels = d.maxent_rate_estimate(system, l_max)
+        assert len(levels) == l_max
+        assert max(abs(sol.rate - closed) for sol in levels) <= 1e-15
 
     def test_dyck_rates_climb_toward_log_two(self):
         estimate, levels = d.maxent_rate_estimate(dyck(), 16)
