@@ -3,23 +3,23 @@
 For a regular channel the capacity-achieving source is an explicit Markov
 chain (Parry 1964): scale each transition by e^{-w s*} and tilt by the Perron
 right eigenvector v of M(s*); with u the left one, its stationary law is u o v.
-Non-regular channels get no stationary construction here; they are sampled
-exactly from the depth-l maxent distribution via subtree partition sums, with
-no optimality claim beyond the solved level.
+Non-regular channels are sampled exactly from the depth-l maxent distribution
+via subtree partition sums, with no optimality claim beyond the solved level.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Hashable
+from itertools import islice, repeat
 
 import numpy as np
 
 from .capacity import transition_matrix
 from .errors import EstimatorError, InvalidSystemError
 from .estimates import SPECTRAL_RADIUS, CapacityEstimate
-from .maxent import LEVEL_BUDGET, solve_level_rate
+from .maxent import LEVEL_BUDGET, _depth_buckets, _solve_buckets
 from .solvers import perron
+from .spectrum import frontier_walk
 from .systems import BranchSystem, Symbol, WeightedFsm
 
 _ROW_SUM_TOL = 1e-8
@@ -114,16 +114,45 @@ class SampleSet:
     steps: int
 
 
-def _spawn_generators(seed: int, count: int) -> list[np.random.Generator]:
-    # One PCG64 stream per path index, split from a single seed sequence, so
-    # runs are reproducible and paths are independent.
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.Generator(np.random.PCG64(child)) for child in children]
+def _table(rows):
+    """One step's table for rows of (label code, weight, child, ln q) branches.
+
+    Returns each row's ln sum q and the (state x branch) arrays of cumulative
+    p, child, ln p = ln q - ln sum q, weight and label.  A row's last
+    cumulative entry and its padding are inf, so no draw falls past it."""
+    width = max(map(len, rows))
+    pad = [(0, 0, 0, -np.inf)]
+    flat = [b for row in rows for b in row + pad * (width - len(row))]
+    label, weight, child, ln_q = (
+        np.array(column, dtype=kind).reshape(len(rows), width)
+        for column, kind in zip(zip(*flat), (np.intp, float, np.intp, float))
+    )
+    ln_total = np.logaddexp.reduce(ln_q, axis=1)
+    ln_p = ln_q - ln_total[:, None]
+    last = np.array([len(row) - 1 for row in rows])[:, None]
+    cum = np.where(np.arange(width) >= last, np.inf, np.cumsum(np.exp(ln_p), axis=1))
+    return ln_total, cum, child, ln_p, weight, label
 
 
-def sample_paths(
-    chain: MaxentChain, count: int, steps: int, seed: int
-) -> SampleSet:
+def _lock_step(tables, names, start: int, count: int, steps: int, seed: int):
+    """Advance ``count`` paths at once, one table per step: path i takes the
+    first branch whose cumulative p reaches the step's i-th uniform draw.
+    Labels are kept as codes into ``names`` until the paths are built."""
+    rng = np.random.default_rng(seed)
+    state = np.full(count, start)
+    labels = np.empty((count, steps), dtype=np.min_scalar_type(len(names)))
+    weight, log_prob = np.zeros((2, count))
+    for step, (_, cum, child, ln_p, step_weight, label) in enumerate(tables):
+        at = state, (cum[state] < rng.random(count)[:, None]).sum(axis=1)
+        labels[:, step] = label[at]
+        weight += step_weight[at]
+        log_prob += ln_p[at]
+        state = child[at]
+    rows = (tuple(map(names.__getitem__, row.tolist())) for row in labels)
+    return tuple(map(SamplePath, rows, weight.tolist(), log_prob.tolist()))
+
+
+def sample_paths(chain: MaxentChain, count: int, steps: int, seed: int) -> SampleSet:
     """Draw ``count`` label sequences of ``steps`` transitions each.
 
     Deterministic given ``seed``.  Every sampled sequence is re-checked
@@ -132,31 +161,20 @@ def sample_paths(
     """
     if count < 1 or steps < 1:
         raise ValueError("count and steps must be >= 1")
-    cumulative = []
-    for row in chain.transition_probs:
-        probs = np.array([prob for _, _, prob in row])
-        cumulative.append(np.cumsum(probs))
-    paths = []
-    for rng in _spawn_generators(seed, count):
-        draws = rng.random(steps)
-        state = chain.fsm.start
-        labels = []
-        weight = 0.0
-        log_prob = 0.0
-        for u in draws:
-            row = chain.transition_probs[state]
-            index = int(np.searchsorted(cumulative[state], u))
-            index = min(index, len(row) - 1)
-            sym, state, prob = row[index]
-            labels.append(sym.label)
-            weight += float(sym.weight)
-            log_prob += math.log(prob)
-        if not chain.fsm.accepts(labels):
+    code: dict[str, int] = {}
+    table = _table([
+        [(code.setdefault(sym.label, len(code)), sym.weight, dst,
+          math.log(prob) if prob else -math.inf) for sym, dst, prob in row]
+        for row in chain.transition_probs
+    ])
+    tables = repeat(table, steps)
+    paths = _lock_step(tables, list(code), chain.fsm.start, count, steps, seed)
+    for path in paths:
+        if not chain.fsm.accepts(path.labels):
             raise EstimatorError(
-                f"sampled sequence rejected by the FSM: {''.join(labels)}"
+                f"sampled sequence rejected by the FSM: {''.join(path.labels)}"
             )
-        paths.append(SamplePath(tuple(labels), weight, log_prob))
-    return SampleSet(paths=tuple(paths), seed=seed, steps=steps)
+    return SampleSet(paths=paths, seed=seed, steps=steps)
 
 
 def empirical_entropy_rate(samples: SampleSet) -> float:
@@ -169,59 +187,40 @@ def empirical_entropy_rate(samples: SampleSet) -> float:
 
 
 def sample_level_paths(
-    system: BranchSystem,
-    level: int,
-    count: int,
-    seed: int,
+    system: BranchSystem, level: int, count: int, seed: int,
     budget: int = LEVEL_BUDGET,
 ) -> SampleSet:
     """Exact maxent sampling at one depth for systems without a chain.
 
     Branch probabilities are proportional to e^{-w R_l} times the subtree
     partition sum of the child at the remaining depth, which reproduces
-    q(x) = e^{-w(x) R_l} exactly.  Only enumerable depths are practical and
-    nothing is claimed about deeper behavior.
+    q(x) = e^{-w(x) R_l} exactly.  One frontier walk gives R_l and each
+    depth's handles; log subtree sums are filled in from the deepest level up.
     """
     if count < 1 or level < 1:
         raise ValueError("count and level must be >= 1")
-    rate = solve_level_rate(system, level, budget).rate
-    memo: dict[tuple[Hashable, int], float] = {}
+    handles = [(system.root,)]
+    for frontier in islice(frontier_walk(system, budget=budget), level):
+        handles.append(tuple(dict.fromkeys(handle for handle, _ in frontier)))
+    rate = _solve_buckets(level, _depth_buckets(frontier)).rate
+    code: dict[str, int] = {}
+    expand = functools.cache(lambda handle: [  # codes and floats each branch once
+        (code.setdefault(sym.label, len(code)), float(sym.weight), child)
+        for sym, child in system.expand(handle)])
 
-    def subtree_sum(handle: Hashable, depth: int) -> float:
-        if depth == 0:
-            return 1.0
-        key = (handle, depth)
-        if key not in memo:
-            memo[key] = sum(
-                math.exp(-float(sym.weight) * rate) * subtree_sum(child, depth - 1)
-                for sym, child in system.expand(handle)
-            )
-        return memo[key]
+    def table(depth):
+        below = {handle: i for i, handle in enumerate(handles[depth + 1])}
+        ln_z = log_z[depth + 1].tolist()
+        return _table([
+            [(label, w, below[child], ln_z[below[child]] - w * rate)
+             for label, w, child in expand(handle)] for handle in handles[depth]
+        ])
 
-    paths = []
-    for rng in _spawn_generators(seed, count):
-        draws = rng.random(level)
-        handle = system.root
-        labels = []
-        weight = Fraction(0)
-        log_prob = 0.0
-        for step, u in enumerate(draws):
-            remaining = level - step
-            branches = system.expand(handle)
-            probs = [
-                math.exp(-float(sym.weight) * rate)
-                * subtree_sum(child, remaining - 1)
-                / subtree_sum(handle, remaining)
-                for sym, child in branches
-            ]
-            edges = np.cumsum(probs)
-            index = min(int(np.searchsorted(edges, u)), len(branches) - 1)
-            sym, handle = branches[index]
-            labels.append(sym.label)
-            weight = weight + sym.weight
-            log_prob += math.log(probs[index])
-        paths.append(SamplePath(tuple(labels), float(weight), log_prob))
-    return SampleSet(paths=tuple(paths), seed=seed, steps=level)
+    log_z = [None] * level + [np.zeros(len(handles[level]))]
+    for depth in reversed(range(level)):
+        log_z[depth] = table(depth)[0]
+    paths = _lock_step(map(table, range(level)), list(code), 0, count, level, seed)
+    return SampleSet(paths=paths, seed=seed, steps=level)
 
 
 def samples_tsv(samples: SampleSet) -> str:

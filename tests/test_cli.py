@@ -194,6 +194,19 @@ class TestSample:
                 balance += 1 if ch == "(" else -1
                 assert balance >= 0
 
+    def test_deep_level_sampling_exits_cleanly(self):
+        # the recursive subtree sum raised RecursionError from level 499 on
+        spec = Path(__file__).resolve().parent.parent / "demos/specs/dyck_prefix.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "dncap.cli", "sample", str(spec),
+             "--count", "2", "--steps", "520", "--seed", "1"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        rows = [l for l in result.stdout.splitlines() if not l.startswith("#")]
+        assert len(rows) == 2
+
 
 class TestVerify:
     def test_equal_weights_pass(self, tmp_spec, capsys):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +113,39 @@ class TestSamplePaths:
         with pytest.raises(ValueError):
             d.sample_paths(golden_chain(), 0, 5, seed=1)
 
+    def test_rows_match_a_rewalk_of_the_transition_table(self):
+        fsm = d.WeightedFsm(2, 0, (
+            (0, d.Symbol("a", "1/2"), 0), (0, d.Symbol("b", "3/2"), 1),
+            (1, d.Symbol("c", "2/3"), 0), (1, d.Symbol("d", "5/4"), 1),
+        ))
+        chain = d.maxent_chain(fsm, d.fsm_capacity(fsm))
+        for path in d.sample_paths(chain, 200, 40, seed=8).paths:
+            state, weight, log_prob = fsm.start, 0.0, 0.0
+            for label in path.labels:
+                sym, state, prob = next(
+                    t for t in chain.transition_probs[state] if t[0].label == label
+                )
+                weight += float(sym.weight)
+                log_prob += math.log(prob)
+            assert path.weight == pytest.approx(weight, rel=1e-12, abs=0)
+            assert path.log_prob == pytest.approx(log_prob, rel=1e-12, abs=0)
+
+    def test_transition_outside_the_fsm_is_rejected(self):
+        chain = golden_chain()
+        zero, one = (sym for sym, _, _ in chain.transition_probs[0])
+        # state 1 may only emit "0"; this row also lets it emit "1"
+        forged = d.MaxentChain(
+            fsm=chain.fsm,
+            capacity=chain.capacity,
+            transition_probs=(
+                chain.transition_probs[0], ((zero, 0, 0.5), (one, 1, 0.5)),
+            ),
+            right_eigvec=chain.right_eigvec,
+            stationary=chain.stationary,
+        )
+        with pytest.raises(d.EstimatorError, match="rejected by the FSM"):
+            d.sample_paths(forged, 50, 20, seed=4)
+
 
 class TestEmpiricalEntropyRate:
     def test_binary_chain_is_exact(self):
@@ -162,6 +199,26 @@ class TestLevelSampler:
         second = d.samples_tsv(d.sample_level_paths(dyck(), 5, 40, seed=2))
         assert first == second
 
+    def test_deep_level_holds_the_closed_form(self):
+        # the recursive subtree sum raised RecursionError from level 499 on
+        want = -math.log(math.comb(600, 300))
+        samples = d.sample_level_paths(dyck(), 600, 3, seed=6)
+        assert len(samples.paths) == 3
+        for path in samples.paths:
+            assert path.log_prob == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_log_prob_is_the_maxent_law(self):
+        system = d.make_memoryless(d.symbols({"0": 1, "1": 2}))
+        rate = d.solve_level_rate(system, 8).rate
+        for path in d.sample_level_paths(system, 8, 300, seed=12).paths:
+            assert path.log_prob == pytest.approx(
+                -path.weight * rate, rel=1e-12, abs=0
+            )
+
+    def test_budget_is_enforced(self):
+        with pytest.raises(d.BudgetExceededError):
+            d.sample_level_paths(dyck(), 40, 1, seed=0, budget=100)
+
     def test_weighted_system_matches_maxent_pmf(self):
         system = d.make_memoryless(d.symbols({"0": 1, "1": 2}))
         samples = d.sample_level_paths(system, 1, 4000, seed=21)
@@ -179,3 +236,20 @@ def test_samples_tsv_format():
     assert set(fields[0]) <= {"0", "1"}
     assert float(fields[1]) == len(fields[0])
     assert float(fields[2]) < 0
+
+
+def test_import_leaves_numpy_random_unloaded():
+    probe = (
+        "import sys, numpy\n"
+        "before = {m for m in sys.modules if m.startswith('numpy.random')}\n"
+        "import dncap\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('numpy.random') and m not in before))\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
