@@ -19,11 +19,11 @@ def main():
     print(" ", spectrum.counts[:10], "...")
     assert spectrum.counts[11] == math.comb(12, 6) == 924
 
-    estimate, probe = d.abscissa_estimate(spectrum, delta=0.1)
+    estimate, probe = d.abscissa_estimate(spectrum)
     print(f"abscissa estimate from counts to 40: {estimate.value:.9f}")
-    print(f"  series at estimate + 0.1: settles near "
+    print(f"  series at estimate + {probe.delta}: settles near "
           f"{probe.partial_above[-1]:.4f}")
-    print(f"  series at estimate - 0.1: already at "
+    print(f"  series at estimate - {probe.delta}: already at "
           f"{probe.partial_below[-1]:.4g} and climbing")
     print(f"  ln 2 = {math.log(2):.9f} (the true limit; the gap closes "
           f"like ln(w)/w)")

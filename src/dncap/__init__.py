@@ -51,7 +51,6 @@ from .spectrum import (
     WeightSpectrum,
     density_check,
     empirical_capacity,
-    growth_sequence,
     spectrum_tsv,
     weight_spectrum,
 )
@@ -59,7 +58,6 @@ from .systems import (
     BranchSystem,
     Symbol,
     WeightedFsm,
-    check_label_uniqueness,
     fsm_to_branch_system,
     make_dyck_prefix,
     make_golden_mean,
@@ -93,7 +91,6 @@ __all__ = [
     "WeightedFsm",
     "abscissa_estimate",
     "characteristic_root",
-    "check_label_uniqueness",
     "density_check",
     "empirical_capacity",
     "empirical_entropy_rate",
@@ -102,7 +99,6 @@ __all__ = [
     "fsm_capacity",
     "fsm_to_branch_system",
     "gf_eval",
-    "growth_sequence",
     "kl_gap",
     "level_report_tsv",
     "level_support",

@@ -11,7 +11,7 @@ a truncated-series estimate with convergence probes for everything else.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -27,15 +27,13 @@ from .estimates import (
 from .solvers import newton_root, partition_root, perron
 from .spectrum import (
     DENSITY_POLY_CAP,
-    TAIL_FRACTION,
     WeightSpectrum,
     density_check,
     empirical_capacity,
     tail_window,
 )
 from .systems import (
-    FSM, MEMORYLESS, BranchSystem, Symbol, WeightedFsm, memoryless_fsm,
-    strong_components,
+    MEMORYLESS, BranchSystem, Symbol, WeightedFsm, strong_components,
 )
 
 DIVERGENCE_THRESHOLD = 1e6
@@ -184,34 +182,28 @@ class ConvergenceProbe:
         return self.converges_above and self.diverges_below
 
 
-def _probe(
-    spectrum: WeightSpectrum,
-    value: float,
-    delta: float,
-    threshold: float,
-    tail_fraction: float,
-) -> ConvergenceProbe:
-    s_above = value + delta
-    s_below = value - delta
+def _probe(spectrum: WeightSpectrum, value: float) -> ConvergenceProbe:
+    s_above = value + PROBE_DELTA
+    s_below = value - PROBE_DELTA
     terms_above = [_term(c, float(w), s_above) for w, c in spectrum.entries]
     terms_below = [_term(c, float(w), s_below) for w, c in spectrum.entries]
     sums_above = list(accumulate(terms_above))
     sums_below = list(accumulate(terms_below))
-    window = max(2, tail_window(len(spectrum), tail_fraction))
+    window = max(2, tail_window(len(spectrum)))
     tail_above = terms_above[-window:]
     tail_below = terms_below[-window:]
     shrinking = all(
         nxt <= cur * (1.0 + _RATIO_SLACK)
         for cur, nxt in zip(tail_above, tail_above[1:])
     )
-    converges_above = shrinking and sums_above[-1] < threshold
+    converges_above = shrinking and sums_above[-1] < DIVERGENCE_THRESHOLD
     growing = all(
         nxt >= cur * (1.0 - _RATIO_SLACK)
         for cur, nxt in zip(tail_below, tail_below[1:])
     ) and tail_below[-1] > tail_below[0]
-    diverges_below = sums_below[-1] >= threshold or growing
+    diverges_below = sums_below[-1] >= DIVERGENCE_THRESHOLD or growing
     return ConvergenceProbe(
-        delta=delta,
+        delta=PROBE_DELTA,
         s_above=s_above,
         s_below=s_below,
         partial_above=tuple(sums_above),
@@ -223,50 +215,37 @@ def _probe(
 
 def abscissa_estimate(
     spectrum: WeightSpectrum,
-    delta: float = PROBE_DELTA,
-    divergence_threshold: float = DIVERGENCE_THRESHOLD,
-    tail_fraction: float = TAIL_FRACTION,
-    poly_cap: float = DENSITY_POLY_CAP,
 ) -> tuple[CapacityEstimate, ConvergenceProbe]:
     """Estimate the abscissa of convergence from a truncated spectrum.
 
     The point estimate is the empirical trailing-window capacity; the series
-    is then probed at value +/- delta and a contradiction (settling below the
-    estimate, or blowing up above it) raises ``EstimatorError`` instead of
-    being silently corrected.
+    is then probed at value +/- ``PROBE_DELTA`` and a contradiction (settling
+    below the estimate, or blowing up above it) raises ``EstimatorError``
+    instead of being silently corrected.
     """
-    report = density_check(spectrum, poly_cap=poly_cap)
+    report = density_check(spectrum)
     if not report.passes:
         raise EstimatorError(
             "weight sequence densifies faster than polynomially; the "
             "count-based abscissa estimate is meaningless here "
-            f"(fitted exponent {report.fitted_K:.3g} exceeds cap {poly_cap})"
+            f"(fitted exponent {report.fitted_K:.3g} exceeds cap "
+            f"{DENSITY_POLY_CAP})"
         )
-    empirical, _ = empirical_capacity(spectrum, tail_fraction)
-    probe = _probe(
-        spectrum, empirical.value, delta, divergence_threshold, tail_fraction
-    )
+    empirical, _ = empirical_capacity(spectrum)
+    probe = _probe(spectrum, empirical.value)
     if not probe.consistent:
         raise EstimatorError(
             "convergence probe contradicts the abscissa estimate "
             f"{empirical.value:.6g}: converges_above={probe.converges_above}, "
             f"diverges_below={probe.diverges_below}"
         )
-    estimate = CapacityEstimate(
-        value=empirical.value,
-        method=ABSCISSA,
-        bracket=empirical.bracket,
-        residual=empirical.residual,
-        iterations=empirical.iterations,
-    )
-    return estimate, probe
+    return replace(empirical, method=ABSCISSA), probe
 
 
 def combinatorial_capacity(
     system: BranchSystem,
     spectrum: Callable[[], WeightSpectrum],
     method: str = "auto",
-    tail_fraction: float = TAIL_FRACTION,
 ) -> CapacityEstimate:
     """Combinatorial capacity by the root, spectral or abscissa method.
 
@@ -276,7 +255,7 @@ def combinatorial_capacity(
     if method == "auto":
         if system.kind == MEMORYLESS:
             method = "root"
-        elif system.kind == FSM and system.fsm is not None:
+        elif system.fsm is not None:
             method = "spectral"
         else:
             method = "abscissa"
@@ -287,8 +266,6 @@ def combinatorial_capacity(
     if method == "spectral":
         if system.fsm is not None:
             return fsm_capacity(system.fsm)
-        if system.kind == MEMORYLESS:
-            return fsm_capacity(memoryless_fsm(system.alphabet))
         raise InvalidSystemError("spectral method requires an FSM-backed system")
-    estimate, _ = abscissa_estimate(spectrum(), tail_fraction=tail_fraction)
+    estimate, _ = abscissa_estimate(spectrum())
     return estimate

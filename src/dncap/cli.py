@@ -20,7 +20,7 @@ from .maxent import level_report_tsv, maxent_rate_estimate
 from .sampler import maxent_chain, sample_level_paths, sample_paths, samples_tsv
 from .specfile import load_system
 from .spectrum import density_check, empirical_capacity, spectrum_tsv, weight_spectrum
-from .systems import GENERATOR, memoryless_fsm
+from .systems import GENERATOR
 from .verify import FAIL, INCONCLUSIVE, PASS, verify_equality
 
 
@@ -83,8 +83,7 @@ def _cmd_sample(args) -> int:
     if system.kind == GENERATOR:
         samples = sample_level_paths(system, args.steps, args.count, args.seed)
     else:
-        fsm = system.fsm if system.fsm is not None else memoryless_fsm(system.alphabet)
-        chain = maxent_chain(fsm, fsm_capacity(fsm))
+        chain = maxent_chain(system.fsm, fsm_capacity(system.fsm))
         samples = sample_paths(chain, args.count, args.steps, args.seed)
     _write_out(samples_tsv(samples), args.out)
     return 0

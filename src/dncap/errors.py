@@ -10,7 +10,7 @@ class SpecFileError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration exceeded its configured work budget."""
+    """An enumeration exceeded the fixed work budget ``maxent.LEVEL_BUDGET``."""
 
 
 class EstimatorError(RuntimeError):

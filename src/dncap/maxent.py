@@ -18,7 +18,7 @@ from typing import Hashable
 from .errors import BudgetExceededError
 from .estimates import CapacityEstimate
 from .solvers import partition_root
-from .spectrum import TAIL_FRACTION, frontier_walk, tail_estimate
+from .spectrum import frontier_walk, tail_estimate
 from .systems import BranchSystem, Weight
 
 LEVEL_BUDGET = 2 ** 22
@@ -34,25 +34,26 @@ def _depth_buckets(frontier: dict[tuple, int]) -> dict[Weight, int]:
     return buckets
 
 
-def level_support(
-    system: BranchSystem, level: int, budget: int = LEVEL_BUDGET
-) -> dict[Weight, int]:
+def level_support(system: BranchSystem, level: int) -> dict[Weight, int]:
     """Exact {path weight: count} table for the depth-``level`` support.
 
     Reads depth ``level`` off ``frontier_walk``, so supports far beyond
-    explicit enumeration stay cheap.  ``budget`` caps the number of branch
-    expansions, not the support cardinality.
+    explicit enumeration stay cheap.  ``LEVEL_BUDGET`` caps the number of
+    branch expansions, not the support cardinality.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    walk = frontier_walk(system, budget=budget)
+    walk = frontier_walk(system, budget=LEVEL_BUDGET)
     return _depth_buckets(next(islice(walk, level - 1, None)))
 
 
 def enumerate_level_paths(
-    system: BranchSystem, level: int, budget: int = LEVEL_BUDGET
+    system: BranchSystem, level: int
 ) -> list[tuple[Path, Weight]]:
-    """All depth-``level`` paths as (label tuple, weight), small levels only."""
+    """All depth-``level`` paths as (label tuple, weight), small levels only.
+
+    Raises ``BudgetExceededError`` past ``LEVEL_BUDGET`` paths.
+    """
     if level < 1:
         raise ValueError("level must be >= 1")
     paths: list[tuple[Path, Weight]] = []
@@ -61,9 +62,9 @@ def enumerate_level_paths(
         handle, labels, acc = stack.pop()
         if len(labels) == level:
             paths.append((labels, acc))
-            if len(paths) > budget:
+            if len(paths) > LEVEL_BUDGET:
                 raise BudgetExceededError(
-                    f"explicit path enumeration exceeded budget of {budget}"
+                    f"explicit path enumeration exceeded budget of {LEVEL_BUDGET}"
                 )
             continue
         for sym, child in system.expand(handle):
@@ -89,11 +90,7 @@ class LevelSolution:
     support_size: int
 
 
-def solve_level_rate(
-    system: BranchSystem,
-    level: int,
-    budget: int = LEVEL_BUDGET,
-) -> LevelSolution:
+def solve_level_rate(system: BranchSystem, level: int) -> LevelSolution:
     """Best entropy per average weight at one depth.
 
     Solves sum over the depth-``level`` support of e^{-w(x) s} = 1 by Newton
@@ -102,7 +99,7 @@ def solve_level_rate(
     strictly decreasing for positive weights, so the nonnegative root is
     unique; a singleton support gets rate 0 in zero Newton steps.
     """
-    return _solve_buckets(level, level_support(system, level, budget))
+    return _solve_buckets(level, level_support(system, level))
 
 
 def _solve_buckets(level: int, buckets: dict[Weight, int]) -> LevelSolution:
@@ -129,19 +126,14 @@ class LevelPmf:
         return sum(self.probs.values())
 
 
-def maxent_pmf(
-    system: BranchSystem,
-    level: int,
-    rate: float,
-    budget: int = LEVEL_BUDGET,
-) -> LevelPmf:
+def maxent_pmf(system: BranchSystem, level: int, rate: float) -> LevelPmf:
     """The maxentropic distribution q(x) = e^{-w(x) rate} on the level support.
 
     ``rate`` must come from ``solve_level_rate`` for this system and level;
     if the probabilities miss 1 by more than 1e-6 the rate is stale and this
     raises instead of renormalizing.
     """
-    paths = enumerate_level_paths(system, level, budget)
+    paths = enumerate_level_paths(system, level)
     probs = {labels: math.exp(-float(w) * rate) for labels, w in paths}
     weights = {labels: w for labels, w in paths}
     total = sum(probs.values())
@@ -169,45 +161,37 @@ def entropy_and_avg_weight(pmf: LevelPmf) -> tuple[float, float]:
 
 
 def maxent_rate_estimate(
-    system: BranchSystem,
-    l_max: int,
-    tail_fraction: float = TAIL_FRACTION,
-    budget: int = LEVEL_BUDGET,
+    system: BranchSystem, l_max: int
 ) -> tuple[CapacityEstimate, tuple[LevelSolution, ...]]:
     """Maximum entropy rate proxy: trailing-window max of the per-level optima.
 
-    Levels 1 to ``l_max`` are solved along one walk; if it blows the budget,
-    the sequence computed so far is returned (callers can tell from its
-    length).  The window aggregation is ``tail_estimate``, the one the
-    empirical capacity estimator uses, so the two sides of the equality check
-    are symmetric.
+    Levels 1 to ``l_max`` are solved along one walk; if it blows
+    ``LEVEL_BUDGET``, the sequence computed so far is returned (callers can
+    tell from its length).  The window aggregation is ``tail_estimate``, the
+    one the empirical capacity estimator uses, so the two sides of the
+    equality check are symmetric.
     """
     if l_max < 2:
         raise ValueError("l_max must be >= 2")
     levels: list[LevelSolution] = []
-    walk = islice(frontier_walk(system, budget=budget), l_max)
+    walk = islice(frontier_walk(system, budget=LEVEL_BUDGET), l_max)
     with suppress(BudgetExceededError):
         for level, frontier in enumerate(walk, 1):
             levels.append(_solve_buckets(level, _depth_buckets(frontier)))
     if not levels:
         raise BudgetExceededError("no level fit within the enumeration budget")
-    estimate = tail_estimate([sol.rate for sol in levels], tail_fraction)
+    estimate = tail_estimate([sol.rate for sol in levels])
     return estimate, tuple(levels)
 
 
-def kl_gap(
-    pmf: LevelPmf,
-    system: BranchSystem,
-    level: int,
-    budget: int = LEVEL_BUDGET,
-) -> tuple[float, float]:
+def kl_gap(pmf: LevelPmf, system: BranchSystem, level: int) -> tuple[float, float]:
     """KL distance to the maxent optimum and the distribution's own rate.
 
     Returns (D(p || q), H(p)/L(p)); the rate never exceeds the level optimum
     and matches it exactly when the gap vanishes.
     """
-    solution = solve_level_rate(system, level, budget)
-    optimum = maxent_pmf(system, level, solution.rate, budget)
+    solution = solve_level_rate(system, level)
+    optimum = maxent_pmf(system, level, solution.rate)
     for path, p in pmf.probs.items():
         if p > 0.0 and path not in optimum.probs:
             raise ValueError(f"probability mass outside the support: {path}")

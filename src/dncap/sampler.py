@@ -14,10 +14,10 @@ from itertools import islice, repeat
 
 import numpy as np
 
+from . import maxent
 from .capacity import transition_matrix
 from .errors import EstimatorError, InvalidSystemError
 from .estimates import SPECTRAL_RADIUS, CapacityEstimate
-from .maxent import LEVEL_BUDGET, _depth_buckets, _solve_buckets
 from .solvers import perron
 from .spectrum import frontier_walk
 from .systems import BranchSystem, Symbol, WeightedFsm
@@ -187,8 +187,7 @@ def empirical_entropy_rate(samples: SampleSet) -> float:
 
 
 def sample_level_paths(
-    system: BranchSystem, level: int, count: int, seed: int,
-    budget: int = LEVEL_BUDGET,
+    system: BranchSystem, level: int, count: int, seed: int
 ) -> SampleSet:
     """Exact maxent sampling at one depth for systems without a chain.
 
@@ -196,13 +195,14 @@ def sample_level_paths(
     partition sum of the child at the remaining depth, which reproduces
     q(x) = e^{-w(x) R_l} exactly.  One frontier walk gives R_l and each
     depth's handles; log subtree sums are filled in from the deepest level up.
+    The walk is capped at ``maxent.LEVEL_BUDGET`` expansions.
     """
     if count < 1 or level < 1:
         raise ValueError("count and level must be >= 1")
     handles = [(system.root,)]
-    for frontier in islice(frontier_walk(system, budget=budget), level):
+    for frontier in islice(frontier_walk(system, budget=maxent.LEVEL_BUDGET), level):
         handles.append(tuple(dict.fromkeys(handle for handle, _ in frontier)))
-    rate = _solve_buckets(level, _depth_buckets(frontier)).rate
+    rate = maxent._solve_buckets(level, maxent._depth_buckets(frontier)).rate
     code: dict[str, int] = {}
     expand = functools.cache(lambda handle: [  # codes and floats each branch once
         (code.setdefault(sym.label, len(code)), float(sym.weight), child)

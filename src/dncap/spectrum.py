@@ -122,10 +122,7 @@ class DensityReport:
 
 
 def density_check(
-    spectrum: WeightSpectrum,
-    L: float | None = None,
-    K: float | None = None,
-    poly_cap: float = DENSITY_POLY_CAP,
+    spectrum: WeightSpectrum, L: float | None = None, K: float | None = None
 ) -> DensityReport:
     """Check that the number of distinct weights below n grows polynomially.
 
@@ -133,9 +130,9 @@ def density_check(
     integer checkpoints n = 1..floor(w_max).  With both omitted, fits K as
     the largest slope of ln k_of_n against ln n over consecutive checkpoints
     and L as the largest residual k_of_n(n) / n**K; the check passes when the
-    fitted exponent is at most ``poly_cap``.  The fit is a finite-sample
-    heuristic: it flags exponential growth masquerading as density, it does
-    not certify the existential constants.
+    fitted exponent is at most ``DENSITY_POLY_CAP``.  The fit is a
+    finite-sample heuristic: it flags exponential growth masquerading as
+    density, it does not certify the existential constants.
     """
     if not spectrum.entries:
         raise ValueError("density check needs a nonempty spectrum")
@@ -156,47 +153,42 @@ def density_check(
     fitted_k = max(slopes, default=0.0)
     fitted_k = max(fitted_k, 0.0)
     fitted_l = max((k / n ** fitted_k for n, k in points), default=0.0)
-    return DensityReport(n_range, k_of_n, fitted_l, fitted_k, fitted_k <= poly_cap)
+    passes = fitted_k <= DENSITY_POLY_CAP
+    return DensityReport(n_range, k_of_n, fitted_l, fitted_k, passes)
 
 
-def growth_sequence(spectrum: WeightSpectrum) -> tuple[tuple[float, float], ...]:
-    """The per-weight growth exponents c_k = ln N(w_k) / w_k."""
-    return tuple(
-        (float(w), math.log(c) / float(w)) for w, c in spectrum.entries
-    )
+def tail_window(length: int) -> int:
+    return max(1, math.ceil(TAIL_FRACTION * length))
 
 
-def tail_window(length: int, tail_fraction: float) -> int:
-    if not 0 < tail_fraction <= 1:
-        raise ValueError("tail_fraction must be in (0, 1]")
-    return max(1, math.ceil(tail_fraction * length))
-
-
-def tail_estimate(values, tail_fraction: float) -> CapacityEstimate:
+def tail_estimate(values) -> CapacityEstimate:
     """The limsup proxy: max of the trailing window, bracketed by its range.
 
     ``iterations`` is the length of the whole sequence.
     """
-    tail = values[-tail_window(len(values), tail_fraction):]
+    tail = values[-tail_window(len(values)):]
     return CapacityEstimate(
         max(tail), EMPIRICAL, (min(tail), max(tail)), 0.0, len(values)
     )
 
 
 def empirical_capacity(
-    spectrum: WeightSpectrum, tail_fraction: float = TAIL_FRACTION
+    spectrum: WeightSpectrum,
 ) -> tuple[CapacityEstimate, tuple[tuple[float, float], ...]]:
     """Capacity from raw counts: the limsup proxy max of trailing c_k values.
 
-    Returns the estimate together with the full (w_k, c_k) sequence.  The
-    trailing-window max is the least biased finite-sample stand-in for a
-    limsup that is approached from below; it is exact for sequences that are
-    eventually monotone.
+    Returns the estimate together with the full (w_k, c_k) sequence of
+    per-weight growth exponents c_k = ln N(w_k) / w_k.  The trailing-window
+    max is the least biased finite-sample stand-in for a limsup that is
+    approached from below; it is exact for sequences that are eventually
+    monotone.
     """
     if len(spectrum) < 2:
         raise ValueError("empirical capacity needs a spectrum with >= 2 entries")
-    sequence = growth_sequence(spectrum)
-    return tail_estimate([c for _, c in sequence], tail_fraction), sequence
+    sequence = tuple(
+        (float(w), math.log(c) / float(w)) for w, c in spectrum.entries
+    )
+    return tail_estimate([c for _, c in sequence]), sequence
 
 
 def spectrum_tsv(spectrum: WeightSpectrum) -> str:

@@ -239,18 +239,19 @@ def _checked_alphabet(alphabet: Sequence[Symbol]) -> tuple[Symbol, ...]:
 
 
 def make_memoryless(alphabet: Sequence[Symbol], name: str = "") -> BranchSystem:
-    """An unconstrained channel: depth-l support is every l-tuple of symbols."""
+    """An unconstrained channel: depth-l support is every l-tuple of symbols.
+
+    It carries its one-state ``memoryless_fsm``, whose self-loops are its
+    branches.
+    """
     alphabet = _checked_alphabet(alphabet)
-    branches = tuple((sym, 0) for sym in alphabet)
-
-    def expand(_handle):
-        return branches
-
+    fsm = memoryless_fsm(alphabet)
     label = name or "memoryless{%s}" % ",".join(
         f"{s.label}:{s.weight}" for s in alphabet
     )
     return BranchSystem(
-        kind=MEMORYLESS, root=0, expand=expand, alphabet=alphabet, name=label,
+        kind=MEMORYLESS, root=0, expand=fsm.outgoing.__getitem__,
+        alphabet=alphabet, fsm=fsm, name=label,
     )
 
 
@@ -304,36 +305,3 @@ def make_golden_mean() -> WeightedFsm:
     zero = Symbol("0", 1)
     one = Symbol("1", 1)
     return WeightedFsm(2, 0, ((0, zero, 0), (0, one, 1), (1, zero, 0)))
-
-
-def check_label_uniqueness(system: BranchSystem, depth: int = 8) -> None:
-    """Exhaustively verify label discipline down to ``depth`` branches.
-
-    Checks that the labels leaving any reachable node are pairwise distinct
-    and that no two distinct root paths carry the same label tuple.  The walk
-    is exponential in ``depth``; 8 is a debugging default, not a proof.
-    """
-    seen_paths: set[tuple[str, ...]] = set()
-    frontier: list[tuple[Hashable, tuple[str, ...]]] = [(system.root, ())]
-    for _ in range(depth):
-        next_frontier = []
-        for handle, path in frontier:
-            branches = system.expand(handle)
-            if not branches:
-                raise InvalidSystemError(
-                    f"node {handle!r} has an empty expansion"
-                )
-            labels = [sym.label for sym, _ in branches]
-            if len(set(labels)) != len(labels):
-                raise InvalidSystemError(
-                    f"node {handle!r} has duplicate branch labels: {labels}"
-                )
-            for sym, child in branches:
-                extended = path + (sym.label,)
-                if extended in seen_paths:
-                    raise InvalidSystemError(
-                        f"two distinct root paths share the labels {extended}"
-                    )
-                seen_paths.add(extended)
-                next_frontier.append((child, extended))
-        frontier = next_frontier

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .capacity import combinatorial_capacity
 from .estimates import CapacityEstimate
-from .maxent import LEVEL_BUDGET, LevelSolution, maxent_rate_estimate
-from .spectrum import TAIL_FRACTION, empirical_capacity, weight_spectrum
+from .maxent import LevelSolution, maxent_rate_estimate
+from .spectrum import empirical_capacity, weight_spectrum
 from .systems import BranchSystem
 
 PASS = "PASS"
@@ -47,12 +47,7 @@ class VerifyReport:
 
 
 def verify_equality(
-    system: BranchSystem,
-    w_max,
-    l_max: int,
-    tol: float,
-    tail_fraction: float = TAIL_FRACTION,
-    budget: int = LEVEL_BUDGET,
+    system: BranchSystem, w_max, l_max: int, tol: float
 ) -> VerifyReport:
     """Compare the combinatorial and maximum-entropy capacity estimates.
 
@@ -62,9 +57,9 @@ def verify_equality(
     The epsilon probes reuse ``tol`` as eps.
     """
     spectrum = weight_spectrum(system, w_max)
-    _, growth = empirical_capacity(spectrum, tail_fraction)
-    c_comb = combinatorial_capacity(system, lambda: spectrum, tail_fraction=tail_fraction)
-    c_prob, levels = maxent_rate_estimate(system, l_max, tail_fraction, budget)
+    _, growth = empirical_capacity(spectrum)
+    c_comb = combinatorial_capacity(system, lambda: spectrum)
+    c_prob, levels = maxent_rate_estimate(system, l_max)
     truncated = len(levels) < l_max
     difference = abs(c_comb.value - c_prob.value)
     # c_prob is the max of the trailing window of level rates, so these are

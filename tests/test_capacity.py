@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dncap as d
-from dncap import solvers
+from dncap import capacity, solvers
 from dncap.solvers import perron
 from conftest import dyck, golden_mean_system, mem_equal, mem_unequal, rll_system
 from oracles import LN_GOLDEN, bisect_root
@@ -287,9 +287,10 @@ class TestFsmCapacity:
 
 
 class TestAbscissaEstimate:
-    def test_equal_weights(self):
+    def test_equal_weights(self, monkeypatch):
+        monkeypatch.setattr(capacity, "PROBE_DELTA", 0.1)
         spectrum = d.weight_spectrum(mem_equal(), 30)
-        estimate, probe = d.abscissa_estimate(spectrum, delta=0.1)
+        estimate, probe = d.abscissa_estimate(spectrum)
         assert abs(estimate.value - math.log(2)) < 1e-12
         assert estimate.method == "abscissa"
         # below the abscissa the truncated series has already blown past 100
@@ -305,9 +306,10 @@ class TestAbscissaEstimate:
         assert estimate.value == 0.0
         assert probe.consistent
 
-    def test_dyck_probe_consistent(self):
+    def test_dyck_probe_consistent(self, monkeypatch):
+        monkeypatch.setattr(capacity, "PROBE_DELTA", 0.2)
         spectrum = d.weight_spectrum(dyck(), 40)
-        estimate, probe = d.abscissa_estimate(spectrum, delta=0.2)
+        estimate, probe = d.abscissa_estimate(spectrum)
         assert 0.63 <= estimate.value <= 0.70
         assert probe.consistent
 

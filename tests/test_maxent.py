@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import dncap as d
+from dncap import maxent
 from conftest import (
     dyck,
     golden_mean_system,
@@ -74,9 +75,10 @@ class TestSolveLevelRate:
         assert solution.rate == 0.0
         assert solution.avg_weight == 14.0
 
-    def test_budget_is_enforced(self):
+    def test_budget_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 10)
         with pytest.raises(d.BudgetExceededError):
-            d.solve_level_rate(dyck(), 30, budget=10)
+            d.solve_level_rate(dyck(), 30)
 
     def test_inexact_weights_are_accepted_by_the_analytic_route(self):
         # exact enumeration refuses floats, the level solver does not
@@ -206,12 +208,13 @@ class TestRateEstimate:
         assert all(b >= a - 0.01 for a, b in zip(rates, rates[1:]))
         assert estimate.value < math.log(2)
 
-    def test_budget_exhaustion_reports_partial_sequence(self):
-        estimate, levels = d.maxent_rate_estimate(dyck(), 30, budget=300)
+    def test_budget_exhaustion_reports_partial_sequence(self, monkeypatch):
+        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 300)
+        estimate, levels = d.maxent_rate_estimate(dyck(), 30)
 
         def fits(level):
             try:
-                d.solve_level_rate(dyck(), level, budget=300)
+                d.solve_level_rate(dyck(), level)
             except d.BudgetExceededError:
                 return False
             return True

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import dncap as d
+from dncap import maxent
 from conftest import dyck
 from oracles import LN_GOLDEN
 
@@ -215,9 +216,10 @@ class TestLevelSampler:
                 -path.weight * rate, rel=1e-12, abs=0
             )
 
-    def test_budget_is_enforced(self):
+    def test_budget_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 100)
         with pytest.raises(d.BudgetExceededError):
-            d.sample_level_paths(dyck(), 40, 1, seed=0, budget=100)
+            d.sample_level_paths(dyck(), 40, 1, seed=0)
 
     def test_weighted_system_matches_maxent_pmf(self):
         system = d.make_memoryless(d.symbols({"0": 1, "1": 2}))

@@ -3,6 +3,7 @@ import math
 import pytest
 
 import dncap as d
+from dncap import maxent
 from conftest import dyck, golden_mean_system, mem_equal, mem_unequal, rll_system
 from oracles import LN_GOLDEN
 
@@ -65,8 +66,9 @@ class TestVerifyEquality:
         report = d.verify_equality(golden_mean_system(), 20, 10, tol=1e-9)
         assert report.verdict == "FAIL"
 
-    def test_inconclusive_on_budget_exhaustion(self):
-        report = d.verify_equality(dyck(), 40, 40, tol=0.06, budget=500)
+    def test_inconclusive_on_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 500)
+        report = d.verify_equality(dyck(), 40, 40, tol=0.06)
         assert report.verdict == "INCONCLUSIVE"
         assert 0 < len(report.levels) < 40
 
