@@ -18,20 +18,13 @@ from typing import Hashable
 from .errors import BudgetExceededError
 from .estimates import CapacityEstimate
 from .solvers import partition_root
-from .spectrum import frontier_walk, tail_estimate
+from .spectrum import depth_buckets, frontier_walk, tail_estimate
 from .systems import BranchSystem, Weight
 
 LEVEL_BUDGET = 2 ** 22
 _STALE_RATE_TOL = 1e-6
 
 Path = tuple[str, ...]
-
-
-def _depth_buckets(frontier: dict[tuple, int]) -> dict[Weight, int]:
-    buckets: dict[Weight, int] = {}
-    for (_, weight), count in frontier.items():
-        buckets[weight] = buckets.get(weight, 0) + count
-    return buckets
 
 
 def level_support(system: BranchSystem, level: int) -> dict[Weight, int]:
@@ -44,7 +37,8 @@ def level_support(system: BranchSystem, level: int) -> dict[Weight, int]:
     if level < 1:
         raise ValueError("level must be >= 1")
     walk = frontier_walk(system, budget=LEVEL_BUDGET)
-    return _depth_buckets(next(islice(walk, level - 1, None)))
+    frontier, scale, _ = next(islice(walk, level - 1, None))
+    return depth_buckets(frontier, scale)
 
 
 def enumerate_level_paths(
@@ -176,8 +170,8 @@ def maxent_rate_estimate(
     levels: list[LevelSolution] = []
     walk = islice(frontier_walk(system, budget=LEVEL_BUDGET), l_max)
     with suppress(BudgetExceededError):
-        for level, frontier in enumerate(walk, 1):
-            levels.append(_solve_buckets(level, _depth_buckets(frontier)))
+        for level, (frontier, scale, _) in enumerate(walk, 1):
+            levels.append(_solve_buckets(level, depth_buckets(frontier, scale)))
     if not levels:
         raise BudgetExceededError("no level fit within the enumeration budget")
     estimate = tail_estimate([sol.rate for sol in levels])

@@ -7,7 +7,6 @@ Non-regular channels are sampled exactly from the depth-l maxent distribution
 via subtree partition sums, with no optimality claim beyond the solved level.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -19,7 +18,7 @@ from .capacity import transition_matrix
 from .errors import EstimatorError, InvalidSystemError
 from .estimates import SPECTRAL_RADIUS, CapacityEstimate
 from .solvers import perron
-from .spectrum import frontier_walk
+from .spectrum import depth_buckets, frontier_walk
 from .systems import BranchSystem, Symbol, WeightedFsm
 
 _ROW_SUM_TOL = 1e-8
@@ -193,27 +192,31 @@ def sample_level_paths(
 
     Branch probabilities are proportional to e^{-w R_l} times the subtree
     partition sum of the child at the remaining depth, which reproduces
-    q(x) = e^{-w(x) R_l} exactly.  One frontier walk gives R_l and each
-    depth's handles; log subtree sums are filled in from the deepest level up.
+    q(x) = e^{-w(x) R_l} exactly.  One frontier walk gives R_l, each depth's
+    handles and, in its memo, each handle's branches; log subtree sums are
+    filled in from the deepest level up.
     The walk is capped at ``maxent.LEVEL_BUDGET`` expansions.
     """
     if count < 1 or level < 1:
         raise ValueError("count and level must be >= 1")
     handles = [(system.root,)]
-    for frontier in islice(frontier_walk(system, budget=maxent.LEVEL_BUDGET), level):
+    walk = frontier_walk(system, budget=maxent.LEVEL_BUDGET)
+    for frontier, scale, memo in islice(walk, level):
         handles.append(tuple(dict.fromkeys(handle for handle, _ in frontier)))
-    rate = maxent._solve_buckets(level, maxent._depth_buckets(frontier)).rate
+    rate = maxent._solve_buckets(level, depth_buckets(frontier, scale)).rate
     code: dict[str, int] = {}
-    expand = functools.cache(lambda handle: [  # codes and floats each branch once
-        (code.setdefault(sym.label, len(code)), float(sym.weight), child)
-        for sym, child in system.expand(handle)])
+    rows = {  # label codes and float weights, each handle's branches once
+        handle: [(code.setdefault(sym.label, len(code)), float(sym.weight), child)
+                 for _, child, sym in branches]
+        for handle, branches in memo.items()
+    }
 
     def table(depth):
         below = {handle: i for i, handle in enumerate(handles[depth + 1])}
         ln_z = log_z[depth + 1].tolist()
         return _table([
             [(label, w, below[child], ln_z[below[child]] - w * rate)
-             for label, w, child in expand(handle)] for handle in handles[depth]
+             for label, w, child in rows[handle]] for handle in handles[depth]
         ])
 
     log_z = [None] * level + [np.zeros(len(handles[level]))]

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, InvalidSystemError
 from .estimates import EMPIRICAL, CapacityEstimate
-from .systems import BranchSystem, is_exact, parse_weight
+from .systems import BranchSystem, Weight, is_exact, parse_weight
 
 DENSITY_POLY_CAP = 8.0
 TAIL_FRACTION = 0.25
@@ -54,34 +54,73 @@ class WeightSpectrum:
 
 
 def frontier_walk(system: BranchSystem, w_max=None, budget: int | None = None):
-    """Yield the merged {(handle, weight): count} frontier at depths 1, 2, ...
+    """Yield ``(frontier, scale, memo)`` at depths 1, 2, ...
 
-    Walks the tree breadth-first while merging frontier states that share a
-    (node handle, accumulated weight) pair, which turns the exponential path
-    walk into a transfer-matrix style recurrence for FSMs and a balanced walk
-    for generators.  Distinct root paths carry distinct label tuples, so path
-    counts and string counts coincide.  Branches heavier than ``w_max`` are
-    dropped, and the walk stops at the first empty depth; ``budget`` caps
-    the total number of branch expansions.
+    ``frontier`` maps (node handle, weight in units of 1/``scale``) to a path
+    count.  Walks the tree breadth-first while merging frontier states that
+    share a pair, which turns the exponential path walk into a transfer-matrix
+    style recurrence for FSMs and a balanced walk for generators.  Distinct
+    root paths carry distinct label tuples, so path counts and string counts
+    coincide.  Branches heavier than ``w_max`` are dropped, and the walk stops
+    at the first empty depth; ``budget`` caps the total number of branch
+    expansions, remembered ones included.
+
+    ``scale`` is the LCM of the exact weight denominators seen so far, and
+    float weights are float units.  A depth's new handles are expanded into
+    ``memo`` (handle -> (units, child, symbol) branches) before the depth is
+    read, so ``expand`` runs once per handle and a new denominator rescales
+    the frontier and the memo once.  ``depth_buckets`` gives the weights.
     """
-    frontier: dict[tuple, int] = {(system.root, Fraction(0)): 1}
-    work = 0
+    frontier: dict[tuple, int] = {(system.root, 0): 1}
+    scale, memo, work = 1, {}, 0
     while frontier:
+        fresh = dict.fromkeys(h for h, _ in frontier if h not in memo)
+        fresh = {h: system.expand(h) for h in fresh}
+        factor = math.lcm(scale, *(
+            sym.weight.denominator for branches in fresh.values()
+            for sym, _ in branches if is_exact(sym.weight)
+        )) // scale
+        if factor > 1:
+            scale *= factor
+            frontier = {(h, u * factor): c for (h, u), c in frontier.items()}
+            memo = {h: tuple((u * factor, child, sym) for u, child, sym in branches)
+                    for h, branches in memo.items()}
+        for handle, branches in fresh.items():
+            memo[handle] = tuple(
+                (_units(sym.weight, scale), child, sym) for sym, child in branches
+            )
+        bound = math.inf if w_max is None else math.floor(w_max * scale)
         next_frontier: dict[tuple, int] = {}
         for (handle, acc), count in frontier.items():
-            branches = system.expand(handle)
+            branches = memo[handle]
             work += len(branches)
             if budget is not None and work > budget:
                 raise BudgetExceededError(
                     f"level support walk exceeded budget of {budget} expansions"
                 )
-            for sym, child in branches:
-                weight = acc + sym.weight
-                if w_max is None or weight <= w_max:
+            for units, child, _ in branches:
+                weight = acc + units
+                if weight <= bound:
                     key = (child, weight)
                     next_frontier[key] = next_frontier.get(key, 0) + count
         frontier = next_frontier
-        yield frontier
+        yield frontier, scale, memo
+
+
+def _units(weight: Weight, scale: int):
+    return int(weight * scale) if is_exact(weight) else weight * scale
+
+
+def depth_buckets(frontier: dict[tuple, int], scale: int) -> dict[Weight, int]:
+    """{weight: count} at one depth: counts merge on units, and each distinct
+    weight becomes a ``Fraction`` (a float for float units) once."""
+    buckets: dict = {}
+    for (_, units), count in frontier.items():
+        buckets[units] = buckets.get(units, 0) + count
+    return {
+        (u / scale if isinstance(u, float) else Fraction(u, scale)): count
+        for u, count in buckets.items()
+    }
 
 
 def weight_spectrum(system: BranchSystem, w_max) -> WeightSpectrum:
@@ -92,8 +131,8 @@ def weight_spectrum(system: BranchSystem, w_max) -> WeightSpectrum:
     if w_max <= 0:
         raise InvalidSystemError("w_max must be positive")
     buckets: dict[Fraction, int] = {}
-    for frontier in frontier_walk(system, w_max):
-        for (_, weight), count in frontier.items():
+    for frontier, scale, _ in frontier_walk(system, w_max):
+        for weight, count in depth_buckets(frontier, scale).items():
             if not is_exact(weight):
                 raise InvalidSystemError(
                     f"path weight {weight!r} is inexact; "

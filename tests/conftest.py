@@ -32,6 +32,43 @@ def dyck():
     return d.make_dyck_prefix()
 
 
+def harmonic_steps():
+    """Depth-d branches weigh 1 and 1/(d+2): a new denominator at every depth."""
+
+    def expand(depth):
+        return (
+            (d.Symbol("a", 1), depth + 1),
+            (d.Symbol("b", Fraction(1, depth + 2)), depth + 1),
+        )
+
+    return d.BranchSystem("generator", 0, expand, name="harmonic_steps")
+
+
+def harmonic_dyck():
+    """Dyck prefixes whose "(" at balance b weighs 1/(b+2).
+
+    Each new maximum balance brings a new denominator, and the lower balances
+    expanded at an older scale recur after it.
+    """
+
+    def expand(balance):
+        up = (d.Symbol("(", Fraction(1, balance + 2)), balance + 1)
+        return ((d.Symbol(")", 1), balance - 1), up) if balance else (up,)
+
+    return d.BranchSystem("generator", 0, expand, name="harmonic_dyck")
+
+
+def counted(system):
+    """A copy of ``system`` whose ``expand`` calls are tallied in ``calls[0]``."""
+    calls = [0]
+
+    def expand(handle):
+        calls[0] += 1
+        return system.expand(handle)
+
+    return d.BranchSystem(system.kind, system.root, expand), calls
+
+
 # every builtin, for oracle-equivalence and density sweeps
 BUILTIN_FACTORIES = {
     "mem_equal": mem_equal,

@@ -80,6 +80,25 @@ class TestSolveLevelRate:
         with pytest.raises(d.BudgetExceededError):
             d.solve_level_rate(dyck(), 30)
 
+    def test_budget_counts_every_expansion(self, monkeypatch):
+        # 210 branches reach level 20 of the Dyck walk, counted per frontier
+        # entry even where the handle's expansion is remembered
+        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 210)
+        d.level_support(dyck(), 20)
+        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 209)
+        with pytest.raises(d.BudgetExceededError, match="budget of 209 "):
+            d.level_support(dyck(), 20)
+
+    def test_float_and_rational_weights_share_the_walk(self):
+        system = d.make_memoryless(d.symbols(
+            {"a": 1, "b": Fraction(1, 3), "c": math.sqrt(2.0)}
+        ))
+        buckets = d.level_support(system, 6)
+        assert sum(buckets.values()) == 3 ** 6
+        rate = d.solve_level_rate(system, 6).rate
+        partition = sum(c * math.exp(-w * rate) for w, c in buckets.items())
+        assert abs(partition - 1.0) <= 1e-12
+
     def test_inexact_weights_are_accepted_by_the_analytic_route(self):
         # exact enumeration refuses floats, the level solver does not
         system = d.make_memoryless(
@@ -219,7 +238,7 @@ class TestRateEstimate:
                 return False
             return True
 
-        assert 1 <= len(levels) < 30
+        assert len(levels) == 24
         assert len(levels) == sum(fits(level) for level in range(1, 31))
         assert estimate.value > 0
 

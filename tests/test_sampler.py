@@ -8,7 +8,7 @@ import pytest
 
 import dncap as d
 from dncap import maxent
-from conftest import dyck
+from conftest import counted, dyck
 from oracles import LN_GOLDEN
 
 
@@ -220,6 +220,12 @@ class TestLevelSampler:
         monkeypatch.setattr(maxent, "LEVEL_BUDGET", 100)
         with pytest.raises(d.BudgetExceededError):
             d.sample_level_paths(dyck(), 40, 1, seed=0)
+
+    def test_expand_runs_once_per_handle(self):
+        # depths 0..59 reach balances 0..59 and nothing else
+        system, calls = counted(dyck())
+        d.sample_level_paths(system, 60, 3, seed=4)
+        assert calls[0] <= 60
 
     def test_weighted_system_matches_maxent_pmf(self):
         system = d.make_memoryless(d.symbols({"0": 1, "1": 2}))

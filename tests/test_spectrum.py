@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,11 @@ import pytest
 import dncap as d
 from conftest import (
     BUILTIN_FACTORIES,
+    counted,
     dyck,
     golden_mean_system,
+    harmonic_dyck,
+    harmonic_steps,
     mem_equal,
     mem_rational,
     mem_unequal,
@@ -79,6 +83,28 @@ class TestWeightSpectrum:
             )
         with pytest.raises(ValueError, match="omitted"):
             d.WeightSpectrum(entries=((Fraction(1), 0),), w_max=Fraction(4))
+
+
+class TestFrontierWalk:
+    @pytest.mark.parametrize(
+        "factory,w_max", [(harmonic_steps, 4), (harmonic_dyck, "9/2")]
+    )
+    def test_rescale_matches_independent_routes(self, factory, w_max):
+        system = factory()
+        # depth-capped levels first: a walk that loses a rescale undercounts
+        # weights, and unbounded by depth it would run away
+        for level in range(1, 9):
+            paths = d.enumerate_level_paths(system, level)
+            expected = Counter(weight for _, weight in paths)
+            assert d.level_support(system, level) == expected
+        expected = naive_string_spectrum(system, w_max)
+        assert dict(d.weight_spectrum(system, w_max).entries) == expected
+
+    def test_expand_runs_once_per_handle(self):
+        # balances 0..40 are the only handles up to weight 40
+        system, calls = counted(dyck())
+        d.weight_spectrum(system, 40)
+        assert calls[0] == 41
 
 
 class TestDensityCheck:
