@@ -45,7 +45,7 @@ def main():
     print()
     print("the capacity-achieving symbol distribution is golden-ratio tilted:")
     rate = d.solve_level_rate(unequal, 1).rate
-    pmf = d.maxent_pmf(unequal, 1, rate)
+    pmf = d.maxent_pmf(unequal, 1)
     for (label,), prob in sorted(pmf.probs.items()):
         print(f"  P({label}) = {prob:.6f}")
     entropy, avg = d.entropy_and_avg_weight(pmf)
@@ -59,7 +59,7 @@ def main():
         probs={("0",): 0.5, ("1",): 0.5},
         weights=pmf.weights,
     )
-    gap, fair_rate = d.kl_gap(fair, unequal, 1)
+    gap, fair_rate = d.kl_gap(fair, unequal)
     print(f"  rate {fair_rate:.6f} vs optimum {rate:.6f}"
           f"  (KL gap {gap:.6f} nats)")
 

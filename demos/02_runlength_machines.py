@@ -22,7 +22,7 @@ def main():
     print(f"  ln(golden ratio):         {math.log((1 + 5 ** 0.5) / 2):.12f}")
     print(f"  solver bracket width:     {capacity.bracket[1] - capacity.bracket[0]:.2e}")
 
-    chain = d.maxent_chain(fsm, capacity)
+    chain = d.maxent_chain(fsm)
     print("  maxent chain at the unconstrained state:")
     for sym, dst, prob in chain.transition_probs[0]:
         print(f"    emit {sym.label} -> state {dst}   p = {prob:.6f}")

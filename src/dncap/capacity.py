@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +31,9 @@ from .spectrum import (
     density_check,
     empirical_capacity,
     tail_window,
+    weight_spectrum,
 )
-from .systems import (
-    MEMORYLESS, BranchSystem, Symbol, WeightedFsm, strong_components,
-)
+from .systems import BranchSystem, Symbol, WeightedFsm, strong_components
 
 DIVERGENCE_THRESHOLD = 1e6
 PROBE_DELTA = 0.1
@@ -243,29 +242,26 @@ def abscissa_estimate(
 
 
 def combinatorial_capacity(
-    system: BranchSystem,
-    spectrum: Callable[[], WeightSpectrum],
-    method: str = "auto",
+    system: BranchSystem, w_max, method: str = "auto"
 ) -> CapacityEstimate:
     """Combinatorial capacity by the root, spectral or abscissa method.
 
     ``auto`` picks the root for memoryless alphabets, the spectral radius for
-    FSMs and the abscissa otherwise.  Only the abscissa calls ``spectrum``.
+    FSMs and the abscissa otherwise.  Only the abscissa walks the spectrum to
+    ``w_max``; the other two methods ignore it.
     """
     if method == "auto":
-        if system.kind == MEMORYLESS:
-            method = "root"
-        elif system.fsm is not None:
-            method = "spectral"
-        else:
-            method = "abscissa"
+        method = ("root" if system.alphabet is not None
+                  else "spectral" if system.fsm is not None else "abscissa")
     if method == "root":
-        if system.kind != MEMORYLESS:
-            raise InvalidSystemError("root method requires a memoryless system")
-        return characteristic_root(system.alphabet)
+        if system.alphabet is not None:
+            return characteristic_root(system.alphabet)
+        raise InvalidSystemError("root method requires a memoryless system")
     if method == "spectral":
         if system.fsm is not None:
             return fsm_capacity(system.fsm)
         raise InvalidSystemError("spectral method requires an FSM-backed system")
-    estimate, _ = abscissa_estimate(spectrum())
-    return estimate
+    if method == "abscissa":
+        estimate, _ = abscissa_estimate(weight_spectrum(system, w_max))
+        return estimate
+    raise ValueError(f"unknown capacity method: {method!r}")

@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .capacity import combinatorial_capacity, fsm_capacity
+from .capacity import combinatorial_capacity
 from .errors import (
     BudgetExceededError,
     EstimatorError,
@@ -20,7 +20,6 @@ from .maxent import level_report_tsv, maxent_rate_estimate
 from .sampler import maxent_chain, sample_level_paths, sample_paths, samples_tsv
 from .specfile import load_system
 from .spectrum import density_check, empirical_capacity, spectrum_tsv, weight_spectrum
-from .systems import GENERATOR
 from .verify import FAIL, INCONCLUSIVE, PASS, verify_equality
 
 
@@ -60,9 +59,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_capacity(args) -> int:
     system, _ = load_system(args.spec)
-    estimate = combinatorial_capacity(
-        system, lambda: weight_spectrum(system, args.wmax), args.method
-    )
+    estimate = combinatorial_capacity(system, args.wmax, args.method)
     print(json.dumps(estimate.to_json_dict()))
     return 0
 
@@ -80,10 +77,10 @@ def _cmd_maxent(args) -> int:
 
 def _cmd_sample(args) -> int:
     system, _ = load_system(args.spec)
-    if system.kind == GENERATOR:
+    if system.fsm is None:
         samples = sample_level_paths(system, args.steps, args.count, args.seed)
     else:
-        chain = maxent_chain(system.fsm, fsm_capacity(system.fsm))
+        chain = maxent_chain(system.fsm)
         samples = sample_paths(chain, args.count, args.steps, args.seed)
     _write_out(samples_tsv(samples), args.out)
     return 0

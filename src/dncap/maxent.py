@@ -15,14 +15,14 @@ from fractions import Fraction
 from itertools import islice
 from typing import Hashable
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, EstimatorError
 from .estimates import CapacityEstimate
 from .solvers import partition_root
 from .spectrum import depth_buckets, frontier_walk, tail_estimate
 from .systems import BranchSystem, Weight
 
 LEVEL_BUDGET = 2 ** 22
-_STALE_RATE_TOL = 1e-6
+_SUM_TOL = 1e-6
 
 Path = tuple[str, ...]
 
@@ -116,24 +116,22 @@ class LevelPmf:
     probs: dict[Path, float]
     weights: dict[Path, Weight]
 
-    def total(self) -> float:
-        return sum(self.probs.values())
 
+def maxent_pmf(system: BranchSystem, level: int) -> LevelPmf:
+    """The maxentropic distribution q(x) = e^{-w(x) R_l} on the level support.
 
-def maxent_pmf(system: BranchSystem, level: int, rate: float) -> LevelPmf:
-    """The maxentropic distribution q(x) = e^{-w(x) rate} on the level support.
-
-    ``rate`` must come from ``solve_level_rate`` for this system and level;
-    if the probabilities miss 1 by more than 1e-6 the rate is stale and this
-    raises instead of renormalizing.
+    R_l is ``solve_level_rate(system, level).rate``.  If the probabilities
+    miss 1 by more than 1e-6 the solve is at fault, and this raises
+    ``EstimatorError`` instead of renormalizing.
     """
+    rate = solve_level_rate(system, level).rate
     paths = enumerate_level_paths(system, level)
     probs = {labels: math.exp(-float(w) * rate) for labels, w in paths}
     weights = {labels: w for labels, w in paths}
     total = sum(probs.values())
-    if abs(total - 1.0) > _STALE_RATE_TOL:
-        raise ValueError(
-            f"stale rate {rate}: maxent probabilities sum to {total}, not 1"
+    if abs(total - 1.0) > _SUM_TOL:
+        raise EstimatorError(
+            f"level {level}: maxent probabilities sum to {total}, not 1"
         )
     return LevelPmf(level=level, probs=probs, weights=weights)
 
@@ -145,7 +143,7 @@ def entropy_and_avg_weight(pmf: LevelPmf) -> tuple[float, float]:
         if p < 0:
             raise ValueError(f"negative probability at {path}")
         total += p
-    if abs(total - 1.0) > _STALE_RATE_TOL:
+    if abs(total - 1.0) > _SUM_TOL:
         raise ValueError(f"probabilities sum to {total}, not 1")
     entropy = -sum(p * math.log(p) for p in pmf.probs.values() if p > 0.0)
     avg_weight = sum(
@@ -178,14 +176,14 @@ def maxent_rate_estimate(
     return estimate, tuple(levels)
 
 
-def kl_gap(pmf: LevelPmf, system: BranchSystem, level: int) -> tuple[float, float]:
-    """KL distance to the maxent optimum and the distribution's own rate.
+def kl_gap(pmf: LevelPmf, system: BranchSystem) -> tuple[float, float]:
+    """KL distance to the maxent optimum at ``pmf.level`` and the
+    distribution's own rate.
 
     Returns (D(p || q), H(p)/L(p)); the rate never exceeds the level optimum
     and matches it exactly when the gap vanishes.
     """
-    solution = solve_level_rate(system, level)
-    optimum = maxent_pmf(system, level, solution.rate)
+    optimum = maxent_pmf(system, pmf.level)
     for path, p in pmf.probs.items():
         if p > 0.0 and path not in optimum.probs:
             raise ValueError(f"probability mass outside the support: {path}")

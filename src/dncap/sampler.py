@@ -14,9 +14,8 @@ from itertools import islice, repeat
 import numpy as np
 
 from . import maxent
-from .capacity import transition_matrix
+from .capacity import fsm_capacity, transition_matrix
 from .errors import EstimatorError, InvalidSystemError
-from .estimates import SPECTRAL_RADIUS, CapacityEstimate
 from .solvers import perron
 from .spectrum import depth_buckets, frontier_walk
 from .systems import BranchSystem, Symbol, WeightedFsm
@@ -53,20 +52,18 @@ class MaxentChain:
         return entropy / mean_weight
 
 
-def maxent_chain(fsm: WeightedFsm, capacity: CapacityEstimate) -> MaxentChain:
-    """Build the stationary maxentropic chain from an fsm capacity estimate.
+def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
+    """Build the stationary maxentropic chain of an FSM at its capacity.
 
-    One ``perron`` call on M(s*) gives v for the tilt and u o v for the
-    stationary law.
+    s* is ``fsm_capacity(fsm).value``; one ``perron`` call on M(s*) gives v
+    for the tilt and u o v for the stationary law.
     """
-    if capacity.method != SPECTRAL_RADIUS:
-        raise ValueError("capacity must come from the spectral-radius solver")
     if not fsm.is_strongly_connected():
         raise InvalidSystemError(
             "chain construction needs a strongly connected FSM "
             "(otherwise the Perron eigenvector is not unique)"
         )
-    s_star = capacity.value
+    s_star = fsm_capacity(fsm).value
     p = perron(transition_matrix(fsm, s_star))
     vector = p.right / p.right[fsm.start]
     rows = []

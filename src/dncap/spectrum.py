@@ -28,9 +28,7 @@ class WeightSpectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "w_max", parse_weight(self.w_max))
-        if not is_exact(self.w_max) or self.w_max <= 0:
-            raise ValueError("w_max must be a positive exact rational")
+        object.__setattr__(self, "w_max", exact_w_max(self.w_max))
         previous = None
         for weight, count in self.entries:
             if not is_exact(weight):
@@ -123,13 +121,19 @@ def depth_buckets(frontier: dict[tuple, int], scale: int) -> dict[Weight, int]:
     }
 
 
-def weight_spectrum(system: BranchSystem, w_max) -> WeightSpectrum:
-    """Count accepted strings by exact weight, up to and including w_max."""
+def exact_w_max(w_max) -> Fraction:
+    """A spectrum bound as a positive exact rational, or InvalidSystemError."""
     w_max = parse_weight(w_max)
     if not is_exact(w_max):
         raise InvalidSystemError("w_max must be an exact rational")
     if w_max <= 0:
         raise InvalidSystemError("w_max must be positive")
+    return w_max
+
+
+def weight_spectrum(system: BranchSystem, w_max) -> WeightSpectrum:
+    """Count accepted strings by exact weight, up to and including w_max."""
+    w_max = exact_w_max(w_max)
     buckets: dict[Fraction, int] = {}
     for frontier, scale, _ in frontier_walk(system, w_max):
         for weight, count in depth_buckets(frontier, scale).items():

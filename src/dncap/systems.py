@@ -23,10 +23,6 @@ from .errors import InvalidSystemError
 Weight = Fraction | float
 Branches = tuple[tuple["Symbol", Hashable], ...]
 
-MEMORYLESS = "memoryless"
-FSM = "fsm"
-GENERATOR = "generator"
-
 
 def parse_weight(value) -> Weight:
     """Coerce a weight to an exact Fraction, or pass a float through as-is.
@@ -85,22 +81,15 @@ class BranchSystem:
     and owned by the system (state indices for FSMs, encoded prefix state for
     generators), so no tree is ever materialized.  Instances are immutable and
     ``expand`` must be a pure function of its handle, which makes concurrent
-    read access safe.
+    read access safe.  ``alphabet`` is set for memoryless channels and
+    ``fsm`` for every regular one (memoryless included); generators set neither.
     """
 
-    kind: str
     root: Hashable
     expand: Callable[[Hashable], Branches]
     alphabet: tuple[Symbol, ...] | None = None
     fsm: "WeightedFsm | None" = None
-    name: str = ""
-
-    def __post_init__(self):
-        if self.kind not in (MEMORYLESS, FSM, GENERATOR):
-            raise InvalidSystemError(f"unknown system kind: {self.kind!r}")
-
-    def describe(self) -> str:
-        return self.name or self.kind
+    name: str = "generator"
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +206,7 @@ def fsm_to_branch_system(fsm: WeightedFsm, name: str = "") -> BranchSystem:
     """
     table = fsm.outgoing
     return BranchSystem(
-        kind=FSM, root=fsm.start, expand=table.__getitem__,
+        root=fsm.start, expand=table.__getitem__,
         fsm=fsm, name=name or f"fsm[{fsm.num_states}]",
     )
 
@@ -250,7 +239,7 @@ def make_memoryless(alphabet: Sequence[Symbol], name: str = "") -> BranchSystem:
         f"{s.label}:{s.weight}" for s in alphabet
     )
     return BranchSystem(
-        kind=MEMORYLESS, root=0, expand=fsm.outgoing.__getitem__,
+        root=0, expand=fsm.outgoing.__getitem__,
         alphabet=alphabet, fsm=fsm, name=label,
     )
 
@@ -272,9 +261,7 @@ def make_dyck_prefix() -> BranchSystem:
     running balance.  The node handle is the current balance, so the state
     space is unbounded and the constraint is not regular.
     """
-    return BranchSystem(
-        kind=GENERATOR, root=0, expand=_dyck_expand, name="dyck_prefix",
-    )
+    return BranchSystem(root=0, expand=_dyck_expand, name="dyck_prefix")
 
 
 def make_rll(d: int, k: int) -> WeightedFsm:

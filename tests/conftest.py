@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -41,7 +42,7 @@ def harmonic_steps():
             (d.Symbol("b", Fraction(1, depth + 2)), depth + 1),
         )
 
-    return d.BranchSystem("generator", 0, expand, name="harmonic_steps")
+    return d.BranchSystem(0, expand, name="harmonic_steps")
 
 
 def harmonic_dyck():
@@ -55,7 +56,7 @@ def harmonic_dyck():
         up = (d.Symbol("(", Fraction(1, balance + 2)), balance + 1)
         return ((d.Symbol(")", 1), balance - 1), up) if balance else (up,)
 
-    return d.BranchSystem("generator", 0, expand, name="harmonic_dyck")
+    return d.BranchSystem(0, expand, name="harmonic_dyck")
 
 
 def counted(system):
@@ -66,7 +67,7 @@ def counted(system):
         calls[0] += 1
         return system.expand(handle)
 
-    return d.BranchSystem(system.kind, system.root, expand), calls
+    return dataclasses.replace(system, expand=expand), calls
 
 
 # every builtin, for oracle-equivalence and density sweeps

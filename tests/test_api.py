@@ -1,8 +1,11 @@
 """The public API exposes results, not tuning knobs."""
 
+import dataclasses
 import inspect
 
 import dncap as d
+from dncap import systems
+from dncap.capacity import combinatorial_capacity
 
 # fixed module constants: spectrum.TAIL_FRACTION, maxent.LEVEL_BUDGET,
 # spectrum.DENSITY_POLY_CAP, capacity.PROBE_DELTA, capacity.DIVERGENCE_THRESHOLD
@@ -22,3 +25,17 @@ def test_test_only_exports_are_gone():
     for name in ("check_label_uniqueness", "growth_sequence"):
         assert name not in d.__all__
         assert not hasattr(d, name)
+
+
+def test_what_the_channel_determines_is_not_an_input():
+    assert "kind" not in {f.name for f in dataclasses.fields(d.BranchSystem)}
+    for name in ("MEMORYLESS", "FSM", "GENERATOR"):
+        assert not hasattr(systems, name)
+    assert list(inspect.signature(combinatorial_capacity).parameters) == [
+        "system", "w_max", "method",
+    ]
+    assert list(inspect.signature(d.maxent_chain).parameters) == ["fsm"]
+    assert list(inspect.signature(d.maxent_pmf).parameters) == ["system", "level"]
+    assert list(inspect.signature(d.kl_gap).parameters) == ["pmf", "system"]
+    assert "growth" not in {f.name for f in dataclasses.fields(d.VerifyReport)}
+    assert not hasattr(d.LevelPmf, "total")

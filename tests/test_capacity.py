@@ -211,7 +211,7 @@ class TestFsmCapacity:
         estimate = d.fsm_capacity(fsm)
         assert abs(estimate.value - root) < 1e-12
         assert estimate.bracket[0] <= root <= estimate.bracket[1]
-        chain = d.maxent_chain(fsm, estimate)
+        chain = d.maxent_chain(fsm)
         assert abs(chain.analytic_entropy_rate() - root) < 1e-9
 
     @pytest.mark.parametrize(
@@ -337,7 +337,7 @@ def test_theorem_one_gap_closes_with_truncation(name):
     from conftest import ROOT_BASED_FACTORIES
 
     system = ROOT_BASED_FACTORIES[name]()
-    if system.kind == "memoryless":
+    if system.alphabet is not None:
         root = d.characteristic_root(system.alphabet).value
     else:
         root = d.fsm_capacity(system.fsm).value
@@ -349,3 +349,20 @@ def test_theorem_one_gap_closes_with_truncation(name):
     # shrinks monotonically, up to a 0.01 noise window
     assert gaps[2] <= gaps[1] + 0.01
     assert gaps[1] <= gaps[0] + 0.01
+
+
+class TestCombinatorialCapacity:
+    def test_unknown_method_is_an_error(self):
+        with pytest.raises(ValueError, match="bogus"):
+            capacity.combinatorial_capacity(golden_mean_system(), 40, "bogus")
+
+    def test_root_and_spectral_ignore_w_max(self):
+        for system in (mem_unequal(), golden_mean_system()):
+            estimate = capacity.combinatorial_capacity(system, "abc")
+            assert abs(estimate.value - LN_GOLDEN) < 1e-12
+
+    def test_auto_without_alphabet_or_fsm_takes_the_abscissa(self):
+        bare = d.BranchSystem(0, mem_equal().expand)
+        estimate = capacity.combinatorial_capacity(bare, 40)
+        assert estimate.method == "abscissa"
+        assert abs(estimate.value - math.log(2)) < 0.08

@@ -229,6 +229,14 @@ class TestVerify:
         assert code == 0
         assert doc["epsilon_probes"] == {"ae_pass": True, "io_pass": True}
 
+    def test_bad_w_max_exits_one_on_a_regular_channel(self, tmp_spec, capsys):
+        for w_max in ("-3", "abc"):
+            code = main(["verify", tmp_spec(GOLDEN_FSM), "--wmax", w_max])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error" in captured.err
+
     def test_fail_exit_code(self, tmp_spec, capsys):
         code = main(["verify", tmp_spec(GOLDEN_FSM), "--wmax", "15", "--lmax", "8",
                      "--tol", "1e-9"])

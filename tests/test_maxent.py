@@ -7,6 +7,7 @@ import pytest
 import dncap as d
 from dncap import maxent
 from conftest import (
+    counted,
     dyck,
     golden_mean_system,
     mem_equal,
@@ -114,34 +115,25 @@ class TestSolveLevelRate:
 
 class TestMaxentPmf:
     def test_uniform_on_equal_weights(self):
-        rate = d.solve_level_rate(mem_equal(), 3).rate
-        pmf = d.maxent_pmf(mem_equal(), 3, rate)
+        pmf = d.maxent_pmf(mem_equal(), 3)
         assert len(pmf.probs) == 8
         assert all(p == pytest.approx(1 / 8, abs=1e-12) for p in pmf.probs.values())
 
     def test_golden_ratio_probabilities(self):
         system = mem_unequal()
-        rate = d.solve_level_rate(system, 1).rate
-        pmf = d.maxent_pmf(system, 1, rate)
+        pmf = d.maxent_pmf(system, 1)
         golden = (1 + math.sqrt(5)) / 2
         assert pmf.probs[("0",)] == pytest.approx(1 / golden, abs=1e-9)
         assert pmf.probs[("1",)] == pytest.approx(1 / golden ** 2, abs=1e-9)
 
     def test_dyck_level_two_is_fair(self):
-        rate = d.solve_level_rate(dyck(), 2).rate
-        pmf = d.maxent_pmf(dyck(), 2, rate)
+        pmf = d.maxent_pmf(dyck(), 2)
         assert all(p == pytest.approx(0.5, abs=1e-12) for p in pmf.probs.values())
 
     def test_equal_weight_paths_get_equal_probability(self):
         system = golden_mean_system()
-        rate = d.solve_level_rate(system, 5).rate
-        pmf = d.maxent_pmf(system, 5, rate)
+        pmf = d.maxent_pmf(system, 5)
         assert len(set(round(p, 14) for p in pmf.probs.values())) == 1
-
-    def test_stale_rate_is_an_error(self):
-        rate = d.solve_level_rate(mem_unequal(), 2).rate
-        with pytest.raises(ValueError, match="stale"):
-            d.maxent_pmf(mem_unequal(), 2, rate + 0.05)
 
 
 class TestEntropyAndAvgWeight:
@@ -157,15 +149,14 @@ class TestEntropyAndAvgWeight:
         assert avg == pytest.approx(3.0, abs=1e-12)
 
     def test_solved_maxent_pmf_reproduces_uniform_cube(self):
-        rate = d.solve_level_rate(mem_equal(), 3).rate
-        entropy, avg = d.entropy_and_avg_weight(d.maxent_pmf(mem_equal(), 3, rate))
+        entropy, avg = d.entropy_and_avg_weight(d.maxent_pmf(mem_equal(), 3))
         assert entropy == pytest.approx(3 * math.log(2), abs=1e-9)
         assert avg == pytest.approx(3.0, abs=1e-9)
 
     def test_golden_ratio_values(self):
         system = mem_unequal()
         rate = d.solve_level_rate(system, 1).rate
-        entropy, avg = d.entropy_and_avg_weight(d.maxent_pmf(system, 1, rate))
+        entropy, avg = d.entropy_and_avg_weight(d.maxent_pmf(system, 1))
         # frozen from the closed form H = R * L with L = (phi + 2)/(phi + 1)
         assert entropy == pytest.approx(0.6650183864440036, abs=1e-9)
         assert avg == pytest.approx(1.3819660112501049, abs=1e-9)
@@ -243,15 +234,6 @@ class TestRateEstimate:
         assert estimate.value > 0
 
     def test_trajectory_is_one_walk(self):
-        def counted(system):
-            calls = [0]
-
-            def expand(handle):
-                calls[0] += 1
-                return system.expand(handle)
-
-            return d.BranchSystem(system.kind, system.root, expand), calls
-
         walked, walk_calls = counted(dyck())
         d.level_support(walked, 60)
         estimated, estimate_calls = counted(dyck())
@@ -279,8 +261,8 @@ class TestKlGap:
     def test_gap_zero_at_the_optimum(self):
         system = mem_unequal()
         solution = d.solve_level_rate(system, 2)
-        pmf = d.maxent_pmf(system, 2, solution.rate)
-        gap, rate = d.kl_gap(pmf, system, 2)
+        pmf = d.maxent_pmf(system, 2)
+        gap, rate = d.kl_gap(pmf, system)
         assert gap == 0.0
         assert abs(rate - solution.rate) <= 1e-10
 
@@ -291,7 +273,7 @@ class TestKlGap:
             probs={("0",): 0.5, ("1",): 0.5},
             weights={("0",): Fraction(1), ("1",): Fraction(2)},
         )
-        gap, rate = d.kl_gap(pmf, system, 1)
+        gap, rate = d.kl_gap(pmf, system)
         assert rate == pytest.approx(math.log(2) / 1.5, abs=1e-12)
         assert gap == pytest.approx(0.02867055702946006, abs=1e-9)
         assert rate < d.solve_level_rate(system, 1).rate
@@ -303,7 +285,7 @@ class TestKlGap:
             probs={("0",): 0.9, ("1",): 0.1},
             weights={("0",): Fraction(1), ("1",): Fraction(1)},
         )
-        gap, rate = d.kl_gap(pmf, system, 1)
+        gap, rate = d.kl_gap(pmf, system)
         assert rate == pytest.approx(0.3250829733914482, abs=1e-12)
         assert rate < math.log(2)
         assert gap > 0
@@ -316,7 +298,7 @@ class TestKlGap:
             weights={("1", "1"): Fraction(2)},
         )
         with pytest.raises(ValueError, match="outside"):
-            d.kl_gap(pmf, system, 2)
+            d.kl_gap(pmf, system)
 
 
 class TestRepresentationIndependence:

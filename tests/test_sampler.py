@@ -14,12 +14,12 @@ from oracles import LN_GOLDEN
 
 def golden_chain():
     fsm = d.make_golden_mean()
-    return d.maxent_chain(fsm, d.fsm_capacity(fsm))
+    return d.maxent_chain(fsm)
 
 
 def binary_chain():
     fsm = d.memoryless_fsm(d.symbols({"0": 1, "1": 1}))
-    return d.maxent_chain(fsm, d.fsm_capacity(fsm))
+    return d.maxent_chain(fsm)
 
 
 class TestMaxentChain:
@@ -41,7 +41,7 @@ class TestMaxentChain:
     )
     def test_rows_sum_to_one(self, fsm_factory):
         fsm = fsm_factory()
-        chain = d.maxent_chain(fsm, d.fsm_capacity(fsm))
+        chain = d.maxent_chain(fsm)
         for row in chain.transition_probs:
             assert sum(p for _, _, p in row) == pytest.approx(1.0, abs=1e-10)
 
@@ -65,7 +65,7 @@ class TestMaxentChain:
     def test_analytic_rate_matches_capacity(self, fsm_factory):
         fsm = fsm_factory()
         estimate = d.fsm_capacity(fsm)
-        chain = d.maxent_chain(fsm, estimate)
+        chain = d.maxent_chain(fsm)
         assert abs(chain.analytic_entropy_rate() - estimate.value) <= 1e-6
 
     def test_requires_strong_connectivity(self):
@@ -73,12 +73,7 @@ class TestMaxentChain:
             2, 0, ((0, d.Symbol("a", 1), 1), (1, d.Symbol("b", 1), 1)),
         )
         with pytest.raises(d.InvalidSystemError, match="strongly connected"):
-            d.maxent_chain(one_way, d.fsm_capacity(one_way))
-
-    def test_rejects_foreign_capacity_estimates(self):
-        root = d.characteristic_root(d.symbols({"0": 1, "1": 1}))
-        with pytest.raises(ValueError, match="spectral"):
-            d.maxent_chain(d.make_golden_mean(), root)
+            d.maxent_chain(one_way)
 
 
 class TestSamplePaths:
@@ -87,7 +82,7 @@ class TestSamplePaths:
         assert all("11" not in "".join(p.labels) for p in samples.paths)
 
     def test_every_sample_is_accepted(self):
-        chain = d.maxent_chain(d.make_rll(1, 3), d.fsm_capacity(d.make_rll(1, 3)))
+        chain = d.maxent_chain(d.make_rll(1, 3))
         samples = d.sample_paths(chain, 200, 60, seed=5)
         assert all(chain.fsm.accepts(p.labels) for p in samples.paths)
 
@@ -119,7 +114,7 @@ class TestSamplePaths:
             (0, d.Symbol("a", "1/2"), 0), (0, d.Symbol("b", "3/2"), 1),
             (1, d.Symbol("c", "2/3"), 0), (1, d.Symbol("d", "5/4"), 1),
         ))
-        chain = d.maxent_chain(fsm, d.fsm_capacity(fsm))
+        chain = d.maxent_chain(fsm)
         for path in d.sample_paths(chain, 200, 40, seed=8).paths:
             state, weight, log_prob = fsm.start, 0.0, 0.0
             for label in path.labels:
@@ -167,13 +162,13 @@ class TestEmpiricalEntropyRate:
     def test_run_length_chains_converge(self, fsm_factory):
         fsm = fsm_factory()
         estimate = d.fsm_capacity(fsm)
-        chain = d.maxent_chain(fsm, estimate)
+        chain = d.maxent_chain(fsm)
         samples = d.sample_paths(chain, 3000, 100, seed=17)
         assert abs(d.empirical_entropy_rate(samples) - estimate.value) <= 0.01
 
     def test_single_loop_chain_rate_is_zero(self):
         fsm = d.WeightedFsm(1, 0, ((0, d.Symbol("a", 1), 0),))
-        chain = d.maxent_chain(fsm, d.fsm_capacity(fsm))
+        chain = d.maxent_chain(fsm)
         samples = d.sample_paths(chain, 10, 10, seed=1)
         assert d.empirical_entropy_rate(samples) == 0.0
 

@@ -83,6 +83,8 @@ class TestWeightSpectrum:
             )
         with pytest.raises(ValueError, match="omitted"):
             d.WeightSpectrum(entries=((Fraction(1), 0),), w_max=Fraction(4))
+        with pytest.raises(d.InvalidSystemError, match="positive"):
+            d.WeightSpectrum(entries=(), w_max=Fraction(-1))
 
 
 class TestFrontierWalk:

@@ -4,7 +4,9 @@ import pytest
 
 import dncap as d
 from dncap import maxent
-from conftest import dyck, golden_mean_system, mem_equal, mem_unequal, rll_system
+from conftest import (
+    counted, dyck, golden_mean_system, mem_equal, mem_unequal, rll_system,
+)
 from oracles import LN_GOLDEN
 
 
@@ -38,7 +40,7 @@ class TestVerifyEquality:
         # maxentropic chain; its rate meets the spectral radius root at 1e-6
         system = factory()
         comb = d.fsm_capacity(system.fsm)
-        chain = d.maxent_chain(system.fsm, comb)
+        chain = d.maxent_chain(system.fsm)
         assert abs(chain.analytic_entropy_rate() - comb.value) <= 1e-6
 
     def test_memoryless_sides_agree_tightly(self):
@@ -53,7 +55,8 @@ class TestVerifyEquality:
         assert report.c_comb.method == "abscissa"
         assert report.ae_pass and report.io_pass
         assert len(report.levels) == 40
-        assert len(report.growth) == 40
+        _, growth = d.empirical_capacity(d.weight_spectrum(dyck(), 40))
+        assert len(growth) == 40
 
     def test_dyck_gap_shrinks_with_depth(self):
         shallow = d.verify_equality(dyck(), 20, 20, tol=0.09)
@@ -71,6 +74,28 @@ class TestVerifyEquality:
         report = d.verify_equality(dyck(), 40, 40, tol=0.06)
         assert report.verdict == "INCONCLUSIVE"
         assert 0 < len(report.levels) < 40
+
+    @pytest.mark.parametrize("factory", [golden_mean_system, mem_unequal])
+    def test_regular_channels_walk_the_tree_once(self, factory):
+        # only the abscissa reads the spectrum, so verify walks as often as
+        # the maxent side alone
+        verified, verify_calls = counted(factory())
+        d.verify_equality(verified, 30, 20, tol=0.01)
+        estimated, estimate_calls = counted(factory())
+        d.maxent_rate_estimate(estimated, 20)
+        assert verify_calls[0] == estimate_calls[0]
+
+    def test_regular_verdict_needs_no_spectrum_entries(self):
+        # up to weight 3/2 the golden mean's spectrum has one entry, weight 1
+        report = d.verify_equality(golden_mean_system(), "3/2", 8, 0.1)
+        assert report.verdict == "PASS"
+        assert report.c_comb.method == "spectral_radius"
+
+    @pytest.mark.parametrize("w_max", ["-3", "0", "abc", 2.5])
+    def test_w_max_is_checked_on_every_channel(self, w_max):
+        for factory in (mem_equal, golden_mean_system, dyck):
+            with pytest.raises(ValueError):
+                d.verify_equality(factory(), w_max, 8, 0.1)
 
     def test_shallow_spectrum_fails_the_probe_loudly(self):
         # at w_max = 10 the trailing dyck estimate is still so far below the
