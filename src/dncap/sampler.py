@@ -110,23 +110,31 @@ class SampleSet:
     steps: int
 
 
-def _table(rows):
-    """One step's table for rows of (label code, weight, child, ln q) branches.
+def _padded(lengths, *columns):
+    """Flat per-branch columns as zero-padded (row x branch) arrays, after
+    the mask of real branches."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    padded = [valid]
+    for column in map(np.asarray, columns):
+        padded.append(np.zeros(valid.shape, column.dtype))
+        padded[-1][valid] = column
+    return padded
 
-    Returns each row's ln sum q and the (state x branch) arrays of cumulative
-    p, child, ln p = ln q - ln sum q, weight and label.  A row's last
-    cumulative entry and its padding are inf, so no draw falls past it."""
-    width = max(map(len, rows))
-    pad = [(0, 0, 0, -np.inf)]
-    flat = [b for row in rows for b in row + pad * (width - len(row))]
-    label, weight, child, ln_q = (
-        np.array(column, dtype=kind).reshape(len(rows), width)
-        for column, kind in zip(zip(*flat), (np.intp, float, np.intp, float))
-    )
+
+def _table(ln_q, valid, child, weight, label):
+    """One step's table from (state x branch) arrays; ``valid`` marks real
+    branches, and ln q elsewhere is ignored.
+
+    Returns each row's ln sum q and the arrays of cumulative p, child,
+    ln p = ln q - ln sum q, weight and label.  A row's last real cumulative
+    entry and its padding are inf, so no draw falls past it."""
+    ln_q = np.where(valid, ln_q, -np.inf)
     ln_total = np.logaddexp.reduce(ln_q, axis=1)
     ln_p = ln_q - ln_total[:, None]
-    last = np.array([len(row) - 1 for row in rows])[:, None]
-    cum = np.where(np.arange(width) >= last, np.inf, np.cumsum(np.exp(ln_p), axis=1))
+    last = valid.sum(axis=1, keepdims=True) - 1
+    cum = np.where(np.arange(ln_q.shape[1]) >= last, np.inf,
+                   np.cumsum(np.exp(ln_p), axis=1))
     return ln_total, cum, child, ln_p, weight, label
 
 
@@ -158,11 +166,15 @@ def sample_paths(chain: MaxentChain, count: int, steps: int, seed: int) -> Sampl
     if count < 1 or steps < 1:
         raise ValueError("count and steps must be >= 1")
     code: dict[str, int] = {}
-    table = _table([
-        [(code.setdefault(sym.label, len(code)), sym.weight, dst,
-          math.log(prob) if prob else -math.inf) for sym, dst, prob in row]
-        for row in chain.transition_probs
-    ])
+    flat = [branch for row in chain.transition_probs for branch in row]
+    valid, ln_q, child, weight, label = _padded(
+        [len(row) for row in chain.transition_probs],
+        [math.log(prob) if prob else -math.inf for _, _, prob in flat],
+        [dst for _, dst, _ in flat],
+        [float(sym.weight) for sym, _, _ in flat],
+        [code.setdefault(sym.label, len(code)) for sym, _, _ in flat],
+    )
+    table = _table(ln_q, valid, child, weight, label)
     tables = repeat(table, steps)
     paths = _lock_step(tables, list(code), chain.fsm.start, count, steps, seed)
     for path in paths:
@@ -190,35 +202,49 @@ def sample_level_paths(
     Branch probabilities are proportional to e^{-w R_l} times the subtree
     partition sum of the child at the remaining depth, which reproduces
     q(x) = e^{-w(x) R_l} exactly.  One frontier walk gives R_l, each depth's
-    handles and, in its memo, each handle's branches; log subtree sums are
-    filled in from the deepest level up.
+    handles (as integer ids) and, in its memo, each handle's branches, laid
+    out once as (handle id x branch) arrays; each depth's table is a gather
+    on them.  Log subtree sums are filled in from the deepest level up, and
+    the root's must be 0: R_l solves the same sum over the whole support.
     The walk is capped at ``maxent.LEVEL_BUDGET`` expansions.
     """
     if count < 1 or level < 1:
         raise ValueError("count and level must be >= 1")
-    handles = [(system.root,)]
+    ids = {system.root: 0}
+    depths = [np.zeros(1, dtype=np.intp)]  # each depth's distinct handle ids
     walk = frontier_walk(system, budget=maxent.LEVEL_BUDGET)
     for frontier, scale, memo in islice(walk, level):
-        handles.append(tuple(dict.fromkeys(handle for handle, _ in frontier)))
+        seen = dict.fromkeys(ids.setdefault(h, len(ids)) for h, _ in frontier)
+        depths.append(np.fromiter(seen, dtype=np.intp, count=len(seen)))
     rate = maxent._solve_buckets(level, depth_buckets(frontier, scale)).rate
     code: dict[str, int] = {}
-    rows = {  # label codes and float weights, each handle's branches once
-        handle: [(code.setdefault(sym.label, len(code)), float(sym.weight), child)
-                 for _, child, sym in branches]
-        for handle, branches in memo.items()
-    }
+    rows = [memo.get(handle, ()) for handle in ids]  # in id order
+    flat = [branch for row in rows for branch in row]
+    valid, child, weight, label = _padded(
+        [len(row) for row in rows],
+        [ids[handle] for _, handle, _ in flat],
+        [float(sym.weight) for _, _, sym in flat],
+        [code.setdefault(sym.label, len(code)) for _, _, sym in flat],
+    )
+    position = np.zeros(len(ids), dtype=np.intp)  # id -> index at one depth
 
     def table(depth):
-        below = {handle: i for i, handle in enumerate(handles[depth + 1])}
-        ln_z = log_z[depth + 1].tolist()
-        return _table([
-            [(label, w, below[child], ln_z[below[child]] - w * rate)
-             for label, w, child in rows[handle]] for handle in handles[depth]
-        ])
+        at, below = depths[depth], depths[depth + 1]
+        position[below] = np.arange(len(below))
+        real = valid[at]
+        to = np.where(real, position[child[at]], 0)  # padding reads index 0
+        ln_q = log_z[depth + 1][to] - weight[at] * rate
+        return _table(ln_q, real, to, weight[at], label[at])
 
-    log_z = [None] * level + [np.zeros(len(handles[level]))]
+    log_z = [None] * level + [np.zeros(len(depths[level]))]
     for depth in reversed(range(level)):
         log_z[depth] = table(depth)[0]
+    root = float(log_z[0][0])
+    if abs(root) > _ROW_SUM_TOL:
+        raise EstimatorError(
+            f"level {level}: root subtree sum has ln Z = {root}, not 0, "
+            f"at rate {rate}"
+        )
     paths = _lock_step(map(table, range(level)), list(code), 0, count, level, seed)
     return SampleSet(paths=paths, seed=seed, steps=level)
 

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
 
-from dncap import solvers
+from dncap import maxent, solvers
 from dncap.cli import main
 
 MEM_EQUAL = {
@@ -193,6 +194,19 @@ class TestSample:
             for ch in word:
                 balance += 1 if ch == "(" else -1
                 assert balance >= 0
+
+    def test_root_subtree_sum_fault_exits_three(self, tmp_spec, capsys, monkeypatch):
+        solve = maxent._solve_buckets
+
+        def off_by_a_little(level, buckets):
+            solution = solve(level, buckets)
+            return dataclasses.replace(solution, rate=solution.rate + 1e-6)
+
+        monkeypatch.setattr(maxent, "_solve_buckets", off_by_a_little)
+        code = main(["sample", tmp_spec(DYCK), "--count", "2", "--steps", "20",
+                     "--seed", "0"])
+        assert code == 3
+        assert "root subtree sum" in capsys.readouterr().err
 
     def test_deep_level_sampling_exits_cleanly(self):
         # the recursive subtree sum raised RecursionError from level 499 on

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -5,10 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dncap as d
 from dncap import maxent
-from conftest import counted, dyck
+from conftest import counted, dyck, harmonic_dyck
 from oracles import LN_GOLDEN
 
 
@@ -222,12 +224,55 @@ class TestLevelSampler:
         d.sample_level_paths(system, 60, 3, seed=4)
         assert calls[0] <= 60
 
+    def test_rational_weights_rescaled_mid_walk(self):
+        # every new maximum balance brings a new denominator to the walk
+        system = harmonic_dyck()
+        rate = d.solve_level_rate(system, 12).rate
+        support = {p for p, _ in d.enumerate_level_paths(system, 12)}
+        samples = d.sample_level_paths(system, 12, 200, seed=17)
+        assert len(samples.paths) == 200
+        for path in samples.paths:
+            assert path.labels in support
+            assert path.log_prob == pytest.approx(
+                -path.weight * rate, rel=1e-12, abs=0
+            )
+
+    def test_root_subtree_sum_must_be_one(self, monkeypatch):
+        solve = maxent._solve_buckets
+
+        def off_by_a_little(level, buckets):
+            solution = solve(level, buckets)
+            return dataclasses.replace(solution, rate=solution.rate + 1e-6)
+
+        monkeypatch.setattr(maxent, "_solve_buckets", off_by_a_little)
+        with pytest.raises(d.EstimatorError, match="root subtree sum"):
+            d.sample_level_paths(dyck(), 20, 3, seed=0)
+
     def test_weighted_system_matches_maxent_pmf(self):
         system = d.make_memoryless(d.symbols({"0": 1, "1": 2}))
         samples = d.sample_level_paths(system, 1, 4000, seed=21)
         ones = sum(1 for p in samples.paths if p.labels == ("1",))
         golden = (1 + math.sqrt(5)) / 2
         assert ones / 4000 == pytest.approx(1 / golden ** 2, abs=0.03)
+
+
+@st.composite
+def rational_alphabets(draw):
+    size = draw(st.integers(2, 4))
+    weights = draw(st.lists(
+        st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=size, max_size=size
+    ))
+    return d.symbols({f"s{i}": f"{p}/{q}" for i, (p, q) in enumerate(weights)})
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(alphabet=rational_alphabets(), level=st.integers(1, 40))
+def test_level_samples_follow_the_maxent_law(alphabet, level):
+    system = d.make_memoryless(alphabet)
+    rate = d.solve_level_rate(system, level).rate
+    for path in d.sample_level_paths(system, level, 20, seed=level).paths:
+        assert path.log_prob == pytest.approx(-path.weight * rate, rel=1e-12, abs=0)
+        assert system.fsm.accepts(path.labels)
 
 
 def test_samples_tsv_format():
