@@ -32,13 +32,30 @@ def level_support(system: BranchSystem, level: int) -> dict[Weight, int]:
 
     Reads depth ``level`` off ``frontier_walk``, so supports far beyond
     explicit enumeration stay cheap.  ``LEVEL_BUDGET`` caps the number of
-    branch expansions, not the support cardinality.
+    branch expansions, not the support cardinality.  A level past the end of
+    a finite tree raises ``ValueError``.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    walk = frontier_walk(system, budget=LEVEL_BUDGET)
+    walk = _level_walk(system, level)
     frontier, scale, _ = next(islice(walk, level - 1, None))
     return depth_buckets(frontier, scale)
+
+
+def _level_walk(system: BranchSystem, level: int):
+    """``frontier_walk`` under ``LEVEL_BUDGET`` for depths 1 to ``level``.
+
+    The walk yields one empty depth past the end of a finite tree; reaching
+    it before ``level`` raises ``ValueError`` naming the last nonempty depth.
+    """
+    walk = frontier_walk(system, budget=LEVEL_BUDGET)
+    for depth, (frontier, scale, memo) in enumerate(islice(walk, level), 1):
+        if not frontier:
+            raise ValueError(
+                f"level {level} is past the end of the tree: its last "
+                f"nonempty depth is {depth - 1}"
+            )
+        yield frontier, scale, memo
 
 
 def enumerate_level_paths(
@@ -161,14 +178,14 @@ def maxent_rate_estimate(
     ``LEVEL_BUDGET``, the sequence computed so far is returned (callers can
     tell from its length).  The window aggregation is ``tail_estimate``, the
     one the empirical capacity estimator uses, so the two sides of the
-    equality check are symmetric.
+    equality check are symmetric.  An ``l_max`` past the end of a finite
+    tree raises ``ValueError``.
     """
     if l_max < 2:
         raise ValueError("l_max must be >= 2")
     levels: list[LevelSolution] = []
-    walk = islice(frontier_walk(system, budget=LEVEL_BUDGET), l_max)
     with suppress(BudgetExceededError):
-        for level, (frontier, scale, _) in enumerate(walk, 1):
+        for level, (frontier, scale, _) in enumerate(_level_walk(system, l_max), 1):
             levels.append(_solve_buckets(level, depth_buckets(frontier, scale)))
     if not levels:
         raise BudgetExceededError("no level fit within the enumeration budget")

@@ -9,7 +9,7 @@ via subtree partition sums, with no optimality claim beyond the solved level.
 
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import maxent
 from .capacity import fsm_capacity, transition_matrix
 from .errors import EstimatorError, InvalidSystemError
 from .solvers import perron
-from .spectrum import depth_buckets, frontier_walk
+from .spectrum import depth_buckets
 from .systems import BranchSystem, Symbol, WeightedFsm
 
 _ROW_SUM_TOL = 1e-8
@@ -126,42 +126,83 @@ def _table(ln_q, valid, child, weight, label):
     """One step's table from (state x branch) arrays; ``valid`` marks real
     branches, and ln q elsewhere is ignored.
 
-    Returns each row's ln sum q and the arrays of cumulative p, child,
-    ln p = ln q - ln sum q, weight and label.  A row's last real cumulative
-    entry and its padding are inf, so no draw falls past it."""
+    Returns the (state x branch) cumulative p and the flat child,
+    ln p = ln q - ln sum q, weight and label arrays, read at
+    ``state * width + branch``.  A branch with q = 0, or any branch of a row
+    with none, has ln p = -inf.  A row's last branch with q > 0 and every
+    cumulative entry after it are inf, so no draw falls past it."""
     ln_q = np.where(valid, ln_q, -np.inf)
-    ln_total = np.logaddexp.reduce(ln_q, axis=1)
-    ln_p = ln_q - ln_total[:, None]
-    last = valid.sum(axis=1, keepdims=True) - 1
-    cum = np.where(np.arange(ln_q.shape[1]) >= last, np.inf,
-                   np.cumsum(np.exp(ln_p), axis=1))
-    return ln_total, cum, child, ln_p, weight, label
+    live = ln_q > -np.inf
+    ln_total = np.logaddexp.reduce(ln_q, axis=1, keepdims=True)
+    ln_p = np.subtract(ln_q, ln_total, out=np.full(ln_q.shape, -np.inf),
+                       where=live)
+    branch = np.arange(ln_q.shape[1])
+    last = np.where(live, branch, 0).max(axis=1, keepdims=True)
+    cum = np.where(branch >= last, np.inf, np.cumsum(np.exp(ln_p), axis=1))
+    return cum, child.ravel(), ln_p.ravel(), weight.ravel(), label.ravel()
 
 
 def _lock_step(tables, names, start: int, count: int, steps: int, seed: int):
     """Advance ``count`` paths at once, one table per step: path i takes the
     first branch whose cumulative p reaches the step's i-th uniform draw.
-    Labels are kept as codes into ``names`` until the paths are built."""
+
+    Returns the (path x step) codes into ``names`` of the labels drawn and
+    each path's weight and log probability."""
     rng = np.random.default_rng(seed)
     state = np.full(count, start)
     labels = np.empty((count, steps), dtype=np.min_scalar_type(len(names)))
     weight, log_prob = np.zeros((2, count))
-    for step, (_, cum, child, ln_p, step_weight, label) in enumerate(tables):
-        at = state, (cum[state] < rng.random(count)[:, None]).sum(axis=1)
+    for step, (cum, child, ln_p, step_weight, label) in enumerate(tables):
+        drawn = (cum[state] < rng.random(count)[:, None]).sum(axis=1)
+        at = state * cum.shape[1] + drawn
         labels[:, step] = label[at]
         weight += step_weight[at]
         log_prob += ln_p[at]
         state = child[at]
+    return labels, weight, log_prob
+
+
+def _sample_set(names, labels, weight, log_prob, seed: int) -> SampleSet:
+    """Label codes decoded through ``names``, one path per row."""
     rows = (tuple(map(names.__getitem__, row.tolist())) for row in labels)
-    return tuple(map(SamplePath, rows, weight.tolist(), log_prob.tolist()))
+    paths = tuple(map(SamplePath, rows, weight.tolist(), log_prob.tolist()))
+    return SampleSet(paths=paths, seed=seed, steps=labels.shape[1])
+
+
+def _check_accepted(fsm: WeightedFsm, names, labels) -> None:
+    """Raise ``EstimatorError`` naming the first row of label codes into
+    ``names`` that ``fsm`` does not accept.
+
+    Every row walks at once through a flat (state x label code) next-state
+    table built from ``fsm.transitions``, one column per step.  A missing
+    edge is -1, which indexes an extra all -1 row, so a rejected row stays
+    rejected."""
+    code = {name: i for i, name in enumerate(names)}
+    width = len(names)
+    step = np.full((fsm.num_states + 1) * width, -1)
+    for src, sym, dst in fsm.transitions:
+        if sym.label in code:
+            step[src * width + code[sym.label]] = dst
+    state = np.full(len(labels), fsm.start)
+    for column in labels.T:
+        state = step[state * width + column]
+    rejected = np.flatnonzero(state < 0)
+    if len(rejected):
+        row = labels[rejected[0]].tolist()
+        raise EstimatorError(
+            f"sampled sequence rejected by the FSM: {''.join(names[c] for c in row)}"
+        )
 
 
 def sample_paths(chain: MaxentChain, count: int, steps: int, seed: int) -> SampleSet:
     """Draw ``count`` label sequences of ``steps`` transitions each.
 
-    Deterministic given ``seed``.  Every sampled sequence is re-checked
-    against the FSM's acceptance walk; the per-path log probability and total
-    weight are recorded exactly as generated.
+    Deterministic given ``seed``.  The chain's rows become one table that
+    every step reuses.  All sampled sequences are then re-walked together
+    through a next-state table built from the FSM's transitions, not from
+    the rows, and the first one it rejects raises ``EstimatorError``; the
+    per-path log probability and total weight are recorded exactly as
+    generated.
     """
     if count < 1 or steps < 1:
         raise ValueError("count and steps must be >= 1")
@@ -174,15 +215,13 @@ def sample_paths(chain: MaxentChain, count: int, steps: int, seed: int) -> Sampl
         [float(sym.weight) for sym, _, _ in flat],
         [code.setdefault(sym.label, len(code)) for sym, _, _ in flat],
     )
-    table = _table(ln_q, valid, child, weight, label)
-    tables = repeat(table, steps)
-    paths = _lock_step(tables, list(code), chain.fsm.start, count, steps, seed)
-    for path in paths:
-        if not chain.fsm.accepts(path.labels):
-            raise EstimatorError(
-                f"sampled sequence rejected by the FSM: {''.join(path.labels)}"
-            )
-    return SampleSet(paths=paths, seed=seed, steps=steps)
+    tables = repeat(_table(ln_q, valid, child, weight, label), steps)
+    names = list(code)
+    labels, weight, log_prob = _lock_step(
+        tables, names, chain.fsm.start, count, steps, seed
+    )
+    _check_accepted(chain.fsm, names, labels)
+    return _sample_set(names, labels, weight, log_prob, seed)
 
 
 def empirical_entropy_rate(samples: SampleSet) -> float:
@@ -203,17 +242,20 @@ def sample_level_paths(
     partition sum of the child at the remaining depth, which reproduces
     q(x) = e^{-w(x) R_l} exactly.  One frontier walk gives R_l, each depth's
     handles (as integer ids) and, in its memo, each handle's branches, laid
-    out once as (handle id x branch) arrays; each depth's table is a gather
-    on them.  Log subtree sums are filled in from the deepest level up, and
-    the root's must be 0: R_l solves the same sum over the whole support.
-    The walk is capped at ``maxent.LEVEL_BUDGET`` expansions.
+    out once as (handle id x branch) arrays.  Log subtree sums are filled in
+    from the deepest level up in one buffer by handle id, since a depth's
+    children are exactly the next depth's handles; each depth's are kept,
+    and the root's must be 0: R_l solves the same sum over the whole
+    support.  The draws then build each depth's table once, a gather over
+    that depth's handles.  The walk is capped at ``maxent.LEVEL_BUDGET``
+    expansions, and a level past the end of a finite tree raises
+    ``ValueError``.
     """
     if count < 1 or level < 1:
         raise ValueError("count and level must be >= 1")
     ids = {system.root: 0}
     depths = [np.zeros(1, dtype=np.intp)]  # each depth's distinct handle ids
-    walk = frontier_walk(system, budget=maxent.LEVEL_BUDGET)
-    for frontier, scale, memo in islice(walk, level):
+    for frontier, scale, memo in maxent._level_walk(system, level):
         seen = dict.fromkeys(ids.setdefault(h, len(ids)) for h, _ in frontier)
         depths.append(np.fromiter(seen, dtype=np.intp, count=len(seen)))
     rate = maxent._solve_buckets(level, depth_buckets(frontier, scale)).rate
@@ -226,6 +268,18 @@ def sample_level_paths(
         [float(sym.weight) for _, _, sym in flat],
         [code.setdefault(sym.label, len(code)) for _, _, sym in flat],
     )
+    buffer = np.zeros(len(ids))  # ln Z by handle id, one depth at a time
+    log_z = [None] * level + [buffer[depths[level]]]
+    for depth in reversed(range(level)):
+        at = depths[depth]
+        ln_q = np.where(valid[at], buffer[child[at]] - weight[at] * rate, -np.inf)
+        buffer[at] = log_z[depth] = np.logaddexp.reduce(ln_q, axis=1)
+    root = float(log_z[0][0])
+    if abs(root) > _ROW_SUM_TOL:
+        raise EstimatorError(
+            f"level {level}: root subtree sum has ln Z = {root}, not 0, "
+            f"at rate {rate}"
+        )
     position = np.zeros(len(ids), dtype=np.intp)  # id -> index at one depth
 
     def table(depth):
@@ -236,17 +290,9 @@ def sample_level_paths(
         ln_q = log_z[depth + 1][to] - weight[at] * rate
         return _table(ln_q, real, to, weight[at], label[at])
 
-    log_z = [None] * level + [np.zeros(len(depths[level]))]
-    for depth in reversed(range(level)):
-        log_z[depth] = table(depth)[0]
-    root = float(log_z[0][0])
-    if abs(root) > _ROW_SUM_TOL:
-        raise EstimatorError(
-            f"level {level}: root subtree sum has ln Z = {root}, not 0, "
-            f"at rate {rate}"
-        )
-    paths = _lock_step(map(table, range(level)), list(code), 0, count, level, seed)
-    return SampleSet(paths=paths, seed=seed, steps=level)
+    names = list(code)
+    drawn = _lock_step(map(table, range(level)), names, 0, count, level, seed)
+    return _sample_set(names, *drawn, seed)
 
 
 def samples_tsv(samples: SampleSet) -> str:

@@ -59,6 +59,27 @@ def harmonic_dyck():
     return d.BranchSystem(0, expand, name="harmonic_dyck")
 
 
+def dead_end():
+    """Branch "a" leads to the handle "x", which has no branches; "b" loops.
+
+    Depth-3 paths end in "bba" or "bbb"; the "x" reached at depths 1 and 2
+    is a dead end above the level.
+    """
+    table = {0: ((d.Symbol("a", 1), "x"), (d.Symbol("b", 1), 0)), "x": ()}
+    return d.BranchSystem(0, table.__getitem__, name="dead_end")
+
+
+def finite_tree(depth=3):
+    """A binary tree of unit weights whose last nonempty depth is ``depth``."""
+
+    def expand(level):
+        if level == depth:
+            return ()
+        return ((d.Symbol("a", 1), level + 1), (d.Symbol("b", 1), level + 1))
+
+    return d.BranchSystem(0, expand, name=f"finite_tree({depth})")
+
+
 def counted(system):
     """A copy of ``system`` whose ``expand`` calls are tallied in ``calls[0]``."""
     calls = [0]

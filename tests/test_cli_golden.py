@@ -32,6 +32,7 @@ COMMANDS = {
     "verify_loose": ["verify", "--wmax", "30", "--lmax", "30", "--tol", "0.06"],
     "sample": ["sample", "--count", "5", "--steps", "12", "--seed", "3"],
     "sample_deep": ["sample", "--count", "4", "--steps", "520", "--seed", "23"],
+    "sample_many": ["sample", "--count", "64", "--steps", "16", "--seed", "5"],
 }
 
 

@@ -9,6 +9,7 @@ from dncap import maxent
 from conftest import (
     counted,
     dyck,
+    finite_tree,
     golden_mean_system,
     mem_equal,
     mem_rational,
@@ -255,6 +256,30 @@ class TestRateEstimate:
     def test_lmax_validation(self):
         with pytest.raises(ValueError):
             d.maxent_rate_estimate(mem_equal(), 1)
+
+
+@pytest.mark.parametrize("level", [4, 5])
+@pytest.mark.parametrize(
+    "solve",
+    [d.level_support, d.solve_level_rate, d.maxent_rate_estimate,
+     lambda system, level: d.sample_level_paths(system, level, 3, seed=1)],
+    ids=["level_support", "solve_level_rate", "maxent_rate_estimate",
+         "sample_level_paths"],
+)
+def test_levels_past_a_finite_tree_name_its_last_depth(solve, level):
+    # these raised an empty-reduction ValueError or a bare StopIteration
+    with pytest.raises(ValueError, match="last nonempty depth is 3"):
+        solve(finite_tree(3), level)
+
+
+def test_last_depth_of_a_finite_tree_is_solved():
+    system = finite_tree(3)
+    assert d.level_support(system, 3) == {3: 8}
+    assert d.solve_level_rate(system, 3).rate == pytest.approx(math.log(2))
+    _, levels = d.maxent_rate_estimate(system, 3)
+    assert len(levels) == 3
+    for path in d.sample_level_paths(system, 3, 20, seed=2).paths:
+        assert path.log_prob == pytest.approx(-math.log(8), abs=1e-12)
 
 
 class TestKlGap:

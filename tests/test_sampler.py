@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import dncap as d
 from dncap import maxent
-from conftest import counted, dyck, harmonic_dyck
+from conftest import counted, dead_end, dyck, harmonic_dyck
 from oracles import LN_GOLDEN
 
 
@@ -22,6 +22,18 @@ def golden_chain():
 def binary_chain():
     fsm = d.memoryless_fsm(d.symbols({"0": 1, "1": 1}))
     return d.maxent_chain(fsm)
+
+
+def rewalk(chain, labels):
+    """Weight and log probability re-summed along the chain's rows."""
+    state, weight, log_prob = chain.fsm.start, 0.0, 0.0
+    for label in labels:
+        sym, state, prob = next(
+            t for t in chain.transition_probs[state] if t[0].label == label
+        )
+        weight += float(sym.weight)
+        log_prob += math.log(prob)
+    return weight, log_prob
 
 
 class TestMaxentChain:
@@ -118,13 +130,7 @@ class TestSamplePaths:
         ))
         chain = d.maxent_chain(fsm)
         for path in d.sample_paths(chain, 200, 40, seed=8).paths:
-            state, weight, log_prob = fsm.start, 0.0, 0.0
-            for label in path.labels:
-                sym, state, prob = next(
-                    t for t in chain.transition_probs[state] if t[0].label == label
-                )
-                weight += float(sym.weight)
-                log_prob += math.log(prob)
+            weight, log_prob = rewalk(chain, path.labels)
             assert path.weight == pytest.approx(weight, rel=1e-12, abs=0)
             assert path.log_prob == pytest.approx(log_prob, rel=1e-12, abs=0)
 
@@ -248,6 +254,15 @@ class TestLevelSampler:
         with pytest.raises(d.EstimatorError, match="root subtree sum"):
             d.sample_level_paths(dyck(), 20, 3, seed=0)
 
+    def test_dead_end_above_the_level_is_never_drawn(self):
+        # the dead row's ln p was -inf - -inf = nan, with a RuntimeWarning
+        samples = d.sample_level_paths(dead_end(), 3, 200, seed=3)
+        counts = {}
+        for path in samples.paths:
+            assert path.log_prob == pytest.approx(-math.log(2), abs=1e-12)
+            counts[path.labels] = counts.get(path.labels, 0) + 1
+        assert sorted(counts) == [("b", "b", "a"), ("b", "b", "b")]
+
     def test_weighted_system_matches_maxent_pmf(self):
         system = d.make_memoryless(d.symbols({"0": 1, "1": 2}))
         samples = d.sample_level_paths(system, 1, 4000, seed=21)
@@ -273,6 +288,48 @@ def test_level_samples_follow_the_maxent_law(alphabet, level):
     for path in d.sample_level_paths(system, level, 20, seed=level).paths:
         assert path.log_prob == pytest.approx(-path.weight * rate, rel=1e-12, abs=0)
         assert system.fsm.accepts(path.labels)
+
+
+@st.composite
+def strongly_connected_fsms(draw):
+    """A cycle through every state plus random extra edges, with at most one
+    edge per (state, label) and small rational weights."""
+    size = draw(st.integers(1, 5))
+    weight = st.tuples(st.integers(1, 4), st.integers(1, 3)).map(
+        lambda pq: f"{pq[0]}/{pq[1]}"
+    )
+    edges = {(state, "a"): (state + 1) % size for state in range(size)}
+    for state in range(size):
+        for label in "bc":
+            if draw(st.booleans()):
+                edges[state, label] = draw(st.integers(0, size - 1))
+    return d.WeightedFsm(size, 0, tuple(
+        (src, d.Symbol(label, draw(weight)), dst)
+        for (src, label), dst in edges.items()
+    ))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(fsm=strongly_connected_fsms(), steps=st.integers(1, 30))
+def test_fsm_samples_rewalk_and_forgeries_are_rejected(fsm, steps):
+    chain = d.maxent_chain(fsm)
+    for path in d.sample_paths(chain, 20, steps, seed=steps).paths:
+        assert fsm.accepts(path.labels)
+        weight, log_prob = rewalk(chain, path.labels)
+        assert path.weight == pytest.approx(weight, rel=1e-12, abs=0)
+        # rows are renormalized in log space; a row's sum is 1 to rounding
+        assert path.log_prob == pytest.approx(log_prob, rel=1e-12, abs=1e-14 * steps)
+    # the start row gains, at half the mass, a label the start state lacks
+    start_row = chain.transition_probs[fsm.start]
+    lacking = {sym.label for _, sym, _ in fsm.transitions} | {"z"}
+    lacking -= {sym.label for sym, _, _ in start_row}
+    forged_row = tuple((sym, dst, prob / 2) for sym, dst, prob in start_row)
+    forged_row += ((d.Symbol(min(lacking), 1), fsm.start, 0.5),)
+    rows = list(chain.transition_probs)
+    rows[fsm.start] = forged_row
+    forged = dataclasses.replace(chain, transition_probs=tuple(rows))
+    with pytest.raises(d.EstimatorError, match="rejected by the FSM"):
+        d.sample_paths(forged, 20, steps, seed=steps)
 
 
 def test_samples_tsv_format():
