@@ -256,7 +256,9 @@ def sample_level_paths(
     ids = {system.root: 0}
     depths = [np.zeros(1, dtype=np.intp)]  # each depth's distinct handle ids
     for frontier, scale, memo in maxent._level_walk(system, level):
-        seen = dict.fromkeys(ids.setdefault(h, len(ids)) for h, _ in frontier)
+        seen = dict.fromkeys(
+            ids.setdefault(h, len(ids)) for group in frontier.values() for h in group
+        )
         depths.append(np.fromiter(seen, dtype=np.intp, count=len(seen)))
     rate = maxent._solve_buckets(level, depth_buckets(frontier, scale)).rate
     code: dict[str, int] = {}

@@ -33,7 +33,8 @@ def _require(doc: dict, field: str, types, where: str):
     if field not in doc:
         raise SpecFileError(f"{where}: missing field {field!r}")
     value = doc[field]
-    if not isinstance(value, types):
+    # JSON true/false load as bool, a subclass of int, and are no integers.
+    if isinstance(value, bool) or not isinstance(value, types):
         raise SpecFileError(
             f"{where}.{field}: expected {types}, got {type(value).__name__}"
         )

@@ -54,13 +54,14 @@ class WeightSpectrum:
 def frontier_walk(system: BranchSystem, w_max=None, budget: int | None = None):
     """Yield ``(frontier, scale, memo)`` at depths 1, 2, ...
 
-    ``frontier`` maps (node handle, weight in units of 1/``scale``) to a path
-    count.  Walks the tree breadth-first while merging frontier states that
-    share a pair, which turns the exponential path walk into a transfer-matrix
-    style recurrence for FSMs and a balanced walk for generators.  Distinct
-    root paths carry distinct label tuples, so path counts and string counts
-    coincide.  Branches heavier than ``w_max`` are dropped, and the walk stops
-    at the first empty depth; ``budget`` caps the total number of branch
+    ``frontier`` maps a weight in units of 1/``scale`` to that weight's
+    group, {node handle: path count}.  Walks the tree breadth-first while
+    merging frontier states that share a (weight, handle) pair, which turns
+    the exponential path walk into a transfer-matrix style recurrence for
+    FSMs and a balanced walk for generators.  Distinct root paths carry
+    distinct label tuples, so path counts and string counts coincide.
+    Branches heavier than ``w_max`` are dropped, and the walk stops at the
+    first empty depth; ``budget`` caps the total number of branch
     expansions, remembered ones included.
 
     ``scale`` is the LCM of the exact weight denominators seen so far, and
@@ -69,10 +70,12 @@ def frontier_walk(system: BranchSystem, w_max=None, budget: int | None = None):
     read, so ``expand`` runs once per handle and a new denominator rescales
     the frontier and the memo once.  ``depth_buckets`` gives the weights.
     """
-    frontier: dict[tuple, int] = {(system.root, 0): 1}
+    frontier: dict = {0: {system.root: 1}}
     scale, memo, work = 1, {}, 0
     while frontier:
-        fresh = dict.fromkeys(h for h, _ in frontier if h not in memo)
+        fresh = dict.fromkeys(
+            h for group in frontier.values() for h in group if h not in memo
+        )
         fresh = {h: system.expand(h) for h in fresh}
         factor = math.lcm(scale, *(
             sym.weight.denominator for branches in fresh.values()
@@ -80,7 +83,7 @@ def frontier_walk(system: BranchSystem, w_max=None, budget: int | None = None):
         )) // scale
         if factor > 1:
             scale *= factor
-            frontier = {(h, u * factor): c for (h, u), c in frontier.items()}
+            frontier = {u * factor: group for u, group in frontier.items()}
             memo = {h: tuple((u * factor, child, sym) for u, child, sym in branches)
                     for h, branches in memo.items()}
         for handle, branches in fresh.items():
@@ -88,19 +91,22 @@ def frontier_walk(system: BranchSystem, w_max=None, budget: int | None = None):
                 (_units(sym.weight, scale), child, sym) for sym, child in branches
             )
         bound = math.inf if w_max is None else math.floor(w_max * scale)
-        next_frontier: dict[tuple, int] = {}
-        for (handle, acc), count in frontier.items():
-            branches = memo[handle]
-            work += len(branches)
-            if budget is not None and work > budget:
-                raise BudgetExceededError(
-                    f"level support walk exceeded budget of {budget} expansions"
-                )
-            for units, child, _ in branches:
-                weight = acc + units
-                if weight <= bound:
-                    key = (child, weight)
-                    next_frontier[key] = next_frontier.get(key, 0) + count
+        next_frontier: dict = {}
+        for acc, group in frontier.items():
+            for handle, count in group.items():
+                branches = memo[handle]
+                work += len(branches)
+                if budget is not None and work > budget:
+                    raise BudgetExceededError(
+                        f"level support walk exceeded budget of {budget} expansions"
+                    )
+                for units, child, _ in branches:
+                    weight = acc + units
+                    if weight <= bound:
+                        target = next_frontier.get(weight)
+                        if target is None:
+                            target = next_frontier[weight] = {}
+                        target[child] = target.get(child, 0) + count
         frontier = next_frontier
         yield frontier, scale, memo
 
@@ -109,15 +115,13 @@ def _units(weight: Weight, scale: int):
     return int(weight * scale) if is_exact(weight) else weight * scale
 
 
-def depth_buckets(frontier: dict[tuple, int], scale: int) -> dict[Weight, int]:
-    """{weight: count} at one depth: counts merge on units, and each distinct
-    weight becomes a ``Fraction`` (a float for float units) once."""
-    buckets: dict = {}
-    for (_, units), count in frontier.items():
-        buckets[units] = buckets.get(units, 0) + count
+def depth_buckets(frontier: dict, scale: int) -> dict[Weight, int]:
+    """{weight: count} at one depth: each weight group's counts summed, and
+    each distinct weight a ``Fraction`` (a float for float units) once."""
     return {
-        (u / scale if isinstance(u, float) else Fraction(u, scale)): count
-        for u, count in buckets.items()
+        (u / scale if isinstance(u, float) else Fraction(u, scale)):
+            sum(group.values())
+        for u, group in frontier.items()
     }
 
 
@@ -132,18 +136,25 @@ def exact_w_max(w_max) -> Fraction:
 
 
 def weight_spectrum(system: BranchSystem, w_max) -> WeightSpectrum:
-    """Count accepted strings by exact weight, up to and including w_max."""
+    """Count accepted strings by exact weight, up to and including w_max.
+
+    Counts merge on integer units across depths, rescaled when the walk's
+    scale grows, and each distinct weight becomes a ``Fraction`` once."""
     w_max = exact_w_max(w_max)
-    buckets: dict[Fraction, int] = {}
+    buckets: dict[int, int] = {}
+    last = 1
     for frontier, scale, _ in frontier_walk(system, w_max):
-        for weight, count in depth_buckets(frontier, scale).items():
-            if not is_exact(weight):
+        if scale != last:
+            buckets = {u * (scale // last): c for u, c in buckets.items()}
+            last = scale
+        for units, group in frontier.items():
+            if isinstance(units, float):
                 raise InvalidSystemError(
-                    f"path weight {weight!r} is inexact; "
+                    f"path weight {units / scale!r} is inexact; "
                     "spectrum enumeration needs exact rationals"
                 )
-            buckets[weight] = buckets.get(weight, 0) + count
-    entries = tuple(sorted(buckets.items()))
+            buckets[units] = buckets.get(units, 0) + sum(group.values())
+    entries = tuple((Fraction(u, last), c) for u, c in sorted(buckets.items()))
     return WeightSpectrum(entries=entries, w_max=w_max)
 
 
@@ -181,9 +192,10 @@ def density_check(
         raise ValueError("density check needs a nonempty spectrum")
     if (L is None) != (K is None):
         raise ValueError("give both L and K, or neither")
-    weights = spectrum.weights
+    # For integer n, w < n exactly when floor(w) < n.
+    floors = [w.numerator // w.denominator for w in spectrum.weights]
     n_range = tuple(range(1, math.floor(spectrum.w_max) + 1)) or (1,)
-    k_of_n = tuple(bisect_left(weights, Fraction(n)) for n in n_range)
+    k_of_n = tuple(bisect_left(floors, n) for n in n_range)
     if L is not None:
         passes = all(k <= L * n ** K for n, k in zip(n_range, k_of_n))
         return DensityReport(n_range, k_of_n, float(L), float(K), passes)

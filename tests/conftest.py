@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 import dncap as d
 
@@ -145,3 +146,22 @@ def tmp_spec(tmp_path):
         return str(path)
 
     return write
+
+
+@st.composite
+def strongly_connected_fsms(draw, min_states=1, max_denominator=3):
+    """A cycle through every state plus random extra edges, with at most one
+    edge per (state, label) and weights p/q for p <= 4, q <= max_denominator."""
+    size = draw(st.integers(min_states, 5))
+    weight = st.tuples(st.integers(1, 4), st.integers(1, max_denominator)).map(
+        lambda pq: f"{pq[0]}/{pq[1]}"
+    )
+    edges = {(state, "a"): (state + 1) % size for state in range(size)}
+    for state in range(size):
+        for label in "bc":
+            if draw(st.booleans()):
+                edges[state, label] = draw(st.integers(0, size - 1))
+    return d.WeightedFsm(size, 0, tuple(
+        (src, d.Symbol(label, draw(weight)), dst)
+        for (src, label), dst in edges.items()
+    ))

@@ -94,6 +94,26 @@ class TestEnumerate:
         assert code == 1
         assert "dead end" in capsys.readouterr().err
 
+    def test_boolean_fsm_fields_are_rejected(self, tmp_spec, capsys):
+        doc = {
+            "kind": "fsm",
+            "states": True,
+            "start": False,
+            "transitions": [{"from": False, "label": "a", "weight": "1", "to": 0}],
+        }
+        code = main(["capacity", tmp_spec(doc)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "spec.states: expected" in err and "got bool" in err
+
+    def test_boolean_builtin_parameter_is_rejected(self, tmp_spec, capsys):
+        doc = {"kind": "builtin", "name": "rll", "d": True, "k": 3}
+        code = main(["capacity", tmp_spec(doc)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "spec.d: expected" in err and "got bool" in err
+
 
 class TestCapacity:
     def test_unequal_auto_uses_root(self, tmp_spec, capsys):

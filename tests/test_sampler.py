@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import dncap as d
 from dncap import maxent
-from conftest import counted, dead_end, dyck, harmonic_dyck
+from conftest import counted, dead_end, dyck, harmonic_dyck, strongly_connected_fsms
 from oracles import LN_GOLDEN
 
 
@@ -288,25 +288,6 @@ def test_level_samples_follow_the_maxent_law(alphabet, level):
     for path in d.sample_level_paths(system, level, 20, seed=level).paths:
         assert path.log_prob == pytest.approx(-path.weight * rate, rel=1e-12, abs=0)
         assert system.fsm.accepts(path.labels)
-
-
-@st.composite
-def strongly_connected_fsms(draw):
-    """A cycle through every state plus random extra edges, with at most one
-    edge per (state, label) and small rational weights."""
-    size = draw(st.integers(1, 5))
-    weight = st.tuples(st.integers(1, 4), st.integers(1, 3)).map(
-        lambda pq: f"{pq[0]}/{pq[1]}"
-    )
-    edges = {(state, "a"): (state + 1) % size for state in range(size)}
-    for state in range(size):
-        for label in "bc":
-            if draw(st.booleans()):
-                edges[state, label] = draw(st.integers(0, size - 1))
-    return d.WeightedFsm(size, 0, tuple(
-        (src, d.Symbol(label, draw(weight)), dst)
-        for (src, label), dst in edges.items()
-    ))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)

@@ -1,8 +1,10 @@
 import math
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import dncap as d
 from conftest import (
@@ -15,6 +17,7 @@ from conftest import (
     mem_equal,
     mem_rational,
     mem_unequal,
+    strongly_connected_fsms,
     too_dense_spectrum,
 )
 from oracles import naive_string_spectrum, unit_fsm_counts
@@ -109,6 +112,19 @@ class TestFrontierWalk:
         assert calls[0] == 41
 
 
+# several states under several weights share a depth
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(fsm=strongly_connected_fsms(min_states=2, max_denominator=4))
+def test_walk_on_weighted_fsms_matches_explicit_enumeration(fsm):
+    system = d.fsm_to_branch_system(fsm)
+    expected = naive_string_spectrum(system, 2)
+    assert d.weight_spectrum(system, 2).entries == tuple(sorted(expected.items()))
+    for level in range(1, 7):
+        paths = d.enumerate_level_paths(system, level)
+        expected = Counter(weight for _, weight in paths)
+        assert d.level_support(system, level) == expected
+
+
 class TestDensityCheck:
     def test_unit_weights_pass_linear_bound(self):
         spectrum = d.weight_spectrum(mem_equal(), 64)
@@ -119,6 +135,21 @@ class TestDensityCheck:
     def test_rational_grid_passes_given_bound(self):
         spectrum = d.weight_spectrum(mem_rational(), 20)
         assert d.density_check(spectrum, L=6.0, K=1.0).passes
+
+    @pytest.mark.parametrize("weights", [
+        {"0": "1/3", "1": "1/2"},
+        {"0": "1/3", "1": "1/2", "2": "1"},
+    ])
+    def test_k_of_n_counts_weights_strictly_below_n(self, weights):
+        system = d.make_memoryless(d.symbols(weights))
+        spectrum = d.weight_spectrum(system, 6)
+        # weights fall on every integer and just below it
+        assert {Fraction(n) for n in range(1, 7)} <= set(spectrum.weights)
+        assert {Fraction(6 * n - 1, 6) for n in range(1, 7)} <= set(spectrum.weights)
+        report = d.density_check(spectrum)
+        assert report.k_of_n == tuple(
+            bisect_left(spectrum.weights, Fraction(n)) for n in report.n_range
+        )
 
     def test_k_of_n_nondecreasing(self):
         report = d.density_check(d.weight_spectrum(mem_rational(), 12))
