@@ -83,8 +83,8 @@ def characteristic_root(alphabet: Sequence[Symbol]) -> CapacityEstimate:
     alphabet = tuple(alphabet)
     if not alphabet:
         raise InvalidSystemError("alphabet must be nonempty")
-    value, lo, hi, residual, steps = partition_root(
-        [float(sym.weight) for sym in alphabet], np.zeros(len(alphabet))
+    [(value, lo, hi, residual, steps)] = partition_root(
+        [([float(sym.weight) for sym in alphabet], [0.0] * len(alphabet))]
     )
     return CapacityEstimate(value, CHARACTERISTIC_ROOT, (lo, hi), residual, steps)
 
@@ -133,7 +133,7 @@ def fsm_capacity(fsm: WeightedFsm) -> CapacityEstimate:
 
 
 def _component_root(n: int, src, weights, dst) -> tuple:
-    """``newton_root`` of ln rho(M(s)) = 0 on one component.
+    """``newton_root`` of ln rho(M(s)) = 0 on one component, a batch of one.
 
     ln rho(M(s)) is convex and decreasing (Kingman 1961).  Its slope comes
     from the Perron vectors, d rho/ds = -u^T (W o M) v / u^T v summed over
@@ -142,15 +142,17 @@ def _component_root(n: int, src, weights, dst) -> tuple:
     """
     warm = ()
 
-    def solve(s: float) -> tuple:
+    def solve(point: np.ndarray) -> np.ndarray:
         nonlocal warm
+        s = point[0]
         p = perron(_matrix(n, src, weights, dst, s), *warm)
         warm = (p.right, p.left)
         slope = p.left[src] * weights * np.exp(-weights * s) @ p.right[dst]
         decay = float(slope / (p.left @ p.right) / p.rho)
-        return math.log(p.rho), decay, _log(p.lo), math.log(p.hi)
+        return np.array([[math.log(p.rho)], [decay], [_log(p.lo)], [math.log(p.hi)]])
 
-    return newton_root(solve)
+    [root] = newton_root(solve, 1)
+    return root
 
 
 def _log(x: float) -> float:

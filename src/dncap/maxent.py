@@ -12,7 +12,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import Hashable
 
 from .errors import BudgetExceededError, EstimatorError
@@ -35,11 +35,15 @@ def level_support(system: BranchSystem, level: int) -> dict[Weight, int]:
     branch expansions, not the support cardinality.  A level past the end of
     a finite tree raises ``ValueError``.
     """
+    frontier, scale, _ = _depth(system, level)
+    return depth_buckets(frontier, scale)
+
+
+def _depth(system: BranchSystem, level: int) -> tuple:
+    """``frontier_walk``'s (frontier, scale, memo) at depth ``level``."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    walk = _level_walk(system, level)
-    frontier, scale, _ = next(islice(walk, level - 1, None))
-    return depth_buckets(frontier, scale)
+    return next(islice(_level_walk(system, level), level - 1, None))
 
 
 def _level_walk(system: BranchSystem, level: int):
@@ -110,19 +114,33 @@ def solve_level_rate(system: BranchSystem, level: int) -> LevelSolution:
     strictly decreasing for positive weights, so the nonnegative root is
     unique; a singleton support gets rate 0 in zero Newton steps.
     """
-    return _solve_buckets(level, level_support(system, level))
+    frontier, scale, _ = _depth(system, level)
+    return _solve_levels([_level_row(frontier, scale)], level)[0]
 
 
-def _solve_buckets(level: int, buckets: dict[Weight, int]) -> LevelSolution:
-    weights = [float(w) for w in buckets]
-    log_counts = [math.log(c) for c in buckets.values()]
-    rate = partition_root(weights, log_counts)[0]
-    avg_weight = sum(
-        w * math.exp(lc - w * rate) for w, lc in zip(weights, log_counts)
-    )
-    return LevelSolution(
-        level, rate, avg_weight, rate * avg_weight, sum(buckets.values())
-    )
+def _level_row(frontier: dict, scale: int) -> tuple[list, list, int]:
+    """One depth's (bucket weights, ln bucket counts, support size).
+
+    The weights are the floats of ``depth_buckets``' keys, u / scale, which
+    rounds the same rational as ``float(Fraction(u, scale))`` does.
+    """
+    counts = [sum(group.values()) for group in frontier.values()]
+    return [u / scale for u in frontier], [math.log(c) for c in counts], sum(counts)
+
+
+def _solve_levels(rows: list, first: int) -> list[LevelSolution]:
+    """``LevelSolution``s of the consecutive depths from ``first``, one
+    ``_level_row`` each, their rates from one ``partition_root`` batch."""
+    roots = partition_root([(weights, log_counts) for weights, log_counts, _ in rows])
+    solutions = []
+    for level, (weights, log_counts, size), (rate, *_) in zip(count(first), rows, roots):
+        avg_weight = sum(
+            w * math.exp(lc - w * rate) for w, lc in zip(weights, log_counts)
+        )
+        solutions.append(
+            LevelSolution(level, rate, avg_weight, rate * avg_weight, size)
+        )
+    return solutions
 
 
 @dataclass(frozen=True)
@@ -174,23 +192,25 @@ def maxent_rate_estimate(
 ) -> tuple[CapacityEstimate, tuple[LevelSolution, ...]]:
     """Maximum entropy rate proxy: trailing-window max of the per-level optima.
 
-    Levels 1 to ``l_max`` are solved along one walk; if it blows
-    ``LEVEL_BUDGET``, the sequence computed so far is returned (callers can
-    tell from its length).  The window aggregation is ``tail_estimate``, the
-    one the empirical capacity estimator uses, so the two sides of the
-    equality check are symmetric.  An ``l_max`` past the end of a finite
-    tree raises ``ValueError``.
+    One walk collects the buckets of levels 1 to ``l_max``; if it blows
+    ``LEVEL_BUDGET``, the levels before the cut are kept (callers can tell
+    from their count).  All of them are then solved in one ``partition_root``
+    batch, each to the bits ``solve_level_rate`` gives it alone.  The window
+    aggregation is ``tail_estimate``, the one the empirical capacity
+    estimator uses, so the two sides of the equality check are symmetric.
+    An ``l_max`` past the end of a finite tree raises ``ValueError``.
     """
     if l_max < 2:
         raise ValueError("l_max must be >= 2")
-    levels: list[LevelSolution] = []
+    rows = []
     with suppress(BudgetExceededError):
-        for level, (frontier, scale, _) in enumerate(_level_walk(system, l_max), 1):
-            levels.append(_solve_buckets(level, depth_buckets(frontier, scale)))
-    if not levels:
+        for frontier, scale, _ in _level_walk(system, l_max):
+            rows.append(_level_row(frontier, scale))
+    if not rows:
         raise BudgetExceededError("no level fit within the enumeration budget")
+    levels = tuple(_solve_levels(rows, 1))
     estimate = tail_estimate([sol.rate for sol in levels])
-    return estimate, tuple(levels)
+    return estimate, levels
 
 
 def kl_gap(pmf: LevelPmf, system: BranchSystem) -> tuple[float, float]:

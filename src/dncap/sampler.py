@@ -9,7 +9,7 @@ via subtree partition sums, with no optimality claim beyond the solved level.
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from . import maxent
 from .capacity import fsm_capacity, transition_matrix
 from .errors import EstimatorError, InvalidSystemError
 from .solvers import perron
-from .spectrum import depth_buckets
 from .systems import BranchSystem, Symbol, WeightedFsm
 
 _ROW_SUM_TOL = 1e-8
@@ -256,11 +255,13 @@ def sample_level_paths(
     ids = {system.root: 0}
     depths = [np.zeros(1, dtype=np.intp)]  # each depth's distinct handle ids
     for frontier, scale, memo in maxent._level_walk(system, level):
-        seen = dict.fromkeys(
-            ids.setdefault(h, len(ids)) for group in frontier.values() for h in group
-        )
-        depths.append(np.fromiter(seen, dtype=np.intp, count=len(seen)))
-    rate = maxent._solve_buckets(level, depth_buckets(frontier, scale)).rate
+        handles = dict.fromkeys(chain.from_iterable(frontier.values()))
+        new = [h for h in handles if h not in ids]
+        ids.update(zip(new, range(len(ids), len(ids) + len(new))))
+        depths.append(np.fromiter(
+            map(ids.__getitem__, handles), dtype=np.intp, count=len(handles)
+        ))
+    rate = maxent._solve_levels([maxent._level_row(frontier, scale)], level)[0].rate
     code: dict[str, int] = {}
     rows = [memo.get(handle, ()) for handle in ids]  # in id order
     flat = [branch for row in rows for branch in row]

@@ -2,13 +2,15 @@
 
 ``newton_root`` is the one root-finding loop in the package: every capacity
 equation (the characteristic equation, rho(M(s)) = 1 and the per-level
-partition sums) is ln f(s) = 0 for a convex, decreasing ln f.  ``perron`` is
-the one Perron root and vector computation.  Every iteration cap raises
-``EstimatorError`` instead of returning unconverged.
+partition sums) is ln f(s) = 0 for a convex, decreasing ln f, and it solves
+a batch of them in lock step.  ``perron`` is the one Perron root and vector
+computation.  Every iteration cap raises ``EstimatorError`` instead of
+returning unconverged.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain, groupby
 from typing import Callable
 
 import numpy as np
@@ -23,55 +25,111 @@ _EPS = float(np.finfo(float).eps)
 _FLOOR = 1e-300  # a sum-one Perron iterate's entries below this count as zero
 
 
-def newton_root(solve: Callable[[float], tuple]) -> tuple:
-    """(value, lo, hi, residual, Newton steps) of ln f(s) = 0 for s >= 0.
+def newton_root(solve: Callable[[np.ndarray], tuple], rows: int) -> list[tuple]:
+    """[(value, lo, hi, residual, Newton steps)] of ln f_i(s) = 0 for s >= 0,
+    one tuple for each of ``rows`` equations, all solved in lock step.
 
-    ``solve(s)`` returns ln f(s), the decay -d ln f/ds, and a lower and an
-    upper bound on ln f(s).  ln f must be convex and decreasing with
-    ln f(0) >= 0, so Newton from s = 0 climbs to the root without
-    overshooting; it stops once a step no longer moves s to the right
-    (ln f <= 0 to rounding).  [lo, hi] = [s - m, s + m] is then widened 4x,
-    from the Newton distance m = (|ln f| + 8 eps) / decay, until
-    lower(lo) >= 0 >= upper(hi).  ``residual`` is the measured
-    |f(value) - 1|.  Both loops raise ``EstimatorError`` at their caps.
+    ``solve(s)`` takes one point per row and returns arrays of ln f_i(s_i),
+    the decay -d ln f_i/ds, and a lower and an upper bound on ln f_i(s_i).
+    Each ln f_i must be convex and decreasing with ln f_i(0) >= 0, so Newton
+    from s = 0 climbs to the root without overshooting; a row stops once a
+    step no longer moves its s to the right (ln f <= 0 to rounding).  Its
+    [lo, hi] = [s - m, s + m] is then widened 4x, from the Newton distance
+    m = (|ln f| + 8 eps) / decay, until lower(lo) >= 0 >= upper(hi).
+    ``residual`` is the measured |f(value) - 1|.  Both loops raise
+    ``EstimatorError`` at their caps, the certification naming the first
+    row it missed.
+
+    Each evaluation asks ``solve`` for every row, a settled row at the point
+    where it settled, so the last one holds every row's ln f and decay at its
+    value; ``solve`` must give the same for the same point.  The upper
+    bounds are asked for only once some uncertified row's lower bound holds,
+    so a batch of one calls ``solve`` exactly as a scalar loop would, and a
+    ``solve`` that warm-starts from its previous call sees the same sequence
+    of points.  The loop's own arithmetic is elementwise IEEE float64, and
+    the residual is ``math.expm1`` per row, so a row's result does not
+    depend on the rest of its batch as long as ``solve``'s does not.
     """
-    s = 0.0
-    for steps in range(NEWTON_MAX_ITER + 1):
+    s = np.zeros(rows)
+    steps = np.zeros(rows, dtype=int)
+    active = np.ones(rows, dtype=bool)
+    for step in range(NEWTON_MAX_ITER + 1):
         log_f, decay, _, _ = solve(s)
-        step = log_f / decay
-        if not s + step > s:
+        moved = s + log_f / decay
+        active &= moved > s
+        if not np.count_nonzero(active):
             break
-        s += step
+        steps += active
+        np.copyto(s, moved, where=active)
     else:
-        raise EstimatorError(f"Newton did not settle in {steps} steps")
-    margin = (abs(log_f) + 8 * _EPS) / decay
+        raise EstimatorError(f"Newton did not settle in {step} steps")
+    margin = (np.abs(log_f) + 8 * _EPS) / decay
+    pending = np.ones(rows, dtype=bool)
     for _ in range(CERTIFY_MAX_ITER):
-        lo, hi = max(s - margin, 0.0), s + margin
-        if solve(lo)[2] >= 0.0 and solve(hi)[3] <= 0.0:
-            return s, lo, hi, abs(math.expm1(log_f)), steps
-        margin *= 4.0
-    raise EstimatorError(f"no certified bracket around the root {s}")
+        lo, hi = np.maximum(s - margin, 0.0), s + margin
+        below = pending & (solve(lo)[2] >= 0.0)
+        if np.count_nonzero(below):
+            pending &= ~(below & (solve(hi)[3] <= 0.0))
+        if not np.count_nonzero(pending):
+            residual = [abs(math.expm1(x)) for x in log_f.tolist()]
+            columns = s.tolist(), lo.tolist(), hi.tolist(), residual, steps.tolist()
+            return list(zip(*columns))
+        np.multiply(margin, 4.0, out=margin, where=pending)
+    missed = float(s[pending][0])
+    raise EstimatorError(f"no certified bracket around the root {missed}")
 
 
-def partition_root(weights, log_counts) -> tuple:
-    """``newton_root`` of Z(s) = sum_i c_i e^{-w_i s} = 1, from w_i and ln c_i.
+def partition_root(problems) -> list[tuple]:
+    """``newton_root`` of Z(s) = sum_i c_i e^{-w_i s} = 1 for each (w, ln c)
+    in ``problems``, all in one batch; one result tuple per problem, in order.
 
     ln Z is a logsumexp of ln c - w s, so huge counts and deep levels stay in
     range; its decay is the q-weighted mean weight, q = c e^{-w s} / Z.  The
     computed ln Z serves as both bounds.
+
+    Each problem gets the bits it would get alone.  The problems are laid out
+    flat, sorted by support size, and each evaluation is elementwise over all
+    of them: ``np.exp`` does not depend on an entry's position and the max is
+    exact.  Only the two sums, Z and sum w q, run per group of equal support
+    size, as ``sum(axis=1)`` and ``np.vecdot`` over (rows x size) views: for
+    rows of exactly that width they equal each row's own 1-D ``.sum()`` and
+    ``w @ q``, which ``np.add.reduceat`` and ``(w * q).sum(axis=1)`` do not.
+    ln Z takes ``math.log`` per row, since ``np.log`` can differ from it in
+    the last place.  So problems of one support size share their sums, and
+    problems of distinct sizes cost two reductions each per evaluation.
     """
-    weights = np.asarray(weights, dtype=float)
-    log_counts = np.asarray(log_counts, dtype=float)
+    order = sorted(range(len(problems)), key=lambda i: len(problems[i][0]))
+    sizes = [len(problems[i][0]) for i in order]
+    weights, log_counts = (
+        np.fromiter(chain.from_iterable(problems[i][k] for i in order), float)
+        for k in (0, 1)
+    )
+    row_of = np.repeat(np.arange(len(order)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    q, total, dot = np.empty(len(weights)), np.empty(len(order)), np.empty(len(order))
+    groups, row = [], 0  # (rows x size) views of one support size each
+    for size, members in groupby(sizes):
+        count = len(list(members))
+        entries = slice(starts[row], starts[row] + count * size)
+        groups.append((weights[entries].reshape(count, size),
+                       q[entries].reshape(count, size),
+                       total[row:row + count], dot[row:row + count]))
+        row += count
 
-    def solve(s: float) -> tuple:
-        exponents = log_counts - weights * s
-        top = exponents.max()
-        q = np.exp(exponents - top)
-        total = q.sum()
-        log_z = float(top + math.log(total))
-        return log_z, float(weights @ q / total), log_z, log_z
+    def solve(s: np.ndarray) -> tuple:
+        exponents = log_counts - weights * s[row_of]
+        top = np.maximum.reduceat(exponents, starts)
+        np.exp(exponents - top[row_of], out=q)
+        for w, group_q, group_total, group_dot in groups:
+            np.add.reduce(group_q, axis=1, out=group_total)
+            np.vecdot(w, group_q, out=group_dot)
+        log_z = top + np.array([math.log(t) for t in total.tolist()])
+        return log_z, dot / total, log_z, log_z
 
-    return newton_root(solve)
+    roots = [None] * len(order)
+    for i, root in zip(order, newton_root(solve, len(order))):
+        roots[i] = root
+    return roots
 
 
 @dataclass(frozen=True)

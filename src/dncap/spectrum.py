@@ -71,7 +71,7 @@ def frontier_walk(system: BranchSystem, w_max=None, budget: int | None = None):
     the frontier and the memo once.  ``depth_buckets`` gives the weights.
     """
     frontier: dict = {0: {system.root: 1}}
-    scale, memo, work = 1, {}, 0
+    scale, memo, work, bound = 1, {}, 0, _bound(w_max, 1)
     while frontier:
         fresh = dict.fromkeys(
             h for group in frontier.values() for h in group if h not in memo
@@ -83,6 +83,7 @@ def frontier_walk(system: BranchSystem, w_max=None, budget: int | None = None):
         )) // scale
         if factor > 1:
             scale *= factor
+            bound = _bound(w_max, scale)
             frontier = {u * factor: group for u, group in frontier.items()}
             memo = {h: tuple((u * factor, child, sym) for u, child, sym in branches)
                     for h, branches in memo.items()}
@@ -90,7 +91,6 @@ def frontier_walk(system: BranchSystem, w_max=None, budget: int | None = None):
             memo[handle] = tuple(
                 (_units(sym.weight, scale), child, sym) for sym, child in branches
             )
-        bound = math.inf if w_max is None else math.floor(w_max * scale)
         next_frontier: dict = {}
         for acc, group in frontier.items():
             for handle, count in group.items():
@@ -113,6 +113,11 @@ def frontier_walk(system: BranchSystem, w_max=None, budget: int | None = None):
 
 def _units(weight: Weight, scale: int):
     return int(weight * scale) if is_exact(weight) else weight * scale
+
+
+def _bound(w_max, scale: int):
+    """``w_max`` in units of 1/``scale``, rounded down; inf for no bound."""
+    return math.inf if w_max is None else math.floor(w_max * scale)
 
 
 def depth_buckets(frontier: dict, scale: int) -> dict[Weight, int]:

@@ -9,6 +9,8 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 
 def naive_string_spectrum(system, w_max) -> dict:
     """Brute-force {weight: count} by enumerating every label tuple."""
@@ -84,6 +86,44 @@ def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def scalar_partition_root(weights, log_counts) -> tuple:
+    """(value, lo, hi, residual, Newton steps) of sum_i c_i e^{-w_i s} = 1,
+    one problem at a time in scalar Python floats.
+
+    The reference for ``dncap.solvers.partition_root``'s batches: the same
+    float operations in the same order (Newton from 0 on the logsumexp of
+    ln c - w s, a bracket widened 4x from the Newton distance until the
+    computed ln Z certifies both ends, at most 100 and 20 rounds), so a
+    batch must match it bit for bit.
+    """
+    weights = np.asarray(weights, dtype=float)
+    log_counts = np.asarray(log_counts, dtype=float)
+
+    def solve(s):
+        exponents = log_counts - weights * s
+        top = exponents.max()
+        q = np.exp(exponents - top)
+        total = q.sum()
+        return float(top + math.log(total)), float(weights @ q / total)
+
+    s = 0.0
+    for steps in range(101):
+        log_f, decay = solve(s)
+        step = log_f / decay
+        if not s + step > s:
+            break
+        s += step
+    else:
+        raise AssertionError("reference Newton did not settle")
+    margin = (abs(log_f) + 8 * float(np.finfo(float).eps)) / decay
+    for _ in range(20):
+        lo, hi = max(s - margin, 0.0), s + margin
+        if solve(lo)[0] >= 0.0 and solve(hi)[0] <= 0.0:
+            return s, lo, hi, abs(math.expm1(log_f)), steps
+        margin *= 4.0
+    raise AssertionError("reference bracket not certified")
 
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0

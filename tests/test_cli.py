@@ -216,13 +216,13 @@ class TestSample:
                 assert balance >= 0
 
     def test_root_subtree_sum_fault_exits_three(self, tmp_spec, capsys, monkeypatch):
-        solve = maxent._solve_buckets
+        solve = maxent._solve_levels
 
-        def off_by_a_little(level, buckets):
-            solution = solve(level, buckets)
-            return dataclasses.replace(solution, rate=solution.rate + 1e-6)
+        def off_by_a_little(rows, first):
+            return [dataclasses.replace(solution, rate=solution.rate + 1e-6)
+                    for solution in solve(rows, first)]
 
-        monkeypatch.setattr(maxent, "_solve_buckets", off_by_a_little)
+        monkeypatch.setattr(maxent, "_solve_levels", off_by_a_little)
         code = main(["sample", tmp_spec(DYCK), "--count", "2", "--steps", "20",
                      "--seed", "0"])
         assert code == 3

@@ -234,6 +234,19 @@ class TestRateEstimate:
         assert len(levels) == sum(fits(level) for level in range(1, 31))
         assert estimate.value > 0
 
+    @pytest.mark.parametrize("factory", [dyck, mem_rational, golden_mean_system])
+    def test_levels_before_a_budget_cut_are_solved_as_alone(self, factory, monkeypatch):
+        # the walk runs to the cut before any level is solved; each level
+        # kept must still be the one solve_level_rate gives, bit for bit
+        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 100)
+        _, levels = d.maxent_rate_estimate(factory(), 80)
+        assert 2 <= len(levels) < 80
+        assert list(levels) == [
+            d.solve_level_rate(factory(), level) for level in range(1, len(levels) + 1)
+        ]
+        with pytest.raises(d.BudgetExceededError):
+            d.solve_level_rate(factory(), len(levels) + 1)
+
     def test_trajectory_is_one_walk(self):
         walked, walk_calls = counted(dyck())
         d.level_support(walked, 60)

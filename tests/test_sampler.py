@@ -244,13 +244,13 @@ class TestLevelSampler:
             )
 
     def test_root_subtree_sum_must_be_one(self, monkeypatch):
-        solve = maxent._solve_buckets
+        solve = maxent._solve_levels
 
-        def off_by_a_little(level, buckets):
-            solution = solve(level, buckets)
-            return dataclasses.replace(solution, rate=solution.rate + 1e-6)
+        def off_by_a_little(rows, first):
+            return [dataclasses.replace(solution, rate=solution.rate + 1e-6)
+                    for solution in solve(rows, first)]
 
-        monkeypatch.setattr(maxent, "_solve_buckets", off_by_a_little)
+        monkeypatch.setattr(maxent, "_solve_levels", off_by_a_little)
         with pytest.raises(d.EstimatorError, match="root subtree sum"):
             d.sample_level_paths(dyck(), 20, 3, seed=0)
 
