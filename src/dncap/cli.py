@@ -24,7 +24,7 @@ from .verify import FAIL, INCONCLUSIVE, PASS, verify_equality
 
 
 class _UsageError(Exception):
-    pass
+    """A bad command line, or an ``--out`` path that cannot be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,8 +38,11 @@ def _write_out(text: str, out: str | None):
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _cmd_enumerate(args) -> int:

@@ -110,34 +110,39 @@ class SampleSet:
 
 
 def _padded(lengths, *columns):
-    """Flat per-branch columns as zero-padded (row x branch) arrays, after
-    the mask of real branches."""
+    """Flat per-branch columns as zero-padded (branch x row) arrays, after
+    the mask of real branches.
+
+    Each column is filled through its transposed view, so the flat entries
+    keep their row order."""
     lengths = np.asarray(lengths, dtype=np.intp)
-    valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    valid = np.arange(lengths.max(initial=0))[:, None] < lengths
     padded = [valid]
     for column in map(np.asarray, columns):
         padded.append(np.zeros(valid.shape, column.dtype))
-        padded[-1][valid] = column
+        padded[-1].T[valid.T] = column
     return padded
 
 
-def _table(ln_q, valid, child, weight, label):
-    """One step's table from (state x branch) arrays; ``valid`` marks real
-    branches, and ln q elsewhere is ignored.
+def _table(ln_q, valid, child, weight, label, ln_total=None):
+    """One step's table from (branch x row) arrays; ``valid`` marks real
+    branches, and ln q elsewhere is ignored.  ``ln_total`` is each row's
+    ln sum q when the caller already has it, reduced here otherwise.
 
-    Returns the (state x branch) cumulative p and the flat child,
+    Returns the (branch x row) cumulative p and the flat child,
     ln p = ln q - ln sum q, weight and label arrays, read at
-    ``state * width + branch``.  A branch with q = 0, or any branch of a row
+    ``branch * rows + row``.  A branch with q = 0, or any branch of a row
     with none, has ln p = -inf.  A row's last branch with q > 0 and every
     cumulative entry after it are inf, so no draw falls past it."""
     ln_q = np.where(valid, ln_q, -np.inf)
     live = ln_q > -np.inf
-    ln_total = np.logaddexp.reduce(ln_q, axis=1, keepdims=True)
+    if ln_total is None:
+        ln_total = np.logaddexp.reduce(ln_q, axis=0)
     ln_p = np.subtract(ln_q, ln_total, out=np.full(ln_q.shape, -np.inf),
                        where=live)
-    branch = np.arange(ln_q.shape[1])
-    last = np.where(live, branch, 0).max(axis=1, keepdims=True)
-    cum = np.where(branch >= last, np.inf, np.cumsum(np.exp(ln_p), axis=1))
+    branch = np.arange(ln_q.shape[0])[:, None]
+    last = np.where(live, branch, 0).max(axis=0)
+    cum = np.where(branch >= last, np.inf, np.cumsum(np.exp(ln_p), axis=0))
     return cum, child.ravel(), ln_p.ravel(), weight.ravel(), label.ravel()
 
 
@@ -145,25 +150,40 @@ def _lock_step(tables, names, start: int, count: int, steps: int, seed: int):
     """Advance ``count`` paths at once, one table per step: path i takes the
     first branch whose cumulative p reaches the step's i-th uniform draw.
 
-    Returns the (path x step) codes into ``names`` of the labels drawn and
-    each path's weight and log probability."""
+    A path's branch is the number of its row's cumulative entries below its
+    draw, one 1-D gather per branch but the last, whose entry is always inf;
+    label, weight, ln p and child are then gathered at ``branch * rows +
+    row``.  Returns the (path x step) codes into ``names`` of the labels
+    drawn and each path's weight and log probability."""
     rng = np.random.default_rng(seed)
     state = np.full(count, start)
     labels = np.empty((count, steps), dtype=np.min_scalar_type(len(names)))
     weight, log_prob = np.zeros((2, count))
     for step, (cum, child, ln_p, step_weight, label) in enumerate(tables):
-        drawn = (cum[state] < rng.random(count)[:, None]).sum(axis=1)
-        at = state * cum.shape[1] + drawn
-        labels[:, step] = label[at]
-        weight += step_weight[at]
-        log_prob += ln_p[at]
-        state = child[at]
+        u = rng.random(count)
+        drawn = np.zeros(count, dtype=np.intp)
+        for row in cum[:-1]:
+            drawn += row.take(state) < u
+        at = drawn * cum.shape[1] + state
+        labels[:, step] = label.take(at)
+        weight += step_weight.take(at)
+        log_prob += ln_p.take(at)
+        state = child.take(at)
     return labels, weight, log_prob
 
 
+_DECODE_SYMBOLS = 1 << 14  # label codes decoded per object gather
+
+
 def _sample_set(names, labels, weight, log_prob, seed: int) -> SampleSet:
-    """Label codes decoded through ``names``, one path per row."""
-    rows = (tuple(map(names.__getitem__, row.tolist())) for row in labels)
+    """Label codes decoded through ``names``, one path per row, a block of
+    about ``_DECODE_SYMBOLS`` symbols at a time."""
+    lookup = np.array(names, dtype=object)
+    block = max(1, _DECODE_SYMBOLS // labels.shape[1])  # rows per gather
+    rows = chain.from_iterable(
+        map(tuple, lookup.take(labels[first:first + block]).tolist())
+        for first in range(0, len(labels), block)
+    )
     paths = tuple(map(SamplePath, rows, weight.tolist(), log_prob.tolist()))
     return SampleSet(paths=paths, seed=seed, steps=labels.shape[1])
 
@@ -241,14 +261,14 @@ def sample_level_paths(
     partition sum of the child at the remaining depth, which reproduces
     q(x) = e^{-w(x) R_l} exactly.  One frontier walk gives R_l, each depth's
     handles (as integer ids) and, in its memo, each handle's branches, laid
-    out once as (handle id x branch) arrays.  Log subtree sums are filled in
+    out once as (branch x handle id) arrays.  Log subtree sums are filled in
     from the deepest level up in one buffer by handle id, since a depth's
     children are exactly the next depth's handles; each depth's are kept,
     and the root's must be 0: R_l solves the same sum over the whole
     support.  The draws then build each depth's table once, a gather over
-    that depth's handles.  The walk is capped at ``maxent.LEVEL_BUDGET``
-    expansions, and a level past the end of a finite tree raises
-    ``ValueError``.
+    that depth's handles whose row totals are that depth's ln Z.  The walk
+    is capped at ``maxent.LEVEL_BUDGET`` expansions, and a level past the
+    end of a finite tree raises ``ValueError``.
     """
     if count < 1 or level < 1:
         raise ValueError("count and level must be >= 1")
@@ -271,12 +291,15 @@ def sample_level_paths(
         [float(sym.weight) for _, _, sym in flat],
         [code.setdefault(sym.label, len(code)) for _, _, sym in flat],
     )
+    cost = weight * rate
     buffer = np.zeros(len(ids))  # ln Z by handle id, one depth at a time
     log_z = [None] * level + [buffer[depths[level]]]
     for depth in reversed(range(level)):
         at = depths[depth]
-        ln_q = np.where(valid[at], buffer[child[at]] - weight[at] * rate, -np.inf)
-        buffer[at] = log_z[depth] = np.logaddexp.reduce(ln_q, axis=1)
+        ln_q = np.where(valid.take(at, axis=1),
+                        buffer.take(child.take(at, axis=1)) - cost.take(at, axis=1),
+                        -np.inf)
+        buffer[at] = log_z[depth] = np.logaddexp.reduce(ln_q, axis=0)
     root = float(log_z[0][0])
     if abs(root) > _ROW_SUM_TOL:
         raise EstimatorError(
@@ -288,10 +311,12 @@ def sample_level_paths(
     def table(depth):
         at, below = depths[depth], depths[depth + 1]
         position[below] = np.arange(len(below))
-        real = valid[at]
-        to = np.where(real, position[child[at]], 0)  # padding reads index 0
-        ln_q = log_z[depth + 1][to] - weight[at] * rate
-        return _table(ln_q, real, to, weight[at], label[at])
+        real = valid.take(at, axis=1)
+        # padding reads index 0
+        to = np.where(real, position.take(child.take(at, axis=1)), 0)
+        ln_q = log_z[depth + 1].take(to) - cost.take(at, axis=1)
+        return _table(ln_q, real, to, weight.take(at, axis=1),
+                      label.take(at, axis=1), log_z[depth])
 
     names = list(code)
     drawn = _lock_step(map(table, range(level)), names, 0, count, level, seed)

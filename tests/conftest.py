@@ -70,6 +70,22 @@ def dead_end():
     return d.BranchSystem(0, table.__getitem__, name="dead_end")
 
 
+def three_way():
+    """Three branches per handle 0, 1, 2; handle 1's "c" leads to the dead end
+    "x", the other handles' "c" back to 0.  Weights 1, 1/2 and 2."""
+
+    def expand(handle):
+        if handle == "x":
+            return ()
+        return (
+            (d.Symbol("a", 1), (handle + 1) % 3),
+            (d.Symbol("b", Fraction(1, 2)), handle),
+            (d.Symbol("c", 2), "x" if handle == 1 else 0),
+        )
+
+    return d.BranchSystem(0, expand, name="three_way")
+
+
 def finite_tree(depth=3):
     """A binary tree of unit weights whose last nonempty depth is ``depth``."""
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from dncap import maxent, solvers
 from dncap.cli import main
 
@@ -280,6 +282,20 @@ class TestVerify:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", [
+        ["enumerate", "--wmax", "4"],
+        ["maxent", "--lmax", "4"],
+        ["sample", "--count", "2", "--steps", "3", "--seed", "1"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_exits_one(self, tmp_spec, tmp_path, capsys, command, where):
+        out = tmp_path / "missing" / "x.tsv" if where == "missing_dir" else tmp_path
+        argv = [command[0], tmp_spec(MEM_EQUAL), *command[1:], "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "error" in capsys.readouterr().err

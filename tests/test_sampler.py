@@ -1,16 +1,20 @@
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dncap as d
-from dncap import maxent
-from conftest import counted, dead_end, dyck, harmonic_dyck, strongly_connected_fsms
+from dncap import maxent, sampler
+from conftest import (
+    counted, dead_end, dyck, harmonic_dyck, strongly_connected_fsms, three_way,
+)
 from oracles import LN_GOLDEN
 
 
@@ -311,6 +315,96 @@ def test_fsm_samples_rewalk_and_forgeries_are_rejected(fsm, steps):
     forged = dataclasses.replace(chain, transition_probs=tuple(rows))
     with pytest.raises(d.EstimatorError, match="rejected by the FSM"):
         d.sample_paths(forged, 20, steps, seed=steps)
+
+
+# sha256 of samples_tsv, generated before the sampler's tables were stored
+# branch-major; they reach past the CLI golden runs' sizes.
+PINNED_SAMPLES = {
+    "dyck_1040": (
+        lambda: d.sample_level_paths(dyck(), 1040, 4, seed=23),
+        "193bf975c88b5947107cf9a6f585ed3f3be1a16cba6306966c3a709c4d3736f1",
+    ),
+    "golden_10000x100": (  # crosses label-decoding block boundaries
+        lambda: d.sample_paths(golden_chain(), 10000, 100, seed=29),
+        "632ff84ae01b4ae8d635a3afad89ce86a5a7cd85411c2bd93bf9cc243c1a9041",
+    ),
+    "three_way_dead_end": (
+        lambda: d.sample_level_paths(three_way(), 40, 300, seed=31),
+        "5d1a781500100f2d5be7d78f14e20b4ba3bd5aa23e0627565c67e29070d674f0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SAMPLES))
+def test_pinned_samples(name):
+    draw, digest = PINNED_SAMPLES[name]
+    assert hashlib.sha256(d.samples_tsv(draw()).encode()).hexdigest() == digest
+
+
+def reference_draws(rows, tables, start, count, seed):
+    """Each path walked alone: it takes the first branch of its row whose
+    cumulative p reaches its uniform, and the last branch with q > 0 when
+    rounding leaves the row's total below it.  A row with no such branch
+    gives branch 0 and ln p = -inf."""
+    rng = np.random.default_rng(seed)
+    paths = [[start, [], 0.0, 0.0] for _ in range(count)]
+    for ln_q in tables:
+        uniforms = rng.random(count)
+        for path, u in zip(paths, uniforms):
+            row = rows[path[0]]
+            q = ln_q[path[0]]
+            live = [k for k, x in enumerate(q) if x > -math.inf]
+            pick, ln_p = 0, -math.inf
+            if live:
+                ln_total = np.logaddexp.reduce(q)
+                cumulative = 0.0
+                for pick in live:
+                    cumulative += math.exp(q[pick] - ln_total)
+                    if cumulative >= u:
+                        break
+                ln_p = q[pick] - ln_total
+            label, weight, child = row[pick]
+            path[0] = child
+            path[1].append(label)
+            path[2] += weight
+            path[3] += ln_p
+    return paths
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lock_step_follows_the_draw_rule(width, seed):
+    rng = np.random.default_rng([width, seed])
+    size, steps, count = 7, 6, 200
+    rows = []  # (label code, weight, child) per branch
+    for _ in range(size):
+        length = int(rng.integers(1, width + 1))
+        rows.append([(int(rng.integers(3)), float(rng.integers(1, 4)),
+                      int(rng.integers(size))) for _ in range(length)])
+    tables = []
+    for _ in range(steps):
+        ln_q = []
+        for row in rows:
+            q = list(rng.normal(size=len(row)))
+            live = int(rng.integers(len(row) + 1))  # q = 0 at the row's end
+            ln_q.append(q[:live] + [-math.inf] * (len(row) - live))
+        tables.append(ln_q)
+    flat = [branch for row in rows for branch in row]
+    valid, child, weight, label = sampler._padded(
+        [len(row) for row in rows],
+        [c for _, _, c in flat], [w for _, w, _ in flat], [l for l, _, _ in flat],
+    )
+    padded = [sampler._padded([len(row) for row in rows], sum(ln_q, []))[1]
+              for ln_q in tables]
+    drawn = sampler._lock_step(
+        (sampler._table(ln_q, valid, child, weight, label) for ln_q in padded),
+        ["x", "y", "z"], 0, count, steps, seed,
+    )
+    want = reference_draws(rows, tables, 0, count, seed)
+    assert drawn[0].tolist() == [labels for _, labels, _, _ in want]
+    assert drawn[1].tolist() == [weight for _, _, weight, _ in want]
+    for got, (_, _, _, ln_p) in zip(drawn[2].tolist(), want):
+        assert got == pytest.approx(ln_p, rel=1e-12, abs=1e-12)
 
 
 def test_samples_tsv_format():
