@@ -24,7 +24,7 @@ from .estimates import (
     SPECTRAL_RADIUS,
     CapacityEstimate,
 )
-from .solvers import newton_root, partition_root, perron
+from .solvers import dense, newton_root, partition_root, perron
 from .spectrum import (
     DENSITY_POLY_CAP,
     WeightSpectrum,
@@ -91,18 +91,16 @@ def characteristic_root(alphabet: Sequence[Symbol]) -> CapacityEstimate:
 
 def transition_matrix(fsm: WeightedFsm, s: float) -> np.ndarray:
     """M(s) with M[i, j] = sum over i->j transitions of e^{-w s}."""
-    return _matrix(fsm.num_states, *_edges(fsm.transitions), s)
+    src, weights, dst = transition_list(fsm)
+    return dense(fsm.num_states, src, np.exp(-weights * s), dst)
 
 
-def _edges(transitions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    src, weights, dst = zip(*((i, float(sym.weight), j) for i, sym, j in transitions))
+def transition_list(fsm: WeightedFsm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The source states, weights and target states of ``fsm``'s transitions."""
+    src, weights, dst = zip(
+        *((i, float(sym.weight), j) for i, sym, j in fsm.transitions)
+    )
     return np.array(src), np.array(weights), np.array(dst)
-
-
-def _matrix(n: int, src, weights, dst, s: float) -> np.ndarray:
-    matrix = np.zeros((n, n))
-    np.add.at(matrix, (src, dst), np.exp(-weights * s))
-    return matrix
 
 
 def fsm_capacity(fsm: WeightedFsm) -> CapacityEstimate:
@@ -112,7 +110,7 @@ def fsm_capacity(fsm: WeightedFsm) -> CapacityEstimate:
     components that carry a transition, so each is solved on its own, the
     largest root wins and ``iterations`` sums their Newton steps.
     """
-    src, weights, dst = _edges(fsm.transitions)
+    src, weights, dst = transition_list(fsm)
     label = np.array(strong_components(fsm))
     inner = label[src] == label[dst]
     roots = []
@@ -137,17 +135,18 @@ def _component_root(n: int, src, weights, dst) -> tuple:
 
     ln rho(M(s)) is convex and decreasing (Kingman 1961).  Its slope comes
     from the Perron vectors, d rho/ds = -u^T (W o M) v / u^T v summed over
-    the transitions, each ``perron`` call is warm-started with the previous
-    vectors, and the logs of the CW bounds certify the bracket.
+    the transitions, each ``perron`` call runs on the transition list and is
+    warm-started with the previous vectors, and the logs of the CW bounds
+    certify the bracket.
     """
     warm = ()
 
     def solve(point: np.ndarray) -> np.ndarray:
         nonlocal warm
-        s = point[0]
-        p = perron(_matrix(n, src, weights, dst, s), *warm)
+        q = np.exp(-weights * point[0])
+        p = perron(n, src, q, dst, *warm)
         warm = (p.right, p.left)
-        slope = p.left[src] * weights * np.exp(-weights * s) @ p.right[dst]
+        slope = p.left[src] * weights * q @ p.right[dst]
         decay = float(slope / (p.left @ p.right) / p.rho)
         return np.array([[math.log(p.rho)], [decay], [_log(p.lo)], [math.log(p.hi)]])
 

@@ -48,9 +48,10 @@ def _write_out(text: str, out: str | None):
 def _cmd_enumerate(args) -> int:
     system, _ = load_system(args.spec)
     spectrum = weight_spectrum(system, args.wmax)
-    _write_out(spectrum_tsv(spectrum), args.out)
+    # both summaries can fail; compute them before writing anything
     estimate, _ = empirical_capacity(spectrum)
     report = density_check(spectrum)
+    _write_out(spectrum_tsv(spectrum), args.out)
     print(f"# empirical capacity: {estimate.value:.17g} nats/weight")
     print(
         "# density: fitted_K={:.17g} fitted_L={:.17g} passes={}".format(

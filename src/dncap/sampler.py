@@ -14,7 +14,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import maxent
-from .capacity import fsm_capacity, transition_matrix
+from .capacity import fsm_capacity, transition_list
 from .errors import EstimatorError, InvalidSystemError
 from .solvers import perron
 from .systems import BranchSystem, Symbol, WeightedFsm
@@ -54,8 +54,8 @@ class MaxentChain:
 def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
     """Build the stationary maxentropic chain of an FSM at its capacity.
 
-    s* is ``fsm_capacity(fsm).value``; one ``perron`` call on M(s*) gives v
-    for the tilt and u o v for the stationary law.
+    s* is ``fsm_capacity(fsm).value``; one ``perron`` call on the transition
+    list of M(s*) gives v for the tilt and u o v for the stationary law.
     """
     if not fsm.is_strongly_connected():
         raise InvalidSystemError(
@@ -63,7 +63,8 @@ def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
             "(otherwise the Perron eigenvector is not unique)"
         )
     s_star = fsm_capacity(fsm).value
-    p = perron(transition_matrix(fsm, s_star))
+    src, weights, dst = transition_list(fsm)
+    p = perron(fsm.num_states, src, np.exp(-weights * s_star), dst)
     vector = p.right / p.right[fsm.start]
     rows = []
     for state in range(fsm.num_states):

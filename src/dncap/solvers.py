@@ -4,8 +4,12 @@
 equation (the characteristic equation, rho(M(s)) = 1 and the per-level
 partition sums) is ln f(s) = 0 for a convex, decreasing ln f, and it solves
 a batch of them in lock step.  ``perron`` is the one Perron root and vector
-computation.  Every iteration cap raises ``EstimatorError`` instead of
-returning unconverged.
+computation.  It works on a transition list: sparse power steps first, one
+``np.bincount`` each, and Noda's dense inverse iteration only on a side
+where those stall, as judged from the size, the edge count and the observed
+contraction of the Collatz-Wielandt gap; both phases certify with the same
+bounds.  Every iteration cap raises ``EstimatorError`` instead of returning
+unconverged.
 """
 
 import math
@@ -136,7 +140,7 @@ def partition_root(problems) -> list[tuple]:
 class Perron:
     """Perron root with Collatz-Wielandt (CW) bounds lo <= rho <= hi (min and
     max of (M x)_i / x_i over positive iterates x), and the positive right
-    and left vectors.  ``rho`` is Noda's estimate, the final ``hi``."""
+    and left vectors.  ``rho`` is the final ``hi``."""
 
     rho: float
     lo: float
@@ -146,23 +150,51 @@ class Perron:
 
 
 def perron(
-    matrix: np.ndarray,
+    n: int,
+    src,
+    q,
+    dst,
     right: np.ndarray | None = None,
     left: np.ndarray | None = None,
 ) -> Perron:
-    """Perron root and vectors of an irreducible nonnegative matrix.
+    """Perron root and vectors of the irreducible nonnegative n x n matrix M
+    with M[i, j] = sum of q over the edges i = src, j = dst.
 
-    Noda iteration on each side, warm-started from ``right`` and ``left``.
+    Each side, warm-started from ``right`` and ``left``, runs in two phases
+    that certify with the same CW bounds against the same PERRON_TOL.  The
+    first is power steps on the edge list, x <- M x / sum(M x), one
+    ``np.bincount`` each.  It is given floor(min(n, n^3 / (3 edges))) steps,
+    the flops of a dense solve over those of one step, and is skipped below
+    two.  It gives up once the gap, at its mean contraction per step so far,
+    would not close within them, or an entry falls below _FLOOR.  A side
+    that gives up runs Noda's iteration on the dense M from its warm vector,
+    not from the power iterate, so it gets the same bits as without the
+    power phase.  The dense M is built only then, once for both sides.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if (matrix < 0).any():
-        raise ValueError("matrix must be elementwise nonnegative")
-    lo, hi, right = _noda(matrix, right)
-    _, _, left = _noda(matrix.T, left)
+    src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+    q = np.asarray(q, dtype=float)
+    if (q < 0).any():
+        raise ValueError("edge weights must be nonnegative")
+    steps = int(min(n, n ** 3 / (3 * len(q))))
+    matrix = None
+    sides = []
+    for rows, cols, x in ((src, dst, right), (dst, src, left)):
+        found = _power(n, rows, q, cols, x, steps) if steps >= 2 else None
+        if found is None:
+            if matrix is None:
+                matrix = dense(n, src, q, dst)
+            found = _noda(matrix if rows is src else matrix.T, x)
+        sides.append(found)
+    (lo, hi, right), (_, _, left) = sides
     return Perron(hi, lo, hi, right, left)
+
+
+def dense(n: int, src, q, dst) -> np.ndarray:
+    """The n x n matrix with the sum of q over the edges src -> dst at
+    [src, dst]."""
+    matrix = np.zeros((n, n))
+    np.add.at(matrix, (src, dst), q)
+    return matrix
 
 
 def _noda(matrix, x):
@@ -206,3 +238,35 @@ def _noda(matrix, x):
             return max(lo, float((scaled @ alive)[alive].min()) + shift), hi, x
         x = y
     raise EstimatorError(f"Perron iteration did not settle in {PERRON_MAX_ITER} steps")
+
+
+def _power(n, rows, q, cols, x, steps):
+    """Power steps x <- M x / sum(M x), M[i, j] = sum of q over the edges
+    rows -> cols, from ``x`` (uniform when None).
+
+    Returns (lo, hi, x) once the CW bounds over the iterates close to
+    PERRON_TOL * hi.  Returns None as soon as the gap, shrinking from the
+    third iterate on at its mean rate per step so far, would not close
+    within ``steps`` steps, or the next iterate has an entry not above
+    _FLOOR.  The mean over the whole run, rather than over the last few
+    steps, lets the gap stall for a step or two, as it does at the rounding
+    floor and when the second eigenvalue is complex.
+    """
+    x = np.full(n, 1.0 / n) if x is None else x
+    lo, hi = 0.0, math.inf
+    for step in range(steps + 1):
+        y = np.bincount(rows, weights=q * x[cols], minlength=n)
+        ratios = y / x
+        lo, hi = max(lo, float(ratios.min())), min(hi, float(ratios.max()))
+        gap = hi - lo
+        if gap <= PERRON_TOL * hi:
+            return lo, hi, x
+        if step == 0:
+            first = gap
+        elif step >= 2:
+            # the gap after the steps left, at its mean rate so far
+            if gap * (gap / first) ** ((steps - step) / step) > PERRON_TOL * hi:
+                return None
+        x = y / y.sum()
+        if not x.min() > _FLOOR:
+            return None

@@ -8,6 +8,7 @@ around the capacity: over the trailing window, every rate must stay below
 C + eps and at least one must exceed C - eps.
 """
 
+import math
 from dataclasses import dataclass
 
 from .capacity import combinatorial_capacity
@@ -53,9 +54,12 @@ def verify_equality(
     The verdict is PASS when the two sides agree within ``tol``, FAIL when
     they do not, and INCONCLUSIVE when the level enumeration blew its budget
     before reaching ``l_max`` (partial trajectories are still attached).
-    The epsilon probes reuse ``tol`` as eps.  ``w_max`` is checked on every
-    channel but walked to only by ``combinatorial_capacity``'s abscissa.
+    The epsilon probes reuse ``tol`` as eps, which must be finite and >= 0
+    (``ValueError`` otherwise).  ``w_max`` is checked on every channel but
+    walked to only by ``combinatorial_capacity``'s abscissa.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, not {tol}")
     w_max = exact_w_max(w_max)
     c_comb = combinatorial_capacity(system, w_max)
     c_prob, levels = maxent_rate_estimate(system, l_max)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -181,3 +182,31 @@ def strongly_connected_fsms(draw, min_states=1, max_denominator=3):
         (src, d.Symbol(label, draw(weight)), dst)
         for (src, label), dst in edges.items()
     ))
+
+
+def permutation_fsm(rng, n, labels="abc", max_weight=4):
+    """A union of random permutations of n states, one per label, the first
+    an n-cycle (so the FSM is strongly connected), with integer weights 1 to
+    ``max_weight`` drawn from the numpy generator ``rng``."""
+    order = rng.permutation(n)
+    edges = [(order[k], labels[0], order[(k + 1) % n]) for k in range(n)]
+    for label in labels[1:]:
+        perm = rng.permutation(n)
+        edges += [(i, label, perm[i]) for i in range(n)]
+    return d.WeightedFsm(n, 0, tuple(
+        (int(i), d.Symbol(label, int(rng.integers(1, max_weight + 1))), int(j))
+        for i, label, j in edges
+    ))
+
+
+@st.composite
+def permutation_fsms(draw, max_states=300):
+    """``permutation_fsm`` of 2 to ``max_states`` states, 2 to 4 labels and
+    weights up to 1 to 6: small ones take the dense Perron path, large
+    fast-mixing ones the power steps, unit weights can be periodic."""
+    return permutation_fsm(
+        np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))),
+        draw(st.integers(2, max_states)),
+        "abcd"[:draw(st.integers(2, 4))],
+        draw(st.integers(1, 6)),
+    )

@@ -4,12 +4,44 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import dncap as d
 from dncap import capacity, solvers
 from dncap.solvers import perron
-from conftest import dyck, golden_mean_system, mem_equal, mem_unequal, rll_system
+from conftest import (
+    dyck, golden_mean_system, mem_equal, mem_unequal, permutation_fsm,
+    permutation_fsms, rll_system,
+)
 from oracles import LN_GOLDEN, bisect_root
+
+
+def perron_of(matrix):
+    """``perron`` on the edge list of a dense matrix's nonzero entries."""
+    src, dst = np.nonzero(matrix)
+    return perron(len(matrix), src, matrix[src, dst], dst)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call appends to the returned list."""
+    calls, function = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return function(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def assert_bracket_confirmed(fsm, bracket):
+    """rho(M(lo)) >= 1 >= rho(M(hi)), by ``numpy.linalg.eigvals``."""
+    def radius(s):
+        return max(abs(np.linalg.eigvals(d.transition_matrix(fsm, s))))
+
+    lo, hi = bracket
+    assert radius(lo) >= 1.0 - 1e-12
+    assert radius(hi) <= 1.0 + 1e-12
 
 
 class TestGfEval:
@@ -106,19 +138,39 @@ class TestPerron:
         ids=["all_ones", "tridiagonal", "periodic_flip"],
     )
     def test_known_perron_root(self, matrix, rho):
-        result = perron(matrix)
+        result = perron_of(matrix)
         assert result.lo <= rho <= result.hi
         assert abs(result.rho - rho) < 1e-12
         assert (result.right > 0).all() and (result.left > 0).all()
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            perron(np.array([[1.0, -1.0], [0.0, 1.0]]))
+            perron_of(np.array([[1.0, -1.0], [0.0, 1.0]]))
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(solvers, "PERRON_MAX_ITER", 1)
         with pytest.raises(d.EstimatorError, match="did not settle"):
-            perron(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]))
+            perron_of(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]))
+
+    def test_fast_mixing_fsm_needs_no_dense_solve(self, monkeypatch):
+        fsm = permutation_fsm(np.random.default_rng(7), 240)
+        solves = count_calls(monkeypatch, np.linalg, "solve")
+        estimate = d.fsm_capacity(fsm)
+        assert solves == []
+        assert_bracket_confirmed(fsm, estimate.bracket)
+
+    @pytest.mark.parametrize("n", [2, 200])
+    def test_periodic_cycle_certifies_through_the_dense_path(self, monkeypatch, n):
+        # power steps on a periodic matrix never settle; rho is the
+        # geometric mean of the cycle's weights (the flip's when n = 2)
+        q = np.linspace(1.0, 2.0, n) if n > 2 else np.ones(2)
+        builds = count_calls(monkeypatch, solvers, "dense")
+        result = perron(n, np.arange(n), q, (np.arange(n) + 1) % n)
+        rho = math.exp(np.log(q).mean())
+        assert builds == [1]
+        assert result.lo * (1 - 1e-14) <= rho <= result.hi * (1 + 1e-14)
+        assert abs(result.rho - rho) < 1e-12 * rho
+        assert (result.right > 0).all() and (result.left > 0).all()
 
 
 class TestFsmCapacity:
@@ -181,15 +233,15 @@ class TestFsmCapacity:
         fsm = d.make_rll(1, 3)
         estimate = d.fsm_capacity(fsm)
         samples = np.linspace(0.0, estimate.bracket[1] + 0.5, 10)
-        radii = [perron(d.transition_matrix(fsm, s)).rho for s in samples]
+        radii = [perron_of(d.transition_matrix(fsm, s)).rho for s in samples]
         assert all(a > b for a, b in zip(radii, radii[1:]))
 
     def test_bisection_certificate(self):
         fsm = d.make_golden_mean()
         estimate = d.fsm_capacity(fsm)
         lo, hi = estimate.bracket
-        assert perron(d.transition_matrix(fsm, lo)).lo >= 1.0
-        assert perron(d.transition_matrix(fsm, hi)).hi <= 1.0
+        assert perron_of(d.transition_matrix(fsm, lo)).lo >= 1.0
+        assert perron_of(d.transition_matrix(fsm, hi)).hi <= 1.0
 
     def test_no_cycle_duck_typed_input(self):
         fake = types.SimpleNamespace(
@@ -200,15 +252,19 @@ class TestFsmCapacity:
         with pytest.raises(d.InvalidSystemError, match="cycle"):
             d.fsm_capacity(fake)
 
-    def test_cycle_with_self_loop_matches_closed_form(self):
-        # slow mixing: the second eigenvalue of M(s) nears the Perron root
+    def test_cycle_with_self_loop_matches_closed_form(self, monkeypatch):
+        # slow mixing: the second eigenvalue of M(s) nears the Perron root,
+        # so the power steps give up and the dense path certifies
         n = 200
         loop = (0, d.Symbol("b", 1), 0)
         fsm = d.WeightedFsm(n, 0, tuple(
             (i, d.Symbol("a", 1), (i + 1) % n) for i in range(n)
         ) + (loop,))
         root = bisect_root(lambda s: math.exp(-s) + math.exp(-n * s) - 1, 0.0, 1.0)
+        builds = count_calls(monkeypatch, solvers, "dense")
+        solves = count_calls(monkeypatch, np.linalg, "solve")
         estimate = d.fsm_capacity(fsm)
+        assert builds and solves
         assert abs(estimate.value - root) < 1e-12
         assert estimate.bracket[0] <= root <= estimate.bracket[1]
         chain = d.maxent_chain(fsm)
@@ -257,25 +313,16 @@ class TestFsmCapacity:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_bracket_certified_on_random_fsms(self, seed):
-        # a union of permutations, one of them an n-cycle
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(20, 61))
-        order = rng.permutation(n)
-        edges = [(order[k], "a", order[(k + 1) % n]) for k in range(n)]
-        for label in "bc":
-            perm = rng.permutation(n)
-            edges += [(i, label, perm[i]) for i in range(n)]
-        fsm = d.WeightedFsm(n, 0, tuple(
-            (int(i), d.Symbol(label, int(rng.integers(1, 5))), int(j))
-            for i, label, j in edges
-        ))
-        lo, hi = d.fsm_capacity(fsm).bracket
+        fsm = permutation_fsm(rng, int(rng.integers(20, 61)))
+        assert_bracket_confirmed(fsm, d.fsm_capacity(fsm).bracket)
 
-        def radius(s):
-            return max(abs(np.linalg.eigvals(d.transition_matrix(fsm, s))))
-
-        assert radius(lo) >= 1.0 - 1e-12
-        assert radius(hi) <= 1.0 + 1e-12
+    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @given(fsm=permutation_fsms())
+    @example(fsm=permutation_fsm(np.random.default_rng(3), 2))
+    @example(fsm=permutation_fsm(np.random.default_rng(3), 300, "abcd"))
+    def test_bracket_confirmed_by_eigvals_on_both_perron_paths(self, fsm):
+        assert_bracket_confirmed(fsm, d.fsm_capacity(fsm).bracket)
 
     def test_newton_cap_raises(self, monkeypatch):
         monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 0)

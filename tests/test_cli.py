@@ -66,6 +66,19 @@ class TestEnumerate:
         assert out.read_text().count("\n") == 7  # header + 6 rows
         assert "density" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("target", ["stdout", "out_file"])
+    def test_failing_summary_writes_nothing(self, tmp_spec, tmp_path, capsys, target):
+        # a one-entry spectrum has no empirical capacity
+        out = tmp_path / "spectrum.tsv"
+        argv = ["enumerate", tmp_spec(DYCK), "--wmax", "1"]
+        assert main(argv + (["--out", str(out)] if target == "out_file" else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: empirical capacity needs a spectrum with >= 2 entries\n"
+        )
+        assert not out.exists()
+
     def test_malformed_json(self, tmp_spec, capsys):
         code = main(["enumerate", tmp_spec("{not json"), "--wmax", "4"])
         assert code == 1
@@ -279,6 +292,15 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert code == 2
         assert doc["verdict"] == "FAIL"
+
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_meaningless_tolerance_exits_one(self, tmp_spec, capsys, tol):
+        code = main(["verify", tmp_spec(GOLDEN_FSM), "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: tol must be finite and >= 0, not {float(tol)}\n"
 
 
 class TestUsage:

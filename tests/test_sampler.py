@@ -8,12 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dncap as d
 from dncap import maxent, sampler
 from conftest import (
-    counted, dead_end, dyck, harmonic_dyck, strongly_connected_fsms, three_way,
+    counted, dead_end, dyck, harmonic_dyck, permutation_fsm, permutation_fsms,
+    strongly_connected_fsms, three_way,
 )
 from oracles import LN_GOLDEN
 
@@ -315,6 +316,21 @@ def test_fsm_samples_rewalk_and_forgeries_are_rejected(fsm, steps):
     forged = dataclasses.replace(chain, transition_probs=tuple(rows))
     with pytest.raises(d.EstimatorError, match="rejected by the FSM"):
         d.sample_paths(forged, 20, steps, seed=steps)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(fsm=permutation_fsms())
+@example(fsm=permutation_fsm(np.random.default_rng(3), 2))
+@example(fsm=permutation_fsm(np.random.default_rng(3), 300, "abcd"))
+def test_maxent_chain_builds_wherever_the_capacity_certifies(fsm):
+    # both Perron paths: dense Noda on small or periodic FSMs, power steps
+    # on large fast-mixing ones
+    capacity = d.fsm_capacity(fsm).value
+    chain = d.maxent_chain(fsm)
+    assert chain.capacity == capacity
+    assert abs(chain.analytic_entropy_rate() - capacity) < 1e-9
+    assert all(abs(sum(p for *_, p in row) - 1.0) < 1e-12
+               for row in chain.transition_probs)
 
 
 # sha256 of samples_tsv, generated before the sampler's tables were stored
