@@ -14,7 +14,6 @@ from .capacity import (
     characteristic_root,
     fsm_capacity,
     gf_eval,
-    transition_matrix,
 )
 from .errors import (
     BudgetExceededError,
@@ -119,7 +118,6 @@ __all__ = [
     "solve_level_rate",
     "spectrum_tsv",
     "symbols",
-    "transition_matrix",
     "verify_equality",
     "weight_spectrum",
 ]

@@ -24,7 +24,7 @@ from .estimates import (
     SPECTRAL_RADIUS,
     CapacityEstimate,
 )
-from .solvers import dense, newton_root, partition_root, perron
+from .solvers import newton_root, partition_root, perron
 from .spectrum import (
     DENSITY_POLY_CAP,
     WeightSpectrum,
@@ -33,7 +33,7 @@ from .spectrum import (
     tail_window,
     weight_spectrum,
 )
-from .systems import BranchSystem, Symbol, WeightedFsm, strong_components
+from .systems import BranchSystem, Symbol, WeightedFsm
 
 DIVERGENCE_THRESHOLD = 1e6
 PROBE_DELTA = 0.1
@@ -89,20 +89,6 @@ def characteristic_root(alphabet: Sequence[Symbol]) -> CapacityEstimate:
     return CapacityEstimate(value, CHARACTERISTIC_ROOT, (lo, hi), residual, steps)
 
 
-def transition_matrix(fsm: WeightedFsm, s: float) -> np.ndarray:
-    """M(s) with M[i, j] = sum over i->j transitions of e^{-w s}."""
-    src, weights, dst = transition_list(fsm)
-    return dense(fsm.num_states, src, np.exp(-weights * s), dst)
-
-
-def transition_list(fsm: WeightedFsm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The source states, weights and target states of ``fsm``'s transitions."""
-    src, weights, dst = zip(
-        *((i, float(sym.weight), j) for i, sym, j in fsm.transitions)
-    )
-    return np.array(src), np.array(weights), np.array(dst)
-
-
 def fsm_capacity(fsm: WeightedFsm) -> CapacityEstimate:
     """Capacity of a regular channel: the s with spectral radius rho(M(s)) = 1.
 
@@ -110,8 +96,8 @@ def fsm_capacity(fsm: WeightedFsm) -> CapacityEstimate:
     components that carry a transition, so each is solved on its own, the
     largest root wins and ``iterations`` sums their Newton steps.
     """
-    src, weights, dst = transition_list(fsm)
-    label = np.array(strong_components(fsm))
+    src, weights, dst = fsm.edges
+    label = fsm.components
     inner = label[src] == label[dst]
     roots = []
     for component in np.unique(label[src[inner]]):

@@ -14,7 +14,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import maxent
-from .capacity import fsm_capacity, transition_list
+from .capacity import fsm_capacity
 from .errors import EstimatorError, InvalidSystemError
 from .solvers import perron
 from .systems import BranchSystem, Symbol, WeightedFsm
@@ -56,6 +56,7 @@ def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
 
     s* is ``fsm_capacity(fsm).value``; one ``perron`` call on the transition
     list of M(s*) gives v for the tilt and u o v for the stationary law.
+    The tilt takes ``math.exp`` per edge, one expression over ``fsm.edges``.
     """
     if not fsm.is_strongly_connected():
         raise InvalidSystemError(
@@ -63,23 +64,19 @@ def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
             "(otherwise the Perron eigenvector is not unique)"
         )
     s_star = fsm_capacity(fsm).value
-    src, weights, dst = transition_list(fsm)
+    src, weights, dst = fsm.edges
     p = perron(fsm.num_states, src, np.exp(-weights * s_star), dst)
     vector = p.right / p.right[fsm.start]
-    rows = []
-    for state in range(fsm.num_states):
-        row = []
-        for sym, dst in fsm.outgoing[state]:
-            prob = (vector[dst] / vector[state]) * math.exp(
-                -float(sym.weight) * s_star
-            )
-            row.append((sym, dst, float(prob)))
-        row_sum = sum(prob for _, _, prob in row)
-        if abs(row_sum - 1.0) > _ROW_SUM_TOL:
-            raise EstimatorError(
-                f"state {state}: transition probabilities sum to {row_sum}"
-            )
-        rows.append(tuple(row))
+    probs = vector[dst] / vector[src] * [math.exp(-w * s_star) for w in weights.tolist()]
+    row_sums = np.bincount(src, weights=probs, minlength=fsm.num_states)
+    bad = np.flatnonzero(abs(row_sums - 1.0) > _ROW_SUM_TOL)
+    if len(bad):
+        raise EstimatorError(
+            f"state {bad[0]}: transition probabilities sum to {float(row_sums[bad[0]])}"
+        )
+    by_row = iter(probs[np.argsort(src, kind="stable")].tolist())
+    rows = [tuple((sym, to, next(by_row)) for sym, to in outs)
+            for outs in fsm.outgoing.values()]
     stationary = p.left * p.right / (p.left @ p.right)
     chain = MaxentChain(
         fsm=fsm,

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import InvalidSystemError
 
 Weight = Fraction | float
@@ -116,12 +118,10 @@ class WeightedFsm:
             raise InvalidSystemError("an FSM needs at least one state")
         if not 0 <= self.start < self.num_states:
             raise InvalidSystemError(f"start state {self.start} out of range")
-        outgoing: dict[int, list] = {i: [] for i in range(self.num_states)}
-        for src, sym, dst in self.transitions:
+        for src, _, dst in self.transitions:
             if not (0 <= src < self.num_states and 0 <= dst < self.num_states):
                 raise InvalidSystemError(f"transition ({src} -> {dst}) out of range")
-            outgoing[src].append((sym, dst))
-        for state, outs in outgoing.items():
+        for state, outs in self.outgoing.items():
             if not outs:
                 raise InvalidSystemError(
                     f"state {state} is a dead end (every state needs a successor)"
@@ -131,7 +131,7 @@ class WeightedFsm:
                 raise InvalidSystemError(
                     f"state {state} has duplicate outgoing labels"
                 )
-        successors = {i: [dst for _, dst in outs] for i, outs in outgoing.items()}
+        successors = [[dst for _, dst in outs] for outs in self.outgoing.values()]
         reached = set(_finish_order(successors, [self.start]))
         if len(reached) != self.num_states:
             missing = sorted(set(range(self.num_states)) - reached)
@@ -146,6 +146,19 @@ class WeightedFsm:
             table[src].append((sym, dst))
         return {state: tuple(outs) for state, outs in table.items()}
 
+    @functools.cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only source, float weight and target arrays, one entry per
+        transition in ``transitions`` order."""
+        columns = zip(*((i, float(sym.weight), j) for i, sym, j in self.transitions))
+        return tuple(_read_only(np.array(column)) for column in columns)
+
+    @functools.cached_property
+    def components(self) -> np.ndarray:
+        """``strong_components`` of ``edges``, read-only."""
+        src, _, dst = self.edges
+        return _read_only(strong_components(self.num_states, src, dst))
+
     def accepts(self, labels: Iterable[str]) -> bool:
         """Walk the label sequence from the start state; labels are atomic."""
         state = self.start
@@ -159,7 +172,12 @@ class WeightedFsm:
         return True
 
     def is_strongly_connected(self) -> bool:
-        return len(set(strong_components(self))) == 1
+        return bool((self.components == self.components[0]).all())
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _finish_order(successors, roots, seen=None) -> list[int]:
@@ -180,21 +198,21 @@ def _finish_order(successors, roots, seen=None) -> list[int]:
     return order
 
 
-def strong_components(fsm: WeightedFsm) -> list[int]:
-    """Each state's strongly connected component, named by one of its states.
+def strong_components(n: int, src, dst) -> np.ndarray:
+    """Each of ``n`` states' strongly connected component, named by one of
+    its states, for the edges ``src[e] -> dst[e]`` of two integer arrays.
 
     Kosaraju: a backward search in reverse forward-finishing order stays
-    inside one component.  Reads only ``num_states`` and ``transitions``.
+    inside one component.  Dead ends and unreachable states are fine.
     """
-    forward: list[list[int]] = [[] for _ in range(fsm.num_states)]
-    backward: list[list[int]] = [[] for _ in range(fsm.num_states)]
-    for src, _, dst in fsm.transitions:
-        forward[src].append(dst)
-        backward[dst].append(src)
-    label, seen = [0] * fsm.num_states, set()
-    for root in reversed(_finish_order(forward, range(fsm.num_states))):
-        for state in _finish_order(backward, [root], seen):
-            label[state] = root
+    forward: list[list[int]] = [[] for _ in range(n)]
+    backward: list[list[int]] = [[] for _ in range(n)]
+    for i, j in zip(src.tolist(), dst.tolist()):
+        forward[i].append(j)
+        backward[j].append(i)
+    label, seen = np.zeros(n, dtype=np.intp), set()
+    for root in reversed(_finish_order(forward, range(n))):
+        label[_finish_order(backward, [root], seen)] = root
     return label
 
 
@@ -204,9 +222,8 @@ def fsm_to_branch_system(fsm: WeightedFsm, name: str = "") -> BranchSystem:
     Depth-l paths of the result are exactly the FSM's length-l transition
     sequences from the start state.
     """
-    table = fsm.outgoing
     return BranchSystem(
-        root=fsm.start, expand=table.__getitem__,
+        root=fsm.start, expand=fsm.outgoing.__getitem__,
         fsm=fsm, name=name or f"fsm[{fsm.num_states}]",
     )
 

@@ -98,6 +98,16 @@ def finite_tree(depth=3):
     return d.BranchSystem(0, expand, name=f"finite_tree({depth})")
 
 
+def underflowing_cycle():
+    """Golden-mean loops at state 0 and 1 plus a 4000-weight cycle through
+    state 2, whose e^{-w s} at the capacity ln(phi) underflows to 0."""
+    return d.WeightedFsm(3, 0, (
+        (0, d.Symbol("a", 1), 0), (0, d.Symbol("b", 1), 1),
+        (1, d.Symbol("a", 1), 0), (1, d.Symbol("b", 2000), 2),
+        (2, d.Symbol("a", 2000), 0),
+    ))
+
+
 def counted(system):
     """A copy of ``system`` whose ``expand`` calls are tallied in ``calls[0]``."""
     calls = [0]

@@ -4,7 +4,7 @@ import dataclasses
 import inspect
 
 import dncap as d
-from dncap import systems
+from dncap import capacity, systems
 from dncap.capacity import combinatorial_capacity
 
 # fixed module constants: spectrum.TAIL_FRACTION, maxent.LEVEL_BUDGET,
@@ -25,6 +25,14 @@ def test_test_only_exports_are_gone():
     for name in ("check_label_uniqueness", "growth_sequence"):
         assert name not in d.__all__
         assert not hasattr(d, name)
+
+
+def test_graph_wrappers_are_gone():
+    # an FSM's edges and components are read from the FSM itself
+    assert "transition_matrix" not in d.__all__
+    for name in ("transition_matrix", "transition_list"):
+        assert not hasattr(d, name)
+        assert not hasattr(capacity, name)
 
 
 def test_what_the_channel_determines_is_not_an_input():

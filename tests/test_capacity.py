@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 import dncap as d
 from dncap import capacity, solvers
 from dncap.solvers import perron
+from dncap.systems import strong_components
 from conftest import (
     dyck, golden_mean_system, mem_equal, mem_unequal, permutation_fsm,
-    permutation_fsms, rll_system,
+    permutation_fsms, rll_system, underflowing_cycle,
 )
 from oracles import LN_GOLDEN, bisect_root
 
@@ -20,6 +21,12 @@ def perron_of(matrix):
     """``perron`` on the edge list of a dense matrix's nonzero entries."""
     src, dst = np.nonzero(matrix)
     return perron(len(matrix), src, matrix[src, dst], dst)
+
+
+def transition_matrix(fsm, s):
+    """M(s) with M[i, j] = sum over i->j transitions of e^{-w s}."""
+    src, weights, dst = fsm.edges
+    return solvers.dense(fsm.num_states, src, np.exp(-weights * s), dst)
 
 
 def count_calls(monkeypatch, module, name):
@@ -37,7 +44,7 @@ def count_calls(monkeypatch, module, name):
 def assert_bracket_confirmed(fsm, bracket):
     """rho(M(lo)) >= 1 >= rho(M(hi)), by ``numpy.linalg.eigvals``."""
     def radius(s):
-        return max(abs(np.linalg.eigvals(d.transition_matrix(fsm, s))))
+        return max(abs(np.linalg.eigvals(transition_matrix(fsm, s))))
 
     lo, hi = bracket
     assert radius(lo) >= 1.0 - 1e-12
@@ -185,7 +192,7 @@ class TestFsmCapacity:
             for src, sym, dst in machine.transitions:
                 expected[src, dst] += math.exp(-float(sym.weight) * 0.7)
             assert np.allclose(
-                d.transition_matrix(machine, 0.7), expected, rtol=1e-15, atol=0.0
+                transition_matrix(machine, 0.7), expected, rtol=1e-15, atol=0.0
             )
 
     def test_binary_self_loops(self):
@@ -233,21 +240,21 @@ class TestFsmCapacity:
         fsm = d.make_rll(1, 3)
         estimate = d.fsm_capacity(fsm)
         samples = np.linspace(0.0, estimate.bracket[1] + 0.5, 10)
-        radii = [perron_of(d.transition_matrix(fsm, s)).rho for s in samples]
+        radii = [perron_of(transition_matrix(fsm, s)).rho for s in samples]
         assert all(a > b for a, b in zip(radii, radii[1:]))
 
     def test_bisection_certificate(self):
         fsm = d.make_golden_mean()
         estimate = d.fsm_capacity(fsm)
         lo, hi = estimate.bracket
-        assert perron_of(d.transition_matrix(fsm, lo)).lo >= 1.0
-        assert perron_of(d.transition_matrix(fsm, hi)).hi <= 1.0
+        assert perron_of(transition_matrix(fsm, lo)).lo >= 1.0
+        assert perron_of(transition_matrix(fsm, hi)).hi <= 1.0
 
     def test_no_cycle_duck_typed_input(self):
+        src, weights, dst = np.array([0]), np.array([1.0]), np.array([1])
         fake = types.SimpleNamespace(
-            num_states=2, start=0,
-            transitions=((0, d.Symbol("a", 1), 1),),
-            outgoing={0: ((d.Symbol("a", 1), 1),), 1: ()},
+            num_states=2, edges=(src, weights, dst),
+            components=strong_components(2, src, dst),
         )
         with pytest.raises(d.InvalidSystemError, match="cycle"):
             d.fsm_capacity(fake)
@@ -301,12 +308,7 @@ class TestFsmCapacity:
     def test_cycle_that_underflows_is_certified_on_the_rest(self):
         # the 4000-weight cycle through state 2 is e^-1925 at the root: zero
         # in floating point, so M(s) is reducible there and rho is golden
-        fsm = d.WeightedFsm(3, 0, (
-            (0, d.Symbol("a", 1), 0), (0, d.Symbol("b", 1), 1),
-            (1, d.Symbol("a", 1), 0), (1, d.Symbol("b", 2000), 2),
-            (2, d.Symbol("a", 2000), 0),
-        ))
-        estimate = d.fsm_capacity(fsm)
+        estimate = d.fsm_capacity(underflowing_cycle())
         lo, hi = estimate.bracket
         assert abs(estimate.value - LN_GOLDEN) < 1e-12
         assert lo <= LN_GOLDEN <= hi and hi - lo < 1e-12

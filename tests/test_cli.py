@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dncap import maxent, solvers
+from dncap import maxent, solvers, systems
 from dncap.cli import main
 
 MEM_EQUAL = {
@@ -205,6 +205,23 @@ class TestSample:
         rows = [l for l in first.splitlines() if not l.startswith("#")]
         assert len(rows) == 5
         assert all("11" not in row.split("\t")[0] for row in rows)
+
+    def test_fsm_sampling_labels_components_once(self, tmp_spec, monkeypatch):
+        # the chain's connectivity check and its capacity read one labelling
+        calls, label = [], systems.strong_components
+
+        def counted(*args):
+            calls.append(1)
+            return label(*args)
+
+        for name, module in list(sys.modules.items()):  # every holder of it
+            held = vars(module).get("strong_components")
+            if name.startswith("dncap") and held is label:
+                monkeypatch.setattr(module, "strong_components", counted)
+        code = main(["sample", tmp_spec(GOLDEN_FSM), "--count", "2", "--steps", "3",
+                     "--seed", "1"])
+        assert code == 0
+        assert calls == [1]
 
     def test_memoryless_sampling(self, tmp_spec, capsys):
         code = main(["sample", tmp_spec(MEM_EQUAL), "--count", "3", "--steps", "4",

@@ -14,7 +14,7 @@ import dncap as d
 from dncap import maxent, sampler
 from conftest import (
     counted, dead_end, dyck, harmonic_dyck, permutation_fsm, permutation_fsms,
-    strongly_connected_fsms, three_way,
+    strongly_connected_fsms, three_way, underflowing_cycle,
 )
 from oracles import LN_GOLDEN
 
@@ -86,6 +86,27 @@ class TestMaxentChain:
         estimate = d.fsm_capacity(fsm)
         chain = d.maxent_chain(fsm)
         assert abs(chain.analytic_entropy_rate() - estimate.value) <= 1e-6
+
+    def test_probabilities_are_the_tilt_to_the_last_bit(self):
+        fsm = permutation_fsm(np.random.default_rng(5), 40, "abc")
+        chain = d.maxent_chain(fsm)
+        b = chain.right_eigvec
+        assert [
+            [prob for _, _, prob in row] for row in chain.transition_probs
+        ] == [
+            [b[dst] / b[state] * math.exp(-float(sym.weight) * chain.capacity)
+             for sym, dst in fsm.outgoing[state]]
+            for state in range(fsm.num_states)
+        ]
+
+    @pytest.mark.xfail(
+        strict=True, raises=d.EstimatorError,
+        reason="every exit of state 2 underflows at s*; needs the log-space "
+        "rows of ROADMAP item 5",
+    )
+    def test_chain_builds_where_a_cycle_underflows(self):
+        chain = d.maxent_chain(underflowing_cycle())
+        assert abs(chain.capacity - LN_GOLDEN) < 1e-12
 
     def test_requires_strong_connectivity(self):
         one_way = d.WeightedFsm(

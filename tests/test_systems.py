@@ -1,9 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import dncap as d
+from dncap.systems import strong_components
 from conftest import dyck, golden_mean_system, mem_equal, mem_rational, mem_unequal
 from oracles import dyck_prefix_count, rll_word_ok
 
@@ -155,6 +158,19 @@ class TestWeightedFsm:
         assert fsm.accepts("")
         assert not fsm.accepts("0110")
 
+    def test_edges_are_the_transitions_as_read_only_arrays(self):
+        fsm = d.WeightedFsm(2, 0, (
+            (0, d.Symbol("a", "1/3"), 1), (0, d.Symbol("b", "5/2"), 1),
+            (1, d.Symbol("a", 2), 0), (1, d.Symbol("b", 0.25), 1),
+        ))
+        src, weights, dst = fsm.edges
+        assert src.tolist() == [0, 0, 1, 1] and dst.tolist() == [1, 1, 0, 1]
+        assert weights.tolist() == [1 / 3, 2.5, 2.0, 0.25]
+        assert fsm.edges is fsm.edges and fsm.components is fsm.components
+        for array in (src, weights, dst, fsm.components):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
     def test_strong_connectivity(self):
         assert d.make_golden_mean().is_strongly_connected()
         one_way = d.WeightedFsm(
@@ -188,6 +204,40 @@ class TestStructuralInvariants:
             p[:4] for p, _ in d.enumerate_level_paths(system, 5)
         }
         assert shallow == deep_prefixes
+
+
+@st.composite
+def edge_lists(draw):
+    """Any directed multigraph on 1 to 7 states, so dead ends, unreachable
+    states, self-loops and parallel edges all occur."""
+    n = draw(st.integers(1, 7))
+    state = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(state, state), max_size=16))
+
+
+def mutually_reachable(n, pairs):
+    """reach[i][j]: j is reachable from i, by transitive closure."""
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in pairs:
+        reach[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    return [[reach[i][j] and reach[j][i] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(graph=edge_lists())
+@example(graph=(1, []))
+@example(graph=(5, [(0, 0), (0, 1), (0, 1), (1, 0), (2, 1), (3, 3)]))
+def test_strong_components_are_the_mutual_reachability_classes(graph):
+    n, pairs = graph
+    src, dst = (np.array([pair[k] for pair in pairs], dtype=np.intp) for k in (0, 1))
+    label = strong_components(n, src, dst)
+    same = mutually_reachable(n, pairs)
+    assert [[label[i] == label[j] for j in range(n)] for i in range(n)] == same
+    assert all(label[label[i]] == label[i] for i in range(n))
 
 
 def _flatten_finite_tree(tree, root):
