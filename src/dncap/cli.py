@@ -10,12 +10,7 @@ import json
 import sys
 
 from .capacity import combinatorial_capacity
-from .errors import (
-    BudgetExceededError,
-    EstimatorError,
-    InvalidSystemError,
-    SpecFileError,
-)
+from .errors import BudgetExceededError, EstimatorError
 from .maxent import level_report_tsv, maxent_rate_estimate
 from .sampler import maxent_chain, sample_level_paths, sample_paths, samples_tsv
 from .specfile import load_system
@@ -23,7 +18,7 @@ from .spectrum import density_check, empirical_capacity, spectrum_tsv, weight_sp
 from .verify import FAIL, INCONCLUSIVE, PASS, verify_equality
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     """A bad command line, or an ``--out`` path that cannot be written."""
 
 
@@ -148,10 +143,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SpecFileError, InvalidSystemError, ValueError) as exc:
+    except ValueError as exc:  # _UsageError, SpecFileError, InvalidSystemError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (BudgetExceededError, EstimatorError) as exc:

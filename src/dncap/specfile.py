@@ -114,4 +114,6 @@ def load_system(path: str) -> tuple[BranchSystem, dict]:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise SpecFileError(f"{path}: JSON nested too deeply") from None
     return parse_system(doc), doc

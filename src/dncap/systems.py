@@ -14,6 +14,7 @@ are kept as floats and are accepted by the analytic routines only.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -54,7 +55,8 @@ def is_exact(weight: Weight) -> bool:
 
 @dataclass(frozen=True)
 class Symbol:
-    """A channel symbol: a nonempty label and a strictly positive weight."""
+    """A channel symbol: a nonempty label and a strictly positive weight,
+    whose float is positive and finite too."""
 
     label: str
     weight: Weight
@@ -62,10 +64,19 @@ class Symbol:
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise InvalidSystemError("symbol label must be a nonempty string")
-        object.__setattr__(self, "weight", parse_weight(self.weight))
+        raw = self.weight
+        object.__setattr__(self, "weight", parse_weight(raw))
         if not self.weight > 0:
             raise InvalidSystemError(
                 f"symbol {self.label!r}: weight must be > 0, got {self.weight}"
+            )
+        try:
+            in_range = 0.0 < float(self.weight) < math.inf
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise InvalidSystemError(
+                f"symbol {self.label!r}: weight {raw} is outside the float range"
             )
 
 
@@ -121,11 +132,17 @@ class WeightedFsm:
         for src, _, dst in self.transitions:
             if not (0 <= src < self.num_states and 0 <= dst < self.num_states):
                 raise InvalidSystemError(f"transition ({src} -> {dst}) out of range")
+        # the first state without a successor, found before any table of
+        # num_states entries is built
+        sources = sorted({src for src, _, _ in self.transitions})
+        if len(sources) < self.num_states:
+            state = next(
+                (i for i, src in enumerate(sources) if i != src), len(sources)
+            )
+            raise InvalidSystemError(
+                f"state {state} is a dead end (every state needs a successor)"
+            )
         for state, outs in self.outgoing.items():
-            if not outs:
-                raise InvalidSystemError(
-                    f"state {state} is a dead end (every state needs a successor)"
-                )
             labels = [sym.label for sym, _ in outs]
             if len(set(labels)) != len(labels):
                 raise InvalidSystemError(

@@ -109,6 +109,47 @@ class TestEnumerate:
         assert code == 1
         assert "dead end" in capsys.readouterr().err
 
+    def test_huge_state_count_is_a_dead_end(self, tmp_spec, capsys):
+        doc = {
+            "kind": "fsm",
+            "states": 10 ** 12,
+            "start": 0,
+            "transitions": [{"from": 0, "label": "a", "weight": "1", "to": 0}],
+        }
+        code = main(["capacity", tmp_spec(doc)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == "error: spec: state 1 is a dead end (every state needs a successor)\n"
+
+    def test_deeply_nested_json_exits_one(self, tmp_spec, capsys):
+        code = main(["capacity", tmp_spec("[" * 200000)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "nested too deeply" in err
+
+    @pytest.mark.parametrize("command", [
+        ["enumerate", "--wmax", "4"],
+        ["capacity"],
+        ["maxent", "--lmax", "4"],
+        ["sample", "--count", "2", "--steps", "3", "--seed", "1"],
+        ["verify"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("weight", ["1e400", "1e-400"])
+    def test_weight_outside_the_float_range_exits_one(
+        self, tmp_spec, capsys, command, weight
+    ):
+        doc = {"kind": "memoryless", "symbols": [
+            {"label": "a", "weight": "1"}, {"label": "b", "weight": weight},
+        ]}
+        code = main([command[0], tmp_spec(doc), *command[1:]])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: spec.symbols[1].weight: symbol 'b': weight {weight} "
+                       "is outside the float range\n")
+
     def test_boolean_fsm_fields_are_rejected(self, tmp_spec, capsys):
         doc = {
             "kind": "fsm",

@@ -31,6 +31,13 @@ class TestSymbol:
         with pytest.raises(d.InvalidSystemError):
             d.Symbol("a", "-1/2")
 
+    @pytest.mark.parametrize("weight", ["1e400", "1e-400", float("inf"),
+                                        Fraction(10) ** 400])
+    def test_rejects_weights_outside_the_float_range(self, weight):
+        # 1e400 has no float; 1e-400's float is 0, which no root can use
+        with pytest.raises(d.InvalidSystemError, match="outside the float range"):
+            d.Symbol("a", weight)
+
     def test_rejects_empty_label(self):
         with pytest.raises(d.InvalidSystemError):
             d.Symbol("", 1)
@@ -136,6 +143,13 @@ class TestWeightedFsm:
     def test_dead_end_is_a_constructor_error(self):
         with pytest.raises(d.InvalidSystemError, match="dead end"):
             d.WeightedFsm(2, 0, ((0, d.Symbol("a", 1), 1),))
+
+    def test_dead_end_of_a_huge_fsm_is_found_from_its_transitions(self):
+        # a table of 10^12 states would not fit in memory
+        with pytest.raises(d.InvalidSystemError, match="state 1 is a dead end"):
+            d.WeightedFsm(10 ** 12, 0, ((0, d.Symbol("a", 1), 0),))
+        with pytest.raises(d.InvalidSystemError, match="state 0 is a dead end"):
+            d.WeightedFsm(10 ** 12, 1, ((1, d.Symbol("a", 1), 1),))
 
     def test_unreachable_state_is_an_error(self):
         with pytest.raises(d.InvalidSystemError, match="unreachable"):
