@@ -66,15 +66,15 @@ class Symbol:
             raise InvalidSystemError("symbol label must be a nonempty string")
         raw = self.weight
         object.__setattr__(self, "weight", parse_weight(raw))
-        if not self.weight > 0:
-            raise InvalidSystemError(
-                f"symbol {self.label!r}: weight must be > 0, got {self.weight}"
-            )
         try:
             in_range = 0.0 < float(self.weight) < math.inf
         except OverflowError:
             in_range = False
         if not in_range:
+            if not self.weight > 0:
+                raise InvalidSystemError(
+                    f"symbol {self.label!r}: weight must be > 0, got {self.weight}"
+                )
             raise InvalidSystemError(
                 f"symbol {self.label!r}: weight {raw} is outside the float range"
             )
@@ -227,10 +227,11 @@ def strong_components(n: int, src, dst) -> np.ndarray:
     for i, j in zip(src.tolist(), dst.tolist()):
         forward[i].append(j)
         backward[j].append(i)
-    label, seen = np.zeros(n, dtype=np.intp), set()
+    label, seen = [0] * n, set()
     for root in reversed(_finish_order(forward, range(n))):
-        label[_finish_order(backward, [root], seen)] = root
-    return label
+        for state in _finish_order(backward, [root], seen):
+            label[state] = root
+    return np.array(label)
 
 
 def fsm_to_branch_system(fsm: WeightedFsm, name: str = "") -> BranchSystem:
