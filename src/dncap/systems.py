@@ -137,7 +137,7 @@ class WeightedFsm:
         sources = sorted({src for src, _, _ in self.transitions})
         if len(sources) < self.num_states:
             state = next(
-                (i for i, src in enumerate(sources) if i != src), len(sources)
+                (i for i, source in enumerate(sources) if i != source), len(sources)
             )
             raise InvalidSystemError(
                 f"state {state} is a dead end (every state needs a successor)"
@@ -168,13 +168,17 @@ class WeightedFsm:
         """Read-only source, float weight and target arrays, one entry per
         transition in ``transitions`` order."""
         columns = zip(*((i, float(sym.weight), j) for i, sym, j in self.transitions))
-        return tuple(_read_only(np.array(column)) for column in columns)
+        arrays = tuple(map(np.array, columns))
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
 
     @functools.cached_property
     def components(self) -> np.ndarray:
         """``strong_components`` of ``edges``, read-only."""
-        src, _, dst = self.edges
-        return _read_only(strong_components(self.num_states, src, dst))
+        label = strong_components(self.num_states, self.edges[0], self.edges[2])
+        label.flags.writeable = False
+        return label
 
     def accepts(self, labels: Iterable[str]) -> bool:
         """Walk the label sequence from the start state; labels are atomic."""
@@ -190,11 +194,6 @@ class WeightedFsm:
 
     def is_strongly_connected(self) -> bool:
         return bool((self.components == self.components[0]).all())
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def _finish_order(successors, roots, seen=None) -> list[int]:
