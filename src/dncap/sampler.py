@@ -56,7 +56,6 @@ def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
 
     s* is ``fsm_capacity(fsm).value``; one ``perron`` call on the transition
     list of M(s*) gives v for the tilt and u o v for the stationary law.
-    The tilt takes ``math.exp`` per edge, one expression over ``fsm.edges``.
     """
     if not fsm.is_strongly_connected():
         raise InvalidSystemError(
@@ -67,13 +66,14 @@ def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
     src, weights, dst = fsm.edges
     p = perron(fsm.num_states, src, np.exp(-weights * s_star), dst)
     vector = p.right / p.right[fsm.start]
-    probs = vector[dst] / vector[src] * [math.exp(-w * s_star) for w in weights.tolist()]
+    # math.exp, not np.exp: the two differ in the last bit on some inputs
+    tilt = [math.exp(-w * s_star) for w in weights.tolist()]
+    probs = vector[dst] / vector[src] * tilt
     row_sums = np.bincount(src, weights=probs, minlength=fsm.num_states)
     bad = np.flatnonzero(abs(row_sums - 1.0) > _ROW_SUM_TOL)
     if len(bad):
-        raise EstimatorError(
-            f"state {bad[0]}: transition probabilities sum to {float(row_sums[bad[0]])}"
-        )
+        raise EstimatorError(f"state {bad[0]}: transition probabilities sum to "
+                             f"{float(row_sums[bad[0]])}")
     by_row = iter(probs[np.argsort(src, kind="stable")].tolist())
     rows = [tuple((sym, to, next(by_row)) for sym, to in outs)
             for outs in fsm.outgoing.values()]
