@@ -52,7 +52,7 @@ def _level_walk(system: BranchSystem, level: int):
     The walk yields one empty depth past the end of a finite tree; reaching
     it before ``level`` raises ``ValueError`` naming the last nonempty depth.
     """
-    walk = frontier_walk(system, budget=LEVEL_BUDGET)
+    walk = frontier_walk(system, None, LEVEL_BUDGET)
     for depth, (frontier, scale, memo) in enumerate(islice(walk, level), 1):
         if not frontier:
             raise ValueError(

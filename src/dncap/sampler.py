@@ -7,9 +7,10 @@ Non-regular channels are sampled exactly from the depth-l maxent distribution
 via subtree partition sums, with no optimality claim beyond the solved level.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -100,19 +101,47 @@ class SamplePath:
     log_prob: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SampleSet:
-    paths: tuple[SamplePath, ...]
+    """Sampled paths of ``steps`` labels each, kept as read-only arrays:
+    ``labels[i, t]`` codes path i's label at step t into ``names``, and
+    ``weight`` and ``log_prob`` are per path.  ``paths`` decodes them on
+    first read; a set built from ``paths`` encodes them into the arrays."""
+
+    names: tuple[str, ...]
+    labels: np.ndarray
+    weight: np.ndarray
+    log_prob: np.ndarray
     seed: int
     steps: int
+
+    def __init__(self, paths=(), seed: int = 0, steps: int = 0):
+        paths, code = tuple(paths), {}
+        rows = [[code.setdefault(x, len(code)) for x in p.labels] for p in paths]
+        labels = np.array(rows, dtype=np.intp).reshape(len(paths), steps)
+        totals = np.array([(p.weight, p.log_prob) for p in paths], dtype=float)
+        drawn = self._drawn(code, labels, *totals.reshape(-1, 2).T, seed)
+        self.__dict__.update(vars(drawn), paths=paths)
+
+    @classmethod
+    def _drawn(cls, names, labels, weight, log_prob, seed: int) -> "SampleSet":
+        samples = cls.__new__(cls)
+        for array in (labels, weight, log_prob):
+            array.flags.writeable = False
+        samples.__dict__.update(names=tuple(names), labels=labels, weight=weight,
+                                log_prob=log_prob, seed=seed, steps=labels.shape[1])
+        return samples
+
+    @functools.cached_property
+    def paths(self) -> tuple[SamplePath, ...]:
+        rows = map(tuple, np.array(self.names, dtype=object).take(self.labels).tolist())
+        return tuple(map(SamplePath, rows, self.weight.tolist(), self.log_prob.tolist()))
 
 
 def _padded(lengths, *columns):
     """Flat per-branch columns as zero-padded (branch x row) arrays, after
-    the mask of real branches.
-
-    Each column is filled through its transposed view, so the flat entries
-    keep their row order."""
+    the mask of real branches; each is filled through its transposed view,
+    so the flat entries keep their row order."""
     lengths = np.asarray(lengths, dtype=np.intp)
     valid = np.arange(lengths.max(initial=0))[:, None] < lengths
     padded = [valid]
@@ -127,11 +156,10 @@ def _table(ln_q, valid, child, weight, label, ln_total=None):
     branches, and ln q elsewhere is ignored.  ``ln_total`` is each row's
     ln sum q when the caller already has it, reduced here otherwise.
 
-    Returns the (branch x row) cumulative p and the flat child,
-    ln p = ln q - ln sum q, weight and label arrays, read at
-    ``branch * rows + row``.  A branch with q = 0, or any branch of a row
-    with none, has ln p = -inf.  A row's last branch with q > 0 and every
-    cumulative entry after it are inf, so no draw falls past it."""
+    Returns the (branch x row) cumulative p and the flat child, ln p =
+    ln q - ln sum q (-inf where q = 0), weight and label arrays, read at
+    ``branch * rows + row``.  Cumulative entries from a row's last branch
+    with q > 0 on are inf, so no draw falls past it."""
     ln_q = np.where(valid, ln_q, -np.inf)
     live = ln_q > -np.inf
     if ln_total is None:
@@ -148,11 +176,9 @@ def _lock_step(tables, names, start: int, count: int, steps: int, seed: int):
     """Advance ``count`` paths at once, one table per step: path i takes the
     first branch whose cumulative p reaches the step's i-th uniform draw.
 
-    A path's branch is the number of its row's cumulative entries below its
-    draw, one 1-D gather per branch but the last, whose entry is always inf;
-    label, weight, ln p and child are then gathered at ``branch * rows +
-    row``.  Returns the (path x step) codes into ``names`` of the labels
-    drawn and each path's weight and log probability."""
+    A path's branch counts its row's cumulative entries below its draw (the
+    last is always inf); label, weight, ln p and child are gathered at
+    ``branch * rows + row``.  Returns the draws as a ``SampleSet``."""
     rng = np.random.default_rng(seed)
     state = np.full(count, start)
     labels = np.empty((count, steps), dtype=np.min_scalar_type(len(names)))
@@ -167,33 +193,16 @@ def _lock_step(tables, names, start: int, count: int, steps: int, seed: int):
         weight += step_weight.take(at)
         log_prob += ln_p.take(at)
         state = child.take(at)
-    return labels, weight, log_prob
-
-
-_DECODE_SYMBOLS = 1 << 14  # label codes decoded per object gather
-
-
-def _sample_set(names, labels, weight, log_prob, seed: int) -> SampleSet:
-    """Label codes decoded through ``names``, one path per row, a block of
-    about ``_DECODE_SYMBOLS`` symbols at a time."""
-    lookup = np.array(names, dtype=object)
-    block = max(1, _DECODE_SYMBOLS // labels.shape[1])  # rows per gather
-    rows = chain.from_iterable(
-        map(tuple, lookup.take(labels[first:first + block]).tolist())
-        for first in range(0, len(labels), block)
-    )
-    paths = tuple(map(SamplePath, rows, weight.tolist(), log_prob.tolist()))
-    return SampleSet(paths=paths, seed=seed, steps=labels.shape[1])
+    return SampleSet._drawn(names, labels, weight, log_prob, seed)
 
 
 def _check_accepted(fsm: WeightedFsm, names, labels) -> None:
     """Raise ``EstimatorError`` naming the first row of label codes into
     ``names`` that ``fsm`` does not accept.
 
-    Every row walks at once through a flat (state x label code) next-state
-    table built from ``fsm.transitions``, one column per step.  A missing
-    edge is -1, which indexes an extra all -1 row, so a rejected row stays
-    rejected."""
+    All rows walk at once through a flat (state x label code) next-state
+    table from ``fsm.transitions``, where a missing edge is -1, the index of
+    an extra all -1 row, so a rejected row stays rejected."""
     code = {name: i for i, name in enumerate(names)}
     width = len(names)
     step = np.full((fsm.num_states + 1) * width, -1)
@@ -214,12 +223,10 @@ def _check_accepted(fsm: WeightedFsm, names, labels) -> None:
 def sample_paths(chain: MaxentChain, count: int, steps: int, seed: int) -> SampleSet:
     """Draw ``count`` label sequences of ``steps`` transitions each.
 
-    Deterministic given ``seed``.  The chain's rows become one table that
-    every step reuses.  All sampled sequences are then re-walked together
-    through a next-state table built from the FSM's transitions, not from
-    the rows, and the first one it rejects raises ``EstimatorError``; the
-    per-path log probability and total weight are recorded exactly as
-    generated.
+    Deterministic given ``seed``; the chain's rows are one table that every
+    step reuses.  The sequences are then re-walked through the FSM's own
+    transitions, and the first one it rejects raises ``EstimatorError``; each
+    path's weight and log probability are recorded as drawn.
     """
     if count < 1 or steps < 1:
         raise ValueError("count and steps must be >= 1")
@@ -233,21 +240,17 @@ def sample_paths(chain: MaxentChain, count: int, steps: int, seed: int) -> Sampl
         [code.setdefault(sym.label, len(code)) for sym, _, _ in flat],
     )
     tables = repeat(_table(ln_q, valid, child, weight, label), steps)
-    names = list(code)
-    labels, weight, log_prob = _lock_step(
-        tables, names, chain.fsm.start, count, steps, seed
-    )
-    _check_accepted(chain.fsm, names, labels)
-    return _sample_set(names, labels, weight, log_prob, seed)
+    samples = _lock_step(tables, code, chain.fsm.start, count, steps, seed)
+    _check_accepted(chain.fsm, samples.names, samples.labels)
+    return samples
 
 
 def empirical_entropy_rate(samples: SampleSet) -> float:
     """Plug-in estimate: total negative log probability over total weight."""
-    if not samples.paths:
+    if not len(samples.weight):
         raise ValueError("empty sample set")
-    neg_log = -sum(path.log_prob for path in samples.paths)
-    total_weight = sum(path.weight for path in samples.paths)
-    return neg_log / total_weight
+    # summed in path order: np.sum's pairwise order moves the last bits
+    return -sum(samples.log_prob.tolist()) / sum(samples.weight.tolist())
 
 
 def sample_level_paths(
@@ -258,39 +261,32 @@ def sample_level_paths(
     Branch probabilities are proportional to e^{-w R_l} times the subtree
     partition sum of the child at the remaining depth, which reproduces
     q(x) = e^{-w(x) R_l} exactly.  One frontier walk gives R_l, each depth's
-    handles (as integer ids) and, in its memo, each handle's branches, laid
-    out once as (branch x handle id) arrays.  Log subtree sums are filled in
-    from the deepest level up in one buffer by handle id, since a depth's
-    children are exactly the next depth's handles; each depth's are kept,
-    and the root's must be 0: R_l solves the same sum over the whole
-    support.  The draws then build each depth's table once, a gather over
-    that depth's handles whose row totals are that depth's ln Z.  The walk
-    is capped at ``maxent.LEVEL_BUDGET`` expansions, and a level past the
-    end of a finite tree raises ``ValueError``.
+    handle ids (its groups' keys) and its memo of branches by id, laid out
+    once as (branch x handle id) arrays.  Log subtree sums fill one buffer
+    by handle id from the deepest level up, and the root's must be 0, since
+    R_l solves the same sum over the whole support; each depth's draw table
+    is a gather over its handles, with its ln Z as row totals.  The walk is
+    capped at ``maxent.LEVEL_BUDGET`` expansions, and a level past the end
+    of a finite tree raises ``ValueError``.
     """
     if count < 1 or level < 1:
         raise ValueError("count and level must be >= 1")
-    ids = {system.root: 0}
     depths = [np.zeros(1, dtype=np.intp)]  # each depth's distinct handle ids
     for frontier, scale, memo in maxent._level_walk(system, level):
-        handles = dict.fromkeys(chain.from_iterable(frontier.values()))
-        new = [h for h in handles if h not in ids]
-        ids.update(zip(new, range(len(ids), len(ids) + len(new))))
-        depths.append(np.fromiter(
-            map(ids.__getitem__, handles), dtype=np.intp, count=len(handles)
-        ))
+        groups = list(frontier.values())
+        at = groups[0] if len(groups) == 1 else set().union(*groups)
+        depths.append(np.fromiter(at, dtype=np.intp, count=len(at)))
     rate = maxent._solve_levels([maxent._level_row(frontier, scale)], level)[0].rate
     code: dict[str, int] = {}
-    rows = [memo.get(handle, ()) for handle in ids]  # in id order
-    flat = [branch for row in rows for branch in row]
+    flat = [branch for row in memo for branch in row]
     valid, child, weight, label = _padded(
-        [len(row) for row in rows],
-        [ids[handle] for _, handle, _ in flat],
+        [len(row) for row in memo],
+        [to for _, to, _ in flat],
         [float(sym.weight) for _, _, sym in flat],
         [code.setdefault(sym.label, len(code)) for _, _, sym in flat],
     )
     cost = weight * rate
-    buffer = np.zeros(len(ids))  # ln Z by handle id, one depth at a time
+    buffer = np.zeros(len(memo))  # ln Z by handle id, one depth at a time
     log_z = [None] * level + [buffer[depths[level]]]
     for depth in reversed(range(level)):
         at = depths[depth]
@@ -304,7 +300,7 @@ def sample_level_paths(
             f"level {level}: root subtree sum has ln Z = {root}, not 0, "
             f"at rate {rate}"
         )
-    position = np.zeros(len(ids), dtype=np.intp)  # id -> index at one depth
+    position = np.zeros(len(memo), dtype=np.intp)  # id -> index at one depth
 
     def table(depth):
         at, below = depths[depth], depths[depth + 1]
@@ -316,16 +312,30 @@ def sample_level_paths(
         return _table(ln_q, real, to, weight.take(at, axis=1),
                       label.take(at, axis=1), log_z[depth])
 
-    names = list(code)
-    drawn = _lock_step(map(table, range(level)), names, 0, count, level, seed)
-    return _sample_set(names, *drawn, seed)
+    return _lock_step(map(table, range(level)), code, 0, count, level, seed)
+
+
+_WRITE_SYMBOLS = 1 << 14  # labels looked up at once; larger blocks raise peak RSS
 
 
 def samples_tsv(samples: SampleSet) -> str:
-    """One path per line: concatenated labels, weight, log probability."""
-    lines = ["# labels\tweight\tlog_prob"]
-    for path in samples.paths:
-        lines.append(
-            f"{''.join(path.labels)}\t{path.weight:.17g}\t{path.log_prob:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    """One path per line: concatenated labels, weight, log probability.
+
+    Written from the arrays, about ``_WRITE_SYMBOLS`` labels at a time.
+    Labels of one length without NUL (which numpy strings drop) map through
+    a fixed-width lookup, each row viewed as one string; others are joined."""
+    names, labels, steps = samples.names, samples.labels, samples.steps
+    width = len(names[0]) if names else 0
+    fixed = {len(x) for x in names} == {width} and "\0" not in "".join(names)
+    lookup = np.array(names, dtype=f"U{width}" if fixed else object)
+    block = max(1, _WRITE_SYMBOLS // max(1, steps))  # rows per block
+    chunks = ["# labels\tweight\tlog_prob\n"]
+    for first in range(0, len(labels), block):
+        rows = slice(first, first + block)
+        codes = lookup.take(labels[rows])
+        text = (codes.view(f"U{width * steps}").ravel().tolist() if fixed
+                else map("".join, codes.tolist()))
+        chunks.append("".join(map("{}\t{:.17g}\t{:.17g}\n".format, text,
+                                  samples.weight[rows].tolist(),
+                                  samples.log_prob[rows].tolist())))
+    return "".join(chunks)

@@ -51,54 +51,61 @@ class WeightSpectrum:
         return tuple(c for _, c in self.entries)
 
 
-def frontier_walk(system: BranchSystem, w_max=None, budget: int | None = None):
+def frontier_walk(system: BranchSystem, w_max, budget: int):
     """Yield ``(frontier, scale, memo)`` at depths 1, 2, ...
 
     ``frontier`` maps a weight in units of 1/``scale`` to that weight's
-    group, {node handle: path count}.  Walks the tree breadth-first while
+    group, {handle id: path count}.  Walks the tree breadth-first while
     merging frontier states that share a (weight, handle) pair, which turns
     the exponential path walk into a transfer-matrix style recurrence for
     FSMs and a balanced walk for generators.  Distinct root paths carry
     distinct label tuples, so path counts and string counts coincide.
-    Branches heavier than ``w_max`` are dropped, and the walk stops at the
-    first empty depth; ``budget`` caps the total number of branch
-    expansions, remembered ones included.
+    Branches heavier than ``w_max`` (None for no bound) are dropped, and the
+    walk stops at the first empty depth.  Past ``budget`` branch expansions,
+    remembered ones included, it raises ``BudgetExceededError`` naming itself
+    and the depth it was building.
 
-    ``scale`` is the LCM of the exact weight denominators seen so far, and
-    float weights are float units.  A depth's new handles are expanded into
-    ``memo`` (handle -> (units, child, symbol) branches) before the depth is
-    read, so ``expand`` runs once per handle and a new denominator rescales
-    the frontier and the memo once.  ``depth_buckets`` gives the weights.
-    """
-    frontier: dict = {0: {system.root: 1}}
-    scale, memo, work, bound = 1, {}, 0, _bound(w_max, 1)
+    The root's id is 0; any other handle gets the next id when first seen as
+    a child.  ``memo[id]`` holds its (units, child id, symbol) branches once
+    expanded, () before: a depth expands its frontier's ids among those not
+    yet expanded, so ``expand`` runs once per handle.  ``scale`` is the LCM
+    of the exact weight denominators seen so far (float weights are float
+    units); a new denominator rescales the frontier and the memo once."""
+    walk = "level walk" if w_max is None else f"weight spectrum walk to w_max {w_max}"
+    frontier: dict = {0: {0: 1}}
+    ids, memo, pending = {system.root: 0}, [()], {0: system.root}
+    scale, work, bound, depth = 1, 0, _bound(w_max, 1), 0
     while frontier:
-        fresh = dict.fromkeys(
-            h for group in frontier.values() for h in group if h not in memo
-        )
-        fresh = {h: system.expand(h) for h in fresh}
+        depth += 1
+        fresh = set().union(*(group.keys() & pending.keys()
+                              for group in frontier.values())) if pending else ()
+        fresh = [(i, system.expand(pending.pop(i))) for i in fresh]
         factor = math.lcm(scale, *(
-            sym.weight.denominator for branches in fresh.values()
+            sym.weight.denominator for _, branches in fresh
             for sym, _ in branches if is_exact(sym.weight)
         )) // scale
         if factor > 1:
             scale *= factor
             bound = _bound(w_max, scale)
             frontier = {u * factor: group for u, group in frontier.items()}
-            memo = {h: tuple((u * factor, child, sym) for u, child, sym in branches)
-                    for h, branches in memo.items()}
-        for handle, branches in fresh.items():
-            memo[handle] = tuple(
-                (_units(sym.weight, scale), child, sym) for sym, child in branches
+            memo = [tuple((u * factor, child, sym) for u, child, sym in branches)
+                    for branches in memo]
+        for i, branches in fresh:
+            for _, child in branches:
+                if child not in ids:
+                    ids[child], pending[len(memo)] = len(memo), child
+                    memo.append(())
+            memo[i] = tuple(
+                (_units(sym.weight, scale), ids[child], sym) for sym, child in branches
             )
         next_frontier: dict = {}
         for acc, group in frontier.items():
             for handle, count in group.items():
                 branches = memo[handle]
                 work += len(branches)
-                if budget is not None and work > budget:
+                if work > budget:
                     raise BudgetExceededError(
-                        f"level support walk exceeded budget of {budget} expansions"
+                        f"{walk} exceeded budget of {budget} expansions at depth {depth}"
                     )
                 for units, child, _ in branches:
                     weight = acc + units
@@ -144,11 +151,13 @@ def weight_spectrum(system: BranchSystem, w_max) -> WeightSpectrum:
     """Count accepted strings by exact weight, up to and including w_max.
 
     Counts merge on integer units across depths, rescaled when the walk's
-    scale grows, and each distinct weight becomes a ``Fraction`` once."""
+    scale grows, and each distinct weight becomes a ``Fraction`` once.  The
+    walk stops at ``maxent.LEVEL_BUDGET`` expansions, as level walks do."""
+    from . import maxent  # maxent imports this module
     w_max = exact_w_max(w_max)
     buckets: dict[int, int] = {}
     last = 1
-    for frontier, scale, _ in frontier_walk(system, w_max):
+    for frontier, scale, _ in frontier_walk(system, w_max, maxent.LEVEL_BUDGET):
         if scale != last:
             buckets = {u * (scale // last): c for u, c in buckets.items()}
             last = scale

@@ -98,6 +98,32 @@ def finite_tree(depth=3):
     return d.BranchSystem(0, expand, name=f"finite_tree({depth})")
 
 
+def tuple_dyck():
+    """Dyck prefixes whose handle is the pair (balance, depth parity); ")"
+    weighs 1/2, "(" weighs 1."""
+
+    def expand(handle):
+        balance, parity = handle
+        up = (d.Symbol("(", 1), (balance + 1, 1 - parity))
+        if not balance:
+            return (up,)
+        return ((d.Symbol(")", Fraction(1, 2)), (balance - 1, 1 - parity)), up)
+
+    return d.BranchSystem((0, 0), expand, name="tuple_dyck")
+
+
+def prefix_strings():
+    """Strings over "a" (weight 1), "b" (2/3) and "c" (3/2) with no "cc",
+    whose handle is the prefix itself, so no handle repeats."""
+
+    def expand(prefix):
+        labels = "ab" if prefix.endswith("c") else "abc"
+        weights = {"a": 1, "b": Fraction(2, 3), "c": Fraction(3, 2)}
+        return tuple((d.Symbol(x, weights[x]), prefix + x) for x in labels)
+
+    return d.BranchSystem("", expand, name="prefix_strings")
+
+
 def underflowing_cycle():
     """Golden-mean loops at state 0 and 1 plus a 4000-weight cycle through
     state 2, whose e^{-w s} at the capacity ln(phi) underflows to 0."""

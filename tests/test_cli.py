@@ -150,6 +150,25 @@ class TestEnumerate:
         assert err == (f"error: spec.symbols[1].weight: symbol 'b': weight {weight} "
                        "is outside the float range\n")
 
+    @pytest.mark.parametrize("command", [
+        ["enumerate", "--wmax", "5"], ["capacity", "--method", "abscissa"],
+    ], ids=lambda command: command[0])
+    def test_tiny_weight_stops_at_the_walk_budget(
+        self, tmp_spec, capsys, monkeypatch, command
+    ):
+        # 5 * 10^300 units of 1e-300 below w_max; at the budget of 2^22
+        # expansions the same run exits 3 after several seconds
+        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 2 ** 14)
+        doc = {"kind": "memoryless", "symbols": [
+            {"label": "a", "weight": "1"}, {"label": "b", "weight": "1e-300"},
+        ]}
+        code = main([command[0], tmp_spec(doc), *command[1:]])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: weight spectrum walk to w_max ")
+        assert "exceeded budget of 16384 expansions at depth " in err
+
     def test_boolean_fsm_fields_are_rejected(self, tmp_spec, capsys):
         doc = {
             "kind": "fsm",

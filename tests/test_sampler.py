@@ -29,6 +29,32 @@ def binary_chain():
     return d.maxent_chain(fsm)
 
 
+def two_char_chain():
+    """Three states whose labels are all two characters long."""
+    return d.maxent_chain(d.WeightedFsm(3, 0, (
+        (0, d.Symbol("up", 1), 1), (0, d.Symbol("st", "1/2"), 0),
+        (1, d.Symbol("up", "3/2"), 2), (1, d.Symbol("dn", 1), 0),
+        (2, d.Symbol("dn", 2), 1), (2, d.Symbol("st", "2/3"), 2),
+    )))
+
+
+def mixed_length_chain():
+    """One state whose labels have one, two and three characters."""
+    return d.maxent_chain(d.memoryless_fsm(
+        d.symbols({"0": 1, "10": 2, "ŋ": "3/2", "110": 3})
+    ))
+
+
+def joined_tsv(samples):
+    """``samples_tsv`` written path by path from the decoded ``paths``."""
+    lines = ["# labels\tweight\tlog_prob"]
+    for path in samples.paths:
+        lines.append(
+            f"{''.join(path.labels)}\t{path.weight:.17g}\t{path.log_prob:.17g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def rewalk(chain, labels):
     """Weight and log probability re-summed along the chain's rows."""
     state, weight, log_prob = chain.fsm.start, 0.0, 0.0
@@ -210,6 +236,19 @@ class TestEmpiricalEntropyRate:
         with pytest.raises(ValueError):
             d.empirical_entropy_rate(d.SampleSet(paths=(), seed=0, steps=0))
 
+    @pytest.mark.parametrize("draw, rate", [
+        (lambda: d.sample_paths(two_char_chain(), 2000, 60, seed=37),
+         0.7229686658415291),
+        (lambda: d.sample_paths(mixed_length_chain(), 500, 80, seed=41),
+         0.8280254747875826),
+    ])
+    def test_rate_is_the_per_path_sum_to_the_last_bit(self, draw, rate):
+        # the rates the per-path sums gave before samples were kept as arrays
+        samples = draw()
+        assert d.empirical_entropy_rate(samples) == rate
+        assert rate == (-sum(path.log_prob for path in samples.paths)
+                        / sum(path.weight for path in samples.paths))
+
 
 class TestLevelSampler:
     def test_dyck_samples_are_valid_and_uniform_ish(self):
@@ -355,19 +394,28 @@ def test_maxent_chain_builds_wherever_the_capacity_certifies(fsm):
 
 
 # sha256 of samples_tsv, generated before the sampler's tables were stored
-# branch-major; they reach past the CLI golden runs' sizes.
+# branch-major (the multi-character pair before samples were kept as
+# arrays); they reach past the CLI golden runs' sizes.
 PINNED_SAMPLES = {
     "dyck_1040": (
         lambda: d.sample_level_paths(dyck(), 1040, 4, seed=23),
         "193bf975c88b5947107cf9a6f585ed3f3be1a16cba6306966c3a709c4d3736f1",
     ),
-    "golden_10000x100": (  # crosses label-decoding block boundaries
+    "golden_10000x100": (  # crosses the writer's block boundaries
         lambda: d.sample_paths(golden_chain(), 10000, 100, seed=29),
         "632ff84ae01b4ae8d635a3afad89ce86a5a7cd85411c2bd93bf9cc243c1a9041",
     ),
     "three_way_dead_end": (
         lambda: d.sample_level_paths(three_way(), 40, 300, seed=31),
         "5d1a781500100f2d5be7d78f14e20b4ba3bd5aa23e0627565c67e29070d674f0",
+    ),
+    "two_char_labels": (
+        lambda: d.sample_paths(two_char_chain(), 2000, 60, seed=37),
+        "b1082854441590a823dca510c3cff955f6e2ed5668df11c1348ccd0e30d0089c",
+    ),
+    "mixed_length_labels": (
+        lambda: d.sample_paths(mixed_length_chain(), 500, 80, seed=41),
+        "96320856a22376968367ab314682413903f5de2701a1266e97974ba7c968f268",
     ),
 }
 
@@ -438,9 +486,9 @@ def test_lock_step_follows_the_draw_rule(width, seed):
         ["x", "y", "z"], 0, count, steps, seed,
     )
     want = reference_draws(rows, tables, 0, count, seed)
-    assert drawn[0].tolist() == [labels for _, labels, _, _ in want]
-    assert drawn[1].tolist() == [weight for _, _, weight, _ in want]
-    for got, (_, _, _, ln_p) in zip(drawn[2].tolist(), want):
+    assert drawn.labels.tolist() == [labels for _, labels, _, _ in want]
+    assert drawn.weight.tolist() == [weight for _, _, weight, _ in want]
+    for got, (_, _, _, ln_p) in zip(drawn.log_prob.tolist(), want):
         assert got == pytest.approx(ln_p, rel=1e-12, abs=1e-12)
 
 
@@ -453,6 +501,48 @@ def test_samples_tsv_format():
     assert set(fields[0]) <= {"0", "1"}
     assert float(fields[1]) == len(fields[0])
     assert float(fields[2]) < 0
+
+
+@pytest.mark.parametrize("chain", [golden_chain, two_char_chain, mixed_length_chain])
+@pytest.mark.parametrize("count, steps", [(40, 1), (1, 40), (1, 1), (3000, 7)])
+def test_one_step_one_path_and_blocked_samples_match_the_joined_tsv(
+    chain, count, steps
+):
+    # 3000 paths of 7 steps take two of the writer's blocks
+    samples = d.sample_paths(chain(), count, steps, seed=count + steps)
+    assert samples.labels.shape == (count, steps)
+    assert not samples.labels.flags.writeable
+    assert d.samples_tsv(samples) == joined_tsv(samples)
+    assert d.samples_tsv(samples).count("\n") == count + 1
+    assert samples.paths is samples.paths  # decoded once
+
+
+def test_hand_built_sample_set_writes_its_paths():
+    header = "# labels\tweight\tlog_prob\n"
+    paths = (d.SamplePath(("ab", "c"), 3.0, -1.5),
+             d.SamplePath(("c", "c"), 2.0, -0.25))
+    samples = d.SampleSet(paths=paths, seed=4, steps=2)
+    assert samples.paths == paths
+    assert d.samples_tsv(samples) == header + "abc\t3\t-1.5\ncc\t2\t-0.25\n"
+    assert d.empirical_entropy_rate(samples) == 1.75 / 5.0
+    assert d.samples_tsv(d.SampleSet(paths=(), seed=0, steps=0)) == header
+
+
+@st.composite
+def label_alphabets(draw):
+    """2 to 4 distinct labels of 1 to 3 characters, ASCII, non-ASCII and NUL,
+    as a one-state FSM with weights 1 to 3."""
+    label = st.text(alphabet="ab\u00e9\u014b\u20ac\U0001d7d9\0", min_size=1, max_size=3)
+    labels = draw(st.lists(label, min_size=2, max_size=4, unique=True))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(labels), max_size=len(labels)))
+    return d.memoryless_fsm(d.symbols(dict(zip(labels, weights))))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(fsm=label_alphabets(), count=st.integers(1, 30), steps=st.integers(1, 12))
+def test_samples_tsv_is_the_tsv_joined_from_paths(fsm, count, steps):
+    samples = d.sample_paths(d.maxent_chain(fsm), count, steps, seed=count * steps)
+    assert d.samples_tsv(samples) == joined_tsv(samples)
 
 
 def test_import_leaves_numpy_random_unloaded():

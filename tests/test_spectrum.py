@@ -1,3 +1,4 @@
+import hashlib
 import math
 from bisect import bisect_left
 from collections import Counter
@@ -7,18 +8,23 @@ import pytest
 from hypothesis import given, settings
 
 import dncap as d
+from dncap import maxent
 from conftest import (
     BUILTIN_FACTORIES,
     counted,
     dyck,
+    finite_tree,
     golden_mean_system,
     harmonic_dyck,
     harmonic_steps,
     mem_equal,
     mem_rational,
     mem_unequal,
+    prefix_strings,
     strongly_connected_fsms,
+    three_way,
     too_dense_spectrum,
+    tuple_dyck,
 )
 from oracles import naive_string_spectrum, unit_fsm_counts
 
@@ -110,6 +116,74 @@ class TestFrontierWalk:
         system, calls = counted(dyck())
         d.weight_spectrum(system, 40)
         assert calls[0] == 41
+
+    def test_spectrum_walk_is_budgeted(self, monkeypatch):
+        # 231 branches reach weight 20 of the Dyck walk and expand its last
+        # depth, whose children are all heavier
+        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 231)
+        assert d.weight_spectrum(dyck(), 20).counts[-1] == math.comb(20, 10)
+        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 230)
+        with pytest.raises(d.BudgetExceededError, match=(
+            "^weight spectrum walk to w_max 20 exceeded budget of 230 "
+            "expansions at depth 21$"
+        )):
+            d.weight_spectrum(dyck(), 20)
+
+
+# Generators whose handles are not ints, with the figures the walk keyed by
+# handle gave: (factory, level, sha256 prefix of the sorted level_support
+# items, expand calls of level_support at that level, expand calls of
+# weight_spectrum to 8, {level-walk budget: depths walked before
+# BudgetExceededError}).
+HANDLE_WALKS = {
+    "tuple_dyck": (tuple_dyck, 24, "e2ebb0e665953490", 24, 9,
+                   {10: 4, 50: 9, 200: 19}),
+    "prefix_strings": (prefix_strings, 9, "543e98b7fcd0f5a4", 5274, 6072,
+                       {10: 1, 50: 3, 200: 4}),
+    "three_way": (three_way, 30, "9144029423104b33", 4, 4,
+                  {10: 1, 50: 3, 200: 6}),
+    "finite_tree": (finite_tree, 3, "18a15f9ab9f7dfaa", 3, 4, {3: 1, 5: 2}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HANDLE_WALKS))
+class TestIdKeyedWalk:
+    def test_support_and_expand_calls(self, name):
+        factory, level, digest, level_calls, spectrum_calls, _ = HANDLE_WALKS[name]
+        system, calls = counted(factory())
+        support = d.level_support(system, level)
+        assert calls[0] == level_calls
+        assert hashlib.sha256(repr(sorted(support.items())).encode()).hexdigest(
+        ).startswith(digest)
+        small = min(level, 6)
+        paths = d.enumerate_level_paths(factory(), small)
+        assert d.level_support(factory(), small) == Counter(w for _, w in paths)
+        system, calls = counted(factory())
+        spectrum = d.weight_spectrum(system, 8)
+        assert calls[0] == spectrum_calls
+        assert dict(spectrum.entries) == naive_string_spectrum(factory(), 8)
+
+    def test_budget_stops_at_the_same_depth(self, name, monkeypatch):
+        factory, *_, cuts = HANDLE_WALKS[name]
+        for budget, depth in cuts.items():
+            monkeypatch.setattr(maxent, "LEVEL_BUDGET", budget)
+            d.level_support(factory(), depth)
+            with pytest.raises(d.BudgetExceededError, match=(
+                f"^level walk exceeded budget of {budget} expansions "
+                f"at depth {depth + 1}$"
+            )):
+                d.level_support(factory(), depth + 1)
+
+    def test_level_sampler_draws_accepted_paths(self, name):
+        factory, level, *_ = HANDLE_WALKS[name]
+        small = min(level, 6)
+        support = dict(d.enumerate_level_paths(factory(), small))
+        rate = d.solve_level_rate(factory(), small).rate
+        samples = d.sample_level_paths(factory(), small, 200, seed=small)
+        for path in samples.paths:
+            assert path.labels in support
+            assert path.weight == pytest.approx(float(support[path.labels]), rel=1e-12)
+            assert path.log_prob == pytest.approx(-path.weight * rate, rel=1e-12, abs=1e-12)
 
 
 # several states under several weights share a depth

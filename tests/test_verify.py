@@ -70,10 +70,18 @@ class TestVerifyEquality:
         assert report.verdict == "FAIL"
 
     def test_inconclusive_on_budget_exhaustion(self, monkeypatch):
+        # the spectrum walk to weight 20 takes 231 expansions, the level
+        # walk to 40 takes 820
         monkeypatch.setattr(maxent, "LEVEL_BUDGET", 500)
-        report = d.verify_equality(dyck(), 40, 40, tol=0.06)
+        report = d.verify_equality(dyck(), 20, 40, tol=0.06)
         assert report.verdict == "INCONCLUSIVE"
         assert 0 < len(report.levels) < 40
+
+    def test_spectrum_walk_past_the_budget_raises(self, monkeypatch):
+        # the abscissa's spectrum walk runs under the same budget
+        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 500)
+        with pytest.raises(d.BudgetExceededError, match="weight spectrum walk"):
+            d.verify_equality(dyck(), 40, 40, tol=0.06)
 
     @pytest.mark.parametrize("factory", [golden_mean_system, mem_unequal])
     def test_regular_channels_walk_the_tree_once(self, factory):
