@@ -106,7 +106,8 @@ class SampleSet:
     """Sampled paths of ``steps`` labels each, kept as read-only arrays:
     ``labels[i, t]`` codes path i's label at step t into ``names``, and
     ``weight`` and ``log_prob`` are per path.  ``paths`` decodes them on
-    first read; a set built from ``paths`` encodes them into the arrays."""
+    first read; a set built from ``paths`` encodes them into the arrays.
+    Sets compare and hash by value, as (paths, seed, steps)."""
 
     names: tuple[str, ...]
     labels: np.ndarray
@@ -132,6 +133,14 @@ class SampleSet:
                                 log_prob=log_prob, seed=seed, steps=labels.shape[1])
         return samples
 
+    def __eq__(self, other):
+        if not isinstance(other, SampleSet):
+            return NotImplemented
+        return (self.paths, self.seed, self.steps) == (other.paths, other.seed, other.steps)
+
+    def __hash__(self):
+        return hash((self.paths, self.seed, self.steps))
+
     @functools.cached_property
     def paths(self) -> tuple[SamplePath, ...]:
         rows = map(tuple, np.array(self.names, dtype=object).take(self.labels).tolist())
@@ -140,8 +149,10 @@ class SampleSet:
 
 def _padded(lengths, *columns):
     """Flat per-branch columns as zero-padded (branch x row) arrays, after
-    the mask of real branches; each is filled through its transposed view,
-    so the flat entries keep their row order."""
+    the mask of real branches.
+
+    Each column is filled through its transposed view, so the flat entries
+    keep their row order."""
     lengths = np.asarray(lengths, dtype=np.intp)
     valid = np.arange(lengths.max(initial=0))[:, None] < lengths
     padded = [valid]
@@ -156,10 +167,11 @@ def _table(ln_q, valid, child, weight, label, ln_total=None):
     branches, and ln q elsewhere is ignored.  ``ln_total`` is each row's
     ln sum q when the caller already has it, reduced here otherwise.
 
-    Returns the (branch x row) cumulative p and the flat child, ln p =
-    ln q - ln sum q (-inf where q = 0), weight and label arrays, read at
-    ``branch * rows + row``.  Cumulative entries from a row's last branch
-    with q > 0 on are inf, so no draw falls past it."""
+    Returns the (branch x row) cumulative p and the flat child,
+    ln p = ln q - ln sum q, weight and label arrays, read at
+    ``branch * rows + row``.  A branch with q = 0, or any branch of a row
+    with none, has ln p = -inf.  A row's last branch with q > 0 and every
+    cumulative entry after it are inf, so no draw falls past it."""
     ln_q = np.where(valid, ln_q, -np.inf)
     live = ln_q > -np.inf
     if ln_total is None:
@@ -176,9 +188,11 @@ def _lock_step(tables, names, start: int, count: int, steps: int, seed: int):
     """Advance ``count`` paths at once, one table per step: path i takes the
     first branch whose cumulative p reaches the step's i-th uniform draw.
 
-    A path's branch counts its row's cumulative entries below its draw (the
-    last is always inf); label, weight, ln p and child are gathered at
-    ``branch * rows + row``.  Returns the draws as a ``SampleSet``."""
+    A path's branch is the number of its row's cumulative entries below its
+    draw, one 1-D gather per branch but the last, whose entry is always inf;
+    label, weight, ln p and child are then gathered at ``branch * rows +
+    row``.  Returns a ``SampleSet`` of the (path x step) codes into ``names``
+    of the labels drawn and each path's weight and log probability."""
     rng = np.random.default_rng(seed)
     state = np.full(count, start)
     labels = np.empty((count, steps), dtype=np.min_scalar_type(len(names)))
@@ -200,9 +214,10 @@ def _check_accepted(fsm: WeightedFsm, names, labels) -> None:
     """Raise ``EstimatorError`` naming the first row of label codes into
     ``names`` that ``fsm`` does not accept.
 
-    All rows walk at once through a flat (state x label code) next-state
-    table from ``fsm.transitions``, where a missing edge is -1, the index of
-    an extra all -1 row, so a rejected row stays rejected."""
+    Every row walks at once through a flat (state x label code) next-state
+    table built from ``fsm.transitions``, one column per step.  A missing
+    edge is -1, which indexes an extra all -1 row, so a rejected row stays
+    rejected."""
     code = {name: i for i, name in enumerate(names)}
     width = len(names)
     step = np.full((fsm.num_states + 1) * width, -1)
@@ -223,10 +238,12 @@ def _check_accepted(fsm: WeightedFsm, names, labels) -> None:
 def sample_paths(chain: MaxentChain, count: int, steps: int, seed: int) -> SampleSet:
     """Draw ``count`` label sequences of ``steps`` transitions each.
 
-    Deterministic given ``seed``; the chain's rows are one table that every
-    step reuses.  The sequences are then re-walked through the FSM's own
-    transitions, and the first one it rejects raises ``EstimatorError``; each
-    path's weight and log probability are recorded as drawn.
+    Deterministic given ``seed``.  The chain's rows become one table that
+    every step reuses.  All sampled sequences are then re-walked together
+    through a next-state table built from the FSM's transitions, not from
+    the rows, and the first one it rejects raises ``EstimatorError``; the
+    per-path log probability and total weight are recorded exactly as
+    generated.
     """
     if count < 1 or steps < 1:
         raise ValueError("count and steps must be >= 1")
@@ -261,13 +278,16 @@ def sample_level_paths(
     Branch probabilities are proportional to e^{-w R_l} times the subtree
     partition sum of the child at the remaining depth, which reproduces
     q(x) = e^{-w(x) R_l} exactly.  One frontier walk gives R_l, each depth's
-    handle ids (its groups' keys) and its memo of branches by id, laid out
-    once as (branch x handle id) arrays.  Log subtree sums fill one buffer
-    by handle id from the deepest level up, and the root's must be 0, since
-    R_l solves the same sum over the whole support; each depth's draw table
-    is a gather over its handles, with its ln Z as row totals.  The walk is
-    capped at ``maxent.LEVEL_BUDGET`` expansions, and a level past the end
-    of a finite tree raises ``ValueError``.
+    handles (as the integer ids keying its groups) and, in its memo by id,
+    each handle's branches, laid out once as (branch x handle id) arrays.
+    Log subtree sums are filled in from the deepest level up in one buffer
+    by handle id, since a depth's children are exactly the next depth's
+    handles; each depth's are kept, and the root's must be 0: R_l solves
+    the same sum over the whole support.  The draws then build each depth's
+    table once, a gather over that depth's handles whose row totals are
+    that depth's ln Z.  The walk is capped at ``maxent.LEVEL_BUDGET``
+    expansions, and a level past the end of a finite tree raises
+    ``ValueError``.
     """
     if count < 1 or level < 1:
         raise ValueError("count and level must be >= 1")

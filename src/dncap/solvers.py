@@ -6,7 +6,8 @@ partition sums) is ln f(s) = 0 for a convex, decreasing ln f, and it solves
 a batch of them in lock step.  ``perron`` is the one Perron root and vector
 computation.  It works on a transition list: sparse power steps first, one
 ``np.bincount`` each, and Noda's dense inverse iteration only on a side
-where those stall; both phases certify with the same Collatz-Wielandt
+where those stall, as judged from the size, the edge count and the observed
+contraction of the Collatz-Wielandt gap; both phases certify with the same
 bounds.  Every iteration cap raises ``EstimatorError`` instead of returning
 unconverged.
 """
@@ -41,10 +42,17 @@ def newton_root(solve: Callable[[np.ndarray], tuple], rows: int) -> list[tuple]:
     m = (|ln f| + 8 eps) / decay, until lower(lo) >= 0 >= upper(hi).
     ``residual`` is the measured |f(value) - 1|.  Both loops raise
     ``EstimatorError`` at their caps, the certification naming the first
-    row it missed.  Each evaluation asks ``solve`` for every row, a settled
-    row at the point where it settled, and the upper bounds only once some
-    uncertified row's lower bound holds; a row's result does not depend on
-    the rest of its batch as long as ``solve``'s does not.
+    row it missed.
+
+    Each evaluation asks ``solve`` for every row, a settled row at the point
+    where it settled, so the last one holds every row's ln f and decay at its
+    value; ``solve`` must give the same for the same point.  The upper
+    bounds are asked for only once some uncertified row's lower bound holds,
+    so a batch of one calls ``solve`` exactly as a scalar loop would, and a
+    ``solve`` that warm-starts from its previous call sees the same sequence
+    of points.  The loop's own arithmetic is elementwise IEEE float64, and
+    the residual is ``math.expm1`` per row, so a row's result does not
+    depend on the rest of its batch as long as ``solve``'s does not.
     """
     s = np.zeros(rows)
     steps = np.zeros(rows, dtype=int)
@@ -81,10 +89,18 @@ def partition_root(problems) -> list[tuple]:
 
     ln Z is a logsumexp of ln c - w s, so huge counts and deep levels stay in
     range; its decay is the q-weighted mean weight, q = c e^{-w s} / Z.  The
-    computed ln Z serves as both bounds.  Each problem gets the bits it would
-    get alone: evaluations are elementwise over the flat problems, and Z and
-    sum w q are reduced over (rows x size) views of one support size each,
-    which equal each row's own 1-D sums.
+    computed ln Z serves as both bounds.
+
+    Each problem gets the bits it would get alone.  The problems are laid out
+    flat, sorted by support size, and each evaluation is elementwise over all
+    of them: ``np.exp`` does not depend on an entry's position and the max is
+    exact.  Only the two sums, Z and sum w q, run per group of equal support
+    size, as ``sum(axis=1)`` and ``np.vecdot`` over (rows x size) views: for
+    rows of exactly that width they equal each row's own 1-D ``.sum()`` and
+    ``w @ q``, which ``np.add.reduceat`` and ``(w * q).sum(axis=1)`` do not.
+    ln Z takes ``math.log`` per row, since ``np.log`` can differ from it in
+    the last place.  So problems of one support size share their sums, and
+    problems of distinct sizes cost two reductions each per evaluation.
     """
     order = sorted(range(len(problems)), key=lambda i: len(problems[i][0]))
     sizes = [len(problems[i][0]) for i in order]
@@ -149,10 +165,11 @@ def perron(
     first is power steps on the edge list, x <- M x / sum(M x), one
     ``np.bincount`` each.  It is given floor(min(n, n^3 / (3 edges))) steps,
     the flops of a dense solve over those of one step, and is skipped below
-    two.  A side whose power steps give up (see ``_power``) runs Noda's
-    iteration on the dense M from its warm vector, not from the power
-    iterate, so it gets the same bits as without the power phase.  The
-    dense M is built only then, once for both sides.
+    two.  It gives up once the gap, at its mean contraction per step so far,
+    would not close within them, or an entry falls below _FLOOR.  A side
+    that gives up runs Noda's iteration on the dense M from its warm vector,
+    not from the power iterate, so it gets the same bits as without the
+    power phase.  The dense M is built only then, once for both sides.
     """
     src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
     q = np.asarray(q, dtype=float)
@@ -231,7 +248,9 @@ def _power(n, rows, q, cols, x, steps):
     PERRON_TOL * hi.  Returns None as soon as the gap, shrinking from the
     third iterate on at its mean rate per step so far, would not close
     within ``steps`` steps, or the next iterate has an entry not above
-    _FLOOR.
+    _FLOOR.  The mean over the whole run, rather than over the last few
+    steps, lets the gap stall for a step or two, as it does at the rounding
+    floor and when the second eigenvalue is complex.
     """
     x = np.full(n, 1.0 / n) if x is None else x
     lo, hi = 0.0, math.inf

@@ -152,23 +152,37 @@ def weight_spectrum(system: BranchSystem, w_max) -> WeightSpectrum:
 
     Counts merge on integer units across depths, rescaled when the walk's
     scale grows, and each distinct weight becomes a ``Fraction`` once.  The
-    walk stops at ``maxent.LEVEL_BUDGET`` expansions, as level walks do."""
+    walk stops at ``maxent.LEVEL_BUDGET`` expansions, as level walks do.  Its
+    ``BudgetExceededError`` then carries the spectrum up to the lightest
+    weight on the last full depth: every string not yet counted extends a
+    path of that depth by a symbol of positive weight, so it is heavier."""
     from . import maxent  # maxent imports this module
     w_max = exact_w_max(w_max)
     buckets: dict[int, int] = {}
-    last = 1
-    for frontier, scale, _ in frontier_walk(system, w_max, maxent.LEVEL_BUDGET):
-        if scale != last:
-            buckets = {u * (scale // last): c for u, c in buckets.items()}
-            last = scale
-        for units, group in frontier.items():
-            if isinstance(units, float):
-                raise InvalidSystemError(
-                    f"path weight {units / scale!r} is inexact; "
-                    "spectrum enumeration needs exact rationals"
-                )
-            buckets[units] = buckets.get(units, 0) + sum(group.values())
-    entries = tuple((Fraction(u, last), c) for u, c in sorted(buckets.items()))
+    last, frontier = 1, {}
+    try:
+        for frontier, scale, _ in frontier_walk(system, w_max, maxent.LEVEL_BUDGET):
+            if scale != last:
+                buckets = {u * (scale // last): c for u, c in buckets.items()}
+                last = scale
+            for units, group in frontier.items():
+                if isinstance(units, float):
+                    raise InvalidSystemError(
+                        f"path weight {units / scale!r} is inexact; "
+                        "spectrum enumeration needs exact rationals"
+                    )
+                buckets[units] = buckets.get(units, 0) + sum(group.values())
+    except BudgetExceededError as exc:
+        if frontier:
+            lightest = min(frontier)
+            exc.spectrum = _spectrum({u: c for u, c in buckets.items() if u <= lightest},
+                                     last, Fraction(lightest, last))
+        raise
+    return _spectrum(buckets, last, w_max)
+
+
+def _spectrum(buckets: dict[int, int], scale: int, w_max) -> WeightSpectrum:
+    entries = tuple((Fraction(u, scale), c) for u, c in sorted(buckets.items()))
     return WeightSpectrum(entries=entries, w_max=w_max)
 
 

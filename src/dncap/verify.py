@@ -11,7 +11,8 @@ C + eps and at least one must exceed C - eps.
 import math
 from dataclasses import dataclass
 
-from .capacity import combinatorial_capacity
+from .capacity import abscissa_estimate, combinatorial_capacity
+from .errors import BudgetExceededError, EstimatorError
 from .estimates import CapacityEstimate
 from .maxent import LevelSolution, maxent_rate_estimate
 from .spectrum import exact_w_max
@@ -53,7 +54,10 @@ def verify_equality(
 
     The verdict is PASS when the two sides agree within ``tol``, FAIL when
     they do not, and INCONCLUSIVE when the level enumeration blew its budget
-    before reaching ``l_max`` (partial trajectories are still attached).
+    before reaching ``l_max`` (partial trajectories are still attached) or
+    the abscissa's spectrum walk blew it before ``w_max``; ``c_comb`` is
+    then the abscissa of the spectrum the walk counted exactly, and the
+    budget error is raised if that has no estimate.
     The epsilon probes reuse ``tol`` as eps, which must be finite and >= 0
     (``ValueError`` otherwise).  ``w_max`` is checked on every channel but
     walked to only by ``combinatorial_capacity``'s abscissa.
@@ -61,9 +65,17 @@ def verify_equality(
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, not {tol}")
     w_max = exact_w_max(w_max)
-    c_comb = combinatorial_capacity(system, w_max)
+    try:
+        c_comb, cut = combinatorial_capacity(system, w_max), False
+    except BudgetExceededError as exc:
+        if exc.spectrum is None:
+            raise
+        try:
+            (c_comb, _), cut = abscissa_estimate(exc.spectrum), True
+        except (EstimatorError, ValueError):
+            raise exc from None
     c_prob, levels = maxent_rate_estimate(system, l_max)
-    truncated = len(levels) < l_max
+    truncated = cut or len(levels) < l_max
     difference = abs(c_comb.value - c_prob.value)
     # c_prob is the max of the trailing window of level rates, so these are
     # "every tail rate < C + tol" and "some tail rate > C - tol"

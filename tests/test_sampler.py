@@ -528,6 +528,17 @@ def test_hand_built_sample_set_writes_its_paths():
     assert d.samples_tsv(d.SampleSet(paths=(), seed=0, steps=0)) == header
 
 
+def test_sample_sets_compare_and_hash_by_value():
+    # a drawn set and one built from its paths share no label codes or
+    # arrays, only their paths, seed and steps
+    drawn = d.sample_paths(two_char_chain(), 50, 6, seed=3)
+    rebuilt = d.SampleSet(paths=drawn.paths, seed=3, steps=6)
+    assert rebuilt == drawn and hash(rebuilt) == hash(drawn)
+    assert rebuilt != d.SampleSet(paths=drawn.paths, seed=4, steps=6)
+    assert drawn != d.sample_paths(two_char_chain(), 50, 6, seed=4)
+    assert drawn != drawn.paths
+
+
 @st.composite
 def label_alphabets(draw):
     """2 to 4 distinct labels of 1 to 3 characters, ASCII, non-ASCII and NUL,

@@ -129,6 +129,24 @@ class TestFrontierWalk:
         )):
             d.weight_spectrum(dyck(), 20)
 
+    @pytest.mark.parametrize("factory,w_max", [(dyck, 40), (mem_unequal, 30)])
+    def test_cut_walk_keeps_the_exact_spectrum(self, factory, w_max, monkeypatch):
+        # every string the cut walk did not count is heavier than its
+        # spectrum's bound, so the spectrum is the full one to that bound
+        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 60)
+        with pytest.raises(d.BudgetExceededError) as cut:
+            d.weight_spectrum(factory(), w_max)
+        spectrum = cut.value.spectrum
+        monkeypatch.undo()
+        assert 0 < spectrum.w_max < w_max
+        assert spectrum == d.weight_spectrum(factory(), spectrum.w_max)
+
+    def test_walk_cut_before_a_full_depth_keeps_no_spectrum(self, monkeypatch):
+        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 0)
+        with pytest.raises(d.BudgetExceededError) as cut:
+            d.weight_spectrum(dyck(), 40)
+        assert cut.value.spectrum is None
+
 
 # Generators whose handles are not ints, with the figures the walk keyed by
 # handle gave: (factory, level, sha256 prefix of the sorted level_support

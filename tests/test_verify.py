@@ -70,16 +70,25 @@ class TestVerifyEquality:
         assert report.verdict == "FAIL"
 
     def test_inconclusive_on_budget_exhaustion(self, monkeypatch):
-        # the spectrum walk to weight 20 takes 231 expansions, the level
-        # walk to 40 takes 820
         monkeypatch.setattr(maxent, "LEVEL_BUDGET", 500)
-        report = d.verify_equality(dyck(), 20, 40, tol=0.06)
+        report = d.verify_equality(dyck(), 40, 40, tol=0.06)
         assert report.verdict == "INCONCLUSIVE"
         assert 0 < len(report.levels) < 40
 
-    def test_spectrum_walk_past_the_budget_raises(self, monkeypatch):
-        # the abscissa's spectrum walk runs under the same budget
+    def test_cut_spectrum_walk_is_inconclusive(self, monkeypatch):
+        # the spectrum walk to 40 needs about 900 expansions; cut at 500,
+        # the abscissa reads the spectrum it counted exactly
         monkeypatch.setattr(maxent, "LEVEL_BUDGET", 500)
+        with pytest.raises(d.BudgetExceededError) as cut:
+            d.weight_spectrum(dyck(), 40)
+        report = d.verify_equality(dyck(), 40, 20, tol=0.06)
+        assert report.verdict == "INCONCLUSIVE"
+        assert len(report.levels) == 20
+        assert report.c_comb == d.abscissa_estimate(cut.value.spectrum)[0]
+
+    def test_cut_spectrum_without_an_estimate_raises(self, monkeypatch):
+        # one full depth leaves one spectrum entry, too few to estimate from
+        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 2)
         with pytest.raises(d.BudgetExceededError, match="weight spectrum walk"):
             d.verify_equality(dyck(), 40, 40, tol=0.06)
 
