@@ -62,7 +62,6 @@ from .systems import (
     make_golden_mean,
     make_memoryless,
     make_rll,
-    memoryless_fsm,
     parse_weight,
     symbols,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "maxent_chain",
     "maxent_pmf",
     "maxent_rate_estimate",
-    "memoryless_fsm",
     "parse_system",
     "parse_weight",
     "sample_level_paths",

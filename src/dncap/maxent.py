@@ -18,7 +18,7 @@ from typing import Hashable
 from .errors import BudgetExceededError, EstimatorError
 from .estimates import CapacityEstimate
 from .solvers import partition_root
-from .spectrum import depth_buckets, frontier_walk, tail_estimate
+from .spectrum import decimal, depth_buckets, frontier_walk, tail_estimate
 from .systems import BranchSystem, Weight
 
 LEVEL_BUDGET = 2 ** 22
@@ -239,7 +239,7 @@ def level_report_tsv(levels: tuple[LevelSolution, ...]) -> str:
     for sol in levels:
         ratio = sol.entropy / sol.avg_weight if sol.avg_weight else 0.0
         lines.append(
-            f"{sol.level}\t{sol.support_size}\t{sol.rate:.17g}"
+            f"{sol.level}\t{decimal(sol.support_size)}\t{sol.rate:.17g}"
             f"\t{sol.avg_weight:.17g}\t{sol.entropy:.17g}\t{ratio:.17g}"
         )
     return "\n".join(lines) + "\n"

@@ -44,15 +44,11 @@ def newton_root(solve: Callable[[np.ndarray], tuple], rows: int) -> list[tuple]:
     ``EstimatorError`` at their caps, the certification naming the first
     row it missed.
 
-    Each evaluation asks ``solve`` for every row, a settled row at the point
-    where it settled, so the last one holds every row's ln f and decay at its
-    value; ``solve`` must give the same for the same point.  The upper
-    bounds are asked for only once some uncertified row's lower bound holds,
-    so a batch of one calls ``solve`` exactly as a scalar loop would, and a
-    ``solve`` that warm-starts from its previous call sees the same sequence
-    of points.  The loop's own arithmetic is elementwise IEEE float64, and
-    the residual is ``math.expm1`` per row, so a row's result does not
-    depend on the rest of its batch as long as ``solve``'s does not.
+    Each evaluation asks ``solve`` for every row, a settled row at its
+    settled point, where it must give the same again; upper bounds are asked
+    for only once some uncertified row's lower bound holds.  So a batch of
+    one calls ``solve`` as a scalar loop would, and a row's result does not
+    depend on the rest of its batch if ``solve``'s does not.
     """
     s = np.zeros(rows)
     steps = np.zeros(rows, dtype=int)
@@ -91,16 +87,11 @@ def partition_root(problems) -> list[tuple]:
     range; its decay is the q-weighted mean weight, q = c e^{-w s} / Z.  The
     computed ln Z serves as both bounds.
 
-    Each problem gets the bits it would get alone.  The problems are laid out
-    flat, sorted by support size, and each evaluation is elementwise over all
-    of them: ``np.exp`` does not depend on an entry's position and the max is
-    exact.  Only the two sums, Z and sum w q, run per group of equal support
-    size, as ``sum(axis=1)`` and ``np.vecdot`` over (rows x size) views: for
-    rows of exactly that width they equal each row's own 1-D ``.sum()`` and
-    ``w @ q``, which ``np.add.reduceat`` and ``(w * q).sum(axis=1)`` do not.
-    ln Z takes ``math.log`` per row, since ``np.log`` can differ from it in
-    the last place.  So problems of one support size share their sums, and
-    problems of distinct sizes cost two reductions each per evaluation.
+    Each problem gets the bits it would get alone: evaluations are
+    elementwise over all problems, sorted by support size; Z and sum w q are
+    reduced per group of equal support size, by ``sum(axis=1)`` and
+    ``np.vecdot``, which equal each row's own 1-D sums; ln Z is ``math.log``
+    per row.
     """
     order = sorted(range(len(problems)), key=lambda i: len(problems[i][0]))
     sizes = [len(problems[i][0]) for i in order]

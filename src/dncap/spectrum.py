@@ -10,6 +10,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import BudgetExceededError, InvalidSystemError
 from .estimates import EMPIRICAL, CapacityEstimate
@@ -60,10 +61,13 @@ def frontier_walk(system: BranchSystem, w_max, budget: int):
     the exponential path walk into a transfer-matrix style recurrence for
     FSMs and a balanced walk for generators.  Distinct root paths carry
     distinct label tuples, so path counts and string counts coincide.
-    Branches heavier than ``w_max`` (None for no bound) are dropped, and the
-    walk stops at the first empty depth.  Past ``budget`` branch expansions,
-    remembered ones included, it raises ``BudgetExceededError`` naming itself
-    and the depth it was building.
+    Groups and their entries are in first-push order: the order in which the
+    previous depth's groups, their entries and each entry's branches, taken
+    in order, first reach them.  Branches heavier than ``w_max`` (None for no
+    bound) are dropped, and the walk stops at the first empty depth.  A depth
+    charges its entries' branches to ``budget`` before merging them; past it,
+    remembered expansions included, it raises ``BudgetExceededError`` naming
+    itself and the depth it was building.
 
     The root's id is 0; any other handle gets the next id when first seen as
     a child.  ``memo[id]`` holds its (units, child id, symbol) branches once
@@ -79,41 +83,42 @@ def frontier_walk(system: BranchSystem, w_max, budget: int):
         depth += 1
         fresh = set().union(*(group.keys() & pending.keys()
                               for group in frontier.values())) if pending else ()
-        fresh = [(i, system.expand(pending.pop(i))) for i in fresh]
-        factor = math.lcm(scale, *(
-            sym.weight.denominator for _, branches in fresh
-            for sym, _ in branches if is_exact(sym.weight)
-        )) // scale
-        if factor > 1:
-            scale *= factor
-            bound = _bound(w_max, scale)
-            frontier = {u * factor: group for u, group in frontier.items()}
-            memo = [tuple((u * factor, child, sym) for u, child, sym in branches)
-                    for branches in memo]
-        for i, branches in fresh:
-            for _, child in branches:
-                if child not in ids:
-                    ids[child], pending[len(memo)] = len(memo), child
-                    memo.append(())
-            memo[i] = tuple(
-                (_units(sym.weight, scale), ids[child], sym) for sym, child in branches
+        if fresh:
+            fresh = [(i, system.expand(pending.pop(i))) for i in fresh]
+            factor = math.lcm(scale, *(
+                sym.weight.denominator for _, branches in fresh
+                for sym, _ in branches if is_exact(sym.weight)
+            )) // scale
+            if factor > 1:
+                scale *= factor
+                bound = _bound(w_max, scale)
+                frontier = {u * factor: group for u, group in frontier.items()}
+                memo = [tuple((u * factor, child, sym) for u, child, sym in branches)
+                        for branches in memo]
+            for i, branches in fresh:
+                for _, child in branches:
+                    if child not in ids:
+                        ids[child], pending[len(memo)] = len(memo), child
+                        memo.append(())
+                memo[i] = tuple(
+                    (_units(sym.weight, scale), ids[child], sym) for sym, child in branches
+                )
+        work += sum(map(len, map(memo.__getitem__, chain(*frontier.values()))))
+        if work > budget:
+            raise BudgetExceededError(
+                f"{walk} exceeded budget of {budget} expansions at depth {depth}"
             )
         next_frontier: dict = {}
         for acc, group in frontier.items():
+            targets = {}  # units -> the group at acc + units, or a throwaway past bound
             for handle, count in group.items():
-                branches = memo[handle]
-                work += len(branches)
-                if work > budget:
-                    raise BudgetExceededError(
-                        f"{walk} exceeded budget of {budget} expansions at depth {depth}"
-                    )
-                for units, child, _ in branches:
-                    weight = acc + units
-                    if weight <= bound:
-                        target = next_frontier.get(weight)
-                        if target is None:
-                            target = next_frontier[weight] = {}
-                        target[child] = target.get(child, 0) + count
+                for units, child, _ in memo[handle]:
+                    target = targets.get(units)
+                    if target is None:
+                        weight = acc + units
+                        target = targets[units] = (
+                            next_frontier.setdefault(weight, {}) if weight <= bound else {})
+                    target[child] = target.get(child, 0) + count
         frontier = next_frontier
         yield frontier, scale, memo
 
@@ -274,12 +279,23 @@ def empirical_capacity(
     return tail_estimate([c for _, c in sequence]), sequence
 
 
+def decimal(count: int) -> str:
+    """``str(count)`` for an int of any size: past 1600 bits it is split at a
+    power of ten, so no piece reaches CPython's int-to-str limit (640 digits
+    at least)."""
+    if count.bit_length() <= 1600:
+        return str(count)
+    k = count.bit_length() * 3 // 20  # about half its decimal digits
+    high, low = divmod(count, 10 ** k)
+    return decimal(high) + decimal(low).rjust(k, "0")
+
+
 def spectrum_tsv(spectrum: WeightSpectrum) -> str:
     """Spectrum as TSV rows: weight "p/q", exact count, c_k at 17 digits."""
     lines = ["# weight\tcount\tc_k"]
     for weight, count in spectrum.entries:
         c_k = math.log(count) / float(weight)
         lines.append(
-            f"{weight.numerator}/{weight.denominator}\t{count}\t{c_k:.17g}"
+            f"{weight.numerator}/{weight.denominator}\t{decimal(count)}\t{c_k:.17g}"
         )
     return "\n".join(lines) + "\n"

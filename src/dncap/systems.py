@@ -245,12 +245,6 @@ def fsm_to_branch_system(fsm: WeightedFsm, name: str = "") -> BranchSystem:
     )
 
 
-def memoryless_fsm(alphabet: Sequence[Symbol]) -> WeightedFsm:
-    """The one-state FSM with a self-loop per symbol."""
-    alphabet = _checked_alphabet(alphabet)
-    return WeightedFsm(1, 0, tuple((0, sym, 0) for sym in alphabet))
-
-
 def _checked_alphabet(alphabet: Sequence[Symbol]) -> tuple[Symbol, ...]:
     alphabet = tuple(alphabet)
     if not alphabet:
@@ -264,11 +258,10 @@ def _checked_alphabet(alphabet: Sequence[Symbol]) -> tuple[Symbol, ...]:
 def make_memoryless(alphabet: Sequence[Symbol], name: str = "") -> BranchSystem:
     """An unconstrained channel: depth-l support is every l-tuple of symbols.
 
-    It carries its one-state ``memoryless_fsm``, whose self-loops are its
-    branches.
+    It carries its one-state FSM, whose self-loops are its branches.
     """
     alphabet = _checked_alphabet(alphabet)
-    fsm = memoryless_fsm(alphabet)
+    fsm = WeightedFsm(1, 0, tuple((0, sym, 0) for sym in alphabet))
     label = name or "memoryless{%s}" % ",".join(
         f"{s.label}:{s.weight}" for s in alphabet
     )

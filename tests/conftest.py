@@ -220,6 +220,30 @@ def strongly_connected_fsms(draw, min_states=1, max_denominator=3):
     ))
 
 
+@st.composite
+def table_generators(draw):
+    """A generator over handles 0..n-1 given by a table of 0 to 3 branches
+    per handle (dead ends included), with integer and rational weights, or
+    float ones.  Handles reached later can bring new denominators.  With
+    ``finite`` every child is above its parent, so the tree ends."""
+    size = draw(st.integers(1, 5))
+    finite = draw(st.sampled_from((False, False, True)))
+    weights = (
+        ["1", "2", "1/2", "2/3", "3/4", "5/3", "4/5"] if not draw(st.booleans())
+        else [0.5, 1.0, 0.3, 1.25]
+    )
+    table = {}
+    for handle in range(size):
+        children = range(handle + 1, size) if finite else range(size)
+        count = draw(st.sampled_from((0, 1, 2, 2, 3, 3))) if children else 0
+        table[handle] = tuple(
+            (d.Symbol("abc"[k], draw(st.sampled_from(weights))),
+             draw(st.sampled_from(children)))
+            for k in range(count)
+        )
+    return d.BranchSystem(0, table.__getitem__, name=f"table{table}")
+
+
 def permutation_fsm(rng, n, labels="abc", max_weight=4):
     """A union of random permutations of n states, one per label, the first
     an n-cycle (so the FSM is strongly connected), with integer weights 1 to

@@ -3,6 +3,8 @@
 Everything here counts or solves by a route different from the library code
 under test: explicit string enumeration instead of merged frontiers, integer
 matrix powers instead of weighted walks, and closed forms where they exist.
+``scalar_partition_root`` and ``reference_frontier_walk`` instead keep a
+kernel's earlier loop, which its rewrite must match exactly.
 """
 
 import math
@@ -10,6 +12,8 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from dncap.errors import BudgetExceededError
 
 
 def naive_string_spectrum(system, w_max) -> dict:
@@ -125,6 +129,69 @@ def scalar_partition_root(weights, log_counts) -> tuple:
         margin *= 4.0
     raise AssertionError("reference bracket not certified")
 
+
+def reference_frontier_walk(system, w_max, budget: int):
+    """``dncap.spectrum.frontier_walk`` with one merge step per branch.
+
+    The reference for the grouped merge: per frontier entry it adds the
+    entry's branch count to the budget and raises once it is exceeded, and
+    per branch it looks up (or creates) the group at acc + units itself, so
+    groups and their entries appear in first-push order by construction.
+    Expansion, ids, the memo and rescaling are the walk's own."""
+    walk = "level walk" if w_max is None else f"weight spectrum walk to w_max {w_max}"
+
+    def exact(weight):
+        return isinstance(weight, (Fraction, int))
+
+    def bound_at(scale):
+        return math.inf if w_max is None else math.floor(w_max * scale)
+
+    frontier = {0: {0: 1}}
+    ids, memo, pending = {system.root: 0}, [()], {0: system.root}
+    scale, work, bound, depth = 1, 0, bound_at(1), 0
+    while frontier:
+        depth += 1
+        fresh = set().union(*(group.keys() & pending.keys()
+                              for group in frontier.values())) if pending else ()
+        fresh = [(i, system.expand(pending.pop(i))) for i in fresh]
+        factor = math.lcm(scale, *(
+            sym.weight.denominator for _, branches in fresh
+            for sym, _ in branches if exact(sym.weight)
+        )) // scale
+        if factor > 1:
+            scale *= factor
+            bound = bound_at(scale)
+            frontier = {u * factor: group for u, group in frontier.items()}
+            memo = [tuple((u * factor, child, sym) for u, child, sym in branches)
+                    for branches in memo]
+        for i, branches in fresh:
+            for _, child in branches:
+                if child not in ids:
+                    ids[child], pending[len(memo)] = len(memo), child
+                    memo.append(())
+            memo[i] = tuple(
+                (int(sym.weight * scale) if exact(sym.weight) else sym.weight * scale,
+                 ids[child], sym)
+                for sym, child in branches
+            )
+        next_frontier = {}
+        for acc, group in frontier.items():
+            for handle, count in group.items():
+                branches = memo[handle]
+                work += len(branches)
+                if work > budget:
+                    raise BudgetExceededError(
+                        f"{walk} exceeded budget of {budget} expansions at depth {depth}"
+                    )
+                for units, child, _ in branches:
+                    weight = acc + units
+                    if weight <= bound:
+                        target = next_frontier.get(weight)
+                        if target is None:
+                            target = next_frontier[weight] = {}
+                        target[child] = target.get(child, 0) + count
+        frontier = next_frontier
+        yield frontier, scale, memo
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 LN_GOLDEN = math.log(GOLDEN_RATIO)

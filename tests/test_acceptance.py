@@ -49,7 +49,7 @@ def test_criterion_1_equal_weight_reproduction():
     alphabet = d.symbols({"0": 1, "1": 1})
     root = d.characteristic_root(alphabet)
     assert abs(root.value - LN2) <= 1e-9
-    spectral = d.fsm_capacity(d.memoryless_fsm(alphabet))
+    spectral = d.fsm_capacity(d.make_memoryless(alphabet).fsm)
     assert abs(spectral.value - LN2) <= 1e-9
     system = mem_equal()
     for level in range(1, 21):

@@ -22,7 +22,7 @@ def test_no_public_function_takes_a_tuning_parameter():
 
 
 def test_test_only_exports_are_gone():
-    for name in ("check_label_uniqueness", "growth_sequence"):
+    for name in ("check_label_uniqueness", "growth_sequence", "memoryless_fsm"):
         assert name not in d.__all__
         assert not hasattr(d, name)
 

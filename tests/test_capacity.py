@@ -196,7 +196,7 @@ class TestFsmCapacity:
             )
 
     def test_binary_self_loops(self):
-        fsm = d.memoryless_fsm(d.symbols({"0": 1, "1": 1}))
+        fsm = d.make_memoryless(d.symbols({"0": 1, "1": 1})).fsm
         assert abs(d.fsm_capacity(fsm).value - math.log(2)) < 1e-9
 
     def test_golden_mean_agrees_with_characteristic_equation(self):
@@ -233,7 +233,7 @@ class TestFsmCapacity:
     def test_solver_agreement_with_characteristic_root(self, alpha):
         alphabet = d.symbols(alpha)
         root = d.characteristic_root(alphabet)
-        spectral = d.fsm_capacity(d.memoryless_fsm(alphabet))
+        spectral = d.fsm_capacity(d.make_memoryless(alphabet).fsm)
         assert abs(root.value - spectral.value) <= 1e-10
 
     def test_radius_monotone_on_bracket(self):
@@ -330,7 +330,7 @@ class TestFsmCapacity:
         monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 0)
         alphabet = d.symbols({"0": 1, "1": 2})
         with pytest.raises(d.EstimatorError, match="did not settle"):
-            d.fsm_capacity(d.memoryless_fsm(alphabet))
+            d.fsm_capacity(d.make_memoryless(alphabet).fsm)
         with pytest.raises(d.EstimatorError, match="did not settle"):
             d.characteristic_root(alphabet)
 

@@ -253,6 +253,24 @@ class TestMaxent:
         assert abs(float(rows[-1].split("\t")[2]) - math.log(2)) <= 1e-15
 
 
+@pytest.mark.parametrize("command, bound", [("enumerate", "--wmax"), ("maxent", "--lmax")])
+def test_counts_past_the_int_to_str_limit(tmp_spec, capsys, command, bound):
+    # 2**2200 has 663 digits, past the lowest limit CPython allows (640)
+    expected = str(2 ** 2200)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main([command, tmp_spec(MEM_EQUAL), bound, "2200"])
+    finally:
+        sys.set_int_max_str_digits(previous)
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = [l.split("\t") for l in out.splitlines() if l and not l.startswith("#")]
+    assert len(rows) == 2200
+    assert rows[-1][1] == expected
+    assert rows[1][1] == "4"
+
+
 class TestSample:
     def test_fsm_sampling_roundtrip(self, tmp_spec, capsys):
         args = ["sample", tmp_spec(GOLDEN_FSM), "--count", "5", "--steps", "12",

@@ -25,7 +25,7 @@ def golden_chain():
 
 
 def binary_chain():
-    fsm = d.memoryless_fsm(d.symbols({"0": 1, "1": 1}))
+    fsm = d.make_memoryless(d.symbols({"0": 1, "1": 1})).fsm
     return d.maxent_chain(fsm)
 
 
@@ -40,9 +40,9 @@ def two_char_chain():
 
 def mixed_length_chain():
     """One state whose labels have one, two and three characters."""
-    return d.maxent_chain(d.memoryless_fsm(
+    return d.maxent_chain(d.make_memoryless(
         d.symbols({"0": 1, "10": 2, "ŋ": "3/2", "110": 3})
-    ))
+    ).fsm)
 
 
 def joined_tsv(samples):
@@ -105,7 +105,7 @@ class TestMaxentChain:
     @pytest.mark.parametrize(
         "fsm_factory",
         [d.make_golden_mean, lambda: d.make_rll(1, 3),
-         lambda: d.memoryless_fsm(d.symbols({"0": 1, "1": 1}))],
+         lambda: d.make_memoryless(d.symbols({"0": 1, "1": 1})).fsm],
     )
     def test_analytic_rate_matches_capacity(self, fsm_factory):
         fsm = fsm_factory()
@@ -546,7 +546,7 @@ def label_alphabets(draw):
     label = st.text(alphabet="ab\u00e9\u014b\u20ac\U0001d7d9\0", min_size=1, max_size=3)
     labels = draw(st.lists(label, min_size=2, max_size=4, unique=True))
     weights = draw(st.lists(st.integers(1, 3), min_size=len(labels), max_size=len(labels)))
-    return d.memoryless_fsm(d.symbols(dict(zip(labels, weights))))
+    return d.make_memoryless(d.symbols(dict(zip(labels, weights)))).fsm
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)

@@ -3,12 +3,14 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 import dncap as d
-from dncap import maxent
+from dncap import maxent, spectrum as spectrum_module
 from conftest import (
     BUILTIN_FACTORIES,
     counted,
@@ -22,11 +24,12 @@ from conftest import (
     mem_unequal,
     prefix_strings,
     strongly_connected_fsms,
+    table_generators,
     three_way,
     too_dense_spectrum,
     tuple_dyck,
 )
-from oracles import naive_string_spectrum, unit_fsm_counts
+from oracles import naive_string_spectrum, reference_frontier_walk, unit_fsm_counts
 
 
 class TestWeightSpectrum:
@@ -215,6 +218,50 @@ def test_walk_on_weighted_fsms_matches_explicit_enumeration(fsm):
         paths = d.enumerate_level_paths(system, level)
         expected = Counter(weight for _, weight in paths)
         assert d.level_support(system, level) == expected
+
+
+def _walk_trace(walk, system, w_max, budget, depths=8):
+    """repr of each depth's (scale, groups in order with their entries in
+    order, memo), then the budget error's message if the walk raised."""
+    trace = []
+    try:
+        for frontier, scale, memo in islice(walk(system, w_max, budget), depths):
+            trace.append((scale, [(u, list(g.items())) for u, g in frontier.items()],
+                          list(memo)))
+    except d.BudgetExceededError as exc:
+        trace.append(str(exc))
+    return repr(trace)
+
+
+def _spectrum_or_cut(system, w_max, budget):
+    with mock.patch.object(maxent, "LEVEL_BUDGET", budget):
+        try:
+            return d.weight_spectrum(system, w_max)
+        except (d.BudgetExceededError, d.InvalidSystemError) as exc:
+            return type(exc), str(exc), getattr(exc, "spectrum", None)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    system=table_generators(),
+    w_max=st.one_of(st.none(), st.builds(
+        Fraction, st.integers(1, 12), st.integers(1, 3))),
+    budget=st.one_of(st.integers(0, 40), st.just(10 ** 6)),
+)
+@example(system=harmonic_dyck(), w_max=Fraction(9, 2), budget=10 ** 6)
+@example(system=harmonic_steps(), w_max=Fraction(4), budget=60)
+@example(system=three_way(), w_max=None, budget=10 ** 6)
+@example(system=prefix_strings(), w_max=Fraction(3), budget=50)
+def test_walk_matches_the_per_branch_reference(system, w_max, budget):
+    # same groups, entries and key order at every depth, and the same budget
+    # error at the same depth; for spectra the same cut spectrum
+    got, want = (_walk_trace(walk, system, w_max, budget)
+                 for walk in (spectrum_module.frontier_walk, reference_frontier_walk))
+    assert got == want
+    if w_max is not None:
+        got = _spectrum_or_cut(system, w_max, budget)
+        with mock.patch.object(spectrum_module, "frontier_walk", reference_frontier_walk):
+            assert got == _spectrum_or_cut(system, w_max, budget)
 
 
 class TestDensityCheck:

@@ -131,7 +131,7 @@ class TestWeightedFsm:
         assert len(level_paths(golden_mean_system(), 3)) == 5
 
     def test_binary_self_loops(self):
-        system = d.fsm_to_branch_system(d.memoryless_fsm(d.symbols({"0": 1, "1": 1})))
+        system = d.fsm_to_branch_system(d.make_memoryless(d.symbols({"0": 1, "1": 1})).fsm)
         paths = level_paths(system, 5)
         assert len(paths) == 2 ** 5
         assert all(w == 5 for _, w in paths)
