@@ -17,7 +17,7 @@ from typing import Hashable
 
 from .errors import BudgetExceededError, EstimatorError
 from .estimates import CapacityEstimate
-from .solvers import partition_root
+from .solvers import left_sum, partition_root
 from .spectrum import decimal, depth_buckets, frontier_walk, tail_estimate
 from .systems import BranchSystem, Weight
 
@@ -134,7 +134,7 @@ def _solve_levels(rows: list, first: int) -> list[LevelSolution]:
     roots = partition_root([(weights, log_counts) for weights, log_counts, _ in rows])
     solutions = []
     for level, (weights, log_counts, size), (rate, *_) in zip(count(first), rows, roots):
-        avg_weight = sum(
+        avg_weight = left_sum(
             w * math.exp(lc - w * rate) for w, lc in zip(weights, log_counts)
         )
         solutions.append(
@@ -163,7 +163,7 @@ def maxent_pmf(system: BranchSystem, level: int) -> LevelPmf:
     paths = enumerate_level_paths(system, level)
     probs = {labels: math.exp(-float(w) * rate) for labels, w in paths}
     weights = {labels: w for labels, w in paths}
-    total = sum(probs.values())
+    total = left_sum(probs.values())
     if abs(total - 1.0) > _SUM_TOL:
         raise EstimatorError(
             f"level {level}: maxent probabilities sum to {total}, not 1"
@@ -180,8 +180,8 @@ def entropy_and_avg_weight(pmf: LevelPmf) -> tuple[float, float]:
         total += p
     if abs(total - 1.0) > _SUM_TOL:
         raise ValueError(f"probabilities sum to {total}, not 1")
-    entropy = -sum(p * math.log(p) for p in pmf.probs.values() if p > 0.0)
-    avg_weight = sum(
+    entropy = -left_sum(p * math.log(p) for p in pmf.probs.values() if p > 0.0)
+    avg_weight = left_sum(
         p * float(pmf.weights[path]) for path, p in pmf.probs.items()
     )
     return entropy, avg_weight
@@ -224,7 +224,7 @@ def kl_gap(pmf: LevelPmf, system: BranchSystem) -> tuple[float, float]:
     for path, p in pmf.probs.items():
         if p > 0.0 and path not in optimum.probs:
             raise ValueError(f"probability mass outside the support: {path}")
-    gap = sum(
+    gap = left_sum(
         p * math.log(p / optimum.probs[path])
         for path, p in pmf.probs.items()
         if p > 0.0

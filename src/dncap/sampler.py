@@ -17,7 +17,7 @@ import numpy as np
 from . import maxent
 from .capacity import fsm_capacity
 from .errors import EstimatorError, InvalidSystemError
-from .solvers import perron
+from .solvers import left_sum, perron
 from .systems import BranchSystem, Symbol, WeightedFsm
 
 _ROW_SUM_TOL = 1e-8
@@ -48,7 +48,7 @@ class MaxentChain:
             for sym, _, prob in row:
                 if prob > 0.0:
                     entropy -= pi * prob * math.log(prob)
-                    mean_weight += pi * prob * float(sym.weight)
+                    mean_weight += pi * prob * sym._float
         return entropy / mean_weight
 
 
@@ -253,7 +253,7 @@ def sample_paths(chain: MaxentChain, count: int, steps: int, seed: int) -> Sampl
         [len(row) for row in chain.transition_probs],
         [math.log(prob) if prob else -math.inf for _, _, prob in flat],
         [dst for _, dst, _ in flat],
-        [float(sym.weight) for sym, _, _ in flat],
+        [sym._float for sym, _, _ in flat],
         [code.setdefault(sym.label, len(code)) for sym, _, _ in flat],
     )
     tables = repeat(_table(ln_q, valid, child, weight, label), steps)
@@ -267,7 +267,7 @@ def empirical_entropy_rate(samples: SampleSet) -> float:
     if not len(samples.weight):
         raise ValueError("empty sample set")
     # summed in path order: np.sum's pairwise order moves the last bits
-    return -sum(samples.log_prob.tolist()) / sum(samples.weight.tolist())
+    return -left_sum(samples.log_prob.tolist()) / left_sum(samples.weight.tolist())
 
 
 def sample_level_paths(
@@ -302,7 +302,7 @@ def sample_level_paths(
     valid, child, weight, label = _padded(
         [len(row) for row in memo],
         [to for _, to, _ in flat],
-        [float(sym.weight) for _, _, sym in flat],
+        [sym._float for _, _, sym in flat],
         [code.setdefault(sym.label, len(code)) for _, _, sym in flat],
     )
     cost = weight * rate

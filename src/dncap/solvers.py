@@ -1,15 +1,6 @@
-"""Numeric kernels: the Newton root driver and the certified Perron kernel.
-
-``newton_root`` is the one root-finding loop in the package: every capacity
-equation (the characteristic equation, rho(M(s)) = 1 and the per-level
-partition sums) is ln f(s) = 0 for a convex, decreasing ln f, and it solves
-a batch of them in lock step.  ``perron`` is the one Perron root and vector
-computation.  It works on a transition list: sparse power steps first, one
-``np.bincount`` each, and Noda's dense inverse iteration only on a side
-where those stall, as judged from the size, the edge count and the observed
-contraction of the Collatz-Wielandt gap; both phases certify with the same
-bounds.  Every iteration cap raises ``EstimatorError`` instead of returning
-unconverged.
+"""Numeric kernels: ``newton_root``, the one root-finding loop, solves every
+capacity equation, and ``perron`` is the one certified Perron kernel.  Every
+iteration cap raises ``EstimatorError`` instead of returning unconverged.
 """
 
 import math
@@ -27,6 +18,15 @@ PERRON_TOL = 1e-15
 PERRON_MAX_ITER = 100
 _EPS = float(np.finfo(float).eps)
 _FLOOR = 1e-300  # a sum-one Perron iterate's entries below this count as zero
+
+
+def left_sum(values):
+    """The builtin ``sum`` as it is before Python 3.12, one rounding per term
+    in order; 3.12's compensates float terms and moves the last bits."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def newton_root(solve: Callable[[np.ndarray], tuple], rows: int) -> list[tuple]:
@@ -149,24 +149,16 @@ def perron(
     left: np.ndarray | None = None,
 ) -> Perron:
     """Perron root and vectors of the irreducible nonnegative n x n matrix M
-    with M[i, j] = sum of q over the edges i = src, j = dst.
-
-    Each side, warm-started from ``right`` and ``left``, runs in two phases
-    that certify with the same CW bounds against the same PERRON_TOL.  The
-    first is power steps on the edge list, x <- M x / sum(M x), one
-    ``np.bincount`` each.  It is given floor(min(n, n^3 / (3 edges))) steps,
-    the flops of a dense solve over those of one step, and is skipped below
-    two.  It gives up once the gap, at its mean contraction per step so far,
-    would not close within them, or an entry falls below _FLOOR.  A side
-    that gives up runs Noda's iteration on the dense M from its warm vector,
-    not from the power iterate, so it gets the same bits as without the
-    power phase.  The dense M is built only then, once for both sides.
+    with M[i, j] = sum of q over the edges i = src, j = dst.  Each side,
+    warm-started from ``right`` and ``left``, is certified by CW bounds that
+    close to PERRON_TOL: by ``_power`` steps on the edge list, or where those
+    stall, by ``_noda`` on the dense M from the same warm vector.
     """
     src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
     q = np.asarray(q, dtype=float)
     if (q < 0).any():
         raise ValueError("edge weights must be nonnegative")
-    steps = int(min(n, n ** 3 / (3 * len(q))))
+    steps = int(min(n, n ** 3 / (3 * len(q))))  # dense solve flops / step flops
     matrix = None
     sides = []
     for rows, cols, x in ((src, dst, right), (dst, src, left)):

@@ -41,15 +41,18 @@ def _require(doc: dict, field: str, types, where: str):
     return value
 
 
-def _parse_symbol(entry, where: str) -> Symbol:
+def _parse_symbol(entry, where: str, interned: dict) -> Symbol:
+    """The entry's symbol, built once per distinct (label, weight) pair."""
     if not isinstance(entry, dict):
         raise SpecFileError(f"{where}: symbol entries must be objects")
-    label = _require(entry, "label", str, where)
-    weight = _require(entry, "weight", str, where)
-    try:
-        return Symbol(label, weight)
-    except ValueError as exc:
-        raise SpecFileError(f"{where}.weight: {exc}") from exc
+    key = _require(entry, "label", str, where), _require(entry, "weight", str, where)
+    if key not in interned:
+        try:
+            interned[key] = Symbol(*key)
+        except ValueError as exc:
+            field = "weight" if key[0] else "label"
+            raise SpecFileError(f"{where}.{field}: {exc}") from exc
+    return interned[key]
 
 
 def parse_system(doc: dict) -> BranchSystem:
@@ -59,11 +62,12 @@ def parse_system(doc: dict) -> BranchSystem:
     kind = _require(doc, "kind", str, "spec")
     if kind not in KINDS:
         raise SpecFileError(f"spec.kind: unknown kind {kind!r}, want one of {KINDS}")
+    interned: dict[tuple[str, str], Symbol] = {}
 
     if kind == "memoryless":
         entries = _require(doc, "symbols", list, "spec")
         alphabet = tuple(
-            _parse_symbol(entry, f"spec.symbols[{i}]")
+            _parse_symbol(entry, f"spec.symbols[{i}]", interned)
             for i, entry in enumerate(entries)
         )
         try:
@@ -82,8 +86,7 @@ def parse_system(doc: dict) -> BranchSystem:
                 raise SpecFileError(f"{where}: must be an object")
             src = _require(row, "from", int, where)
             dst = _require(row, "to", int, where)
-            sym = _parse_symbol(row, where)
-            transitions.append((src, sym, dst))
+            transitions.append((src, _parse_symbol(row, where, interned), dst))
         try:
             fsm = WeightedFsm(num_states, start, tuple(transitions))
         except ValueError as exc:

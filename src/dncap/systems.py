@@ -56,7 +56,8 @@ def is_exact(weight: Weight) -> bool:
 @dataclass(frozen=True)
 class Symbol:
     """A channel symbol: a nonempty label and a strictly positive weight,
-    whose float is positive and finite too."""
+    whose float is positive and finite too.  That float is kept as
+    ``_float``, an attribute outside the dataclass fields."""
 
     label: str
     weight: Weight
@@ -67,10 +68,10 @@ class Symbol:
         raw = self.weight
         object.__setattr__(self, "weight", parse_weight(raw))
         try:
-            in_range = 0.0 < float(self.weight) < math.inf
+            object.__setattr__(self, "_float", float(self.weight))
         except OverflowError:
-            in_range = False
-        if not in_range:
+            object.__setattr__(self, "_float", math.inf)
+        if not 0.0 < self._float < math.inf:
             if not self.weight > 0:
                 raise InvalidSystemError(
                     f"symbol {self.label!r}: weight must be > 0, got {self.weight}"
@@ -143,15 +144,11 @@ class WeightedFsm:
                 f"state {state} is a dead end (every state needs a successor)"
             )
         for state, outs in self.outgoing.items():
-            labels = [sym.label for sym, _ in outs]
-            if len(set(labels)) != len(labels):
-                raise InvalidSystemError(
-                    f"state {state} has duplicate outgoing labels"
-                )
-        successors = [[dst for _, dst in outs] for outs in self.outgoing.values()]
-        reached = set(_finish_order(successors, [self.start]))
+            if len({sym.label for sym, _ in outs}) != len(outs):
+                raise InvalidSystemError(f"state {state} has duplicate outgoing labels")
+        reached = _finish_order(self._successors, [self.start])
         if len(reached) != self.num_states:
-            missing = sorted(set(range(self.num_states)) - reached)
+            missing = sorted(set(range(self.num_states)) - set(reached))
             raise InvalidSystemError(
                 f"states {missing} unreachable from start (prune them first)"
             )
@@ -164,10 +161,14 @@ class WeightedFsm:
         return {state: tuple(outs) for state, outs in table.items()}
 
     @functools.cached_property
+    def _successors(self) -> list[list[int]]:
+        return [[dst for _, dst in outs] for outs in self.outgoing.values()]
+
+    @functools.cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only source, float weight and target arrays, one entry per
         transition in ``transitions`` order."""
-        columns = zip(*((i, float(sym.weight), j) for i, sym, j in self.transitions))
+        columns = zip(*((i, sym._float, j) for i, sym, j in self.transitions))
         arrays = tuple(map(np.array, columns))
         for array in arrays:
             array.flags.writeable = False
@@ -175,8 +176,8 @@ class WeightedFsm:
 
     @functools.cached_property
     def components(self) -> np.ndarray:
-        """``strong_components`` of ``edges``, read-only."""
-        label = strong_components(self.num_states, self.edges[0], self.edges[2])
+        """``strong_components`` of the transitions, read-only."""
+        label = strong_components(self._successors)
         label.flags.writeable = False
         return label
 
@@ -205,29 +206,30 @@ def _finish_order(successors, roots, seen=None) -> list[int]:
         path = [] if root in seen else [(root, iter(successors[root]))]
         seen.add(root)
         while path:
-            nxt = next((x for x in path[-1][1] if x not in seen), None)
-            if nxt is None:
-                order.append(path.pop()[0])
+            for nxt in path[-1][1]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    path.append((nxt, iter(successors[nxt])))
+                    break
             else:
-                seen.add(nxt)
-                path.append((nxt, iter(successors[nxt])))
+                order.append(path.pop()[0])
     return order
 
 
-def strong_components(n: int, src, dst) -> np.ndarray:
-    """Each of ``n`` states' strongly connected component, named by one of
-    its states, for the edges ``src[e] -> dst[e]`` of two integer arrays.
+def strong_components(successors: list[list[int]]) -> np.ndarray:
+    """Each state's strongly connected component, named by one of its states,
+    for the successor lists of any directed multigraph; dead ends and
+    unreachable states are fine.
 
     Kosaraju: a backward search in reverse forward-finishing order stays
-    inside one component.  Dead ends and unreachable states are fine.
+    inside one component.
     """
-    forward: list[list[int]] = [[] for _ in range(n)]
-    backward: list[list[int]] = [[] for _ in range(n)]
-    for i, j in zip(src.tolist(), dst.tolist()):
-        forward[i].append(j)
-        backward[j].append(i)
-    label, seen = [0] * n, set()
-    for root in reversed(_finish_order(forward, range(n))):
+    backward: list[list[int]] = [[] for _ in successors]
+    for i, outs in enumerate(successors):
+        for j in outs:
+            backward[j].append(i)
+    label, seen = [0] * len(successors), set()
+    for root in reversed(_finish_order(successors, range(len(successors)))):
         for state in _finish_order(backward, [root], seen):
             label[state] = root
     return np.array(label)

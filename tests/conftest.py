@@ -166,6 +166,14 @@ ROOT_BASED_FACTORIES = {
 }
 
 
+def outcome(build):
+    """The result of ``build()``, or the type and message of what it raises."""
+    try:
+        return build()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
 def too_dense_spectrum(ratio=1.5, n_cover=31, w_max=40) -> d.WeightSpectrum:
     """Synthetic spectrum with ceil(ratio**n) distinct weights below n.
 

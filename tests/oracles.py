@@ -3,8 +3,10 @@
 Everything here counts or solves by a route different from the library code
 under test: explicit string enumeration instead of merged frontiers, integer
 matrix powers instead of weighted walks, and closed forms where they exist.
-``scalar_partition_root`` and ``reference_frontier_walk`` instead keep a
-kernel's earlier loop, which its rewrite must match exactly.
+``scalar_partition_root``, ``reference_frontier_walk``, ``reference_fsm_check``,
+``reference_strong_components`` and ``reference_fsm_rows`` instead keep a
+kernel's earlier loop, which its rewrite must match exactly, and
+``compensated_sum`` is the builtin ``sum`` of Python 3.12 and later.
 """
 
 import math
@@ -13,7 +15,9 @@ from itertools import product
 
 import numpy as np
 
-from dncap.errors import BudgetExceededError
+from dncap.errors import BudgetExceededError, InvalidSystemError, SpecFileError
+from dncap.specfile import _require
+from dncap.systems import Symbol
 
 
 def naive_string_spectrum(system, w_max) -> dict:
@@ -193,5 +197,133 @@ def reference_frontier_walk(system, w_max, budget: int):
         frontier = next_frontier
         yield frontier, scale, memo
 
+
+def reference_fsm_check(num_states, start, transitions) -> None:
+    """``dncap.WeightedFsm``'s structural checks, per transition and per
+    state: raises what its constructor raises, in the same order."""
+    if num_states < 1:
+        raise InvalidSystemError("an FSM needs at least one state")
+    if not 0 <= start < num_states:
+        raise InvalidSystemError(f"start state {start} out of range")
+    for src, _, dst in transitions:
+        if not (0 <= src < num_states and 0 <= dst < num_states):
+            raise InvalidSystemError(f"transition ({src} -> {dst}) out of range")
+    sources = sorted({src for src, _, _ in transitions})
+    if len(sources) < num_states:
+        state = next((i for i, source in enumerate(sources) if i != source), len(sources))
+        raise InvalidSystemError(
+            f"state {state} is a dead end (every state needs a successor)"
+        )
+    outgoing = {i: [] for i in range(num_states)}
+    for src, sym, dst in transitions:
+        outgoing[src].append((sym, dst))
+    for state, outs in outgoing.items():
+        labels = [sym.label for sym, _ in outs]
+        if len(set(labels)) != len(labels):
+            raise InvalidSystemError(f"state {state} has duplicate outgoing labels")
+    successors = [[dst for _, dst in outs] for outs in outgoing.values()]
+    reached = set(_reference_finish_order(successors, [start]))
+    if len(reached) != num_states:
+        missing = sorted(set(range(num_states)) - reached)
+        raise InvalidSystemError(
+            f"states {missing} unreachable from start (prune them first)"
+        )
+
+
+def _reference_finish_order(successors, roots, seen=None) -> list:
+    seen = set() if seen is None else seen
+    order = []
+    for root in roots:
+        path = [] if root in seen else [(root, iter(successors[root]))]
+        seen.add(root)
+        while path:
+            nxt = next((x for x in path[-1][1] if x not in seen), None)
+            if nxt is None:
+                order.append(path.pop()[0])
+            else:
+                seen.add(nxt)
+                path.append((nxt, iter(successors[nxt])))
+    return order
+
+
+def reference_strong_components(n: int, src, dst) -> np.ndarray:
+    """``dncap.systems.strong_components`` with its own adjacency lists both
+    ways, built from the edge arrays: Kosaraju over all ``n`` roots."""
+    forward = [[] for _ in range(n)]
+    backward = [[] for _ in range(n)]
+    for i, j in zip(src.tolist(), dst.tolist()):
+        forward[i].append(j)
+        backward[j].append(i)
+    label, seen = [0] * n, set()
+    for root in reversed(_reference_finish_order(forward, range(n))):
+        for state in _reference_finish_order(backward, [root], seen):
+            label[state] = root
+    return np.array(label)
+
+
+def reference_fsm_rows(rows) -> list:
+    """The spec loader's transition rows checked field by field and one
+    ``Symbol`` built per row: (from, symbol, to) per row, or the
+    ``SpecFileError`` of the first bad one."""
+    transitions = []
+    for i, row in enumerate(rows):
+        where = f"spec.transitions[{i}]"
+        if not isinstance(row, dict):
+            raise SpecFileError(f"{where}: must be an object")
+        src = _require(row, "from", int, where)
+        dst = _require(row, "to", int, where)
+        label = _require(row, "label", str, where)
+        weight = _require(row, "weight", str, where)
+        try:
+            sym = Symbol(label, weight)
+        except ValueError as exc:
+            field = "weight" if label else "label"
+            raise SpecFileError(f"{where}.{field}: {exc}") from exc
+        transitions.append((src, sym, dst))
+    return transitions
+
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 LN_GOLDEN = math.log(GOLDEN_RATIO)
+
+
+_LONG = 2 ** 63
+
+
+def compensated_sum(iterable, /, start=0):
+    """The builtin ``sum`` of Python 3.12 and later, which adds exact float
+    terms with Neumaier's compensation; earlier versions round once per term.
+    Matches Python 3.12.1's ``sum`` on mixes of ints, bools, floats (inf and
+    -0.0 too) and Fractions."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            if type(item) in (int, bool) and -_LONG <= result + item < _LONG:
+                result += item
+                continue
+            result = result + item
+            break
+    if type(result) is float:
+        total, comp = result, 0.0
+        for item in items:
+            if type(item) is float:
+                step = total + item
+                if abs(total) >= abs(item):
+                    comp += (total - step) + item
+                else:
+                    comp += (item - step) + total
+                total = step
+            elif isinstance(item, int) and -_LONG <= item < _LONG:
+                total += float(item)
+            else:
+                if comp and math.isfinite(comp):
+                    total += comp
+                result = total + item
+                break
+        else:
+            if comp and math.isfinite(comp):
+                total += comp
+            return total
+    for item in items:
+        result = result + item
+    return result

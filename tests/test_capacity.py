@@ -254,7 +254,7 @@ class TestFsmCapacity:
         src, weights, dst = np.array([0]), np.array([1.0]), np.array([1])
         fake = types.SimpleNamespace(
             num_states=2, edges=(src, weights, dst),
-            components=strong_components(2, src, dst),
+            components=strong_components([[1], []]),
         )
         with pytest.raises(d.InvalidSystemError, match="cycle"):
             d.fsm_capacity(fake)

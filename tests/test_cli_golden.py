@@ -7,6 +7,7 @@ regenerates that file with ``PYTHONPATH=src python tests/test_cli_golden.py``
 and says in its description which runs changed and why.
 """
 
+import builtins
 import contextlib
 import io
 import json
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from dncap.cli import main
+from oracles import compensated_sum
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = sorted((ROOT / "demos" / "specs").glob("*.json"))
@@ -64,6 +66,14 @@ def test_golden_covers_every_run(golden):
 @pytest.mark.parametrize("spec", SPECS, ids=lambda path: path.stem)
 def test_cli_output_matches_golden(golden, spec, command):
     assert run(spec, command) == golden[_key(spec, command)]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_output_is_the_same_under_compensated_sum(golden, monkeypatch, command):
+    # Python 3.12's builtin sum compensates float terms; no output may move
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    for spec in SPECS:
+        assert run(spec, command) == golden[_key(spec, command)], spec.stem
 
 
 if __name__ == "__main__":

@@ -7,8 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import dncap as d
 from dncap.systems import strong_components
-from conftest import dyck, golden_mean_system, mem_equal, mem_rational, mem_unequal
-from oracles import dyck_prefix_count, rll_word_ok
+from conftest import (
+    dyck, golden_mean_system, mem_equal, mem_rational, mem_unequal, outcome,
+)
+from oracles import (
+    dyck_prefix_count, reference_fsm_check, reference_strong_components, rll_word_ok,
+)
 
 
 def level_paths(system, level):
@@ -229,6 +233,11 @@ def edge_lists(draw):
     return n, draw(st.lists(st.tuples(state, state), max_size=16))
 
 
+def successor_lists(n, pairs):
+    """Each state's successors, in edge order."""
+    return [[j for i, j in pairs if i == state] for state in range(n)]
+
+
 def mutually_reachable(n, pairs):
     """reach[i][j]: j is reachable from i, by transitive closure."""
     reach = [[i == j for j in range(n)] for i in range(n)]
@@ -247,11 +256,57 @@ def mutually_reachable(n, pairs):
 @example(graph=(5, [(0, 0), (0, 1), (0, 1), (1, 0), (2, 1), (3, 3)]))
 def test_strong_components_are_the_mutual_reachability_classes(graph):
     n, pairs = graph
-    src, dst = (np.array([pair[k] for pair in pairs], dtype=np.intp) for k in (0, 1))
-    label = strong_components(n, src, dst)
+    label = strong_components(successor_lists(n, pairs))
     same = mutually_reachable(n, pairs)
     assert [[label[i] == label[j] for j in range(n)] for i in range(n)] == same
     assert all(label[label[i]] == label[i] for i in range(n))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(graph=edge_lists())
+@example(graph=(4, [(3, 2), (2, 3), (0, 1), (1, 0), (1, 2)]))
+def test_strong_components_match_the_reference(graph):
+    n, pairs = graph
+    src, dst = (np.array([pair[k] for pair in pairs], dtype=np.intp) for k in (0, 1))
+    assert (strong_components(successor_lists(n, pairs)).tolist()
+            == reference_strong_components(n, src, dst).tolist())
+
+
+@st.composite
+def fsm_parts(draw):
+    """(num_states, start, transitions) on 0 to 6 states: up to three
+    outgoing labels per state, in one draw in four none or with repeats, then
+    all rows shuffled.  In one draw in five the endpoints and start range one
+    past either end, so out-of-range endpoints, dead ends, duplicate labels,
+    unreachable states, mixes of them and valid FSMs all occur."""
+    n = draw(st.integers(0, 6))
+    wild = n == 0 or draw(st.integers(0, 4)) == 0
+    state = st.integers(-1, n) if wild else st.integers(0, n - 1)
+    some, unique = (draw(st.integers(0, 3)) > 0 for _ in range(2))
+    labels = st.lists(st.sampled_from("abc"), min_size=int(some), max_size=3,
+                      unique=unique)
+    rows = [(draw(state) if wild else src, d.Symbol(label, 1), draw(state))
+            for src in range(n) for label in draw(labels)]
+    return n, draw(state), tuple(draw(st.permutations(rows)))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(parts=fsm_parts())
+@example(parts=(3, 0, ((0, d.Symbol("a", 1), 0), (0, d.Symbol("a", 1), 1),
+                       (1, d.Symbol("a", 1), 1))))  # duplicate before dead end 2
+@example(parts=(3, 0, ((0, d.Symbol("a", 1), 0), (1, d.Symbol("a", 1), 1),
+                       (2, d.Symbol("a", 1), 5))))  # out of range before unreachable
+@example(parts=(3, 1, ((0, d.Symbol("a", 1), 2), (1, d.Symbol("a", 1), 0),
+                       (2, d.Symbol("a", 1), 1), (2, d.Symbol("b", 1), 2))))  # valid
+def test_fsm_checks_match_the_reference(parts):
+    n, start, transitions = parts
+    fsm = outcome(lambda: d.WeightedFsm(n, start, transitions))
+    error = outcome(lambda: reference_fsm_check(n, start, transitions))
+    if error is not None:
+        assert fsm == error
+    else:
+        src, _, dst = fsm.edges
+        assert fsm.components.tolist() == reference_strong_components(n, src, dst).tolist()
 
 
 def _flatten_finite_tree(tree, root):
