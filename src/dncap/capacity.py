@@ -11,7 +11,9 @@ a truncated-series estimate with convergence probes for everything else.
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
@@ -41,10 +43,10 @@ _EXP_OVERFLOW = 700.0
 _RATIO_SLACK = 1e-12
 
 
-def _term(count: int, weight: float, s) -> complex | float:
-    """One series term N e^{-w s}, safe against huge counts and overflow."""
+def _term(log_count: float, weight: float, s) -> complex | float:
+    """One series term N e^{-w s} from ln N, safe against overflow."""
     sigma = s.real if isinstance(s, complex) else float(s)
-    exponent = math.log(count) - weight * sigma
+    exponent = log_count - weight * sigma
     magnitude = math.inf if exponent > _EXP_OVERFLOW else math.exp(exponent)
     if isinstance(s, complex):
         return magnitude * cmath.exp(complex(0.0, -weight * s.imag))
@@ -65,10 +67,9 @@ def gf_eval(spectrum: WeightSpectrum, s, w_truncate=None):
             f"truncation {w_truncate} exceeds spectrum coverage {spectrum.w_max}"
         )
     total = 0j if isinstance(s, complex) else 0.0
-    for weight, count in spectrum.entries:
-        if weight > w_truncate:
-            break
-        total += _term(count, float(weight), s)
+    stop = bisect_right(spectrum.units, Fraction(w_truncate) * spectrum.scale)
+    for weight, log in zip(spectrum.float_weights[:stop], spectrum.log_counts):
+        total += _term(log, weight, s)
     return total
 
 
@@ -171,8 +172,9 @@ class ConvergenceProbe:
 def _probe(spectrum: WeightSpectrum, value: float) -> ConvergenceProbe:
     s_above = value + PROBE_DELTA
     s_below = value - PROBE_DELTA
-    terms_above = [_term(c, float(w), s_above) for w, c in spectrum.entries]
-    terms_below = [_term(c, float(w), s_below) for w, c in spectrum.entries]
+    pairs = tuple(zip(spectrum.float_weights, spectrum.log_counts))
+    terms_above = [_term(log, w, s_above) for w, log in pairs]
+    terms_below = [_term(log, w, s_below) for w, log in pairs]
     sums_above = list(accumulate(terms_above))
     sums_below = list(accumulate(terms_below))
     window = max(2, tail_window(len(spectrum)))

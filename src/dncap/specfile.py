@@ -27,6 +27,7 @@ from .systems import (
 
 KINDS = ("memoryless", "fsm", "builtin")
 BUILTINS = ("dyck_prefix", "rll")
+_JSON_NAMES = {int: "an integer", str: "a string", list: "an array"}
 
 
 def _require(doc: dict, field: str, types, where: str):
@@ -36,7 +37,7 @@ def _require(doc: dict, field: str, types, where: str):
     # JSON true/false load as bool, a subclass of int, and are no integers.
     if isinstance(value, bool) or not isinstance(value, types):
         raise SpecFileError(
-            f"{where}.{field}: expected {types}, got {type(value).__name__}"
+            f"{where}.{field}: expected {_JSON_NAMES[types]}, got {type(value).__name__}"
         )
     return value
 

@@ -8,7 +8,7 @@ and weights exact rationals, so bucket identity is never a float question.
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
@@ -20,18 +20,24 @@ DENSITY_POLY_CAP = 8.0
 TAIL_FRACTION = 0.25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightSpectrum:
-    """Ordered (weight, count) pairs for all accepted strings up to w_max."""
+    """Ordered (weight, count) pairs for all accepted strings up to w_max.
 
-    entries: tuple[tuple[Fraction, int], ...]
+    Weight k is ``units[k] / scale``, ``scale`` their least common denominator,
+    so equal spectra have equal fields.  Each weight as a float (rounded as
+    ``float(Fraction)`` rounds) and each ln N are computed once, at build."""
+
+    units: tuple[int, ...]
+    counts: tuple[int, ...]
+    scale: int
     w_max: Fraction
+    float_weights: tuple[float, ...] = field(repr=False, compare=False)
+    log_counts: tuple[float, ...] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "w_max", exact_w_max(self.w_max))
-        previous = None
-        for weight, count in self.entries:
+    def __init__(self, entries, w_max):
+        w_max, entries, previous = exact_w_max(w_max), tuple(entries), None
+        for weight, count in entries:
             if not is_exact(weight):
                 raise ValueError(f"inexact weight in spectrum: {weight!r}")
             if count < 1:
@@ -39,17 +45,27 @@ class WeightSpectrum:
             if previous is not None and weight <= previous:
                 raise ValueError("weights must be strictly increasing")
             previous = weight
+        scale = math.lcm(*(w.denominator for w, _ in entries))
+        self._set([w.numerator * (scale // w.denominator) for w, _ in entries],
+                  [c for _, c in entries], scale, w_max)
+
+    def _set(self, units, counts, scale: int, w_max) -> None:
+        common = math.gcd(scale, *units)
+        units, scale = tuple(u // common for u in units), scale // common
+        vars(self).update(units=units, counts=tuple(counts), scale=scale, w_max=w_max,
+                          float_weights=tuple(u / scale for u in units),
+                          log_counts=tuple(map(math.log, counts)))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.units)
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
-        return tuple(w for w, _ in self.entries)
+        return tuple(Fraction(u, self.scale) for u in self.units)
 
     @property
-    def counts(self) -> tuple[int, ...]:
-        return tuple(c for _, c in self.entries)
+    def entries(self) -> tuple[tuple[Fraction, int], ...]:
+        return tuple(zip(self.weights, self.counts))
 
 
 def frontier_walk(system: BranchSystem, w_max, budget: int):
@@ -156,8 +172,8 @@ def weight_spectrum(system: BranchSystem, w_max) -> WeightSpectrum:
     """Count accepted strings by exact weight, up to and including w_max.
 
     Counts merge on integer units across depths, rescaled when the walk's
-    scale grows, and each distinct weight becomes a ``Fraction`` once.  The
-    walk stops at ``maxent.LEVEL_BUDGET`` expansions, as level walks do.  Its
+    scale grows, and the spectrum is built from those units.  The walk stops
+    at ``maxent.LEVEL_BUDGET`` expansions, as level walks do.  Its
     ``BudgetExceededError`` then carries the spectrum up to the lightest
     weight on the last full depth: every string not yet counted extends a
     path of that depth by a symbol of positive weight, so it is heavier."""
@@ -187,8 +203,10 @@ def weight_spectrum(system: BranchSystem, w_max) -> WeightSpectrum:
 
 
 def _spectrum(buckets: dict[int, int], scale: int, w_max) -> WeightSpectrum:
-    entries = tuple((Fraction(u, scale), c) for u, c in sorted(buckets.items()))
-    return WeightSpectrum(entries=entries, w_max=w_max)
+    spectrum = object.__new__(WeightSpectrum)
+    units = sorted(buckets)
+    spectrum._set(units, list(map(buckets.__getitem__, units)), scale, w_max)
+    return spectrum
 
 
 @dataclass(frozen=True)
@@ -221,28 +239,32 @@ def density_check(
     finite-sample heuristic: it flags exponential growth masquerading as
     density, it does not certify the existential constants.
     """
-    if not spectrum.entries:
+    if not spectrum.units:
         raise ValueError("density check needs a nonempty spectrum")
     if (L is None) != (K is None):
         raise ValueError("give both L and K, or neither")
     # For integer n, w < n exactly when floor(w) < n.
-    floors = [w.numerator // w.denominator for w in spectrum.weights]
+    floors = [u // spectrum.scale for u in spectrum.units]
     n_range = tuple(range(1, math.floor(spectrum.w_max) + 1)) or (1,)
     k_of_n = tuple(bisect_left(floors, n) for n in n_range)
     if L is not None:
-        passes = all(k <= L * n ** K for n, k in zip(n_range, k_of_n))
+        passes = all(k <= L * _power(n, K) for n, k in zip(n_range, k_of_n))
         return DensityReport(n_range, k_of_n, float(L), float(K), passes)
 
     points = [(n, k) for n, k in zip(n_range, k_of_n) if k >= 1]
-    slopes = [
-        (math.log(k2) - math.log(k1)) / (math.log(n2) - math.log(n1))
-        for (n1, k1), (n2, k2) in zip(points, points[1:])
-    ]
-    fitted_k = max(slopes, default=0.0)
-    fitted_k = max(fitted_k, 0.0)
-    fitted_l = max((k / n ** fitted_k for n, k in points), default=0.0)
+    logs = [(math.log(n), math.log(k)) for n, k in points]
+    slopes = [(lk2 - lk1) / (ln2 - ln1) for (ln1, lk1), (ln2, lk2) in zip(logs, logs[1:])]
+    fitted_k = max([*slopes, 0.0])
+    fitted_l = max((k / _power(n, fitted_k) for n, k in points), default=0.0)
     passes = fitted_k <= DENSITY_POLY_CAP
     return DensityReport(n_range, k_of_n, fitted_l, fitted_k, passes)
+
+
+def _power(n: int, k: float) -> float:
+    try:
+        return n ** k
+    except OverflowError:  # past the float range: inf, as IEEE pow has it
+        return math.inf
 
 
 def tail_window(length: int) -> int:
@@ -274,7 +296,7 @@ def empirical_capacity(
     if len(spectrum) < 2:
         raise ValueError("empirical capacity needs a spectrum with >= 2 entries")
     sequence = tuple(
-        (float(w), math.log(c) / float(w)) for w, c in spectrum.entries
+        (w, log / w) for w, log in zip(spectrum.float_weights, spectrum.log_counts)
     )
     return tail_estimate([c for _, c in sequence]), sequence
 
@@ -292,10 +314,9 @@ def decimal(count: int) -> str:
 
 def spectrum_tsv(spectrum: WeightSpectrum) -> str:
     """Spectrum as TSV rows: weight "p/q", exact count, c_k at 17 digits."""
-    lines = ["# weight\tcount\tc_k"]
-    for weight, count in spectrum.entries:
-        c_k = math.log(count) / float(weight)
-        lines.append(
-            f"{weight.numerator}/{weight.denominator}\t{decimal(count)}\t{c_k:.17g}"
-        )
+    lines, scale = ["# weight\tcount\tc_k"], spectrum.scale
+    for u, count, w, log in zip(spectrum.units, spectrum.counts,
+                                spectrum.float_weights, spectrum.log_counts):
+        common = math.gcd(u, scale)
+        lines.append(f"{u // common}/{scale // common}\t{decimal(count)}\t{log / w:.17g}")
     return "\n".join(lines) + "\n"

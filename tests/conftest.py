@@ -252,6 +252,16 @@ def table_generators(draw):
     return d.BranchSystem(0, table.__getitem__, name=f"table{table}")
 
 
+@st.composite
+def rational_alphabets(draw):
+    """A memoryless alphabet of 1 to 4 symbols with weights p/q, p <= 4, q <= 4."""
+    weights = draw(st.lists(st.builds(Fraction, st.integers(1, 4), st.integers(1, 4)),
+                            min_size=1, max_size=4))
+    return d.make_memoryless(
+        tuple(d.Symbol("abcd"[k], w) for k, w in enumerate(weights))
+    )
+
+
 def permutation_fsm(rng, n, labels="abc", max_weight=4):
     """A union of random permutations of n states, one per label, the first
     an n-cycle (so the FSM is strongly connected), with integer weights 1 to

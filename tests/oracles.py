@@ -4,19 +4,43 @@ Everything here counts or solves by a route different from the library code
 under test: explicit string enumeration instead of merged frontiers, integer
 matrix powers instead of weighted walks, and closed forms where they exist.
 ``scalar_partition_root``, ``reference_frontier_walk``, ``reference_fsm_check``,
-``reference_strong_components`` and ``reference_fsm_rows`` instead keep a
-kernel's earlier loop, which its rewrite must match exactly, and
+``reference_strong_components``, ``reference_fsm_rows`` and the
+``FractionSpectrum`` estimators instead keep a kernel's earlier loop, which
+its rewrite must match exactly, and
 ``compensated_sum`` is the builtin ``sum`` of Python 3.12 and later.
 """
 
+import cmath
 import math
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
-from dncap.errors import BudgetExceededError, InvalidSystemError, SpecFileError
+from dncap.capacity import (
+    _EXP_OVERFLOW,
+    _RATIO_SLACK,
+    DIVERGENCE_THRESHOLD,
+    PROBE_DELTA,
+    ConvergenceProbe,
+)
+from dncap.errors import (
+    BudgetExceededError,
+    EstimatorError,
+    InvalidSystemError,
+    SpecFileError,
+)
+from dncap.estimates import ABSCISSA
 from dncap.specfile import _require
+from dncap.spectrum import (
+    DENSITY_POLY_CAP,
+    DensityReport,
+    decimal,
+    tail_estimate,
+    tail_window,
+)
 from dncap.systems import Symbol
 
 
@@ -281,6 +305,160 @@ def reference_fsm_rows(rows) -> list:
             raise SpecFileError(f"{where}.{field}: {exc}") from exc
         transitions.append((src, sym, dst))
     return transitions
+
+
+# The weight spectrum as it was before it moved to integer units: a tuple of
+# (Fraction, count) entries, read by estimators that build each weight's float
+# and each count's log per entry.  The library's spectrum must match it bit
+# for bit.
+
+
+@dataclass(frozen=True)
+class FractionSpectrum:
+    entries: tuple
+    w_max: Fraction
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    @property
+    def weights(self) -> tuple:
+        return tuple(w for w, _ in self.entries)
+
+
+def reference_weight_spectrum(system, w_max: Fraction, budget: int):
+    """``weight_spectrum(system, w_max)`` under ``budget``, bucketed by
+    ``Fraction`` at every depth: a ``FractionSpectrum``, None for an inexact
+    weight, or the walk's ``BudgetExceededError`` with the spectrum up to the
+    lightest weight of the last full depth as ``spectrum`` (None if no depth
+    was full)."""
+    counts, frontier, scale = {}, {}, 1
+    try:
+        for frontier, scale, _ in reference_frontier_walk(system, w_max, budget):
+            for units, group in frontier.items():
+                if isinstance(units, float):
+                    return None
+                weight = Fraction(units, scale)
+                counts[weight] = counts.get(weight, 0) + sum(group.values())
+    except BudgetExceededError as exc:
+        if frontier:
+            lightest = Fraction(min(frontier), scale)
+            exc.spectrum = FractionSpectrum(
+                tuple(sorted((w, c) for w, c in counts.items() if w <= lightest)), lightest
+            )
+        raise
+    return FractionSpectrum(tuple(sorted(counts.items())), w_max)
+
+
+def reference_density_check(spectrum, L=None, K=None):
+    if not spectrum.entries:
+        raise ValueError("density check needs a nonempty spectrum")
+    floors = [w.numerator // w.denominator for w in spectrum.weights]
+    n_range = tuple(range(1, math.floor(spectrum.w_max) + 1)) or (1,)
+    k_of_n = tuple(bisect_left(floors, n) for n in n_range)
+    if L is not None:
+        passes = all(k <= L * n ** K for n, k in zip(n_range, k_of_n))
+        return DensityReport(n_range, k_of_n, float(L), float(K), passes)
+    points = [(n, k) for n, k in zip(n_range, k_of_n) if k >= 1]
+    slopes = [
+        (math.log(k2) - math.log(k1)) / (math.log(n2) - math.log(n1))
+        for (n1, k1), (n2, k2) in zip(points, points[1:])
+    ]
+    fitted_k = max(slopes, default=0.0)
+    fitted_k = max(fitted_k, 0.0)
+    fitted_l = max((k / n ** fitted_k for n, k in points), default=0.0)
+    passes = fitted_k <= DENSITY_POLY_CAP
+    return DensityReport(n_range, k_of_n, fitted_l, fitted_k, passes)
+
+
+def reference_empirical_capacity(spectrum):
+    if len(spectrum) < 2:
+        raise ValueError("empirical capacity needs a spectrum with >= 2 entries")
+    sequence = tuple(
+        (float(w), math.log(c) / float(w)) for w, c in spectrum.entries
+    )
+    return tail_estimate([c for _, c in sequence]), sequence
+
+
+def reference_spectrum_tsv(spectrum) -> str:
+    lines = ["# weight\tcount\tc_k"]
+    for weight, count in spectrum.entries:
+        c_k = math.log(count) / float(weight)
+        lines.append(
+            f"{weight.numerator}/{weight.denominator}\t{decimal(count)}\t{c_k:.17g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _reference_term(count: int, weight: float, s):
+    sigma = s.real if isinstance(s, complex) else float(s)
+    exponent = math.log(count) - weight * sigma
+    magnitude = math.inf if exponent > _EXP_OVERFLOW else math.exp(exponent)
+    if isinstance(s, complex):
+        return magnitude * cmath.exp(complex(0.0, -weight * s.imag))
+    return magnitude
+
+
+def reference_gf_eval(spectrum, s, w_truncate=None):
+    if w_truncate is None:
+        w_truncate = spectrum.w_max
+    if w_truncate > spectrum.w_max:
+        raise ValueError(
+            f"truncation {w_truncate} exceeds spectrum coverage {spectrum.w_max}"
+        )
+    total = 0j if isinstance(s, complex) else 0.0
+    for weight, count in spectrum.entries:
+        if weight > w_truncate:
+            break
+        total += _reference_term(count, float(weight), s)
+    return total
+
+
+def _reference_probe(spectrum, value: float) -> ConvergenceProbe:
+    s_above = value + PROBE_DELTA
+    s_below = value - PROBE_DELTA
+    terms_above = [_reference_term(c, float(w), s_above) for w, c in spectrum.entries]
+    terms_below = [_reference_term(c, float(w), s_below) for w, c in spectrum.entries]
+    sums_above = list(accumulate(terms_above))
+    sums_below = list(accumulate(terms_below))
+    window = max(2, tail_window(len(spectrum)))
+    tail_above = terms_above[-window:]
+    tail_below = terms_below[-window:]
+    shrinking = all(
+        nxt <= cur * (1.0 + _RATIO_SLACK)
+        for cur, nxt in zip(tail_above, tail_above[1:])
+    )
+    converges_above = shrinking and sums_above[-1] < DIVERGENCE_THRESHOLD
+    growing = all(
+        nxt >= cur * (1.0 - _RATIO_SLACK)
+        for cur, nxt in zip(tail_below, tail_below[1:])
+    ) and tail_below[-1] > tail_below[0]
+    diverges_below = sums_below[-1] >= DIVERGENCE_THRESHOLD or growing
+    return ConvergenceProbe(
+        PROBE_DELTA, s_above, s_below, tuple(sums_above), tuple(sums_below),
+        converges_above, diverges_below,
+    )
+
+
+def reference_abscissa_estimate(spectrum):
+    report = reference_density_check(spectrum)
+    if not report.passes:
+        raise EstimatorError(
+            "weight sequence densifies faster than polynomially; the "
+            "count-based abscissa estimate is meaningless here "
+            f"(fitted exponent {report.fitted_K:.3g} exceeds cap "
+            f"{DENSITY_POLY_CAP})"
+        )
+    empirical, _ = reference_empirical_capacity(spectrum)
+    probe = _reference_probe(spectrum, empirical.value)
+    if not probe.consistent:
+        raise EstimatorError(
+            "convergence probe contradicts the abscissa estimate "
+            f"{empirical.value:.6g}: converges_above={probe.converges_above}, "
+            f"diverges_below={probe.diverges_below}"
+        )
+    return replace(empirical, method=ABSCISSA), probe
+
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 LN_GOLDEN = math.log(GOLDEN_RATIO)

@@ -25,6 +25,14 @@ MEM_UNEQUAL = {
     ],
 }
 DYCK = {"kind": "builtin", "name": "dyck_prefix"}
+# its density fit has K near 800, so n ** K leaves the float range
+HEAVY = {
+    "kind": "memoryless",
+    "symbols": [
+        {"label": "a", "weight": "1000"},
+        {"label": "b", "weight": "1001"},
+    ],
+}
 RLL13 = {"kind": "builtin", "name": "rll", "d": 1, "k": 3}
 GOLDEN_FSM = {
     "kind": "fsm",
@@ -78,6 +86,14 @@ class TestEnumerate:
             "error: empirical capacity needs a spectrum with >= 2 entries\n"
         )
         assert not out.exists()
+
+    def test_density_fit_past_the_float_range_fails(self, tmp_spec, capsys):
+        code = main(["enumerate", tmp_spec(HEAVY), "--wmax", "10000"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "# density: fitted_K=811.13293188003502 fitted_L=0 passes=False"
+        )
 
     def test_malformed_json(self, tmp_spec, capsys):
         code = main(["enumerate", tmp_spec("{not json"), "--wmax", "4"])
@@ -180,6 +196,7 @@ class TestEnumerate:
         err = capsys.readouterr().err
         assert code == 1
         assert "spec.states: expected" in err and "got bool" in err
+        assert err == "error: spec.states: expected an integer, got bool\n"
 
     def test_boolean_builtin_parameter_is_rejected(self, tmp_spec, capsys):
         doc = {"kind": "builtin", "name": "rll", "d": True, "k": 3}
@@ -191,6 +208,15 @@ class TestEnumerate:
 
 
 class TestCapacity:
+    def test_abscissa_refuses_a_density_fit_past_the_float_range(self, tmp_spec, capsys):
+        code = main(
+            ["capacity", tmp_spec(HEAVY), "--method", "abscissa", "--wmax", "10000"]
+        )
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: weight sequence densifies faster than polynomially")
+
     def test_unequal_auto_uses_root(self, tmp_spec, capsys):
         code = main(["capacity", tmp_spec(MEM_UNEQUAL)])
         doc = json.loads(capsys.readouterr().out)

@@ -67,6 +67,20 @@ def test_a_repeated_bad_weight_is_reported_at_its_first_row():
         parse_system(doc)
 
 
+@pytest.mark.parametrize("doc, message", [
+    (fsm_doc([{"from": 0.5, "label": "a", "weight": "1", "to": 0}]),
+     "spec.transitions[0].from: expected an integer, got float"),
+    (fsm_doc([{"from": 0, "label": "a", "weight": 1, "to": 0}]),
+     "spec.transitions[0].weight: expected a string, got int"),
+    (fsm_doc({"from": 0}), "spec.transitions: expected an array, got dict"),
+    ({"kind": None}, "spec.kind: expected a string, got NoneType"),
+])
+def test_type_errors_name_the_json_type(doc, message):
+    with pytest.raises(SpecFileError) as caught:
+        parse_system(doc)
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("doc, where", [
     (fsm_doc([{"from": 0, "label": "a", "weight": "1", "to": 0},
               {"from": 0, "label": "", "weight": "1", "to": 0}], states=1),

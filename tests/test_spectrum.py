@@ -22,14 +22,26 @@ from conftest import (
     mem_equal,
     mem_rational,
     mem_unequal,
+    outcome,
     prefix_strings,
+    rational_alphabets,
     strongly_connected_fsms,
     table_generators,
     three_way,
     too_dense_spectrum,
     tuple_dyck,
 )
-from oracles import naive_string_spectrum, reference_frontier_walk, unit_fsm_counts
+from oracles import (
+    naive_string_spectrum,
+    reference_abscissa_estimate,
+    reference_density_check,
+    reference_empirical_capacity,
+    reference_frontier_walk,
+    reference_gf_eval,
+    reference_spectrum_tsv,
+    reference_weight_spectrum,
+    unit_fsm_counts,
+)
 
 
 class TestWeightSpectrum:
@@ -264,6 +276,91 @@ def test_walk_matches_the_per_branch_reference(system, w_max, budget):
             assert got == _spectrum_or_cut(system, w_max, budget)
 
 
+LIBRARY_ESTIMATORS = (d.density_check, d.empirical_capacity, d.spectrum_tsv,
+                      d.abscissa_estimate, d.gf_eval)
+REFERENCE_ESTIMATORS = (reference_density_check, reference_empirical_capacity,
+                        reference_spectrum_tsv, reference_abscissa_estimate,
+                        reference_gf_eval)
+
+
+def _estimates(spectrum, estimators):
+    """repr of each estimator's result on ``spectrum``, or of the type and
+    message of what it raises."""
+    density, empirical, tsv, abscissa, gf_eval = estimators
+    return repr([
+        outcome(lambda: density(spectrum)),
+        outcome(lambda: density(spectrum, L=2.0, K=1.5)),
+        outcome(lambda: empirical(spectrum)),
+        outcome(lambda: tsv(spectrum)),
+        outcome(lambda: abscissa(spectrum)),
+        [outcome(lambda: gf_eval(spectrum, s, w_truncate))
+         for s in (0.0, 0.7, complex(0.4, 2.5))
+         for w_truncate in (None, spectrum.w_max / 2, float(spectrum.w_max) / 3)],
+    ])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    system=st.one_of(table_generators(), rational_alphabets()),
+    w_max=st.builds(Fraction, st.integers(3, 16), st.integers(1, 2)),
+    budget=st.one_of(st.integers(0, 80), st.just(10 ** 6)),
+)
+@example(system=harmonic_dyck(), w_max=Fraction(9, 2), budget=10 ** 6)
+@example(system=dyck(), w_max=Fraction(40), budget=60)
+def test_integer_unit_spectrum_matches_the_fraction_reference(system, w_max, budget):
+    # the same entries and, bit for bit, the same estimates, TSV and errors,
+    # for full spectra and for those a budget-cut walk keeps
+    got = _spectrum_or_cut(system, w_max, budget)
+    try:
+        want = reference_weight_spectrum(system, w_max, budget)
+    except d.BudgetExceededError as exc:
+        assert (got[0], got[1]) == (d.BudgetExceededError, str(exc))
+        got, want = got[2], exc.spectrum
+        if want is None:
+            assert got is None
+            return
+    if want is None:
+        assert got[0] is d.InvalidSystemError and "inexact" in got[1]
+        return
+    assert got.entries == want.entries and got.w_max == want.w_max
+    assert got.float_weights == tuple(float(w) for w in want.weights)
+    assert got.log_counts == tuple(math.log(c) for _, c in want.entries)
+    assert _estimates(got, LIBRARY_ESTIMATORS) == _estimates(want, REFERENCE_ESTIMATORS)
+    # the same entries at the least common denominator: equal, same hash
+    rebuilt = d.WeightSpectrum(entries=want.entries, w_max=want.w_max)
+    assert rebuilt == got and hash(rebuilt) == hash(got)
+    assert rebuilt.scale == math.lcm(*(w.denominator for w in want.weights))
+
+
+class TestCanonicalScale:
+    def test_same_entries_at_any_scale_are_equal(self):
+        spectrum = d.weight_spectrum(mem_rational(), 3)
+        buckets = dict(zip(spectrum.units, spectrum.counts))
+        for factor in (1, 2, 35):
+            scaled = spectrum_module._spectrum(
+                {u * factor: c for u, c in buckets.items()},
+                spectrum.scale * factor, spectrum.w_max,
+            )
+            assert scaled == spectrum and hash(scaled) == hash(spectrum)
+            assert (scaled.units, scaled.scale) == (spectrum.units, 6)
+
+    def test_a_denominator_past_the_bound_leaves_no_trace(self):
+        # the walk's scale takes in 13/2, which no counted weight has
+        unused = d.weight_spectrum(d.make_memoryless(d.symbols({"a": "1", "b": "13/2"})), 4)
+        plain = d.weight_spectrum(d.make_memoryless(d.symbols({"a": "1"})), 4)
+        assert unused == plain and hash(unused) == hash(plain)
+        assert (unused.units, unused.scale) == ((1, 2, 3, 4), 1)
+        assert unused != d.weight_spectrum(d.make_memoryless(d.symbols({"a": "1"})), 5)
+
+    def test_repr_shows_units_and_scale(self):
+        spectrum = d.WeightSpectrum(entries=((Fraction(1, 2), 1), (Fraction(2, 3), 2)),
+                                    w_max=1)
+        assert repr(spectrum) == (
+            "WeightSpectrum(units=(3, 4), counts=(1, 2), scale=6, w_max=Fraction(1, 1))"
+        )
+        assert spectrum.entries == ((Fraction(1, 2), 1), (Fraction(2, 3), 2))
+
+
 class TestDensityCheck:
     def test_unit_weights_pass_linear_bound(self):
         spectrum = d.weight_spectrum(mem_equal(), 64)
@@ -289,6 +386,12 @@ class TestDensityCheck:
         assert report.k_of_n == tuple(
             bisect_left(spectrum.weights, Fraction(n)) for n in report.n_range
         )
+
+    def test_a_power_past_the_float_range_is_inf(self):
+        # 200 ** 200 is past the float range: the bound holds there, and in
+        # the fit the same power would make its residual k / inf = 0.0
+        report = d.density_check(d.weight_spectrum(mem_equal(), 200), L=1.0, K=200.0)
+        assert report.passes
 
     def test_k_of_n_nondecreasing(self):
         report = d.density_check(d.weight_spectrum(mem_rational(), 12))
