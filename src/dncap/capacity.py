@@ -85,7 +85,7 @@ def characteristic_root(alphabet: Sequence[Symbol]) -> CapacityEstimate:
     if not alphabet:
         raise InvalidSystemError("alphabet must be nonempty")
     [(value, lo, hi, residual, steps)] = partition_root(
-        [([float(sym.weight) for sym in alphabet], [0.0] * len(alphabet))]
+        [([sym._float for sym in alphabet], [0.0] * len(alphabet))]
     )
     return CapacityEstimate(value, CHARACTERISTIC_ROOT, (lo, hi), residual, steps)
 

@@ -18,8 +18,8 @@ from typing import Hashable
 from .errors import BudgetExceededError, EstimatorError
 from .estimates import CapacityEstimate
 from .solvers import left_sum, partition_root
-from .spectrum import decimal, depth_buckets, frontier_walk, tail_estimate
-from .systems import BranchSystem, Weight
+from .spectrum import decimal, frontier_walk, tail_estimate
+from .systems import BranchSystem
 
 LEVEL_BUDGET = 2 ** 22
 _SUM_TOL = 1e-6
@@ -27,7 +27,7 @@ _SUM_TOL = 1e-6
 Path = tuple[str, ...]
 
 
-def level_support(system: BranchSystem, level: int) -> dict[Weight, int]:
+def level_support(system: BranchSystem, level: int) -> dict[Fraction, int]:
     """Exact {path weight: count} table for the depth-``level`` support.
 
     Reads depth ``level`` off ``frontier_walk``, so supports far beyond
@@ -36,7 +36,7 @@ def level_support(system: BranchSystem, level: int) -> dict[Weight, int]:
     a finite tree raises ``ValueError``.
     """
     frontier, scale, _ = _depth(system, level)
-    return depth_buckets(frontier, scale)
+    return {Fraction(u, scale): sum(group.values()) for u, group in frontier.items()}
 
 
 def _depth(system: BranchSystem, level: int) -> tuple:
@@ -64,15 +64,15 @@ def _level_walk(system: BranchSystem, level: int):
 
 def enumerate_level_paths(
     system: BranchSystem, level: int
-) -> list[tuple[Path, Weight]]:
+) -> list[tuple[Path, Fraction]]:
     """All depth-``level`` paths as (label tuple, weight), small levels only.
 
     Raises ``BudgetExceededError`` past ``LEVEL_BUDGET`` paths.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    paths: list[tuple[Path, Weight]] = []
-    stack: list[tuple[Hashable, Path, Weight]] = [(system.root, (), Fraction(0))]
+    paths: list[tuple[Path, Fraction]] = []
+    stack: list[tuple[Hashable, Path, Fraction]] = [(system.root, (), Fraction(0))]
     while stack:
         handle, labels, acc = stack.pop()
         if len(labels) == level:
@@ -121,7 +121,7 @@ def solve_level_rate(system: BranchSystem, level: int) -> LevelSolution:
 def _level_row(frontier: dict, scale: int) -> tuple[list, list, int]:
     """One depth's (bucket weights, ln bucket counts, support size).
 
-    The weights are the floats of ``depth_buckets``' keys, u / scale, which
+    The weights are the floats of ``level_support``'s keys, u / scale, which
     rounds the same rational as ``float(Fraction(u, scale))`` does.
     """
     counts = [sum(group.values()) for group in frontier.values()]
@@ -149,7 +149,7 @@ class LevelPmf:
 
     level: int
     probs: dict[Path, float]
-    weights: dict[Path, Weight]
+    weights: dict[Path, Fraction]
 
 
 def maxent_pmf(system: BranchSystem, level: int) -> LevelPmf:

@@ -14,7 +14,7 @@ from itertools import chain
 
 from .errors import BudgetExceededError, InvalidSystemError
 from .estimates import EMPIRICAL, CapacityEstimate
-from .systems import BranchSystem, Weight, is_exact, parse_weight
+from .systems import BranchSystem, parse_weight
 
 DENSITY_POLY_CAP = 8.0
 TAIL_FRACTION = 0.25
@@ -36,10 +36,9 @@ class WeightSpectrum:
     log_counts: tuple[float, ...] = field(repr=False, compare=False)
 
     def __init__(self, entries, w_max):
-        w_max, entries, previous = exact_w_max(w_max), tuple(entries), None
+        w_max, previous = exact_w_max(w_max), None
+        entries = tuple((parse_weight(w), c) for w, c in entries)
         for weight, count in entries:
-            if not is_exact(weight):
-                raise ValueError(f"inexact weight in spectrum: {weight!r}")
             if count < 1:
                 raise ValueError("zero-count weights must be omitted")
             if previous is not None and weight <= previous:
@@ -89,8 +88,8 @@ def frontier_walk(system: BranchSystem, w_max, budget: int):
     a child.  ``memo[id]`` holds its (units, child id, symbol) branches once
     expanded, () before: a depth expands its frontier's ids among those not
     yet expanded, so ``expand`` runs once per handle.  ``scale`` is the LCM
-    of the exact weight denominators seen so far (float weights are float
-    units); a new denominator rescales the frontier and the memo once."""
+    of the weight denominators seen so far, so every weight is a whole number
+    of units; a new denominator rescales the frontier and the memo once."""
     walk = "level walk" if w_max is None else f"weight spectrum walk to w_max {w_max}"
     frontier: dict = {0: {0: 1}}
     ids, memo, pending = {system.root: 0}, [()], {0: system.root}
@@ -102,8 +101,7 @@ def frontier_walk(system: BranchSystem, w_max, budget: int):
         if fresh:
             fresh = [(i, system.expand(pending.pop(i))) for i in fresh]
             factor = math.lcm(scale, *(
-                sym.weight.denominator for _, branches in fresh
-                for sym, _ in branches if is_exact(sym.weight)
+                sym.weight.denominator for _, branches in fresh for sym, _ in branches
             )) // scale
             if factor > 1:
                 scale *= factor
@@ -117,7 +115,7 @@ def frontier_walk(system: BranchSystem, w_max, budget: int):
                         ids[child], pending[len(memo)] = len(memo), child
                         memo.append(())
                 memo[i] = tuple(
-                    (_units(sym.weight, scale), ids[child], sym) for sym, child in branches
+                    (int(sym.weight * scale), ids[child], sym) for sym, child in branches
                 )
         work += sum(map(len, map(memo.__getitem__, chain(*frontier.values()))))
         if work > budget:
@@ -139,30 +137,14 @@ def frontier_walk(system: BranchSystem, w_max, budget: int):
         yield frontier, scale, memo
 
 
-def _units(weight: Weight, scale: int):
-    return int(weight * scale) if is_exact(weight) else weight * scale
-
-
 def _bound(w_max, scale: int):
     """``w_max`` in units of 1/``scale``, rounded down; inf for no bound."""
     return math.inf if w_max is None else math.floor(w_max * scale)
 
 
-def depth_buckets(frontier: dict, scale: int) -> dict[Weight, int]:
-    """{weight: count} at one depth: each weight group's counts summed, and
-    each distinct weight a ``Fraction`` (a float for float units) once."""
-    return {
-        (u / scale if isinstance(u, float) else Fraction(u, scale)):
-            sum(group.values())
-        for u, group in frontier.items()
-    }
-
-
 def exact_w_max(w_max) -> Fraction:
     """A spectrum bound as a positive exact rational, or InvalidSystemError."""
     w_max = parse_weight(w_max)
-    if not is_exact(w_max):
-        raise InvalidSystemError("w_max must be an exact rational")
     if w_max <= 0:
         raise InvalidSystemError("w_max must be positive")
     return w_max
@@ -187,11 +169,6 @@ def weight_spectrum(system: BranchSystem, w_max) -> WeightSpectrum:
                 buckets = {u * (scale // last): c for u, c in buckets.items()}
                 last = scale
             for units, group in frontier.items():
-                if isinstance(units, float):
-                    raise InvalidSystemError(
-                        f"path weight {units / scale!r} is inexact; "
-                        "spectrum enumeration needs exact rationals"
-                    )
                 buckets[units] = buckets.get(units, 0) + sum(group.values())
     except BudgetExceededError as exc:
         if frontier:

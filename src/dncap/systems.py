@@ -8,9 +8,9 @@ path weights add along branches.  Regular constraints come from finite-state
 machines; non-regular ones from arbitrary generator functions over opaque
 node handles.
 
-Weights given as ints, strings ("3/10" or "0.3"), or Fractions are kept as
-exact rationals so that enumeration can bucket equal weights exactly.  Floats
-are kept as floats and are accepted by the analytic routines only.
+Every weight is an exact rational, so that enumeration buckets equal weights
+exactly: ints and Fractions as they are, strings ("3/10" or "0.3") as the
+rational they spell, and a float as the binary fraction it stores.
 """
 
 import functools
@@ -23,15 +23,17 @@ import numpy as np
 
 from .errors import InvalidSystemError
 
-Weight = Fraction | float
 Branches = tuple[tuple["Symbol", Hashable], ...]
 
 
-def parse_weight(value) -> Weight:
-    """Coerce a weight to an exact Fraction, or pass a float through as-is.
+def parse_weight(value) -> Fraction:
+    """Coerce a weight to an exact Fraction.
 
     Decimal strings are scaled to exact rationals ("0.3" -> 3/10), so spec
-    files never suffer a silent float round trip.
+    files never suffer a silent float round trip; a float becomes the binary
+    fraction it stores (0.5 -> 1/2), and inf and nan raise
+    ``InvalidSystemError``.  A string may hold no "_" and no inner space:
+    ``Fraction`` takes "1_000" from Python 3.11 on and "1 / 2" from 3.12 on.
     """
     if isinstance(value, bool):
         raise TypeError("weight must be numeric, not bool")
@@ -40,17 +42,18 @@ def parse_weight(value) -> Weight:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
         try:
-            return Fraction(value.strip())
+            if "_" in text or len(text.split()) > 1:
+                raise ValueError
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a valid rational weight: {value!r}") from exc
     if isinstance(value, float):
-        return value
+        if not math.isfinite(value):
+            raise InvalidSystemError(f"weight {value} is outside the float range")
+        return Fraction(value)
     raise TypeError(f"unsupported weight type: {type(value).__name__}")
-
-
-def is_exact(weight: Weight) -> bool:
-    return isinstance(weight, (Fraction, int))
 
 
 @dataclass(frozen=True)
@@ -60,13 +63,16 @@ class Symbol:
     ``_float``, an attribute outside the dataclass fields."""
 
     label: str
-    weight: Weight
+    weight: Fraction
 
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise InvalidSystemError("symbol label must be a nonempty string")
         raw = self.weight
-        object.__setattr__(self, "weight", parse_weight(raw))
+        try:
+            object.__setattr__(self, "weight", parse_weight(raw))
+        except InvalidSystemError as exc:  # inf or nan
+            raise InvalidSystemError(f"symbol {self.label!r}: {exc}") from None
         try:
             object.__setattr__(self, "_float", float(self.weight))
         except OverflowError:

@@ -232,7 +232,8 @@ def strongly_connected_fsms(draw, min_states=1, max_denominator=3):
 def table_generators(draw):
     """A generator over handles 0..n-1 given by a table of 0 to 3 branches
     per handle (dead ends included), with integer and rational weights, or
-    float ones.  Handles reached later can bring new denominators.  With
+    float ones, each the binary fraction it stores (0.3's denominator is
+    2**54).  Handles reached later can bring new denominators.  With
     ``finite`` every child is above its parent, so the tree ends."""
     size = draw(st.integers(1, 5))
     finite = draw(st.sampled_from((False, False, True)))

@@ -168,9 +168,6 @@ def reference_frontier_walk(system, w_max, budget: int):
     Expansion, ids, the memo and rescaling are the walk's own."""
     walk = "level walk" if w_max is None else f"weight spectrum walk to w_max {w_max}"
 
-    def exact(weight):
-        return isinstance(weight, (Fraction, int))
-
     def bound_at(scale):
         return math.inf if w_max is None else math.floor(w_max * scale)
 
@@ -183,8 +180,7 @@ def reference_frontier_walk(system, w_max, budget: int):
                               for group in frontier.values())) if pending else ()
         fresh = [(i, system.expand(pending.pop(i))) for i in fresh]
         factor = math.lcm(scale, *(
-            sym.weight.denominator for _, branches in fresh
-            for sym, _ in branches if exact(sym.weight)
+            sym.weight.denominator for _, branches in fresh for sym, _ in branches
         )) // scale
         if factor > 1:
             scale *= factor
@@ -198,9 +194,7 @@ def reference_frontier_walk(system, w_max, budget: int):
                     ids[child], pending[len(memo)] = len(memo), child
                     memo.append(())
             memo[i] = tuple(
-                (int(sym.weight * scale) if exact(sym.weight) else sym.weight * scale,
-                 ids[child], sym)
-                for sym, child in branches
+                (int(sym.weight * scale), ids[child], sym) for sym, child in branches
             )
         next_frontier = {}
         for acc, group in frontier.items():
@@ -328,16 +322,13 @@ class FractionSpectrum:
 
 def reference_weight_spectrum(system, w_max: Fraction, budget: int):
     """``weight_spectrum(system, w_max)`` under ``budget``, bucketed by
-    ``Fraction`` at every depth: a ``FractionSpectrum``, None for an inexact
-    weight, or the walk's ``BudgetExceededError`` with the spectrum up to the
-    lightest weight of the last full depth as ``spectrum`` (None if no depth
-    was full)."""
+    ``Fraction`` at every depth: a ``FractionSpectrum``, or the walk's
+    ``BudgetExceededError`` with the spectrum up to the lightest weight of
+    the last full depth as ``spectrum`` (None if no depth was full)."""
     counts, frontier, scale = {}, {}, 1
     try:
         for frontier, scale, _ in reference_frontier_walk(system, w_max, budget):
             for units, group in frontier.items():
-                if isinstance(units, float):
-                    return None
                 weight = Fraction(units, scale)
                 counts[weight] = counts.get(weight, 0) + sum(group.values())
     except BudgetExceededError as exc:

@@ -166,6 +166,19 @@ class TestEnumerate:
         assert err == (f"error: spec.symbols[1].weight: symbol 'b': weight {weight} "
                        "is outside the float range\n")
 
+    @pytest.mark.parametrize("weight", ["1_000", "1 / 2"])
+    def test_weight_grammar_is_the_same_on_every_python(self, tmp_spec, capsys, weight):
+        # Fraction reads "1_000" from Python 3.11 on and "1 / 2" from 3.12 on
+        doc = {"kind": "memoryless", "symbols": [
+            {"label": "a", "weight": "1"}, {"label": "b", "weight": weight},
+        ]}
+        for argv in (["capacity", tmp_spec(doc)],
+                     ["enumerate", tmp_spec(MEM_EQUAL, "equal.json"), "--wmax", weight]):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and repr(weight) in err
+
     @pytest.mark.parametrize("command", [
         ["enumerate", "--wmax", "5"], ["capacity", "--method", "abscissa"],
     ], ids=lambda command: command[0])

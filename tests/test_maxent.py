@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dncap as d
 from dncap import maxent
@@ -102,7 +104,7 @@ class TestSolveLevelRate:
         assert abs(partition - 1.0) <= 1e-12
 
     def test_inexact_weights_are_accepted_by_the_analytic_route(self):
-        # exact enumeration refuses floats, the level solver does not
+        # float weights are the binary fractions they store, sqrt(2) included
         system = d.make_memoryless(
             (d.Symbol("a", 1.0), d.Symbol("b", math.sqrt(2.0))),
         )
@@ -420,3 +422,27 @@ def test_level_solutions_are_thread_safe():
                                  range(1, 13)))
     sequential = [d.solve_level_rate(system, l).rate for l in range(1, 13)]
     assert parallel == sequential
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(weights=st.lists(st.floats(0.05, 4), min_size=1, max_size=4),
+       level=st.integers(1, 4))
+def test_float_alphabets_walk_like_their_fraction_twins(weights, level):
+    # a float weight is the binary fraction it stores, so paths group by
+    # exact weight, never by the rounding order of their float sums
+    floats = d.make_memoryless(d.symbols(dict(zip("abcd", weights))))
+    twin = d.make_memoryless(d.symbols({k: Fraction(w) for k, w in zip("abcd", weights)}))
+    assert d.weight_spectrum(floats, 1) == d.weight_spectrum(twin, 1)
+    support = d.level_support(floats, level)
+    assert support == d.level_support(twin, level)
+    assert support == Counter(w for _, w in d.enumerate_level_paths(floats, level))
+    assert d.maxent_rate_estimate(floats, 6) == d.maxent_rate_estimate(twin, 6)
+
+
+def test_float_sums_in_any_order_share_one_bucket():
+    # 0.1 + 0.2 + 0.3 rounds to 0.6 or 0.6000000000000001 by order, and
+    # 0.2 * 3 lands on the latter; exactly, abc's six orders share a weight
+    # and bbb is a hair heavier
+    support = d.level_support(d.make_memoryless(d.symbols({"a": 0.1, "b": 0.2, "c": 0.3})), 3)
+    assert support[Fraction(0.1) + Fraction(0.2) + Fraction(0.3)] == 6
+    assert support[3 * Fraction(0.2)] == 1

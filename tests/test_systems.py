@@ -25,9 +25,9 @@ class TestSymbol:
         assert d.Symbol("a", "0.3").weight == Fraction(3, 10)
         assert d.Symbol("a", 2).weight == Fraction(2)
 
-    def test_float_weight_stays_inexact(self):
-        sym = d.Symbol("a", 0.5)
-        assert isinstance(sym.weight, float)
+    def test_float_weight_is_the_fraction_it_stores(self):
+        assert d.Symbol("a", 0.5).weight == Fraction(1, 2)
+        assert d.Symbol("a", 0.1).weight == Fraction(0.1) != Fraction(1, 10)
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(d.InvalidSystemError):

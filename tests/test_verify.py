@@ -108,7 +108,7 @@ class TestVerifyEquality:
         assert report.verdict == "PASS"
         assert report.c_comb.method == "spectral_radius"
 
-    @pytest.mark.parametrize("w_max", ["-3", "0", "abc", 2.5])
+    @pytest.mark.parametrize("w_max", ["-3", "0", "abc", float("nan"), float("inf")])
     def test_w_max_is_checked_on_every_channel(self, w_max):
         for factory in (mem_equal, golden_mean_system, dyck):
             with pytest.raises(ValueError):
