@@ -22,9 +22,9 @@ def main():
     estimate, probe = d.abscissa_estimate(spectrum)
     print(f"abscissa estimate from counts to 40: {estimate.value:.9f}")
     print(f"  series at estimate + {probe.delta}: settles near "
-          f"{probe.partial_above[-1]:.4f}")
+          f"{probe.sum_above:.4f}")
     print(f"  series at estimate - {probe.delta}: already at "
-          f"{probe.partial_below[-1]:.4g} and climbing")
+          f"{probe.sum_below:.4g} and climbing")
     print(f"  ln 2 = {math.log(2):.9f} (the true limit; the gap closes "
           f"like ln(w)/w)")
 

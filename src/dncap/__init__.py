@@ -29,7 +29,6 @@ from .maxent import (
     enumerate_level_paths,
     kl_gap,
     level_report_tsv,
-    level_support,
     maxent_pmf,
     maxent_rate_estimate,
     solve_level_rate,
@@ -99,7 +98,6 @@ __all__ = [
     "gf_eval",
     "kl_gap",
     "level_report_tsv",
-    "level_support",
     "load_system",
     "make_dyck_prefix",
     "make_golden_mean",

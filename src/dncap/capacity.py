@@ -14,7 +14,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +25,7 @@ from .estimates import (
     SPECTRAL_RADIUS,
     CapacityEstimate,
 )
-from .solvers import newton_root, partition_root, perron
+from .solvers import left_sum, newton_root, partition_root, perron
 from .spectrum import (
     DENSITY_POLY_CAP,
     WeightSpectrum,
@@ -154,13 +153,14 @@ class ConvergenceProbe:
     Below (s = value - delta) they must blow up: either the total clears the
     divergence threshold or the increments keep growing.  Finite truncations
     cannot reach a literal infinity, hence the two-pronged divergence test.
+    ``sum_above`` and ``sum_below`` are the totals, summed in weight order.
     """
 
     delta: float
     s_above: float
     s_below: float
-    partial_above: tuple[float, ...]
-    partial_below: tuple[float, ...]
+    sum_above: float
+    sum_below: float
     converges_above: bool
     diverges_below: bool
 
@@ -175,8 +175,7 @@ def _probe(spectrum: WeightSpectrum, value: float) -> ConvergenceProbe:
     pairs = tuple(zip(spectrum.float_weights, spectrum.log_counts))
     terms_above = [_term(log, w, s_above) for w, log in pairs]
     terms_below = [_term(log, w, s_below) for w, log in pairs]
-    sums_above = list(accumulate(terms_above))
-    sums_below = list(accumulate(terms_below))
+    sum_above, sum_below = left_sum(terms_above), left_sum(terms_below)
     window = max(2, tail_window(len(spectrum)))
     tail_above = terms_above[-window:]
     tail_below = terms_below[-window:]
@@ -184,21 +183,14 @@ def _probe(spectrum: WeightSpectrum, value: float) -> ConvergenceProbe:
         nxt <= cur * (1.0 + _RATIO_SLACK)
         for cur, nxt in zip(tail_above, tail_above[1:])
     )
-    converges_above = shrinking and sums_above[-1] < DIVERGENCE_THRESHOLD
+    converges_above = shrinking and sum_above < DIVERGENCE_THRESHOLD
     growing = all(
         nxt >= cur * (1.0 - _RATIO_SLACK)
         for cur, nxt in zip(tail_below, tail_below[1:])
     ) and tail_below[-1] > tail_below[0]
-    diverges_below = sums_below[-1] >= DIVERGENCE_THRESHOLD or growing
-    return ConvergenceProbe(
-        delta=PROBE_DELTA,
-        s_above=s_above,
-        s_below=s_below,
-        partial_above=tuple(sums_above),
-        partial_below=tuple(sums_below),
-        converges_above=converges_above,
-        diverges_below=diverges_below,
-    )
+    diverges_below = sum_below >= DIVERGENCE_THRESHOLD or growing
+    return ConvergenceProbe(PROBE_DELTA, s_above, s_below, sum_above, sum_below,
+                            converges_above, diverges_below)
 
 
 def abscissa_estimate(

@@ -1,8 +1,9 @@
 """Command-line front end: enumerate, capacity, maxent, sample, verify.
 
 Exit codes are a stable contract: 0 success (or verify PASS), 1 parse or
-validation failure, 2 verify FAIL, 3 verify INCONCLUSIVE.  All numeric
-output is locale-independent with 17 significant digits.
+validation failure, 2 verify FAIL, 3 verify INCONCLUSIVE, or a run stopped
+by the work budget, by an estimator's contradiction or by running out of
+memory.  All numeric output is locale-independent with 17 significant digits.
 """
 
 import argparse
@@ -146,8 +147,8 @@ def main(argv=None) -> int:
     except ValueError as exc:  # _UsageError, SpecFileError, InvalidSystemError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BudgetExceededError, EstimatorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceededError, EstimatorError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -10,7 +10,7 @@ class SpecFileError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration exceeded the fixed work budget ``maxent.LEVEL_BUDGET``.
+    """An enumeration exceeded the fixed work budget ``spectrum.LEVEL_BUDGET``.
 
     ``spectrum`` is set by ``weight_spectrum``: the part of the spectrum it
     counted exactly before the cut, or None if there is none."""

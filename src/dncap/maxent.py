@@ -15,45 +15,29 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Hashable
 
+from . import spectrum
 from .errors import BudgetExceededError, EstimatorError
 from .estimates import CapacityEstimate
 from .solvers import left_sum, partition_root
 from .spectrum import decimal, frontier_walk, tail_estimate
 from .systems import BranchSystem
 
-LEVEL_BUDGET = 2 ** 22
 _SUM_TOL = 1e-6
 
 Path = tuple[str, ...]
 
 
-def level_support(system: BranchSystem, level: int) -> dict[Fraction, int]:
-    """Exact {path weight: count} table for the depth-``level`` support.
-
-    Reads depth ``level`` off ``frontier_walk``, so supports far beyond
-    explicit enumeration stay cheap.  ``LEVEL_BUDGET`` caps the number of
-    branch expansions, not the support cardinality.  A level past the end of
-    a finite tree raises ``ValueError``.
-    """
-    frontier, scale, _ = _depth(system, level)
-    return {Fraction(u, scale): sum(group.values()) for u, group in frontier.items()}
-
-
-def _depth(system: BranchSystem, level: int) -> tuple:
-    """``frontier_walk``'s (frontier, scale, memo) at depth ``level``."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    return next(islice(_level_walk(system, level), level - 1, None))
-
-
 def _level_walk(system: BranchSystem, level: int):
-    """``frontier_walk`` under ``LEVEL_BUDGET`` for depths 1 to ``level``.
+    """``frontier_walk`` under ``spectrum.LEVEL_BUDGET`` for depths 1 to
+    ``level``.
 
     The walk yields one empty depth past the end of a finite tree; reaching
     it before ``level`` raises ``ValueError`` naming the last nonempty depth.
     """
-    walk = frontier_walk(system, None, LEVEL_BUDGET)
-    for depth, (frontier, scale, memo) in enumerate(islice(walk, level), 1):
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    for depth, (frontier, scale, memo) in enumerate(
+            islice(frontier_walk(system, None), level), 1):
         if not frontier:
             raise ValueError(
                 f"level {level} is past the end of the tree: its last "
@@ -67,7 +51,7 @@ def enumerate_level_paths(
 ) -> list[tuple[Path, Fraction]]:
     """All depth-``level`` paths as (label tuple, weight), small levels only.
 
-    Raises ``BudgetExceededError`` past ``LEVEL_BUDGET`` paths.
+    Raises ``BudgetExceededError`` past ``spectrum.LEVEL_BUDGET`` paths.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
@@ -77,10 +61,9 @@ def enumerate_level_paths(
         handle, labels, acc = stack.pop()
         if len(labels) == level:
             paths.append((labels, acc))
-            if len(paths) > LEVEL_BUDGET:
-                raise BudgetExceededError(
-                    f"explicit path enumeration exceeded budget of {LEVEL_BUDGET}"
-                )
+            if len(paths) > spectrum.LEVEL_BUDGET:
+                raise BudgetExceededError("explicit path enumeration exceeded "
+                                          f"budget of {spectrum.LEVEL_BUDGET}")
             continue
         for sym, child in system.expand(handle):
             stack.append((child, labels + (sym.label,), acc + sym.weight))
@@ -114,15 +97,16 @@ def solve_level_rate(system: BranchSystem, level: int) -> LevelSolution:
     strictly decreasing for positive weights, so the nonnegative root is
     unique; a singleton support gets rate 0 in zero Newton steps.
     """
-    frontier, scale, _ = _depth(system, level)
+    for frontier, scale, _ in _level_walk(system, level):
+        pass
     return _solve_levels([_level_row(frontier, scale)], level)[0]
 
 
 def _level_row(frontier: dict, scale: int) -> tuple[list, list, int]:
     """One depth's (bucket weights, ln bucket counts, support size).
 
-    The weights are the floats of ``level_support``'s keys, u / scale, which
-    rounds the same rational as ``float(Fraction(u, scale))`` does.
+    The weights are u / scale, which rounds the same rational as
+    ``float(Fraction(u, scale))`` does.
     """
     counts = [sum(group.values()) for group in frontier.values()]
     return [u / scale for u in frontier], [math.log(c) for c in counts], sum(counts)
@@ -193,12 +177,13 @@ def maxent_rate_estimate(
     """Maximum entropy rate proxy: trailing-window max of the per-level optima.
 
     One walk collects the buckets of levels 1 to ``l_max``; if it blows
-    ``LEVEL_BUDGET``, the levels before the cut are kept (callers can tell
-    from their count).  All of them are then solved in one ``partition_root``
-    batch, each to the bits ``solve_level_rate`` gives it alone.  The window
-    aggregation is ``tail_estimate``, the one the empirical capacity
-    estimator uses, so the two sides of the equality check are symmetric.
-    An ``l_max`` past the end of a finite tree raises ``ValueError``.
+    ``spectrum.LEVEL_BUDGET``, the levels before the cut are kept (callers
+    can tell from their count).  All of them are then solved in one
+    ``partition_root`` batch, each to the bits ``solve_level_rate`` gives it
+    alone.  The window aggregation is ``tail_estimate``, the one the
+    empirical capacity estimator uses, so the two sides of the equality
+    check are symmetric.  An ``l_max`` past the end of a finite tree raises
+    ``ValueError``.
     """
     if l_max < 2:
         raise ValueError("l_max must be >= 2")

@@ -101,45 +101,25 @@ class SamplePath:
     log_prob: float
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Sampled paths of ``steps`` labels each, kept as read-only arrays:
-    ``labels[i, t]`` codes path i's label at step t into ``names``, and
-    ``weight`` and ``log_prob`` are per path.  ``paths`` decodes them on
-    first read; a set built from ``paths`` encodes them into the arrays.
-    Sets compare and hash by value, as (paths, seed, steps)."""
+    """Sampled paths, kept as read-only arrays: ``labels[i, t]`` codes path
+    i's label at step t into ``names``, and ``weight`` and ``log_prob`` are
+    per path.  ``paths`` decodes them on first read."""
 
     names: tuple[str, ...]
     labels: np.ndarray
     weight: np.ndarray
     log_prob: np.ndarray
     seed: int
-    steps: int
 
-    def __init__(self, paths=(), seed: int = 0, steps: int = 0):
-        paths, code = tuple(paths), {}
-        rows = [[code.setdefault(x, len(code)) for x in p.labels] for p in paths]
-        labels = np.array(rows, dtype=np.intp).reshape(len(paths), steps)
-        totals = np.array([(p.weight, p.log_prob) for p in paths], dtype=float)
-        drawn = self._drawn(code, labels, *totals.reshape(-1, 2).T, seed)
-        self.__dict__.update(vars(drawn), paths=paths)
-
-    @classmethod
-    def _drawn(cls, names, labels, weight, log_prob, seed: int) -> "SampleSet":
-        samples = cls.__new__(cls)
-        for array in (labels, weight, log_prob):
+    def __post_init__(self):
+        for array in (self.labels, self.weight, self.log_prob):
             array.flags.writeable = False
-        samples.__dict__.update(names=tuple(names), labels=labels, weight=weight,
-                                log_prob=log_prob, seed=seed, steps=labels.shape[1])
-        return samples
 
-    def __eq__(self, other):
-        if not isinstance(other, SampleSet):
-            return NotImplemented
-        return (self.paths, self.seed, self.steps) == (other.paths, other.seed, other.steps)
-
-    def __hash__(self):
-        return hash((self.paths, self.seed, self.steps))
+    @property
+    def steps(self) -> int:
+        return self.labels.shape[1]
 
     @functools.cached_property
     def paths(self) -> tuple[SamplePath, ...]:
@@ -207,7 +187,7 @@ def _lock_step(tables, names, start: int, count: int, steps: int, seed: int):
         weight += step_weight.take(at)
         log_prob += ln_p.take(at)
         state = child.take(at)
-    return SampleSet._drawn(names, labels, weight, log_prob, seed)
+    return SampleSet(tuple(names), labels, weight, log_prob, seed)
 
 
 def _check_accepted(fsm: WeightedFsm, names, labels) -> None:
@@ -285,7 +265,7 @@ def sample_level_paths(
     handles; each depth's are kept, and the root's must be 0: R_l solves
     the same sum over the whole support.  The draws then build each depth's
     table once, a gather over that depth's handles whose row totals are
-    that depth's ln Z.  The walk is capped at ``maxent.LEVEL_BUDGET``
+    that depth's ln Z.  The walk is capped at ``spectrum.LEVEL_BUDGET``
     expansions, and a level past the end of a finite tree raises
     ``ValueError``.
     """

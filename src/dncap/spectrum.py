@@ -17,6 +17,7 @@ from .estimates import EMPIRICAL, CapacityEstimate
 from .systems import BranchSystem, parse_weight
 
 DENSITY_POLY_CAP = 8.0
+LEVEL_BUDGET = 2 ** 22
 TAIL_FRACTION = 0.25
 
 
@@ -67,7 +68,7 @@ class WeightSpectrum:
         return tuple(zip(self.weights, self.counts))
 
 
-def frontier_walk(system: BranchSystem, w_max, budget: int):
+def frontier_walk(system: BranchSystem, w_max):
     """Yield ``(frontier, scale, memo)`` at depths 1, 2, ...
 
     ``frontier`` maps a weight in units of 1/``scale`` to that weight's
@@ -80,9 +81,9 @@ def frontier_walk(system: BranchSystem, w_max, budget: int):
     previous depth's groups, their entries and each entry's branches, taken
     in order, first reach them.  Branches heavier than ``w_max`` (None for no
     bound) are dropped, and the walk stops at the first empty depth.  A depth
-    charges its entries' branches to ``budget`` before merging them; past it,
-    remembered expansions included, it raises ``BudgetExceededError`` naming
-    itself and the depth it was building.
+    charges its entries' branches to ``LEVEL_BUDGET``, read when the walk
+    starts, before merging them; past it, remembered expansions included, it
+    raises ``BudgetExceededError`` naming itself and the depth it was building.
 
     The root's id is 0; any other handle gets the next id when first seen as
     a child.  ``memo[id]`` holds its (units, child id, symbol) branches once
@@ -91,7 +92,7 @@ def frontier_walk(system: BranchSystem, w_max, budget: int):
     of the weight denominators seen so far, so every weight is a whole number
     of units; a new denominator rescales the frontier and the memo once."""
     walk = "level walk" if w_max is None else f"weight spectrum walk to w_max {w_max}"
-    frontier: dict = {0: {0: 1}}
+    budget, frontier = LEVEL_BUDGET, {0: {0: 1}}
     ids, memo, pending = {system.root: 0}, [()], {0: system.root}
     scale, work, bound, depth = 1, 0, _bound(w_max, 1), 0
     while frontier:
@@ -155,16 +156,15 @@ def weight_spectrum(system: BranchSystem, w_max) -> WeightSpectrum:
 
     Counts merge on integer units across depths, rescaled when the walk's
     scale grows, and the spectrum is built from those units.  The walk stops
-    at ``maxent.LEVEL_BUDGET`` expansions, as level walks do.  Its
+    at ``LEVEL_BUDGET`` expansions, as level walks do.  Its
     ``BudgetExceededError`` then carries the spectrum up to the lightest
     weight on the last full depth: every string not yet counted extends a
     path of that depth by a symbol of positive weight, so it is heavier."""
-    from . import maxent  # maxent imports this module
     w_max = exact_w_max(w_max)
     buckets: dict[int, int] = {}
     last, frontier = 1, {}
     try:
-        for frontier, scale, _ in frontier_walk(system, w_max, maxent.LEVEL_BUDGET):
+        for frontier, scale, _ in frontier_walk(system, w_max):
             if scale != last:
                 buckets = {u * (scale // last): c for u, c in buckets.items()}
                 last = scale
@@ -190,13 +190,13 @@ def _spectrum(buckets: dict[int, int], scale: int, w_max) -> WeightSpectrum:
 class DensityReport:
     """Polynomial-density evidence for a spectrum's weight sequence.
 
-    ``k_of_n[i]`` is the number of distinct weights below ``n_range[i]``.
+    ``k_of_n[i]`` is the number of distinct weights below ``checkpoints[i]``.
     ``passes`` means the counts stayed under fitted_L * n**fitted_K at every
-    sampled n (given-constants mode), or that the fitted exponent stayed
-    under the polynomial cap (auto-fit mode).
+    integer n up to w_max (given-constants mode), or that the fitted exponent
+    stayed under the polynomial cap (auto-fit mode).
     """
 
-    n_range: tuple[int, ...]
+    checkpoints: tuple[int, ...]
     k_of_n: tuple[int, ...]
     fitted_L: float
     fitted_K: float
@@ -209,12 +209,17 @@ def density_check(
     """Check that the number of distinct weights below n grows polynomially.
 
     With L and K given, verifies k_of_n(n) <= L * n**K pointwise over the
-    integer checkpoints n = 1..floor(w_max).  With both omitted, fits K as
-    the largest slope of ln k_of_n against ln n over consecutive checkpoints
-    and L as the largest residual k_of_n(n) / n**K; the check passes when the
-    fitted exponent is at most ``DENSITY_POLY_CAP``.  The fit is a
-    finite-sample heuristic: it flags exponential growth masquerading as
-    density, it does not certify the existential constants.
+    integers n = 1..floor(w_max).  With both omitted, fits K as the largest
+    slope of ln k_of_n against ln n over consecutive integers and L as the
+    largest residual k_of_n(n) / n**K; the check passes when the fitted
+    exponent is at most ``DENSITY_POLY_CAP``.  The fit is a finite-sample
+    heuristic: it flags exponential growth masquerading as density, it does
+    not certify the existential constants.
+
+    k_of_n is constant between its steps, and both sides of each test are
+    monotone in n there, so only the checkpoints are evaluated: 1,
+    floor(w_max), and n - 1 and n at each step n = floor(w) + 1.  That gives
+    the whole range's answer in O(entries).
     """
     if not spectrum.units:
         raise ValueError("density check needs a nonempty spectrum")
@@ -222,19 +227,23 @@ def density_check(
         raise ValueError("give both L and K, or neither")
     # For integer n, w < n exactly when floor(w) < n.
     floors = [u // spectrum.scale for u in spectrum.units]
-    n_range = tuple(range(1, math.floor(spectrum.w_max) + 1)) or (1,)
-    k_of_n = tuple(bisect_left(floors, n) for n in n_range)
+    top, steps = max(math.floor(spectrum.w_max), 1), set(floors)
+    checkpoints = tuple(sorted({1, top, *steps, *(f + 1 for f in steps)} - {0, top + 1}))
+    k_of_n = tuple(bisect_left(floors, n) for n in checkpoints)
     if L is not None:
-        passes = all(k <= L * _power(n, K) for n, k in zip(n_range, k_of_n))
-        return DensityReport(n_range, k_of_n, float(L), float(K), passes)
+        passes = all(k <= L * _power(n, K) for n, k in zip(checkpoints, k_of_n))
+        return DensityReport(checkpoints, k_of_n, float(L), float(K), passes)
 
-    points = [(n, k) for n, k in zip(n_range, k_of_n) if k >= 1]
+    points = [(n, k) for n, k in zip(checkpoints, k_of_n) if k >= 1]
     logs = [(math.log(n), math.log(k)) for n, k in points]
-    slopes = [(lk2 - lk1) / (ln2 - ln1) for (ln1, lk1), (ln2, lk2) in zip(logs, logs[1:])]
+    # a flat stretch's slope is the 0 the max starts from; past 2**53 a step's
+    # two ends can share a float log, and the step is then infinitely steep
+    slopes = [(lk2 - lk1) / (ln2 - ln1) if ln2 > ln1 else math.inf
+              for (ln1, lk1), (ln2, lk2) in zip(logs, logs[1:]) if lk2 > lk1]
     fitted_k = max([*slopes, 0.0])
     fitted_l = max((k / _power(n, fitted_k) for n, k in points), default=0.0)
     passes = fitted_k <= DENSITY_POLY_CAP
-    return DensityReport(n_range, k_of_n, fitted_l, fitted_k, passes)
+    return DensityReport(checkpoints, k_of_n, fitted_l, fitted_k, passes)
 
 
 def _power(n: int, k: float) -> float:

@@ -15,7 +15,7 @@ rational they spell, and a float as the binary fraction it stores.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -128,10 +128,9 @@ class WeightedFsm:
     transitions: tuple[tuple[int, Symbol, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "transitions", tuple(
-            (src, sym if isinstance(sym, Symbol) else Symbol(*sym), dst)
-            for src, sym, dst in self.transitions
-        ))
+        object.__setattr__(self, "transitions", tuple(self.transitions))
+        if not all(isinstance(sym, Symbol) for _, sym, _ in self.transitions):
+            raise InvalidSystemError("every transition needs a Symbol")
         if self.num_states < 1:
             raise InvalidSystemError("an FSM needs at least one state")
         if not 0 <= self.start < self.num_states:
@@ -273,10 +272,7 @@ def make_memoryless(alphabet: Sequence[Symbol], name: str = "") -> BranchSystem:
     label = name or "memoryless{%s}" % ",".join(
         f"{s.label}:{s.weight}" for s in alphabet
     )
-    return BranchSystem(
-        root=0, expand=fsm.outgoing.__getitem__,
-        alphabet=alphabet, fsm=fsm, name=label,
-    )
+    return replace(fsm_to_branch_system(fsm, label), alphabet=alphabet)
 
 
 _OPEN = Symbol("(", 1)

@@ -3,7 +3,8 @@
 Everything here counts or solves by a route different from the library code
 under test: explicit string enumeration instead of merged frontiers, integer
 matrix powers instead of weighted walks, and closed forms where they exist.
-``scalar_partition_root``, ``reference_frontier_walk``, ``reference_fsm_check``,
+``scalar_partition_root``, ``reference_frontier_walk`` (and
+``reference_level_support``, read off it), ``reference_fsm_check``,
 ``reference_strong_components``, ``reference_fsm_rows`` and the
 ``FractionSpectrum`` estimators instead keep a kernel's earlier loop, which
 its rewrite must match exactly, and
@@ -15,7 +16,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from dncap.errors import (
     InvalidSystemError,
     SpecFileError,
 )
+from dncap import spectrum as spectrum_module
 from dncap.estimates import ABSCISSA
 from dncap.specfile import _require
 from dncap.spectrum import (
@@ -158,15 +160,18 @@ def scalar_partition_root(weights, log_counts) -> tuple:
     raise AssertionError("reference bracket not certified")
 
 
-def reference_frontier_walk(system, w_max, budget: int):
+def reference_frontier_walk(system, w_max, budget=None):
     """``dncap.spectrum.frontier_walk`` with one merge step per branch.
 
     The reference for the grouped merge: per frontier entry it adds the
-    entry's branch count to the budget and raises once it is exceeded, and
-    per branch it looks up (or creates) the group at acc + units itself, so
-    groups and their entries appear in first-push order by construction.
-    Expansion, ids, the memo and rescaling are the walk's own."""
+    entry's branch count to the budget (``spectrum.LEVEL_BUDGET`` when the
+    walk starts, if None) and raises once it is exceeded, and per branch it
+    looks up (or creates) the group at acc + units itself, so groups and
+    their entries appear in first-push order by construction.  Expansion,
+    ids, the memo and rescaling are the walk's own."""
     walk = "level walk" if w_max is None else f"weight spectrum walk to w_max {w_max}"
+    if budget is None:
+        budget = spectrum_module.LEVEL_BUDGET
 
     def bound_at(scale):
         return math.inf if w_max is None else math.floor(w_max * scale)
@@ -214,6 +219,13 @@ def reference_frontier_walk(system, w_max, budget: int):
                         target[child] = target.get(child, 0) + count
         frontier = next_frontier
         yield frontier, scale, memo
+
+
+def reference_level_support(system, level: int) -> dict:
+    """{weight: count} of the depth-``level`` paths, read off
+    ``reference_frontier_walk`` under ``spectrum.LEVEL_BUDGET``."""
+    frontier, scale, _ = next(islice(reference_frontier_walk(system, None), level - 1, None))
+    return {Fraction(u, scale): sum(group.values()) for u, group in frontier.items()}
 
 
 def reference_fsm_check(num_states, start, transitions) -> None:
@@ -342,13 +354,16 @@ def reference_weight_spectrum(system, w_max: Fraction, budget: int):
 
 
 def reference_density_check(spectrum, L=None, K=None):
+    """``density_check`` evaluated at every integer n = 1..floor(w_max): its
+    ``checkpoints`` are that whole range.  A power past the float range is
+    inf, as the library documents."""
     if not spectrum.entries:
         raise ValueError("density check needs a nonempty spectrum")
     floors = [w.numerator // w.denominator for w in spectrum.weights]
     n_range = tuple(range(1, math.floor(spectrum.w_max) + 1)) or (1,)
     k_of_n = tuple(bisect_left(floors, n) for n in n_range)
     if L is not None:
-        passes = all(k <= L * n ** K for n, k in zip(n_range, k_of_n))
+        passes = all(k <= L * _reference_power(n, K) for n, k in zip(n_range, k_of_n))
         return DensityReport(n_range, k_of_n, float(L), float(K), passes)
     points = [(n, k) for n, k in zip(n_range, k_of_n) if k >= 1]
     slopes = [
@@ -357,9 +372,16 @@ def reference_density_check(spectrum, L=None, K=None):
     ]
     fitted_k = max(slopes, default=0.0)
     fitted_k = max(fitted_k, 0.0)
-    fitted_l = max((k / n ** fitted_k for n, k in points), default=0.0)
+    fitted_l = max((k / _reference_power(n, fitted_k) for n, k in points), default=0.0)
     passes = fitted_k <= DENSITY_POLY_CAP
     return DensityReport(n_range, k_of_n, fitted_l, fitted_k, passes)
+
+
+def _reference_power(n: int, k: float) -> float:
+    try:
+        return n ** k
+    except OverflowError:
+        return math.inf
 
 
 def reference_empirical_capacity(spectrum):
@@ -426,7 +448,7 @@ def _reference_probe(spectrum, value: float) -> ConvergenceProbe:
     ) and tail_below[-1] > tail_below[0]
     diverges_below = sums_below[-1] >= DIVERGENCE_THRESHOLD or growing
     return ConvergenceProbe(
-        PROBE_DELTA, s_above, s_below, tuple(sums_above), tuple(sums_below),
+        PROBE_DELTA, s_above, s_below, sums_above[-1], sums_below[-1],
         converges_above, diverges_below,
     )
 

@@ -3,11 +3,14 @@
 import dataclasses
 import inspect
 
-import dncap as d
-from dncap import capacity, systems
-from dncap.capacity import combinatorial_capacity
+import pytest
 
-# fixed module constants: spectrum.TAIL_FRACTION, maxent.LEVEL_BUDGET,
+import dncap as d
+from dncap import capacity, maxent, spectrum, systems
+from dncap.capacity import combinatorial_capacity
+from conftest import dyck
+
+# fixed module constants: spectrum.TAIL_FRACTION, spectrum.LEVEL_BUDGET,
 # spectrum.DENSITY_POLY_CAP, capacity.PROBE_DELTA, capacity.DIVERGENCE_THRESHOLD
 TUNING = {"tail_fraction", "budget", "poly_cap", "delta", "divergence_threshold"}
 
@@ -22,7 +25,8 @@ def test_no_public_function_takes_a_tuning_parameter():
 
 
 def test_test_only_exports_are_gone():
-    for name in ("check_label_uniqueness", "growth_sequence", "memoryless_fsm"):
+    for name in ("check_label_uniqueness", "growth_sequence", "memoryless_fsm",
+                 "level_support"):
         assert name not in d.__all__
         assert not hasattr(d, name)
 
@@ -47,3 +51,21 @@ def test_what_the_channel_determines_is_not_an_input():
     assert list(inspect.signature(d.kl_gap).parameters) == ["pmf", "system"]
     assert "growth" not in {f.name for f in dataclasses.fields(d.VerifyReport)}
     assert not hasattr(d.LevelPmf, "total")
+
+
+def test_one_budget_lives_in_spectrum():
+    assert list(inspect.signature(spectrum.frontier_walk).parameters) == [
+        "system", "w_max",
+    ]
+    assert not hasattr(maxent, "LEVEL_BUDGET")
+
+
+def test_the_budget_is_read_when_a_walk_starts(monkeypatch):
+    # a copy taken at import would miss the patch
+    monkeypatch.setattr(spectrum, "LEVEL_BUDGET", 7)
+    for run, walk in [(lambda: d.weight_spectrum(dyck(), 40), "weight spectrum walk"),
+                      (lambda: d.solve_level_rate(dyck(), 40), "level walk"),
+                      (lambda: d.enumerate_level_paths(dyck(), 6),
+                       "explicit path enumeration")]:
+        with pytest.raises(d.BudgetExceededError, match=f"^{walk}.* budget of 7\\b"):
+            run()

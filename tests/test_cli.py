@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from dncap import maxent, solvers, systems
+from dncap import maxent, solvers, spectrum, systems
 from dncap.cli import main
 
 MEM_EQUAL = {
@@ -34,6 +35,14 @@ HEAVY = {
     ],
 }
 RLL13 = {"kind": "builtin", "name": "rll", "d": 1, "k": 3}
+# sparse and heavy: a handful of spectrum entries up to 3 * 10^7
+SPARSE = {
+    "kind": "memoryless",
+    "symbols": [
+        {"label": "a", "weight": "1000000"},
+        {"label": "b", "weight": "1000001"},
+    ],
+}
 GOLDEN_FSM = {
     "kind": "fsm",
     "states": 2,
@@ -44,6 +53,16 @@ GOLDEN_FSM = {
         {"from": 1, "label": "0", "weight": "1", "to": 0},
     ],
 }
+
+
+def _run_in_a_gigabyte(*argv):
+    """``python -m dncap.cli *argv`` in a child process whose address space
+    is capped at 10^9 bytes; the cap is set in the child alone."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
+
+    return subprocess.run([sys.executable, "-m", "dncap.cli", *argv],
+                          capture_output=True, text=True, preexec_fn=cap)
 
 
 class TestEnumerate:
@@ -86,6 +105,23 @@ class TestEnumerate:
             "error: empirical capacity needs a spectrum with >= 2 entries\n"
         )
         assert not out.exists()
+
+    def test_sparse_heavy_spectrum_fits_in_a_gigabyte(self, tmp_spec):
+        # the density check once built a tuple of every integer up to w_max
+        result = _run_in_a_gigabyte("enumerate", tmp_spec(SPARSE), "--wmax", "30000000")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines()[-1].endswith(" passes=False")
+
+    def test_steps_past_2_53_fit_an_infinite_exponent(self, tmp_spec, capsys):
+        # n and n + 1 share a float log there, so the slope between them is inf
+        doc = {"kind": "memoryless", "symbols": [
+            {"label": "a", "weight": "10000000000000000"},
+            {"label": "b", "weight": "10000000000000001"},
+        ]}
+        code = main(["enumerate", tmp_spec(doc), "--wmax", "20000000000000002"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines()[-1] == "# density: fitted_K=inf fitted_L=0 passes=False"
 
     def test_density_fit_past_the_float_range_fails(self, tmp_spec, capsys):
         code = main(["enumerate", tmp_spec(HEAVY), "--wmax", "10000"])
@@ -187,7 +223,7 @@ class TestEnumerate:
     ):
         # 5 * 10^300 units of 1e-300 below w_max; at the budget of 2^22
         # expansions the same run exits 3 after several seconds
-        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 2 ** 14)
+        monkeypatch.setattr(spectrum, "LEVEL_BUDGET", 2 ** 14)
         doc = {"kind": "memoryless", "symbols": [
             {"label": "a", "weight": "1"}, {"label": "b", "weight": "1e-300"},
         ]}
@@ -376,6 +412,16 @@ class TestSample:
                      "--seed", "0"])
         assert code == 3
         assert "root subtree sum" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_three(self):
+        # 10^9 paths need an 8 GB state array, which numpy refuses up front
+        spec = Path(__file__).resolve().parent.parent / "demos/specs/golden_mean.json"
+        result = _run_in_a_gigabyte("sample", str(spec), "--count", str(10 ** 9),
+                                    "--steps", "100", "--seed", "1")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
 
     def test_deep_level_sampling_exits_cleanly(self):
         # the recursive subtree sum raised RecursionError from level 499 on

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dncap as d
-from dncap import maxent
+from dncap import spectrum
 from conftest import (
     counted,
     dyck,
@@ -18,7 +18,7 @@ from conftest import (
     mem_unequal,
     rll_system,
 )
-from oracles import LN_GOLDEN, bisect_root
+from oracles import LN_GOLDEN, bisect_root, reference_level_support
 
 
 class TestSolveLevelRate:
@@ -57,7 +57,7 @@ class TestSolveLevelRate:
     def test_root_certificate_and_entropy_identity(self, factory, level):
         system = factory()
         solution = d.solve_level_rate(system, level)
-        buckets = d.level_support(system, level)
+        buckets = reference_level_support(system, level)
         partition = sum(
             c * math.exp(-float(w) * solution.rate) for w, c in buckets.items()
         )
@@ -80,24 +80,24 @@ class TestSolveLevelRate:
         assert solution.avg_weight == 14.0
 
     def test_budget_is_enforced(self, monkeypatch):
-        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 10)
+        monkeypatch.setattr(spectrum, "LEVEL_BUDGET", 10)
         with pytest.raises(d.BudgetExceededError):
             d.solve_level_rate(dyck(), 30)
 
     def test_budget_counts_every_expansion(self, monkeypatch):
         # 210 branches reach level 20 of the Dyck walk, counted per frontier
         # entry even where the handle's expansion is remembered
-        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 210)
-        d.level_support(dyck(), 20)
-        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 209)
+        monkeypatch.setattr(spectrum, "LEVEL_BUDGET", 210)
+        d.solve_level_rate(dyck(), 20)
+        monkeypatch.setattr(spectrum, "LEVEL_BUDGET", 209)
         with pytest.raises(d.BudgetExceededError, match="budget of 209 "):
-            d.level_support(dyck(), 20)
+            d.solve_level_rate(dyck(), 20)
 
     def test_float_and_rational_weights_share_the_walk(self):
         system = d.make_memoryless(d.symbols(
             {"a": 1, "b": Fraction(1, 3), "c": math.sqrt(2.0)}
         ))
-        buckets = d.level_support(system, 6)
+        buckets = reference_level_support(system, 6)
         assert sum(buckets.values()) == 3 ** 6
         rate = d.solve_level_rate(system, 6).rate
         partition = sum(c * math.exp(-w * rate) for w, c in buckets.items())
@@ -109,7 +109,7 @@ class TestSolveLevelRate:
             (d.Symbol("a", 1.0), d.Symbol("b", math.sqrt(2.0))),
         )
         solution = d.solve_level_rate(system, 3)
-        buckets = d.level_support(system, 3)
+        buckets = reference_level_support(system, 3)
         partition = sum(
             c * math.exp(-w * solution.rate) for w, c in buckets.items()
         )
@@ -222,7 +222,7 @@ class TestRateEstimate:
         assert estimate.value < math.log(2)
 
     def test_budget_exhaustion_reports_partial_sequence(self, monkeypatch):
-        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 300)
+        monkeypatch.setattr(spectrum, "LEVEL_BUDGET", 300)
         estimate, levels = d.maxent_rate_estimate(dyck(), 30)
 
         def fits(level):
@@ -240,7 +240,7 @@ class TestRateEstimate:
     def test_levels_before_a_budget_cut_are_solved_as_alone(self, factory, monkeypatch):
         # the walk runs to the cut before any level is solved; each level
         # kept must still be the one solve_level_rate gives, bit for bit
-        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 100)
+        monkeypatch.setattr(spectrum, "LEVEL_BUDGET", 100)
         _, levels = d.maxent_rate_estimate(factory(), 80)
         assert 2 <= len(levels) < 80
         assert list(levels) == [
@@ -251,7 +251,7 @@ class TestRateEstimate:
 
     def test_trajectory_is_one_walk(self):
         walked, walk_calls = counted(dyck())
-        d.level_support(walked, 60)
+        d.solve_level_rate(walked, 60)
         estimated, estimate_calls = counted(dyck())
         d.maxent_rate_estimate(estimated, 60)
         assert estimate_calls[0] == walk_calls[0]
@@ -276,10 +276,9 @@ class TestRateEstimate:
 @pytest.mark.parametrize("level", [4, 5])
 @pytest.mark.parametrize(
     "solve",
-    [d.level_support, d.solve_level_rate, d.maxent_rate_estimate,
+    [d.solve_level_rate, d.maxent_rate_estimate,
      lambda system, level: d.sample_level_paths(system, level, 3, seed=1)],
-    ids=["level_support", "solve_level_rate", "maxent_rate_estimate",
-         "sample_level_paths"],
+    ids=["solve_level_rate", "maxent_rate_estimate", "sample_level_paths"],
 )
 def test_levels_past_a_finite_tree_name_its_last_depth(solve, level):
     # these raised an empty-reduction ValueError or a bare StopIteration
@@ -289,7 +288,7 @@ def test_levels_past_a_finite_tree_name_its_last_depth(solve, level):
 
 def test_last_depth_of_a_finite_tree_is_solved():
     system = finite_tree(3)
-    assert d.level_support(system, 3) == {3: 8}
+    assert reference_level_support(system, 3) == {3: 8}
     assert d.solve_level_rate(system, 3).rate == pytest.approx(math.log(2))
     _, levels = d.maxent_rate_estimate(system, 3)
     assert len(levels) == 3
@@ -433,8 +432,8 @@ def test_float_alphabets_walk_like_their_fraction_twins(weights, level):
     floats = d.make_memoryless(d.symbols(dict(zip("abcd", weights))))
     twin = d.make_memoryless(d.symbols({k: Fraction(w) for k, w in zip("abcd", weights)}))
     assert d.weight_spectrum(floats, 1) == d.weight_spectrum(twin, 1)
-    support = d.level_support(floats, level)
-    assert support == d.level_support(twin, level)
+    support = reference_level_support(floats, level)
+    assert support == reference_level_support(twin, level)
     assert support == Counter(w for _, w in d.enumerate_level_paths(floats, level))
     assert d.maxent_rate_estimate(floats, 6) == d.maxent_rate_estimate(twin, 6)
 
@@ -443,6 +442,7 @@ def test_float_sums_in_any_order_share_one_bucket():
     # 0.1 + 0.2 + 0.3 rounds to 0.6 or 0.6000000000000001 by order, and
     # 0.2 * 3 lands on the latter; exactly, abc's six orders share a weight
     # and bbb is a hair heavier
-    support = d.level_support(d.make_memoryless(d.symbols({"a": 0.1, "b": 0.2, "c": 0.3})), 3)
+    system = d.make_memoryless(d.symbols({"a": 0.1, "b": 0.2, "c": 0.3}))
+    support = reference_level_support(system, 3)
     assert support[Fraction(0.1) + Fraction(0.2) + Fraction(0.3)] == 6
     assert support[3 * Fraction(0.2)] == 1

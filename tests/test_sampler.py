@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dncap as d
-from dncap import maxent, sampler
+from dncap import maxent, sampler, spectrum
 from dncap.solvers import left_sum
 from conftest import (
     counted, dead_end, dyck, harmonic_dyck, permutation_fsm, permutation_fsms,
@@ -235,7 +235,7 @@ class TestEmpiricalEntropyRate:
 
     def test_empty_sample_set_rejected(self):
         with pytest.raises(ValueError):
-            d.empirical_entropy_rate(d.SampleSet(paths=(), seed=0, steps=0))
+            d.empirical_entropy_rate(EMPTY)
 
     @pytest.mark.parametrize("draw, rate", [
         (lambda: d.sample_paths(two_char_chain(), 2000, 60, seed=37),
@@ -286,7 +286,7 @@ class TestLevelSampler:
             )
 
     def test_budget_is_enforced(self, monkeypatch):
-        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 100)
+        monkeypatch.setattr(spectrum, "LEVEL_BUDGET", 100)
         with pytest.raises(d.BudgetExceededError):
             d.sample_level_paths(dyck(), 40, 1, seed=0)
 
@@ -518,26 +518,19 @@ def test_one_step_one_path_and_blocked_samples_match_the_joined_tsv(
     assert samples.paths is samples.paths  # decoded once
 
 
+EMPTY = d.SampleSet((), np.empty((0, 0), dtype=np.intp), np.empty(0), np.empty(0), seed=0)
+
+
 def test_hand_built_sample_set_writes_its_paths():
     header = "# labels\tweight\tlog_prob\n"
-    paths = (d.SamplePath(("ab", "c"), 3.0, -1.5),
-             d.SamplePath(("c", "c"), 2.0, -0.25))
-    samples = d.SampleSet(paths=paths, seed=4, steps=2)
-    assert samples.paths == paths
+    samples = d.SampleSet(("ab", "c"), np.array([[0, 1], [1, 1]]),
+                          np.array([3.0, 2.0]), np.array([-1.5, -0.25]), seed=4)
+    assert samples.steps == 2 and not samples.labels.flags.writeable
+    assert samples.paths == (d.SamplePath(("ab", "c"), 3.0, -1.5),
+                             d.SamplePath(("c", "c"), 2.0, -0.25))
     assert d.samples_tsv(samples) == header + "abc\t3\t-1.5\ncc\t2\t-0.25\n"
     assert d.empirical_entropy_rate(samples) == 1.75 / 5.0
-    assert d.samples_tsv(d.SampleSet(paths=(), seed=0, steps=0)) == header
-
-
-def test_sample_sets_compare_and_hash_by_value():
-    # a drawn set and one built from its paths share no label codes or
-    # arrays, only their paths, seed and steps
-    drawn = d.sample_paths(two_char_chain(), 50, 6, seed=3)
-    rebuilt = d.SampleSet(paths=drawn.paths, seed=3, steps=6)
-    assert rebuilt == drawn and hash(rebuilt) == hash(drawn)
-    assert rebuilt != d.SampleSet(paths=drawn.paths, seed=4, steps=6)
-    assert drawn != d.sample_paths(two_char_chain(), 50, 6, seed=4)
-    assert drawn != drawn.paths
+    assert d.samples_tsv(EMPTY) == header
 
 
 @st.composite

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dncap as d
-from dncap import maxent, spectrum as spectrum_module
+from dncap import spectrum as spectrum_module
 from conftest import (
     BUILTIN_FACTORIES,
     counted,
@@ -38,6 +38,7 @@ from oracles import (
     reference_empirical_capacity,
     reference_frontier_walk,
     reference_gf_eval,
+    reference_level_support,
     reference_spectrum_tsv,
     reference_weight_spectrum,
     unit_fsm_counts,
@@ -122,7 +123,7 @@ class TestFrontierWalk:
         for level in range(1, 9):
             paths = d.enumerate_level_paths(system, level)
             expected = Counter(weight for _, weight in paths)
-            assert d.level_support(system, level) == expected
+            assert reference_level_support(system, level) == expected
         expected = naive_string_spectrum(system, w_max)
         assert dict(d.weight_spectrum(system, w_max).entries) == expected
 
@@ -135,9 +136,9 @@ class TestFrontierWalk:
     def test_spectrum_walk_is_budgeted(self, monkeypatch):
         # 231 branches reach weight 20 of the Dyck walk and expand its last
         # depth, whose children are all heavier
-        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 231)
+        monkeypatch.setattr(spectrum_module, "LEVEL_BUDGET", 231)
         assert d.weight_spectrum(dyck(), 20).counts[-1] == math.comb(20, 10)
-        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 230)
+        monkeypatch.setattr(spectrum_module, "LEVEL_BUDGET", 230)
         with pytest.raises(d.BudgetExceededError, match=(
             "^weight spectrum walk to w_max 20 exceeded budget of 230 "
             "expansions at depth 21$"
@@ -148,7 +149,7 @@ class TestFrontierWalk:
     def test_cut_walk_keeps_the_exact_spectrum(self, factory, w_max, monkeypatch):
         # every string the cut walk did not count is heavier than its
         # spectrum's bound, so the spectrum is the full one to that bound
-        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 60)
+        monkeypatch.setattr(spectrum_module, "LEVEL_BUDGET", 60)
         with pytest.raises(d.BudgetExceededError) as cut:
             d.weight_spectrum(factory(), w_max)
         spectrum = cut.value.spectrum
@@ -157,17 +158,17 @@ class TestFrontierWalk:
         assert spectrum == d.weight_spectrum(factory(), spectrum.w_max)
 
     def test_walk_cut_before_a_full_depth_keeps_no_spectrum(self, monkeypatch):
-        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 0)
+        monkeypatch.setattr(spectrum_module, "LEVEL_BUDGET", 0)
         with pytest.raises(d.BudgetExceededError) as cut:
             d.weight_spectrum(dyck(), 40)
         assert cut.value.spectrum is None
 
 
 # Generators whose handles are not ints, with the figures the walk keyed by
-# handle gave: (factory, level, sha256 prefix of the sorted level_support
-# items, expand calls of level_support at that level, expand calls of
-# weight_spectrum to 8, {level-walk budget: depths walked before
-# BudgetExceededError}).
+# handle gave: (factory, level, sha256 prefix of the sorted items of that
+# level's {weight: count} support, expand calls of the level walk to that
+# level, expand calls of weight_spectrum to 8, {level-walk budget: depths
+# walked before BudgetExceededError}).
 HANDLE_WALKS = {
     "tuple_dyck": (tuple_dyck, 24, "e2ebb0e665953490", 24, 9,
                    {10: 4, 50: 9, 200: 19}),
@@ -184,13 +185,14 @@ class TestIdKeyedWalk:
     def test_support_and_expand_calls(self, name):
         factory, level, digest, level_calls, spectrum_calls, _ = HANDLE_WALKS[name]
         system, calls = counted(factory())
-        support = d.level_support(system, level)
+        d.solve_level_rate(system, level)
         assert calls[0] == level_calls
+        support = reference_level_support(factory(), level)
         assert hashlib.sha256(repr(sorted(support.items())).encode()).hexdigest(
         ).startswith(digest)
         small = min(level, 6)
         paths = d.enumerate_level_paths(factory(), small)
-        assert d.level_support(factory(), small) == Counter(w for _, w in paths)
+        assert reference_level_support(factory(), small) == Counter(w for _, w in paths)
         system, calls = counted(factory())
         spectrum = d.weight_spectrum(system, 8)
         assert calls[0] == spectrum_calls
@@ -199,13 +201,13 @@ class TestIdKeyedWalk:
     def test_budget_stops_at_the_same_depth(self, name, monkeypatch):
         factory, *_, cuts = HANDLE_WALKS[name]
         for budget, depth in cuts.items():
-            monkeypatch.setattr(maxent, "LEVEL_BUDGET", budget)
-            d.level_support(factory(), depth)
+            monkeypatch.setattr(spectrum_module, "LEVEL_BUDGET", budget)
+            d.solve_level_rate(factory(), depth)
             with pytest.raises(d.BudgetExceededError, match=(
                 f"^level walk exceeded budget of {budget} expansions "
                 f"at depth {depth + 1}$"
             )):
-                d.level_support(factory(), depth + 1)
+                d.solve_level_rate(factory(), depth + 1)
 
     def test_level_sampler_draws_accepted_paths(self, name):
         factory, level, *_ = HANDLE_WALKS[name]
@@ -229,24 +231,26 @@ def test_walk_on_weighted_fsms_matches_explicit_enumeration(fsm):
     for level in range(1, 7):
         paths = d.enumerate_level_paths(system, level)
         expected = Counter(weight for _, weight in paths)
-        assert d.level_support(system, level) == expected
+        assert reference_level_support(system, level) == expected
 
 
 def _walk_trace(walk, system, w_max, budget, depths=8):
     """repr of each depth's (scale, groups in order with their entries in
-    order, memo), then the budget error's message if the walk raised."""
+    order, memo) under ``budget``, then the budget error's message if the
+    walk raised."""
     trace = []
     try:
-        for frontier, scale, memo in islice(walk(system, w_max, budget), depths):
-            trace.append((scale, [(u, list(g.items())) for u, g in frontier.items()],
-                          list(memo)))
+        with mock.patch.object(spectrum_module, "LEVEL_BUDGET", budget):
+            for frontier, scale, memo in islice(walk(system, w_max), depths):
+                trace.append((scale, [(u, list(g.items())) for u, g in frontier.items()],
+                              list(memo)))
     except d.BudgetExceededError as exc:
         trace.append(str(exc))
     return repr(trace)
 
 
 def _spectrum_or_cut(system, w_max, budget):
-    with mock.patch.object(maxent, "LEVEL_BUDGET", budget):
+    with mock.patch.object(spectrum_module, "LEVEL_BUDGET", budget):
         try:
             return d.weight_spectrum(system, w_max)
         except (d.BudgetExceededError, d.InvalidSystemError) as exc:
@@ -283,13 +287,18 @@ REFERENCE_ESTIMATORS = (reference_density_check, reference_empirical_capacity,
                         reference_gf_eval)
 
 
+def _fit(report):
+    """The fields of a density report that do not depend on its checkpoints."""
+    return report.fitted_K, report.fitted_L, report.passes
+
+
 def _estimates(spectrum, estimators):
     """repr of each estimator's result on ``spectrum``, or of the type and
-    message of what it raises."""
+    message of what it raises; of a density report, its ``_fit``."""
     density, empirical, tsv, abscissa, gf_eval = estimators
     return repr([
-        outcome(lambda: density(spectrum)),
-        outcome(lambda: density(spectrum, L=2.0, K=1.5)),
+        outcome(lambda: _fit(density(spectrum))),
+        outcome(lambda: _fit(density(spectrum, L=2.0, K=1.5))),
         outcome(lambda: empirical(spectrum)),
         outcome(lambda: tsv(spectrum)),
         outcome(lambda: abscissa(spectrum)),
@@ -327,6 +336,46 @@ def test_integer_unit_spectrum_matches_the_fraction_reference(system, w_max, bud
     rebuilt = d.WeightSpectrum(entries=want.entries, w_max=want.w_max)
     assert rebuilt == got and hash(rebuilt) == hash(got)
     assert rebuilt.scale == math.lcm(*(w.denominator for w in want.weights))
+
+
+def _sparse_heavy(a: int, gap: int, w_max: int) -> d.WeightSpectrum:
+    return d.weight_spectrum(d.make_memoryless(d.symbols({"a": a, "b": a + gap})), w_max)
+
+
+@st.composite
+def density_spectra(draw):
+    """A spectrum of a table generator or a rational alphabet to w_max 1/2
+    to 16, or of a sparse heavy alphabet {a, a + gap} to between a and 4a."""
+    if draw(st.booleans()):
+        a, gap = draw(st.integers(20, 1500)), draw(st.integers(1, 3))
+        return _sparse_heavy(a, gap, draw(st.integers(a, 4 * a)))
+    system = draw(st.one_of(table_generators(), rational_alphabets()))
+    return d.weight_spectrum(system, draw(st.builds(Fraction, st.integers(1, 16),
+                                                     st.integers(1, 2))))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(spectrum=density_spectra(), constants=st.one_of(
+    st.just(()), st.tuples(st.floats(0.0, 10.0), st.floats(-3.0, 3.0))))
+@example(spectrum=_sparse_heavy(1000, 1, 5000), constants=())
+@example(spectrum=_sparse_heavy(1000, 1, 5000), constants=(2.0, 1.5))
+@example(spectrum=_sparse_heavy(1000, 1, 5000), constants=(0.0, -1.0))
+@example(spectrum=d.weight_spectrum(mem_rational(), "1/2"), constants=(0.0, 2.0))
+@example(spectrum=d.weight_spectrum(mem_equal(), 64), constants=(1.0, -0.5))
+# the bound first fails at 17, past the last step (16) and checked at 18
+@example(spectrum=d.weight_spectrum(d.make_memoryless(d.symbols({"a": 5})), 18),
+         constants=(3.98, -0.1))
+def test_density_checkpoints_give_the_answer_of_the_whole_range(spectrum, constants):
+    # the same fit and verdict, bit for bit, as every integer up to w_max
+    # gives, and each checkpoint's k is the whole range's k there
+    got = outcome(lambda: d.density_check(spectrum, *constants))
+    want = outcome(lambda: reference_density_check(spectrum, *constants))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert repr(_fit(got)) == repr(_fit(want))
+    assert got.k_of_n == tuple(want.k_of_n[n - 1] for n in got.checkpoints)
+    assert len(got.checkpoints) <= 2 * len(spectrum) + 2
 
 
 class TestCanonicalScale:
@@ -381,7 +430,7 @@ class TestDensityCheck:
         assert {Fraction(6 * n - 1, 6) for n in range(1, 7)} <= set(spectrum.weights)
         report = d.density_check(spectrum)
         assert report.k_of_n == tuple(
-            bisect_left(spectrum.weights, Fraction(n)) for n in report.n_range
+            bisect_left(spectrum.weights, Fraction(n)) for n in report.checkpoints
         )
 
     def test_a_power_past_the_float_range_is_inf(self):

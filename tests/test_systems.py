@@ -144,6 +144,10 @@ class TestWeightedFsm:
         fsm = d.WeightedFsm(1, 0, ((0, d.Symbol("a", 1), 0),))
         assert len(level_paths(d.fsm_to_branch_system(fsm), 6)) == 1
 
+    def test_transitions_carry_symbols_not_tuples(self):
+        with pytest.raises(d.InvalidSystemError, match="needs a Symbol"):
+            d.WeightedFsm(1, 0, ((0, ("a", 1), 0),))
+
     def test_dead_end_is_a_constructor_error(self):
         with pytest.raises(d.InvalidSystemError, match="dead end"):
             d.WeightedFsm(2, 0, ((0, d.Symbol("a", 1), 1),))

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import dncap as d
-from dncap import maxent
+from dncap import spectrum
 from conftest import (
     counted, dyck, golden_mean_system, mem_equal, mem_unequal, rll_system,
 )
@@ -70,7 +70,7 @@ class TestVerifyEquality:
         assert report.verdict == "FAIL"
 
     def test_inconclusive_on_budget_exhaustion(self, monkeypatch):
-        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 500)
+        monkeypatch.setattr(spectrum, "LEVEL_BUDGET", 500)
         report = d.verify_equality(dyck(), 40, 40, tol=0.06)
         assert report.verdict == "INCONCLUSIVE"
         assert 0 < len(report.levels) < 40
@@ -78,7 +78,7 @@ class TestVerifyEquality:
     def test_cut_spectrum_walk_is_inconclusive(self, monkeypatch):
         # the spectrum walk to 40 needs about 900 expansions; cut at 500,
         # the abscissa reads the spectrum it counted exactly
-        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 500)
+        monkeypatch.setattr(spectrum, "LEVEL_BUDGET", 500)
         with pytest.raises(d.BudgetExceededError) as cut:
             d.weight_spectrum(dyck(), 40)
         report = d.verify_equality(dyck(), 40, 20, tol=0.06)
@@ -88,7 +88,7 @@ class TestVerifyEquality:
 
     def test_cut_spectrum_without_an_estimate_raises(self, monkeypatch):
         # one full depth leaves one spectrum entry, too few to estimate from
-        monkeypatch.setattr(maxent, "LEVEL_BUDGET", 2)
+        monkeypatch.setattr(spectrum, "LEVEL_BUDGET", 2)
         with pytest.raises(d.BudgetExceededError, match="weight spectrum walk"):
             d.verify_equality(dyck(), 40, 40, tol=0.06)
 
