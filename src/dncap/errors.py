@@ -12,8 +12,8 @@ class SpecFileError(ValueError):
 class BudgetExceededError(RuntimeError):
     """An enumeration exceeded the fixed work budget ``spectrum.LEVEL_BUDGET``.
 
-    ``spectrum`` is set by ``weight_spectrum``: the part of the spectrum it
-    counted exactly before the cut, or None if there is none."""
+    ``spectrum`` is set by ``weight_spectrum``: every weight its sweep popped
+    before the cut, exact up to the last of them, or None if only the root."""
 
     spectrum = None
 

@@ -37,7 +37,7 @@ def _level_walk(system: BranchSystem, level: int):
     if level < 1:
         raise ValueError("level must be >= 1")
     for depth, (frontier, scale, memo) in enumerate(
-            islice(frontier_walk(system, None), level), 1):
+            islice(frontier_walk(system), level), 1):
         if not frontier:
             raise ValueError(
                 f"level {level} is past the end of the tree: its last "

@@ -7,9 +7,11 @@ and weights exact rationals, so bucket identity is never a float question.
 """
 
 import math
+import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import chain
 
 from .errors import BudgetExceededError, InvalidSystemError
@@ -49,12 +51,13 @@ class WeightSpectrum:
         self._set([w.numerator * (scale // w.denominator) for w, _ in entries],
                   [c for _, c in entries], scale, w_max)
 
-    def _set(self, units, counts, scale: int, w_max) -> None:
+    def _set(self, units, counts, scale: int, w_max) -> "WeightSpectrum":
         common = math.gcd(scale, *units)
         units, scale = tuple(u // common for u in units), scale // common
         vars(self).update(units=units, counts=tuple(counts), scale=scale, w_max=w_max,
                           float_weights=tuple(u / scale for u in units),
                           log_counts=tuple(map(math.log, counts)))
+        return self
 
     def __len__(self) -> int:
         return len(self.units)
@@ -68,7 +71,54 @@ class WeightSpectrum:
         return tuple(zip(self.weights, self.counts))
 
 
-def frontier_walk(system: BranchSystem, w_max):
+class _HandleGraph:
+    """The handle graph both walks extend.  The root's id is 0, any other
+    handle's the next when first seen as a child; ``memo[id]`` holds its
+    (units, child id, symbol) branches once expanded, () while ``pending``,
+    so ``expand`` runs once per handle.  ``scale`` is the LCM of the weight
+    denominators seen so far.  Called on a handle, it is ``system.expand``."""
+
+    def __init__(self, system: BranchSystem):
+        self.system, self.scale = system, 1
+        self.ids, self.memo, self.pending = {system.root: 0}, [()], {0: system.root}
+
+    def __call__(self, handle):
+        return self.system.expand(handle)
+
+    def expand(self, groups) -> int:
+        """Expand the pending ids keying ``groups``, rescaling the memo in
+        place on a new denominator; return the factor ``scale`` grew by."""
+        ids, memo, pending = self.ids, self.memo, self.pending
+        fresh = [(i, self.system.expand(pending.pop(i))) for i in set().union(
+            *(group.keys() & pending.keys() for group in groups))]
+        scale = math.lcm(self.scale, *(sym.weight.denominator
+                                       for _, branches in fresh for sym, _ in branches))
+        factor, self.scale = scale // self.scale, scale
+        if factor > 1:
+            memo[:] = [tuple((u * factor, child, sym) for u, child, sym in branches)
+                       for branches in memo]
+        for i, branches in fresh:
+            for _, child in branches:
+                if child not in ids:
+                    ids[child], pending[len(memo)] = len(memo), child
+                    memo.append(())
+            memo[i] = tuple(
+                (int(sym.weight * scale), ids[child], sym) for sym, child in branches
+            )
+        return factor
+
+
+def shared(system: BranchSystem) -> BranchSystem:
+    """``system`` with one handle graph, which all its walks extend."""
+    return replace(system, expand=_HandleGraph(system))
+
+
+def _graph(system: BranchSystem) -> _HandleGraph:
+    graph = system.expand
+    return graph if isinstance(graph, _HandleGraph) else _HandleGraph(system)
+
+
+def frontier_walk(system: BranchSystem):
     """Yield ``(frontier, scale, memo)`` at depths 1, 2, ...
 
     ``frontier`` maps a weight in units of 1/``scale`` to that weight's
@@ -79,68 +129,31 @@ def frontier_walk(system: BranchSystem, w_max):
     distinct label tuples, so path counts and string counts coincide.
     Groups and their entries are in first-push order: the order in which the
     previous depth's groups, their entries and each entry's branches, taken
-    in order, first reach them.  Branches heavier than ``w_max`` (None for no
-    bound) are dropped, and the walk stops at the first empty depth.  A depth
-    charges its entries' branches to ``LEVEL_BUDGET``, read when the walk
-    starts, before merging them; past it, remembered expansions included, it
-    raises ``BudgetExceededError`` naming itself and the depth it was building.
-
-    The root's id is 0; any other handle gets the next id when first seen as
-    a child.  ``memo[id]`` holds its (units, child id, symbol) branches once
-    expanded, () before: a depth expands its frontier's ids among those not
-    yet expanded, so ``expand`` runs once per handle.  ``scale`` is the LCM
-    of the weight denominators seen so far, so every weight is a whole number
-    of units; a new denominator rescales the frontier and the memo once."""
-    walk = "level walk" if w_max is None else f"weight spectrum walk to w_max {w_max}"
-    budget, frontier = LEVEL_BUDGET, {0: {0: 1}}
-    ids, memo, pending = {system.root: 0}, [()], {0: system.root}
-    scale, work, bound, depth = 1, 0, _bound(w_max, 1), 0
+    in order, first reach them; the first empty depth ends the walk.  A depth
+    expands its frontier in the handle graph and charges its entries'
+    branches to ``LEVEL_BUDGET`` (read at the start) before merging them."""
+    graph, budget, frontier, work, depth = _graph(system), LEVEL_BUDGET, {0: {0: 1}}, 0, 0
+    memo = graph.memo
     while frontier:
         depth += 1
-        fresh = set().union(*(group.keys() & pending.keys()
-                              for group in frontier.values())) if pending else ()
-        if fresh:
-            fresh = [(i, system.expand(pending.pop(i))) for i in fresh]
-            factor = math.lcm(scale, *(
-                sym.weight.denominator for _, branches in fresh for sym, _ in branches
-            )) // scale
-            if factor > 1:
-                scale *= factor
-                bound = _bound(w_max, scale)
-                frontier = {u * factor: group for u, group in frontier.items()}
-                memo = [tuple((u * factor, child, sym) for u, child, sym in branches)
-                        for branches in memo]
-            for i, branches in fresh:
-                for _, child in branches:
-                    if child not in ids:
-                        ids[child], pending[len(memo)] = len(memo), child
-                        memo.append(())
-                memo[i] = tuple(
-                    (int(sym.weight * scale), ids[child], sym) for sym, child in branches
-                )
+        if graph.pending and (factor := graph.expand(frontier.values())) > 1:
+            frontier = {u * factor: group for u, group in frontier.items()}
         work += sum(map(len, map(memo.__getitem__, chain(*frontier.values()))))
         if work > budget:
             raise BudgetExceededError(
-                f"{walk} exceeded budget of {budget} expansions at depth {depth}"
+                f"level walk exceeded budget of {budget} expansions at depth {depth}"
             )
         next_frontier: dict = {}
         for acc, group in frontier.items():
-            targets = {}  # units -> the group at acc + units, or a throwaway past bound
+            targets = {}  # units -> the group at acc + units
             for handle, count in group.items():
                 for units, child, _ in memo[handle]:
                     target = targets.get(units)
                     if target is None:
-                        weight = acc + units
-                        target = targets[units] = (
-                            next_frontier.setdefault(weight, {}) if weight <= bound else {})
+                        target = targets[units] = next_frontier.setdefault(acc + units, {})
                     target[child] = target.get(child, 0) + count
         frontier = next_frontier
-        yield frontier, scale, memo
-
-
-def _bound(w_max, scale: int):
-    """``w_max`` in units of 1/``scale``, rounded down; inf for no bound."""
-    return math.inf if w_max is None else math.floor(w_max * scale)
+        yield frontier, graph.scale, memo
 
 
 def exact_w_max(w_max) -> Fraction:
@@ -154,36 +167,55 @@ def exact_w_max(w_max) -> Fraction:
 def weight_spectrum(system: BranchSystem, w_max) -> WeightSpectrum:
     """Count accepted strings by exact weight, up to and including w_max.
 
-    Counts merge on integer units across depths, rescaled when the walk's
-    scale grows, and the spectrum is built from those units.  The walk stops
-    at ``LEVEL_BUDGET`` expansions, as level walks do.  Its
-    ``BudgetExceededError`` then carries the spectrum up to the lightest
-    weight on the last full depth: every string not yet counted extends a
-    path of that depth by a symbol of positive weight, so it is heavier."""
+    A weight-major sweep over ``system``'s handle graph: a heap holds the
+    pending weights, in integer units, and a dict their groups, {handle id:
+    path count}.  Weights are positive, so the lightest one's total is N(w)
+    once it is popped; its branches then merge into the groups at w + units
+    up to w_max.  ``LEVEL_BUDGET``, read when the sweep starts, is charged
+    each pending group when it is created and each popped group's branches,
+    checked before its merge.  Past it, ``BudgetExceededError`` names the
+    weight reached and keeps every weight popped as its exact ``spectrum``
+    (None if only the root, the empty string, was)."""
     w_max = exact_w_max(w_max)
-    buckets: dict[int, int] = {}
-    last, frontier = 1, {}
-    try:
-        for frontier, scale, _ in frontier_walk(system, w_max):
-            if scale != last:
-                buckets = {u * (scale // last): c for u, c in buckets.items()}
-                last = scale
-            for units, group in frontier.items():
-                buckets[units] = buckets.get(units, 0) + sum(group.values())
-    except BudgetExceededError as exc:
-        if frontier:
-            lightest = min(frontier)
-            exc.spectrum = _spectrum({u: c for u, c in buckets.items() if u <= lightest},
-                                     last, Fraction(lightest, last))
-        raise
-    return _spectrum(buckets, last, w_max)
+    graph, budget, work = _graph(system), LEVEL_BUDGET, 0
+    memo, scale = graph.memo, graph.scale
+    bound, heap, groups, units, counts = math.floor(w_max * scale), [0], {0: {0: 1}}, [], []
+    while heap:
+        acc = heappop(heap)
+        group = groups.pop(acc)
+        if graph.pending and (factor := graph.expand((group,))) > 1:
+            scale, bound = graph.scale, math.floor(w_max * graph.scale)
+            acc, heap = acc * factor, [u * factor for u in heap]
+            groups = {u * factor: g for u, g in groups.items()}
+            units = [u * factor for u in units]
+        if acc:
+            units.append(acc)
+            counts.append(sum(group.values()))
+        work += sum(map(len, map(memo.__getitem__, group)))
+        if work > budget:
+            exc = BudgetExceededError(f"weight spectrum walk to w_max {w_max} exceeded "
+                                      f"budget of {budget} expansions at weight {acc / scale}")
+            if units:
+                exc.spectrum = _spectrum(units, counts, scale, Fraction(units[-1], scale))
+            raise exc
+        targets = {}  # units -> the group at acc + units, if not past the bound
+        for handle, count in group.items():
+            for step, child, _ in memo[handle]:
+                target = targets.get(step)
+                if target is None:
+                    if (weight := acc + step) > bound:
+                        continue
+                    target = targets[step] = groups.get(weight)
+                    if target is None:
+                        work += 1
+                        target = targets[step] = groups[weight] = {}
+                        heappush(heap, weight)
+                target[child] = target.get(child, 0) + count
+    return _spectrum(units, counts, scale, w_max)
 
 
-def _spectrum(buckets: dict[int, int], scale: int, w_max) -> WeightSpectrum:
-    spectrum = object.__new__(WeightSpectrum)
-    units = sorted(buckets)
-    spectrum._set(units, list(map(buckets.__getitem__, units)), scale, w_max)
-    return spectrum
+def _spectrum(units: list, counts: list, scale: int, w_max) -> WeightSpectrum:
+    return object.__new__(WeightSpectrum)._set(units, counts, scale, w_max)
 
 
 @dataclass(frozen=True)
@@ -288,10 +320,11 @@ def empirical_capacity(
 
 
 def decimal(count: int) -> str:
-    """``str(count)`` for an int of any size: past 1600 bits it is split at a
-    power of ten, so no piece reaches CPython's int-to-str limit (640 digits
-    at least)."""
-    if count.bit_length() <= 1600:
+    """``str(count)`` for an int of any size.  Past 3 bits per digit of
+    CPython's int-to-str limit (none if 0 or before 3.10.7), which such an
+    int cannot reach, it is split at a power of ten, so no piece does."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit or count.bit_length() <= 3 * limit:
         return str(count)
     k = count.bit_length() * 3 // 20  # about half its decimal digits
     high, low = divmod(count, 10 ** k)

@@ -15,7 +15,7 @@ from .capacity import abscissa_estimate, combinatorial_capacity
 from .errors import BudgetExceededError, EstimatorError
 from .estimates import CapacityEstimate
 from .maxent import LevelSolution, maxent_rate_estimate
-from .spectrum import exact_w_max
+from .spectrum import exact_w_max, shared
 from .systems import BranchSystem
 
 PASS = "PASS"
@@ -57,16 +57,16 @@ def verify_equality(
     before reaching ``l_max`` (partial trajectories are still attached) or
     the abscissa's spectrum walk blew it before ``w_max``; ``c_comb`` is
     then the abscissa of the spectrum the walk counted exactly, and the
-    budget error is raised if that has no estimate.
-    The epsilon probes reuse ``tol`` as eps, which must be finite and >= 0
-    (``ValueError`` otherwise).  ``w_max`` is checked on every channel but
-    walked to only by ``combinatorial_capacity``'s abscissa.
-    """
+    budget error is raised if that has no estimate.  Both walks extend one
+    handle graph, so ``expand`` runs once per handle.  The epsilon probes
+    reuse ``tol`` as eps, which must be finite and >= 0 (``ValueError``
+    otherwise).  ``w_max`` is checked on every channel but walked to only by
+    ``combinatorial_capacity``'s abscissa."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, not {tol}")
-    w_max = exact_w_max(w_max)
+    w_max, walked = exact_w_max(w_max), shared(system)
     try:
-        c_comb, cut = combinatorial_capacity(system, w_max), False
+        c_comb, cut = combinatorial_capacity(walked, w_max), False
     except BudgetExceededError as exc:
         if exc.spectrum is None:
             raise
@@ -74,26 +74,13 @@ def verify_equality(
             (c_comb, _), cut = abscissa_estimate(exc.spectrum), True
         except (EstimatorError, ValueError):
             raise exc from None
-    c_prob, levels = maxent_rate_estimate(system, l_max)
-    truncated = cut or len(levels) < l_max
+    c_prob, levels = maxent_rate_estimate(walked, l_max)
     difference = abs(c_comb.value - c_prob.value)
     # c_prob is the max of the trailing window of level rates, so these are
     # "every tail rate < C + tol" and "some tail rate > C - tol"
     ae_pass = c_prob.value < c_comb.value + tol
     io_pass = c_prob.value > c_comb.value - tol
-    if truncated:
-        verdict = INCONCLUSIVE
-    elif difference <= tol:
-        verdict = PASS
-    else:
-        verdict = FAIL
-    return VerifyReport(
-        system=system.name,
-        c_comb=c_comb,
-        c_prob=c_prob,
-        difference=difference,
-        ae_pass=ae_pass,
-        io_pass=io_pass,
-        verdict=verdict,
-        levels=levels,
-    )
+    verdict = (INCONCLUSIVE if cut or len(levels) < l_max
+               else PASS if difference <= tol else FAIL)
+    return VerifyReport(system.name, c_comb, c_prob, difference, ae_pass, io_pass,
+                        verdict, levels)

@@ -160,18 +160,19 @@ def scalar_partition_root(weights, log_counts) -> tuple:
     raise AssertionError("reference bracket not certified")
 
 
-def reference_frontier_walk(system, w_max, budget=None):
+def reference_frontier_walk(system, w_max=None):
     """``dncap.spectrum.frontier_walk`` with one merge step per branch.
 
     The reference for the grouped merge: per frontier entry it adds the
     entry's branch count to the budget (``spectrum.LEVEL_BUDGET`` when the
-    walk starts, if None) and raises once it is exceeded, and per branch it
-    looks up (or creates) the group at acc + units itself, so groups and
-    their entries appear in first-push order by construction.  Expansion,
-    ids, the memo and rescaling are the walk's own."""
+    walk starts) and raises once it is exceeded, and per branch it looks up
+    (or creates) the group at acc + units itself, so groups and their
+    entries appear in first-push order by construction.  Expansion, ids,
+    the memo and rescaling are the walk's own.  With ``w_max`` it drops
+    branches heavier than that, as the depth-major spectrum walk did: it is
+    then the route ``reference_weight_spectrum`` counts by."""
     walk = "level walk" if w_max is None else f"weight spectrum walk to w_max {w_max}"
-    if budget is None:
-        budget = spectrum_module.LEVEL_BUDGET
+    budget = spectrum_module.LEVEL_BUDGET
 
     def bound_at(scale):
         return math.inf if w_max is None else math.floor(w_max * scale)
@@ -332,24 +333,14 @@ class FractionSpectrum:
         return tuple(w for w, _ in self.entries)
 
 
-def reference_weight_spectrum(system, w_max: Fraction, budget: int):
-    """``weight_spectrum(system, w_max)`` under ``budget``, bucketed by
-    ``Fraction`` at every depth: a ``FractionSpectrum``, or the walk's
-    ``BudgetExceededError`` with the spectrum up to the lightest weight of
-    the last full depth as ``spectrum`` (None if no depth was full)."""
-    counts, frontier, scale = {}, {}, 1
-    try:
-        for frontier, scale, _ in reference_frontier_walk(system, w_max, budget):
-            for units, group in frontier.items():
-                weight = Fraction(units, scale)
-                counts[weight] = counts.get(weight, 0) + sum(group.values())
-    except BudgetExceededError as exc:
-        if frontier:
-            lightest = Fraction(min(frontier), scale)
-            exc.spectrum = FractionSpectrum(
-                tuple(sorted((w, c) for w, c in counts.items() if w <= lightest)), lightest
-            )
-        raise
+def reference_weight_spectrum(system, w_max: Fraction):
+    """``weight_spectrum(system, w_max)`` by the depth walk, bucketed by
+    ``Fraction`` at every depth: a ``FractionSpectrum``."""
+    counts = {}
+    for frontier, scale, _ in reference_frontier_walk(system, w_max):
+        for units, group in frontier.items():
+            weight = Fraction(units, scale)
+            counts[weight] = counts.get(weight, 0) + sum(group.values())
     return FractionSpectrum(tuple(sorted(counts.items())), w_max)
 
 

@@ -54,9 +54,7 @@ def test_what_the_channel_determines_is_not_an_input():
 
 
 def test_one_budget_lives_in_spectrum():
-    assert list(inspect.signature(spectrum.frontier_walk).parameters) == [
-        "system", "w_max",
-    ]
+    assert list(inspect.signature(spectrum.frontier_walk).parameters) == ["system"]
     assert not hasattr(maxent, "LEVEL_BUDGET")
 
 

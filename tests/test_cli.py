@@ -222,7 +222,8 @@ class TestEnumerate:
         self, tmp_spec, capsys, monkeypatch, command
     ):
         # 5 * 10^300 units of 1e-300 below w_max; at the budget of 2^22
-        # expansions the same run exits 3 after several seconds
+        # expansions the same run exits 3 after several seconds, having
+        # reached a weight of about 10^6 units
         monkeypatch.setattr(spectrum, "LEVEL_BUDGET", 2 ** 14)
         doc = {"kind": "memoryless", "symbols": [
             {"label": "a", "weight": "1"}, {"label": "b", "weight": "1e-300"},
@@ -232,7 +233,7 @@ class TestEnumerate:
         assert code == 3
         assert out == ""
         assert err.startswith("error: weight spectrum walk to w_max ")
-        assert "exceeded budget of 16384 expansions at depth " in err
+        assert "exceeded budget of 16384 expansions at weight 4.096e-297\n" in err
 
     def test_boolean_fsm_fields_are_rejected(self, tmp_spec, capsys):
         doc = {
@@ -328,12 +329,14 @@ class TestMaxent:
         assert abs(float(rows[-1].split("\t")[2]) - math.log(2)) <= 1e-15
 
 
+@pytest.mark.parametrize("limit", [640, sys.int_info.default_max_str_digits, 0])
 @pytest.mark.parametrize("command, bound", [("enumerate", "--wmax"), ("maxent", "--lmax")])
-def test_counts_past_the_int_to_str_limit(tmp_spec, capsys, command, bound):
-    # 2**2200 has 663 digits, past the lowest limit CPython allows (640)
+def test_counts_past_the_int_to_str_limit(tmp_spec, capsys, command, bound, limit):
+    # 2**2200 has 663 digits, past the lowest limit CPython allows (640); 0
+    # is no limit
     expected = str(2 ** 2200)
     previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
+    sys.set_int_max_str_digits(limit)
     try:
         code = main([command, tmp_spec(MEM_EQUAL), bound, "2200"])
     finally:

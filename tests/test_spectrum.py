@@ -3,6 +3,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from heapq import heappush
 from itertools import islice
 from unittest import mock
 
@@ -32,6 +33,7 @@ from conftest import (
     tuple_dyck,
 )
 from oracles import (
+    FractionSpectrum,
     naive_string_spectrum,
     reference_abscissa_estimate,
     reference_density_check,
@@ -134,16 +136,43 @@ class TestFrontierWalk:
         assert calls[0] == 41
 
     def test_spectrum_walk_is_budgeted(self, monkeypatch):
-        # 231 branches reach weight 20 of the Dyck walk and expand its last
-        # depth, whose children are all heavier
-        monkeypatch.setattr(spectrum_module, "LEVEL_BUDGET", 231)
+        # the Dyck sweep to 20 pops weights 0..20, whose 231 branches are
+        # charged (weight 20's too, though all its children are heavier),
+        # and creates 20 pending groups
+        monkeypatch.setattr(spectrum_module, "LEVEL_BUDGET", 251)
         assert d.weight_spectrum(dyck(), 20).counts[-1] == math.comb(20, 10)
-        monkeypatch.setattr(spectrum_module, "LEVEL_BUDGET", 230)
+        monkeypatch.setattr(spectrum_module, "LEVEL_BUDGET", 250)
         with pytest.raises(d.BudgetExceededError, match=(
-            "^weight spectrum walk to w_max 20 exceeded budget of 230 "
-            "expansions at depth 21$"
+            "^weight spectrum walk to w_max 20 exceeded budget of 250 "
+            "expansions at weight 20.0$"
         )):
             d.weight_spectrum(dyck(), 20)
+
+    def test_sweep_is_linear_in_w_max_on_unequal_weights(self, monkeypatch):
+        # about 3 charges per weight; the depth-major walk needed about 2 * 10^6
+        monkeypatch.setattr(spectrum_module, "LEVEL_BUDGET", 10 ** 4)
+        spectrum = d.weight_spectrum(mem_unequal(), 2000)
+        assert len(spectrum) == 2000
+        assert spectrum.counts[:5] == (1, 2, 3, 5, 8)
+
+    def test_pending_groups_never_exceed_the_budget(self, monkeypatch):
+        # each popped weight k * 1e-300 charges its 2 branches and the 2
+        # groups they create, at (k + 1) * 1e-300 and 1 + k * 1e-300; the
+        # latter stay pending, one more per pop
+        system = d.make_memoryless(d.symbols({"a": "1", "b": "1e-300"}))
+        budget, peak = 3000, [0]
+
+        def push(heap, item):
+            heappush(heap, item)
+            peak[0] = max(peak[0], len(heap))
+
+        monkeypatch.setattr(spectrum_module, "LEVEL_BUDGET", budget)
+        monkeypatch.setattr(spectrum_module, "heappush", push)
+        with pytest.raises(d.BudgetExceededError, match="at weight 7.5e-298$") as cut:
+            d.weight_spectrum(system, 5)
+        spectrum = cut.value.spectrum
+        assert len(spectrum) == budget // 4 and set(spectrum.counts) == {1}
+        assert peak[0] == len(spectrum) + 1 <= budget
 
     @pytest.mark.parametrize("factory,w_max", [(dyck, 40), (mem_unequal, 30)])
     def test_cut_walk_keeps_the_exact_spectrum(self, factory, w_max, monkeypatch):
@@ -158,6 +187,7 @@ class TestFrontierWalk:
         assert spectrum == d.weight_spectrum(factory(), spectrum.w_max)
 
     def test_walk_cut_before_a_full_depth_keeps_no_spectrum(self, monkeypatch):
+        # the root's branch alone exceeds the budget: no weight was popped
         monkeypatch.setattr(spectrum_module, "LEVEL_BUDGET", 0)
         with pytest.raises(d.BudgetExceededError) as cut:
             d.weight_spectrum(dyck(), 40)
@@ -234,14 +264,14 @@ def test_walk_on_weighted_fsms_matches_explicit_enumeration(fsm):
         assert reference_level_support(system, level) == expected
 
 
-def _walk_trace(walk, system, w_max, budget, depths=8):
+def _walk_trace(walk, system, budget, depths=8):
     """repr of each depth's (scale, groups in order with their entries in
     order, memo) under ``budget``, then the budget error's message if the
     walk raised."""
     trace = []
     try:
         with mock.patch.object(spectrum_module, "LEVEL_BUDGET", budget):
-            for frontier, scale, memo in islice(walk(system, w_max), depths):
+            for frontier, scale, memo in islice(walk(system), depths):
                 trace.append((scale, [(u, list(g.items())) for u, g in frontier.items()],
                               list(memo)))
     except d.BudgetExceededError as exc:
@@ -258,26 +288,17 @@ def _spectrum_or_cut(system, w_max, budget):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(
-    system=table_generators(),
-    w_max=st.one_of(st.none(), st.builds(
-        Fraction, st.integers(1, 12), st.integers(1, 3))),
-    budget=st.one_of(st.integers(0, 40), st.just(10 ** 6)),
-)
-@example(system=harmonic_dyck(), w_max=Fraction(9, 2), budget=10 ** 6)
-@example(system=harmonic_steps(), w_max=Fraction(4), budget=60)
-@example(system=three_way(), w_max=None, budget=10 ** 6)
-@example(system=prefix_strings(), w_max=Fraction(3), budget=50)
-def test_walk_matches_the_per_branch_reference(system, w_max, budget):
+@given(system=table_generators(), budget=st.one_of(st.integers(0, 40), st.just(10 ** 6)))
+@example(system=harmonic_dyck(), budget=10 ** 6)
+@example(system=harmonic_steps(), budget=60)
+@example(system=three_way(), budget=10 ** 6)
+@example(system=prefix_strings(), budget=50)
+def test_walk_matches_the_per_branch_reference(system, budget):
     # same groups, entries and key order at every depth, and the same budget
-    # error at the same depth; for spectra the same cut spectrum
-    got, want = (_walk_trace(walk, system, w_max, budget)
+    # error at the same depth
+    got, want = (_walk_trace(walk, system, budget)
                  for walk in (spectrum_module.frontier_walk, reference_frontier_walk))
     assert got == want
-    if w_max is not None:
-        got = _spectrum_or_cut(system, w_max, budget)
-        with mock.patch.object(spectrum_module, "frontier_walk", reference_frontier_walk):
-            assert got == _spectrum_or_cut(system, w_max, budget)
 
 
 LIBRARY_ESTIMATORS = (d.density_check, d.empirical_capacity, d.spectrum_tsv,
@@ -315,19 +336,27 @@ def _estimates(spectrum, estimators):
     budget=st.one_of(st.integers(0, 80), st.just(10 ** 6)),
 )
 @example(system=harmonic_dyck(), w_max=Fraction(9, 2), budget=10 ** 6)
+@example(system=prefix_strings(), w_max=Fraction(3), budget=50)
 @example(system=dyck(), w_max=Fraction(40), budget=60)
 def test_integer_unit_spectrum_matches_the_fraction_reference(system, w_max, budget):
-    # the same entries and, bit for bit, the same estimates, TSV and errors,
-    # for full spectra and for those a budget-cut walk keeps
+    # the weight-major sweep against the depth walk: the same entries and,
+    # bit for bit, the same estimates and TSV.  A budget-cut sweep keeps the
+    # full spectrum up to the weight it reached, every weight it omits being
+    # heavier, or none if it was cut at the root
+    want = reference_weight_spectrum(system, w_max)
     got = _spectrum_or_cut(system, w_max, budget)
-    try:
-        want = reference_weight_spectrum(system, w_max, budget)
-    except d.BudgetExceededError as exc:
-        assert (got[0], got[1]) == (d.BudgetExceededError, str(exc))
-        got, want = got[2], exc.spectrum
-        if want is None:
-            assert got is None
+    if not isinstance(got, d.WeightSpectrum):
+        kind, message, got = got
+        assert kind is d.BudgetExceededError
+        if got is None:
+            root = system.expand(system.root)
+            assert budget < len(root) + len({sym.weight for sym, _ in root if sym.weight <= w_max})
             return
+        assert message.endswith(f" expansions at weight {float(got.w_max)}")
+        assert got.w_max == got.weights[-1] <= w_max
+        kept = len(got)
+        assert all(w > got.w_max for w in want.weights[kept:])
+        want = FractionSpectrum(want.entries[:kept], got.w_max)
     assert got.entries == want.entries and got.w_max == want.w_max
     assert got.float_weights == tuple(float(w) for w in want.weights)
     assert got.log_counts == tuple(math.log(c) for _, c in want.entries)
@@ -381,10 +410,9 @@ def test_density_checkpoints_give_the_answer_of_the_whole_range(spectrum, consta
 class TestCanonicalScale:
     def test_same_entries_at_any_scale_are_equal(self):
         spectrum = d.weight_spectrum(mem_rational(), 3)
-        buckets = dict(zip(spectrum.units, spectrum.counts))
         for factor in (1, 2, 35):
             scaled = spectrum_module._spectrum(
-                {u * factor: c for u, c in buckets.items()},
+                [u * factor for u in spectrum.units], spectrum.counts,
                 spectrum.scale * factor, spectrum.w_max,
             )
             assert scaled == spectrum and hash(scaled) == hash(spectrum)

@@ -5,7 +5,8 @@ import pytest
 import dncap as d
 from dncap import spectrum
 from conftest import (
-    counted, dyck, golden_mean_system, mem_equal, mem_unequal, rll_system,
+    counted, dyck, golden_mean_system, harmonic_dyck, harmonic_steps, mem_equal,
+    mem_unequal, rll_system,
 )
 from oracles import LN_GOLDEN
 
@@ -101,6 +102,24 @@ class TestVerifyEquality:
         estimated, estimate_calls = counted(factory())
         d.maxent_rate_estimate(estimated, 20)
         assert verify_calls[0] == estimate_calls[0]
+
+    def test_generators_expand_each_handle_once(self):
+        # the sweep to weight 40 expands balances 0..40, and the level walk
+        # to 40 extends the same handle graph, which already holds them all
+        system, calls = counted(dyck())
+        d.verify_equality(system, 40, 40, tol=0.06)
+        assert calls[0] == 41
+
+    @pytest.mark.parametrize("factory", [harmonic_dyck, harmonic_steps])
+    def test_a_shared_graph_keeps_both_walks_bit_identical(self, factory):
+        # the sweep grows the shared scale before the level walk starts, and
+        # the level rows still match a walk of their own bit for bit
+        system = spectrum.shared(factory())
+        swept = d.weight_spectrum(system, "9/2")
+        levels = d.maxent_rate_estimate(system, 12)
+        assert system.expand.scale > 1
+        assert swept == d.weight_spectrum(factory(), "9/2")
+        assert levels == d.maxent_rate_estimate(factory(), 12)
 
     def test_regular_verdict_needs_no_spectrum_entries(self):
         # up to weight 3/2 the golden mean's spectrum has one entry, weight 1
