@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 success (or verify PASS), 1 parse or
 validation failure, 2 verify FAIL, 3 verify INCONCLUSIVE, or a run stopped
-by the work budget, by an estimator's contradiction or by running out of
-memory.  All numeric output is locale-independent with 17 significant digits.
+by the work budget, by an estimator's contradiction, by running out of
+memory or by a weight or path weight past the float range.  All numeric
+output is locale-independent with 17 significant digits.
 """
 
 import argparse
@@ -147,7 +148,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # _UsageError, SpecFileError, InvalidSystemError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BudgetExceededError, EstimatorError, MemoryError) as exc:
+    except (BudgetExceededError, EstimatorError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 

@@ -12,7 +12,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from typing import Hashable
 
 from . import spectrum
@@ -25,25 +25,6 @@ from .systems import BranchSystem
 _SUM_TOL = 1e-6
 
 Path = tuple[str, ...]
-
-
-def _level_walk(system: BranchSystem, level: int):
-    """``frontier_walk`` under ``spectrum.LEVEL_BUDGET`` for depths 1 to
-    ``level``.
-
-    The walk yields one empty depth past the end of a finite tree; reaching
-    it before ``level`` raises ``ValueError`` naming the last nonempty depth.
-    """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    for depth, (frontier, scale, memo) in enumerate(
-            islice(frontier_walk(system), level), 1):
-        if not frontier:
-            raise ValueError(
-                f"level {level} is past the end of the tree: its last "
-                f"nonempty depth is {depth - 1}"
-            )
-        yield frontier, scale, memo
 
 
 def enumerate_level_paths(
@@ -97,7 +78,7 @@ def solve_level_rate(system: BranchSystem, level: int) -> LevelSolution:
     strictly decreasing for positive weights, so the nonnegative root is
     unique; a singleton support gets rate 0 in zero Newton steps.
     """
-    for frontier, scale, _ in _level_walk(system, level):
+    for frontier, scale, _ in frontier_walk(system, level):
         pass
     return _solve_levels([_level_row(frontier, scale)], level)[0]
 
@@ -189,7 +170,7 @@ def maxent_rate_estimate(
         raise ValueError("l_max must be >= 2")
     rows = []
     with suppress(BudgetExceededError):
-        for frontier, scale, _ in _level_walk(system, l_max):
+        for frontier, scale, _ in frontier_walk(system, l_max):
             rows.append(_level_row(frontier, scale))
     if not rows:
         raise BudgetExceededError("no level fit within the enumeration budget")

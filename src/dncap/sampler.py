@@ -18,6 +18,7 @@ from . import maxent
 from .capacity import fsm_capacity
 from .errors import EstimatorError, InvalidSystemError
 from .solvers import left_sum, perron
+from .spectrum import frontier_walk
 from .systems import BranchSystem, Symbol, WeightedFsm
 
 _ROW_SUM_TOL = 1e-8
@@ -164,6 +165,7 @@ def _table(ln_q, valid, child, weight, label, ln_total=None):
     return cum, child.ravel(), ln_p.ravel(), weight.ravel(), label.ravel()
 
 
+@np.errstate(over="ignore")  # an inf weight raises once, after the last step
 def _lock_step(tables, names, start: int, count: int, steps: int, seed: int):
     """Advance ``count`` paths at once, one table per step: path i takes the
     first branch whose cumulative p reaches the step's i-th uniform draw.
@@ -172,7 +174,8 @@ def _lock_step(tables, names, start: int, count: int, steps: int, seed: int):
     draw, one 1-D gather per branch but the last, whose entry is always inf;
     label, weight, ln p and child are then gathered at ``branch * rows +
     row``.  Returns a ``SampleSet`` of the (path x step) codes into ``names``
-    of the labels drawn and each path's weight and log probability."""
+    of the labels drawn and each path's weight and log probability; a weight
+    past the float range raises ``OverflowError``."""
     rng = np.random.default_rng(seed)
     state = np.full(count, start)
     labels = np.empty((count, steps), dtype=np.min_scalar_type(len(names)))
@@ -187,6 +190,8 @@ def _lock_step(tables, names, start: int, count: int, steps: int, seed: int):
         weight += step_weight.take(at)
         log_prob += ln_p.take(at)
         state = child.take(at)
+    if np.isinf(weight).any():
+        raise OverflowError("a sampled path's weight is past the float range")
     return SampleSet(tuple(names), labels, weight, log_prob, seed)
 
 
@@ -269,10 +274,10 @@ def sample_level_paths(
     expansions, and a level past the end of a finite tree raises
     ``ValueError``.
     """
-    if count < 1 or level < 1:
-        raise ValueError("count and level must be >= 1")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     depths = [np.zeros(1, dtype=np.intp)]  # each depth's distinct handle ids
-    for frontier, scale, memo in maxent._level_walk(system, level):
+    for frontier, scale, memo in frontier_walk(system, level):
         groups = list(frontier.values())
         at = groups[0] if len(groups) == 1 else set().union(*groups)
         depths.append(np.fromiter(at, dtype=np.intp, count=len(at)))

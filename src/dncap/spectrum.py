@@ -118,8 +118,8 @@ def _graph(system: BranchSystem) -> _HandleGraph:
     return graph if isinstance(graph, _HandleGraph) else _HandleGraph(system)
 
 
-def frontier_walk(system: BranchSystem):
-    """Yield ``(frontier, scale, memo)`` at depths 1, 2, ...
+def frontier_walk(system: BranchSystem, level: int):
+    """Yield ``(frontier, scale, memo)`` at depths 1 to ``level``.
 
     ``frontier`` maps a weight in units of 1/``scale`` to that weight's
     group, {handle id: path count}.  Walks the tree breadth-first while
@@ -129,13 +129,15 @@ def frontier_walk(system: BranchSystem):
     distinct label tuples, so path counts and string counts coincide.
     Groups and their entries are in first-push order: the order in which the
     previous depth's groups, their entries and each entry's branches, taken
-    in order, first reach them; the first empty depth ends the walk.  A depth
-    expands its frontier in the handle graph and charges its entries'
-    branches to ``LEVEL_BUDGET`` (read at the start) before merging them."""
-    graph, budget, frontier, work, depth = _graph(system), LEVEL_BUDGET, {0: {0: 1}}, 0, 0
+    in order, first reach them.  A depth expands its frontier in the handle
+    graph and charges its entries' branches to ``LEVEL_BUDGET`` (read at the
+    start) before merging them.  A depth that comes out empty, past the end
+    of a finite tree, raises ``ValueError`` naming the last nonempty one."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    graph, budget, frontier, work = _graph(system), LEVEL_BUDGET, {0: {0: 1}}, 0
     memo = graph.memo
-    while frontier:
-        depth += 1
+    for depth in range(1, level + 1):
         if graph.pending and (factor := graph.expand(frontier.values())) > 1:
             frontier = {u * factor: group for u, group in frontier.items()}
         work += sum(map(len, map(memo.__getitem__, chain(*frontier.values()))))
@@ -153,6 +155,9 @@ def frontier_walk(system: BranchSystem):
                         target = targets[units] = next_frontier.setdefault(acc + units, {})
                     target[child] = target.get(child, 0) + count
         frontier = next_frontier
+        if not frontier:
+            raise ValueError(f"level {level} is past the end of the tree: its last "
+                             f"nonempty depth is {depth - 1}")
         yield frontier, graph.scale, memo
 
 

@@ -54,8 +54,11 @@ def test_what_the_channel_determines_is_not_an_input():
 
 
 def test_one_budget_lives_in_spectrum():
-    assert list(inspect.signature(spectrum.frontier_walk).parameters) == ["system"]
+    assert list(inspect.signature(spectrum.frontier_walk).parameters) == [
+        "system", "level",
+    ]
     assert not hasattr(maxent, "LEVEL_BUDGET")
+    assert not hasattr(maxent, "_level_walk")
 
 
 def test_the_budget_is_read_when_a_walk_starts(monkeypatch):

@@ -202,6 +202,26 @@ class TestEnumerate:
         assert err == (f"error: spec.symbols[1].weight: symbol 'b': weight {weight} "
                        "is outside the float range\n")
 
+    @pytest.mark.parametrize("command", [
+        ["enumerate", "--wmax", "1e309"],
+        ["maxent", "--lmax", "5"],
+        ["capacity", "--method", "abscissa", "--wmax", "1e309"],
+        ["verify", "--wmax", "1e309", "--lmax", "5"],
+        ["sample", "--count", "2", "--steps", "5", "--seed", "1"],
+    ], ids=lambda command: command[0])
+    def test_path_weight_past_the_float_range_exits_three(
+        self, tmp_spec, capsys, command
+    ):
+        # each weight is a float, but a path of two weighs over 1e308; these
+        # printed a traceback, and sample an inf weight and a numpy warning
+        doc = {"kind": "memoryless", "symbols": [
+            {"label": "a", "weight": "5e307"}, {"label": "b", "weight": "6e307"},
+        ]}
+        code = main([command[0], tmp_spec(doc), *command[1:]])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("weight", ["1_000", "1 / 2"])
     def test_weight_grammar_is_the_same_on_every_python(self, tmp_spec, capsys, weight):
         # Fraction reads "1_000" from Python 3.11 on and "1 / 2" from 3.12 on

@@ -176,6 +176,14 @@ class TestSamplePaths:
         with pytest.raises(ValueError):
             d.sample_paths(golden_chain(), 0, 5, seed=1)
 
+    def test_a_path_weight_past_the_float_range_raises(self):
+        # each weight is a float, but any path of 5 steps weighs over 2e308
+        chain = d.maxent_chain(d.make_memoryless(
+            d.symbols({"a": "5e307", "b": "6e307"})).fsm)
+        assert max(d.sample_paths(chain, 20, 2, seed=1).weight) <= 1.2e308
+        with pytest.raises(OverflowError, match="^a sampled path's weight is past"):
+            d.sample_paths(chain, 2, 5, seed=1)
+
     def test_rows_match_a_rewalk_of_the_transition_table(self):
         fsm = d.WeightedFsm(2, 0, (
             (0, d.Symbol("a", "1/2"), 0), (0, d.Symbol("b", "3/2"), 1),

@@ -186,6 +186,29 @@ class TestFrontierWalk:
         assert 0 < spectrum.w_max < w_max
         assert spectrum == d.weight_spectrum(factory(), spectrum.w_max)
 
+    def test_level_walk_stops_at_its_level(self):
+        # Dyck prefixes of lengths 1 to 5; the walk expands balances 0 to 4
+        # and stops before the merge that would expand depth 5's balance 5
+        system, calls = counted(dyck())
+        walk = spectrum_module.frontier_walk(system, 5)
+        assert [sum(sum(group.values()) for group in frontier.values())
+                for frontier, _, _ in walk] == [1, 2, 3, 6, 10]
+        assert calls[0] == 5
+
+    def test_level_walk_needs_a_positive_level(self):
+        with pytest.raises(ValueError, match="^level must be >= 1$"):
+            next(spectrum_module.frontier_walk(dyck(), 0))
+
+    def test_level_walk_past_a_finite_tree_names_its_last_depth(self):
+        # the walk raises at the empty depth 4 instead of yielding it
+        walk = spectrum_module.frontier_walk(finite_tree(3), 4)
+        assert [sum(frontier[depth].values())
+                for depth, (frontier, _, _) in zip((1, 2, 3), walk)] == [2, 4, 8]
+        with pytest.raises(ValueError, match=(
+            "^level 4 is past the end of the tree: its last nonempty depth is 3$"
+        )):
+            next(walk)
+
     def test_walk_cut_before_a_full_depth_keeps_no_spectrum(self, monkeypatch):
         # the root's branch alone exceeds the budget: no weight was popped
         monkeypatch.setattr(spectrum_module, "LEVEL_BUDGET", 0)
@@ -264,18 +287,28 @@ def test_walk_on_weighted_fsms_matches_explicit_enumeration(fsm):
         assert reference_level_support(system, level) == expected
 
 
+def _reference_level_walk(system, level):
+    """``reference_frontier_walk`` to ``level``; its empty depth past the end
+    of a finite tree raises what the level walk raises there."""
+    for depth, step in enumerate(islice(reference_frontier_walk(system), level), 1):
+        if not step[0]:
+            raise ValueError(f"level {level} is past the end of the tree: "
+                             f"its last nonempty depth is {depth - 1}")
+        yield step
+
+
 def _walk_trace(walk, system, budget, depths=8):
     """repr of each depth's (scale, groups in order with their entries in
-    order, memo) under ``budget``, then the budget error's message if the
-    walk raised."""
+    order, memo) under ``budget`` to ``depths``, then the type and message
+    of the budget or past-the-end error if the walk raised."""
     trace = []
     try:
         with mock.patch.object(spectrum_module, "LEVEL_BUDGET", budget):
-            for frontier, scale, memo in islice(walk(system), depths):
+            for frontier, scale, memo in walk(system, depths):
                 trace.append((scale, [(u, list(g.items())) for u, g in frontier.items()],
                               list(memo)))
-    except d.BudgetExceededError as exc:
-        trace.append(str(exc))
+    except (d.BudgetExceededError, ValueError) as exc:
+        trace.append(repr(exc))
     return repr(trace)
 
 
@@ -293,11 +326,12 @@ def _spectrum_or_cut(system, w_max, budget):
 @example(system=harmonic_steps(), budget=60)
 @example(system=three_way(), budget=10 ** 6)
 @example(system=prefix_strings(), budget=50)
+@example(system=finite_tree(3), budget=10 ** 6)
 def test_walk_matches_the_per_branch_reference(system, budget):
     # same groups, entries and key order at every depth, and the same budget
-    # error at the same depth
+    # or past-the-end error at the same depth
     got, want = (_walk_trace(walk, system, budget)
-                 for walk in (spectrum_module.frontier_walk, reference_frontier_walk))
+                 for walk in (spectrum_module.frontier_walk, _reference_level_walk))
     assert got == want
 
 
