@@ -2,9 +2,9 @@
 
 Exit codes are a stable contract: 0 success (or verify PASS), 1 parse or
 validation failure, 2 verify FAIL, 3 verify INCONCLUSIVE, or a run stopped
-by the work budget, by an estimator's contradiction, by running out of
-memory or by a weight or path weight past the float range.  All numeric
-output is locale-independent with 17 significant digits.
+by the work or sample budget, by an estimator's contradiction, by running
+out of memory or by a weight or path weight past the float range.  All
+numeric output is locale-independent with 17 significant digits.
 """
 
 import argparse

@@ -10,7 +10,8 @@ class SpecFileError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration exceeded the fixed work budget ``spectrum.LEVEL_BUDGET``.
+    """An enumeration exceeded the fixed work budget ``spectrum.LEVEL_BUDGET``,
+    or a draw the memory budget ``sampler.SAMPLE_BUDGET``.
 
     ``spectrum`` is set by ``weight_spectrum``: every weight its sweep popped
     before the cut, exact up to the last of them, or None if only the root."""

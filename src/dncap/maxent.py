@@ -19,7 +19,7 @@ from . import spectrum
 from .errors import BudgetExceededError, EstimatorError
 from .estimates import CapacityEstimate
 from .solvers import left_sum, partition_root
-from .spectrum import decimal, frontier_walk, tail_estimate
+from .spectrum import decimal, frontier_walk, tail_estimate, unit_floats
 from .systems import BranchSystem
 
 _SUM_TOL = 1e-6
@@ -87,10 +87,12 @@ def _level_row(frontier: dict, scale: int) -> tuple[list, list, int]:
     """One depth's (bucket weights, ln bucket counts, support size).
 
     The weights are u / scale, which rounds the same rational as
-    ``float(Fraction(u, scale))`` does.
+    ``float(Fraction(u, scale))`` does; one past the float range raises
+    ``OverflowError``.
     """
     counts = [sum(group.values()) for group in frontier.values()]
-    return [u / scale for u in frontier], [math.log(c) for c in counts], sum(counts)
+    weights = unit_floats(frontier, scale, "level")
+    return weights, [math.log(c) for c in counts], sum(counts)
 
 
 def _solve_levels(rows: list, first: int) -> list[LevelSolution]:

@@ -16,13 +16,14 @@ import numpy as np
 
 from . import maxent
 from .capacity import fsm_capacity
-from .errors import EstimatorError, InvalidSystemError
+from .errors import BudgetExceededError, EstimatorError, InvalidSystemError
 from .solvers import left_sum, perron
 from .spectrum import frontier_walk
 from .systems import BranchSystem, Symbol, WeightedFsm
 
 _ROW_SUM_TOL = 1e-8
 _RATE_CHECK_TOL = 1e-6
+SAMPLE_BUDGET = 2 ** 28  # bytes of label codes and per-path arrays one draw may hold
 
 
 @dataclass(frozen=True)
@@ -220,6 +221,15 @@ def _check_accepted(fsm: WeightedFsm, names, labels) -> None:
         )
 
 
+def _check_sample_size(count: int, steps: int) -> None:
+    """Raise ``BudgetExceededError`` before a draw of ``count`` paths of
+    ``steps`` labels allocates past ``SAMPLE_BUDGET`` bytes, counting one
+    byte a label code and eight 8-byte values a path."""
+    if count * (steps + 64) > SAMPLE_BUDGET:
+        raise BudgetExceededError(f"a sample of {count} paths x {steps} steps is past "
+                                  f"the sample budget of {SAMPLE_BUDGET} bytes")
+
+
 def sample_paths(chain: MaxentChain, count: int, steps: int, seed: int) -> SampleSet:
     """Draw ``count`` label sequences of ``steps`` transitions each.
 
@@ -232,6 +242,7 @@ def sample_paths(chain: MaxentChain, count: int, steps: int, seed: int) -> Sampl
     """
     if count < 1 or steps < 1:
         raise ValueError("count and steps must be >= 1")
+    _check_sample_size(count, steps)
     code: dict[str, int] = {}
     flat = [branch for row in chain.transition_probs for branch in row]
     valid, ln_q, child, weight, label = _padded(
@@ -255,6 +266,9 @@ def empirical_entropy_rate(samples: SampleSet) -> float:
     return -left_sum(samples.log_prob.tolist()) / left_sum(samples.weight.tolist())
 
 
+_BLOCK_ROWS = 1 << 12  # handle rows in one level-sampler table; larger blocks raise peak RSS
+
+
 def sample_level_paths(
     system: BranchSystem, level: int, count: int, seed: int
 ) -> SampleSet:
@@ -268,19 +282,22 @@ def sample_level_paths(
     Log subtree sums are filled in from the deepest level up in one buffer
     by handle id, since a depth's children are exactly the next depth's
     handles; each depth's are kept, and the root's must be 0: R_l solves
-    the same sum over the whole support.  The draws then build each depth's
-    table once, a gather over that depth's handles whose row totals are
-    that depth's ln Z.  The walk is capped at ``spectrum.LEVEL_BUDGET``
-    expansions, and a level past the end of a finite tree raises
-    ``ValueError``.
+    the same sum over the whole support.  The draws then build one table per
+    block of consecutive depths, at most ``_BLOCK_ROWS`` handle rows whose
+    row totals are their ln Z; each depth's handle ids are sorted, so one
+    ``np.searchsorted`` on the keys depth * len(memo) + id gives every child
+    its row.  A sample past ``SAMPLE_BUDGET`` is refused before the walk,
+    the walk is capped at ``spectrum.LEVEL_BUDGET`` expansions, and a level
+    past the end of a finite tree raises ``ValueError``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    depths = [np.zeros(1, dtype=np.intp)]  # each depth's distinct handle ids
+    _check_sample_size(count, level)
+    depths = [np.zeros(1, dtype=np.intp)]  # each depth's distinct handle ids, sorted
     for frontier, scale, memo in frontier_walk(system, level):
         groups = list(frontier.values())
         at = groups[0] if len(groups) == 1 else set().union(*groups)
-        depths.append(np.fromiter(at, dtype=np.intp, count=len(at)))
+        depths.append(np.sort(np.fromiter(at, dtype=np.intp, count=len(at))))
     rate = maxent._solve_levels([maxent._level_row(frontier, scale)], level)[0].rate
     code: dict[str, int] = {}
     flat = [branch for row in memo for branch in row]
@@ -305,19 +322,30 @@ def sample_level_paths(
             f"level {level}: root subtree sum has ln Z = {root}, not 0, "
             f"at rate {rate}"
         )
-    position = np.zeros(len(memo), dtype=np.intp)  # id -> index at one depth
 
-    def table(depth):
-        at, below = depths[depth], depths[depth + 1]
-        position[below] = np.arange(len(below))
-        real = valid.take(at, axis=1)
-        # padding reads index 0
-        to = np.where(real, position.take(child.take(at, axis=1)), 0)
-        ln_q = log_z[depth + 1].take(to) - cost.take(at, axis=1)
-        return _table(ln_q, real, to, weight.take(at, axis=1),
-                      label.take(at, axis=1), log_z[depth])
+    def tables():
+        first = 0
+        while first < level:  # depths first to last - 1 share one table
+            last, rows = first + 1, len(depths[first])
+            while last < level and rows + len(depths[last]) <= _BLOCK_ROWS:
+                rows, last = rows + len(depths[last]), last + 1
+            # sorted keys of the block's depths and the next one's, which
+            # numbers from row 0 of the next block
+            key = np.concatenate([depth * len(memo) + depths[depth]
+                                  for depth in range(first, last + 1)])
+            ln_z = np.concatenate(log_z[first:last + 1])
+            at = key[:rows] % len(memo)
+            real = valid.take(at, axis=1)
+            # a child's key is its parent's plus one depth; padding reads row 0
+            below = np.where(real, np.searchsorted(
+                key, key[:rows] - at + len(memo) + child.take(at, axis=1)), 0)
+            ln_q = ln_z.take(below) - cost.take(at, axis=1)
+            to = np.where(below < rows, below, below - rows)
+            yield from repeat(_table(ln_q, real, to, weight.take(at, axis=1),
+                                     label.take(at, axis=1), ln_z[:rows]), last - first)
+            first = last
 
-    return _lock_step(map(table, range(level)), code, 0, count, level, seed)
+    return _lock_step(tables(), code, 0, count, level, seed)
 
 
 _WRITE_SYMBOLS = 1 << 14  # labels looked up at once; larger blocks raise peak RSS

@@ -55,7 +55,7 @@ class WeightSpectrum:
         common = math.gcd(scale, *units)
         units, scale = tuple(u // common for u in units), scale // common
         vars(self).update(units=units, counts=tuple(counts), scale=scale, w_max=w_max,
-                          float_weights=tuple(u / scale for u in units),
+                          float_weights=tuple(unit_floats(units, scale, "spectrum")),
                           log_counts=tuple(map(math.log, counts)))
         return self
 
@@ -106,6 +106,15 @@ class _HandleGraph:
                 (int(sym.weight * scale), ids[child], sym) for sym, child in branches
             )
         return factor
+
+
+def unit_floats(units, scale: int, kind: str) -> list[float]:
+    """Each ``u / scale`` as a float; one past the float range raises
+    ``OverflowError`` naming the ``kind`` of weight."""
+    try:
+        return [u / scale for u in units]
+    except OverflowError:
+        raise OverflowError(f"a {kind} weight is past the float range") from None
 
 
 def shared(system: BranchSystem) -> BranchSystem:

@@ -221,6 +221,7 @@ class TestEnumerate:
         out, err = capsys.readouterr()
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and "Traceback" not in err
+        assert "weight is past the float range" in err
 
     @pytest.mark.parametrize("weight", ["1_000", "1 / 2"])
     def test_weight_grammar_is_the_same_on_every_python(self, tmp_spec, capsys, weight):
@@ -437,7 +438,7 @@ class TestSample:
         assert "root subtree sum" in capsys.readouterr().err
 
     def test_out_of_memory_exits_three(self):
-        # 10^9 paths need an 8 GB state array, which numpy refuses up front
+        # 10^9 paths of 100 labels pass the sample budget before any array
         spec = Path(__file__).resolve().parent.parent / "demos/specs/golden_mean.json"
         result = _run_in_a_gigabyte("sample", str(spec), "--count", str(10 ** 9),
                                     "--steps", "100", "--seed", "1")

@@ -15,7 +15,7 @@ from dncap import maxent, sampler, spectrum
 from dncap.solvers import left_sum
 from conftest import (
     counted, dead_end, dyck, harmonic_dyck, permutation_fsm, permutation_fsms,
-    strongly_connected_fsms, three_way, underflowing_cycle,
+    strongly_connected_fsms, table_generators, three_way, underflowing_cycle,
 )
 from oracles import LN_GOLDEN
 
@@ -184,6 +184,17 @@ class TestSamplePaths:
         with pytest.raises(OverflowError, match="^a sampled path's weight is past"):
             d.sample_paths(chain, 2, 5, seed=1)
 
+    def test_an_oversized_sample_is_refused_before_any_array(self):
+        # 10^8 paths of 100 labels: a 10 GB code matrix, refused up front
+        refusal = (f"^a sample of 100000000 paths x 100 steps is past the sample "
+                   f"budget of {sampler.SAMPLE_BUDGET} bytes$")
+        with pytest.raises(d.BudgetExceededError, match=refusal):
+            d.sample_paths(golden_chain(), 10 ** 8, 100, seed=1)
+        system, calls = counted(dyck())
+        with pytest.raises(d.BudgetExceededError, match=refusal):
+            d.sample_level_paths(system, 100, 10 ** 8, seed=1)
+        assert calls == [0]  # before the walk
+
     def test_rows_match_a_rewalk_of_the_transition_table(self):
         fsm = d.WeightedFsm(2, 0, (
             (0, d.Symbol("a", "1/2"), 0), (0, d.Symbol("b", "3/2"), 1),
@@ -337,6 +348,32 @@ class TestLevelSampler:
             counts[path.labels] = counts.get(path.labels, 0) + 1
         assert sorted(counts) == [("b", "b", "a"), ("b", "b", "b")]
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 7, 64, 1000])
+    @pytest.mark.parametrize("draw", [
+        lambda: d.sample_level_paths(dyck(), 520, 4, seed=23),
+        lambda: d.sample_level_paths(three_way(), 40, 300, seed=31),
+    ], ids=["dyck_520x4", "three_way_40x300"])
+    def test_any_block_of_depths_draws_the_same_sample(self, monkeypatch, draw,
+                                                       block_rows):
+        want = d.samples_tsv(draw())
+        monkeypatch.setattr(sampler, "_BLOCK_ROWS", block_rows)
+        assert d.samples_tsv(draw()) == want
+
+    def test_one_table_per_block_of_depths(self, monkeypatch):
+        # Dyck depth d holds the d // 2 + 1 balances of d's parity
+        rows = sum(depth // 2 + 1 for depth in range(100))
+        built = []  # each table's row count
+        table = sampler._table
+        monkeypatch.setattr(sampler, "_table",
+                            lambda ln_q, *rest: built.append(ln_q.shape[1]) or table(ln_q, *rest))
+        d.sample_level_paths(dyck(), 100, 3, seed=5)
+        assert sum(built) == rows
+        assert len(built) <= math.ceil(rows / sampler._BLOCK_ROWS) + 1
+        built.clear()
+        monkeypatch.setattr(sampler, "_BLOCK_ROWS", 1)
+        d.sample_level_paths(dyck(), 100, 3, seed=5)
+        assert (sum(built), len(built)) == (rows, 100)
+
     def test_weighted_system_matches_maxent_pmf(self):
         system = d.make_memoryless(d.symbols({"0": 1, "1": 2}))
         samples = d.sample_level_paths(system, 1, 4000, seed=21)
@@ -362,6 +399,25 @@ def test_level_samples_follow_the_maxent_law(alphabet, level):
     for path in d.sample_level_paths(system, level, 20, seed=level).paths:
         assert path.log_prob == pytest.approx(-path.weight * rate, rel=1e-12, abs=0)
         assert system.fsm.accepts(path.labels)
+
+
+def level_draw(system, level, seed):
+    """The level sampler's TSV, or the repr of what it raised."""
+    try:
+        return d.samples_tsv(d.sample_level_paths(system, level, 30, seed))
+    except (ValueError, d.EstimatorError) as exc:
+        return repr(exc)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(system=table_generators(), level=st.integers(1, 12),
+       block_rows=st.integers(1, 8), seed=st.integers(0, 3))
+def test_level_draws_do_not_depend_on_the_block_size(system, level, block_rows, seed):
+    want = level_draw(system, level, seed)
+    for rows in (1, block_rows):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampler, "_BLOCK_ROWS", rows)
+            assert level_draw(system, level, seed) == want
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
