@@ -133,8 +133,9 @@ def _component_root(n: int, src, weights, dst) -> tuple:
         p = perron(n, src, q, dst, *warm)
         warm = (p.right, p.left)
         slope = p.left[src] * weights * q @ p.right[dst]
-        decay = float(slope / (p.left @ p.right) / p.rho)
-        return np.array([[math.log(p.rho)], [decay], [_log(p.lo)], [math.log(p.hi)]])
+        decay = float(slope / (p.left @ p.right) / p.hi)
+        log_hi = math.log(p.hi)
+        return np.array([[log_hi], [decay], [_log(p.lo)], [log_hi]])
 
     [root] = newton_root(solve, 1)
     return root
@@ -157,8 +158,6 @@ class ConvergenceProbe:
     """
 
     delta: float
-    s_above: float
-    s_below: float
     sum_above: float
     sum_below: float
     converges_above: bool
@@ -189,8 +188,8 @@ def _probe(spectrum: WeightSpectrum, value: float) -> ConvergenceProbe:
         for cur, nxt in zip(tail_below, tail_below[1:])
     ) and tail_below[-1] > tail_below[0]
     diverges_below = sum_below >= DIVERGENCE_THRESHOLD or growing
-    return ConvergenceProbe(PROBE_DELTA, s_above, s_below, sum_above, sum_below,
-                            converges_above, diverges_below)
+    return ConvergenceProbe(PROBE_DELTA, sum_above, sum_below, converges_above,
+                            diverges_below)
 
 
 def abscissa_estimate(

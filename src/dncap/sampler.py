@@ -1,10 +1,6 @@
-"""Maxentropic sampling: stationary chains for FSMs, level samplers otherwise.
-
-For a regular channel the capacity-achieving source is an explicit Markov
-chain (Parry 1964): scale each transition by e^{-w s*} and tilt by the Perron
-right eigenvector v of M(s*); with u the left one, its stationary law is u o v.
-Non-regular channels are sampled exactly from the depth-l maxent distribution
-via subtree partition sums, with no optimality claim beyond the solved level.
+"""Maxentropic sampling: the capacity-achieving Markov chain of an FSM
+(Parry 1964), and for other channels exact draws from the depth-l maxent
+distribution, with no optimality claim beyond the solved level.
 """
 
 import functools
@@ -32,8 +28,9 @@ class MaxentChain:
 
     ``transition_probs[i]`` lists (symbol, next state, probability) with
     probability (b_j / b_i) e^{-w s*}, where b is the Perron right
-    eigenvector of M(s*) normalized so the start entry is 1.  Rows sum to
-    one and the stationary entropy rate per unit weight reproduces s*.
+    eigenvector of M(s*) normalized so the start entry is 1, and
+    ``stationary`` is u o b / u^T b, u the left one.  Rows sum to one and
+    the stationary entropy rate per unit weight reproduces s*.
     """
 
     fsm: WeightedFsm
@@ -55,10 +52,13 @@ class MaxentChain:
 
 
 def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
-    """Build the stationary maxentropic chain of an FSM at its capacity.
+    """The maxentropic chain of ``fsm`` at s* = ``fsm_capacity(fsm).value``.
 
-    s* is ``fsm_capacity(fsm).value``; one ``perron`` call on the transition
-    list of M(s*) gives v for the tilt and u o v for the stationary law.
+    Raises ``InvalidSystemError`` unless the FSM is strongly connected, and
+    ``EstimatorError`` if a state's probabilities sum further than
+    ``_ROW_SUM_TOL`` from one or the entropy rate lies further than
+    ``_RATE_CHECK_TOL`` from s*.  ``outgoing`` keeps ``edges`` order within
+    each state, so a stable sort by source lines the probabilities up with it.
     """
     if not fsm.is_strongly_connected():
         raise InvalidSystemError(
@@ -113,7 +113,6 @@ class SampleSet:
     labels: np.ndarray
     weight: np.ndarray
     log_prob: np.ndarray
-    seed: int
 
     def __post_init__(self):
         for array in (self.labels, self.weight, self.log_prob):
@@ -130,11 +129,10 @@ class SampleSet:
 
 
 def _padded(lengths, *columns):
-    """Flat per-branch columns as zero-padded (branch x row) arrays, after
-    the mask of real branches.
-
-    Each column is filled through its transposed view, so the flat entries
-    keep their row order."""
+    """The mask of real branches, then each flat column as a zero-padded
+    (branch x row) array, row r holding ``lengths[r]`` branches.  Columns are
+    filled through the transposed view, so the flat entries keep their row
+    order."""
     lengths = np.asarray(lengths, dtype=np.intp)
     valid = np.arange(lengths.max(initial=0))[:, None] < lengths
     padded = [valid]
@@ -146,14 +144,15 @@ def _padded(lengths, *columns):
 
 def _table(ln_q, valid, child, weight, label, ln_total=None):
     """One step's table from (branch x row) arrays; ``valid`` marks real
-    branches, and ln q elsewhere is ignored.  ``ln_total`` is each row's
-    ln sum q when the caller already has it, reduced here otherwise.
+    branches, and ln q elsewhere is ignored.  ``ln_total``, each row's
+    ln sum q, is reduced here when the caller does not have it.
 
     Returns the (branch x row) cumulative p and the flat child,
     ln p = ln q - ln sum q, weight and label arrays, read at
     ``branch * rows + row``.  A branch with q = 0, or any branch of a row
     with none, has ln p = -inf.  A row's last branch with q > 0 and every
-    cumulative entry after it are inf, so no draw falls past it."""
+    cumulative entry after it are inf: no draw falls past it, and the last
+    branch's row is all inf."""
     ln_q = np.where(valid, ln_q, -np.inf)
     live = ln_q > -np.inf
     if ln_total is None:
@@ -168,15 +167,13 @@ def _table(ln_q, valid, child, weight, label, ln_total=None):
 
 @np.errstate(over="ignore")  # an inf weight raises once, after the last step
 def _lock_step(tables, names, start: int, count: int, steps: int, seed: int):
-    """Advance ``count`` paths at once, one table per step: path i takes the
-    first branch whose cumulative p reaches the step's i-th uniform draw.
+    """Advance ``count`` paths from row ``start``, one table per step, with
+    uniform draws fixed by ``seed``: path i takes the first branch whose
+    cumulative p reaches the step's i-th draw.
 
-    A path's branch is the number of its row's cumulative entries below its
-    draw, one 1-D gather per branch but the last, whose entry is always inf;
-    label, weight, ln p and child are then gathered at ``branch * rows +
-    row``.  Returns a ``SampleSet`` of the (path x step) codes into ``names``
-    of the labels drawn and each path's weight and log probability; a weight
-    past the float range raises ``OverflowError``."""
+    Returns a ``SampleSet`` of the (path x step) codes into ``names`` of the
+    labels drawn and each path's weight and log probability; a weight past
+    the float range raises ``OverflowError``."""
     rng = np.random.default_rng(seed)
     state = np.full(count, start)
     labels = np.empty((count, steps), dtype=np.min_scalar_type(len(names)))
@@ -193,16 +190,13 @@ def _lock_step(tables, names, start: int, count: int, steps: int, seed: int):
         state = child.take(at)
     if np.isinf(weight).any():
         raise OverflowError("a sampled path's weight is past the float range")
-    return SampleSet(tuple(names), labels, weight, log_prob, seed)
+    return SampleSet(tuple(names), labels, weight, log_prob)
 
 
 def _check_accepted(fsm: WeightedFsm, names, labels) -> None:
     """Raise ``EstimatorError`` naming the first row of label codes into
-    ``names`` that ``fsm`` does not accept.
-
-    Every row walks at once through a flat (state x label code) next-state
-    table built from ``fsm.transitions``, one column per step.  A missing
-    edge is -1, which indexes an extra all -1 row, so a rejected row stays
+    ``names`` that ``fsm``'s transitions do not accept.  A missing edge is
+    -1, which indexes an extra all -1 row, so a rejected row stays
     rejected."""
     code = {name: i for i, name in enumerate(names)}
     width = len(names)
@@ -231,14 +225,13 @@ def _check_sample_size(count: int, steps: int) -> None:
 
 
 def sample_paths(chain: MaxentChain, count: int, steps: int, seed: int) -> SampleSet:
-    """Draw ``count`` label sequences of ``steps`` transitions each.
+    """Draw ``count`` label sequences of ``steps`` transitions each from the
+    chain's start state, fixed by ``seed``.
 
-    Deterministic given ``seed``.  The chain's rows become one table that
-    every step reuses.  All sampled sequences are then re-walked together
-    through a next-state table built from the FSM's transitions, not from
-    the rows, and the first one it rejects raises ``EstimatorError``; the
-    per-path log probability and total weight are recorded exactly as
-    generated.
+    Raises ``ValueError`` if either is below 1, ``BudgetExceededError``
+    past ``SAMPLE_BUDGET`` before anything is allocated, ``EstimatorError``
+    for the first sequence that the FSM's transitions (not the chain's rows)
+    reject, and ``OverflowError`` for a path weight past the float range.
     """
     if count < 1 or steps < 1:
         raise ValueError("count and steps must be >= 1")
@@ -272,23 +265,22 @@ _BLOCK_ROWS = 1 << 12  # handle rows in one level-sampler table; larger blocks r
 def sample_level_paths(
     system: BranchSystem, level: int, count: int, seed: int
 ) -> SampleSet:
-    """Exact maxent sampling at one depth for systems without a chain.
+    """Draw ``count`` paths of ``level`` symbols, fixed by ``seed``, exactly
+    from the maxent law q(x) = e^{-w(x) R_l} on the paths of depth ``level``.
 
-    Branch probabilities are proportional to e^{-w R_l} times the subtree
-    partition sum of the child at the remaining depth, which reproduces
-    q(x) = e^{-w(x) R_l} exactly.  One frontier walk gives R_l, each depth's
-    handles (as the integer ids keying its groups) and, in its memo by id,
-    each handle's branches, laid out once as (branch x handle id) arrays.
-    Log subtree sums are filled in from the deepest level up in one buffer
-    by handle id, since a depth's children are exactly the next depth's
-    handles; each depth's are kept, and the root's must be 0: R_l solves
-    the same sum over the whole support.  The draws then build one table per
-    block of consecutive depths, at most ``_BLOCK_ROWS`` handle rows whose
-    row totals are their ln Z; each depth's handle ids are sorted, so one
-    ``np.searchsorted`` on the keys depth * len(memo) + id gives every child
-    its row.  A sample past ``SAMPLE_BUDGET`` is refused before the walk,
-    the walk is capped at ``spectrum.LEVEL_BUDGET`` expansions, and a level
-    past the end of a finite tree raises ``ValueError``.
+    A branch is taken with probability e^{-w R_l} Z(child) / Z(parent), Z
+    the subtree partition sum to depth ``level``.  The root's ln Z must be
+    0, since R_l solves the same sum, or ``EstimatorError`` is raised.  A
+    count below 1 and a level below 1 or past the end of a finite tree raise
+    ``ValueError``, and a path weight past the float range ``OverflowError``;
+    a sample past ``SAMPLE_BUDGET`` is refused before the walk, which is
+    capped at ``spectrum.LEVEL_BUDGET`` expansions.
+
+    A depth's children are exactly the next depth's handles, so one buffer
+    by handle id holds ln Z from the deepest depth up.  The draw tables span
+    blocks of consecutive depths of at most ``_BLOCK_ROWS`` handle rows;
+    each depth's handle ids are sorted, so one ``np.searchsorted`` on the
+    keys depth * len(memo) + id maps each child to its row.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -352,11 +344,10 @@ _WRITE_SYMBOLS = 1 << 14  # labels looked up at once; larger blocks raise peak R
 
 
 def samples_tsv(samples: SampleSet) -> str:
-    """One path per line: concatenated labels, weight, log probability.
-
-    Written from the arrays, about ``_WRITE_SYMBOLS`` labels at a time.
-    Labels of one length without NUL (which numpy strings drop) map through
-    a fixed-width lookup, each row viewed as one string; others are joined."""
+    """A header line, then one path per line: its labels concatenated, its
+    weight and its log probability, both as %.17g.  Labels of one length
+    without NUL, which numpy strings drop, go through a fixed-width lookup;
+    others are joined."""
     names, labels, steps = samples.names, samples.labels, samples.steps
     width = len(names[0]) if names else 0
     fixed = {len(x) for x in names} == {width} and "\0" not in "".join(names)

@@ -129,11 +129,10 @@ def partition_root(problems) -> list[tuple]:
 
 @dataclass(frozen=True)
 class Perron:
-    """Perron root with Collatz-Wielandt (CW) bounds lo <= rho <= hi (min and
-    max of (M x)_i / x_i over positive iterates x), and the positive right
-    and left vectors.  ``rho`` is the final ``hi``."""
+    """Collatz-Wielandt (CW) bounds lo <= rho <= hi on the Perron root (min
+    and max of (M x)_i / x_i over positive iterates x), and the positive
+    right and left vectors.  ``hi`` is the root's estimate."""
 
-    rho: float
     lo: float
     hi: float
     right: np.ndarray
@@ -169,7 +168,7 @@ def perron(
             found = _noda(matrix if rows is src else matrix.T, x)
         sides.append(found)
     (lo, hi, right), (_, _, left) = sides
-    return Perron(hi, lo, hi, right, left)
+    return Perron(lo, hi, right, left)
 
 
 def dense(n: int, src, q, dst) -> np.ndarray:

@@ -439,8 +439,7 @@ def _reference_probe(spectrum, value: float) -> ConvergenceProbe:
     ) and tail_below[-1] > tail_below[0]
     diverges_below = sums_below[-1] >= DIVERGENCE_THRESHOLD or growing
     return ConvergenceProbe(
-        PROBE_DELTA, s_above, s_below, sums_above[-1], sums_below[-1],
-        converges_above, diverges_below,
+        PROBE_DELTA, sums_above[-1], sums_below[-1], converges_above, diverges_below,
     )
 
 

@@ -147,7 +147,7 @@ class TestPerron:
     def test_known_perron_root(self, matrix, rho):
         result = perron_of(matrix)
         assert result.lo <= rho <= result.hi
-        assert abs(result.rho - rho) < 1e-12
+        assert abs(result.hi - rho) < 1e-12
         assert (result.right > 0).all() and (result.left > 0).all()
 
     def test_rejects_negative_entries(self):
@@ -176,7 +176,7 @@ class TestPerron:
         rho = math.exp(np.log(q).mean())
         assert builds == [1]
         assert result.lo * (1 - 1e-14) <= rho <= result.hi * (1 + 1e-14)
-        assert abs(result.rho - rho) < 1e-12 * rho
+        assert abs(result.hi - rho) < 1e-12 * rho
         assert (result.right > 0).all() and (result.left > 0).all()
 
 
@@ -240,7 +240,7 @@ class TestFsmCapacity:
         fsm = d.make_rll(1, 3)
         estimate = d.fsm_capacity(fsm)
         samples = np.linspace(0.0, estimate.bracket[1] + 0.5, 10)
-        radii = [perron_of(transition_matrix(fsm, s)).rho for s in samples]
+        radii = [perron_of(transition_matrix(fsm, s)).hi for s in samples]
         assert all(a > b for a, b in zip(radii, radii[1:]))
 
     def test_bisection_certificate(self):
@@ -398,6 +398,16 @@ def test_theorem_one_gap_closes_with_truncation(name):
     # shrinks monotonically, up to a 0.01 noise window
     assert gaps[2] <= gaps[1] + 0.01
     assert gaps[1] <= gaps[0] + 0.01
+
+
+@pytest.mark.parametrize("method, value, message", [
+    ("bogus", 0.5, "unknown method tag: 'bogus'"),
+    ("abscissa", 2.0, "value 2.0 outside bracket [0.0, 1.0]"),
+], ids=["tag", "bracket"])
+def test_capacity_estimate_checks_its_fields(method, value, message):
+    with pytest.raises(ValueError) as caught:
+        d.CapacityEstimate(value, method, (0.0, 1.0), 0.0, 0)
+    assert str(caught.value) == message
 
 
 class TestCombinatorialCapacity:

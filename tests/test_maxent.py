@@ -84,6 +84,10 @@ class TestSolveLevelRate:
         with pytest.raises(d.BudgetExceededError):
             d.solve_level_rate(dyck(), 30)
 
+    def test_level_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="^level must be >= 1$"):
+            d.enumerate_level_paths(dyck(), 0)
+
     def test_budget_counts_every_expansion(self, monkeypatch):
         # 210 branches reach level 20 of the Dyck walk, counted per frontier
         # entry even where the handle's expansion is remembered
@@ -235,6 +239,12 @@ class TestRateEstimate:
         assert len(levels) == 24
         assert len(levels) == sum(fits(level) for level in range(1, 31))
         assert estimate.value > 0
+
+    def test_no_level_within_the_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "LEVEL_BUDGET", 0)
+        with pytest.raises(d.BudgetExceededError,
+                           match="^no level fit within the enumeration budget$"):
+            d.maxent_rate_estimate(dyck(), 5)
 
     @pytest.mark.parametrize("factory", [dyck, mem_rational, golden_mean_system])
     def test_levels_before_a_budget_cut_are_solved_as_alone(self, factory, monkeypatch):

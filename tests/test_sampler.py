@@ -114,6 +114,12 @@ class TestMaxentChain:
         chain = d.maxent_chain(fsm)
         assert abs(chain.analytic_entropy_rate() - estimate.value) <= 1e-6
 
+    def test_rate_off_the_capacity_raises(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_RATE_CHECK_TOL", -1.0)
+        with pytest.raises(d.EstimatorError,
+                           match=r"^chain entropy rate \S+ disagrees with capacity \S+$"):
+            d.maxent_chain(d.make_golden_mean())
+
     def test_probabilities_are_the_tilt_to_the_last_bit(self):
         fsm = permutation_fsm(np.random.default_rng(5), 40, "abc")
         chain = d.maxent_chain(fsm)
@@ -282,6 +288,10 @@ class TestLevelSampler:
         # 20 equally likely paths, 2000 draws: each count near 100
         assert min(counts.values()) > 50
         assert max(counts.values()) < 170
+
+    def test_count_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="^count must be >= 1$"):
+            d.sample_level_paths(dyck(), 5, 0, 1)
 
     def test_reproducible(self):
         first = d.samples_tsv(d.sample_level_paths(dyck(), 5, 40, seed=2))
@@ -582,13 +592,13 @@ def test_one_step_one_path_and_blocked_samples_match_the_joined_tsv(
     assert samples.paths is samples.paths  # decoded once
 
 
-EMPTY = d.SampleSet((), np.empty((0, 0), dtype=np.intp), np.empty(0), np.empty(0), seed=0)
+EMPTY = d.SampleSet((), np.empty((0, 0), dtype=np.intp), np.empty(0), np.empty(0))
 
 
 def test_hand_built_sample_set_writes_its_paths():
     header = "# labels\tweight\tlog_prob\n"
     samples = d.SampleSet(("ab", "c"), np.array([[0, 1], [1, 1]]),
-                          np.array([3.0, 2.0]), np.array([-1.5, -0.25]), seed=4)
+                          np.array([3.0, 2.0]), np.array([-1.5, -0.25]))
     assert samples.steps == 2 and not samples.labels.flags.writeable
     assert samples.paths == (d.SamplePath(("ab", "c"), 3.0, -1.5),
                              d.SamplePath(("c", "c"), 2.0, -0.25))

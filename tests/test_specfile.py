@@ -81,6 +81,34 @@ def test_type_errors_name_the_json_type(doc, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "memoryless", "symbols": ["a"]},
+     "spec.symbols[0]: symbol entries must be objects"),
+    ([1], "spec document must be a JSON object"),
+    ({"kind": "pda"},
+     "spec.kind: unknown kind 'pda', want one of ('memoryless', 'fsm', 'builtin')"),
+    ({"kind": "builtin", "name": "motzkin"},
+     "spec.name: unknown builtin 'motzkin', want one of ('dyck_prefix', 'rll')"),
+    ({"kind": "builtin", "name": "rll", "d": 3, "k": 1},
+     "spec: need 0 <= d < k, got d=3, k=1"),
+], ids=["symbol_entry", "not_an_object", "kind", "builtin", "rll_bounds"])
+def test_spec_errors_exit_one_with_their_message(tmp_spec, capsys, doc, message):
+    code = main(["capacity", tmp_spec(doc)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_a_missing_spec_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    code = main(["capacity", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("doc, where", [
     (fsm_doc([{"from": 0, "label": "a", "weight": "1", "to": 0},
               {"from": 0, "label": "", "weight": "1", "to": 0}], states=1),

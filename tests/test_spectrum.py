@@ -233,6 +233,10 @@ HANDLE_WALKS = {
 }
 
 
+def test_a_shared_system_expands_as_its_own():
+    assert spectrum_module.shared(dyck()).expand(0) == dyck().expand(0)
+
+
 @pytest.mark.parametrize("name", sorted(HANDLE_WALKS))
 class TestIdKeyedWalk:
     def test_support_and_expand_calls(self, name):
@@ -475,6 +479,11 @@ class TestDensityCheck:
         report = d.density_check(spectrum, L=1.0, K=1.0)
         assert report.passes
         assert report.k_of_n == tuple(n - 1 for n in range(1, 65))
+
+    def test_one_constant_alone_is_refused(self):
+        spectrum = d.weight_spectrum(mem_equal(), 8)
+        with pytest.raises(ValueError, match="^give both L and K, or neither$"):
+            d.density_check(spectrum, L=1.0)
 
     def test_rational_grid_passes_given_bound(self):
         spectrum = d.weight_spectrum(mem_rational(), 20)

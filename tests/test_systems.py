@@ -50,6 +50,15 @@ class TestSymbol:
         with pytest.raises(ValueError):
             d.Symbol("a", "one half")
 
+    @pytest.mark.parametrize("value, message", [
+        (True, "weight must be numeric, not bool"),
+        ([1], "unsupported weight type: list"),
+    ], ids=["bool", "list"])
+    def test_rejects_weight_types(self, value, message):
+        with pytest.raises(TypeError) as caught:
+            d.parse_weight(value)
+        assert str(caught.value) == message
+
 
 class TestMemoryless:
     def test_binary_level_two_support(self):
@@ -128,6 +137,8 @@ class TestRll:
             d.make_rll(3, 3)
         with pytest.raises(d.InvalidSystemError):
             d.make_rll(2, 1)
+        with pytest.raises(d.InvalidSystemError, match="^run-length bounds must be integers$"):
+            d.make_rll(1.0, 3)
 
 
 class TestWeightedFsm:

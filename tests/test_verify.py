@@ -93,6 +93,16 @@ class TestVerifyEquality:
         with pytest.raises(d.BudgetExceededError, match="weight spectrum walk"):
             d.verify_equality(dyck(), 40, 40, tol=0.06)
 
+    def test_sweep_cut_before_any_weight_reraises_its_error(self, monkeypatch):
+        # the root's branches alone pass the budget: the cut spectrum is None
+        monkeypatch.setattr(spectrum, "LEVEL_BUDGET", 0)
+        with pytest.raises(d.BudgetExceededError) as caught:
+            d.verify_equality(dyck(), 40, 40, tol=0.06)
+        assert str(caught.value) == (
+            "weight spectrum walk to w_max 40 exceeded budget of 0 expansions at weight 0.0"
+        )
+        assert caught.value.spectrum is None
+
     @pytest.mark.parametrize("factory", [golden_mean_system, mem_unequal])
     def test_regular_channels_walk_the_tree_once(self, factory):
         # only the abscissa reads the spectrum, so verify walks as often as
