@@ -21,7 +21,7 @@ def main():
     equal = d.make_memoryless(d.symbols({"0": 1, "1": 1}))
     spectrum = d.weight_spectrum(equal, 30)
     print("  counts at weight 1..6:", spectrum.counts[:6])
-    empirical, _ = d.empirical_capacity(spectrum)
+    empirical = d.empirical_capacity(spectrum)
     show("empirical (counts)", empirical)
     show("characteristic root", d.characteristic_root(equal.alphabet))
     cprob, _ = d.maxent_rate_estimate(equal, 10)
@@ -33,7 +33,7 @@ def main():
     unequal = d.make_memoryless(d.symbols({"0": 1, "1": 2}))
     spectrum = d.weight_spectrum(unequal, 30)
     print("  counts at weight 1..8:", spectrum.counts[:8], "(Fibonacci)")
-    empirical, _ = d.empirical_capacity(spectrum)
+    empirical = d.empirical_capacity(spectrum)
     show("empirical (counts)", empirical)
     root = d.characteristic_root(unequal.alphabet)
     show("characteristic root", root)

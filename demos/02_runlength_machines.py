@@ -48,7 +48,7 @@ def main():
     for dd, kk in ((1, 2), (1, 3)):
         fsm = d.make_rll(dd, kk)
         spectral = d.fsm_capacity(fsm)
-        empirical, _ = d.empirical_capacity(
+        empirical = d.empirical_capacity(
             d.weight_spectrum(d.fsm_to_branch_system(fsm), 60)
         )
         print(f"  rll({dd},{kk}): spectral {spectral.value:.6f} vs "

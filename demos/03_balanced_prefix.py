@@ -10,6 +10,7 @@ per-level entropy optima climb along the very same trajectory.
 import math
 
 import dncap as d
+from dncap.capacity import PROBE_DELTA
 
 
 def main():
@@ -19,12 +20,12 @@ def main():
     print(" ", spectrum.counts[:10], "...")
     assert spectrum.counts[11] == math.comb(12, 6) == 924
 
-    estimate, probe = d.abscissa_estimate(spectrum)
-    print(f"abscissa estimate from counts to 40: {estimate.value:.9f}")
-    print(f"  series at estimate + {probe.delta}: settles near "
-          f"{probe.sum_above:.4f}")
-    print(f"  series at estimate - {probe.delta}: already at "
-          f"{probe.sum_below:.4g} and climbing")
+    estimate = d.abscissa_estimate(spectrum).value
+    print(f"abscissa estimate from counts to 40: {estimate:.9f}")
+    print(f"  series at estimate + {PROBE_DELTA}: settles near "
+          f"{d.gf_eval(spectrum, estimate + PROBE_DELTA):.4f}")
+    print(f"  series at estimate - {PROBE_DELTA}: already at "
+          f"{d.gf_eval(spectrum, estimate - PROBE_DELTA):.4g} and climbing")
     print(f"  ln 2 = {math.log(2):.9f} (the true limit; the gap closes "
           f"like ln(w)/w)")
 

@@ -56,7 +56,7 @@ def main():
     print(f"  every count is 1, yet {len(dense)} distinct weights below 25")
     print(f"  fitted growth exponent {report.fitted_K:.1f} -> passes = "
           f"{report.passes}")
-    empirical, _ = d.empirical_capacity(dense)
+    empirical = d.empirical_capacity(dense)
     print(f"  count-based capacity would claim {empirical.value:.3f} nats,")
     print("  which is why the abscissa estimator refuses such spectra:")
     try:

@@ -9,7 +9,6 @@ two capacity notions coincide.
 """
 
 from .capacity import (
-    ConvergenceProbe,
     abscissa_estimate,
     characteristic_root,
     fsm_capacity,
@@ -72,7 +71,6 @@ __all__ = [
     "BranchSystem",
     "BudgetExceededError",
     "CapacityEstimate",
-    "ConvergenceProbe",
     "DensityReport",
     "EstimatorError",
     "InvalidSystemError",

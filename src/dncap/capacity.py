@@ -12,7 +12,7 @@ a truncated-series estimate with convergence probes for everything else.
 import cmath
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,7 +25,7 @@ from .estimates import (
     SPECTRAL_RADIUS,
     CapacityEstimate,
 )
-from .solvers import left_sum, newton_root, partition_root, perron
+from .solvers import newton_root, partition_root, perron
 from .spectrum import (
     DENSITY_POLY_CAP,
     WeightSpectrum,
@@ -38,15 +38,16 @@ from .systems import BranchSystem, Symbol, WeightedFsm
 
 DIVERGENCE_THRESHOLD = 1e6
 PROBE_DELTA = 0.1
-_EXP_OVERFLOW = 700.0
 _RATIO_SLACK = 1e-12
 
 
 def _term(log_count: float, weight: float, s) -> complex | float:
-    """One series term N e^{-w s} from ln N, safe against overflow."""
+    """One series term N e^{-w s} from ln N, of magnitude inf past the float range."""
     sigma = s.real if isinstance(s, complex) else float(s)
-    exponent = log_count - weight * sigma
-    magnitude = math.inf if exponent > _EXP_OVERFLOW else math.exp(exponent)
+    try:
+        magnitude = math.exp(log_count - weight * sigma)
+    except OverflowError:
+        magnitude = math.inf
     if isinstance(s, complex):
         return magnitude * cmath.exp(complex(0.0, -weight * s.imag))
     return magnitude
@@ -145,56 +146,32 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
-@dataclass(frozen=True)
-class ConvergenceProbe:
-    """Partial-sum behavior of the generating function around an estimate.
+def _probe(spectrum: WeightSpectrum, value: float) -> tuple[bool, bool]:
+    """(converges_above, diverges_below) of the series at value +/- ``PROBE_DELTA``.
 
-    Above the estimate (s = value + delta) the partial sums must settle:
-    increments shrink over the trailing window and the total stays finite.
-    Below (s = value - delta) they must blow up: either the total clears the
-    divergence threshold or the increments keep growing.  Finite truncations
-    cannot reach a literal infinity, hence the two-pronged divergence test.
-    ``sum_above`` and ``sum_below`` are the totals, summed in weight order.
+    Above, the terms must shrink over the trailing window and the total stay
+    under the divergence threshold.  Below, the total must clear it or the
+    window's terms keep growing: finite truncations cannot reach a literal
+    infinity, hence the two-pronged divergence test.
     """
-
-    delta: float
-    sum_above: float
-    sum_below: float
-    converges_above: bool
-    diverges_below: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.converges_above and self.diverges_below
-
-
-def _probe(spectrum: WeightSpectrum, value: float) -> ConvergenceProbe:
-    s_above = value + PROBE_DELTA
-    s_below = value - PROBE_DELTA
-    pairs = tuple(zip(spectrum.float_weights, spectrum.log_counts))
-    terms_above = [_term(log, w, s_above) for w, log in pairs]
-    terms_below = [_term(log, w, s_below) for w, log in pairs]
-    sum_above, sum_below = left_sum(terms_above), left_sum(terms_below)
+    s_above, s_below = value + PROBE_DELTA, value - PROBE_DELTA
     window = max(2, tail_window(len(spectrum)))
-    tail_above = terms_above[-window:]
-    tail_below = terms_below[-window:]
+    tail = tuple(zip(spectrum.float_weights[-window:], spectrum.log_counts[-window:]))
+    tail_above = [_term(log, w, s_above) for w, log in tail]
+    tail_below = [_term(log, w, s_below) for w, log in tail]
     shrinking = all(
         nxt <= cur * (1.0 + _RATIO_SLACK)
         for cur, nxt in zip(tail_above, tail_above[1:])
     )
-    converges_above = shrinking and sum_above < DIVERGENCE_THRESHOLD
     growing = all(
         nxt >= cur * (1.0 - _RATIO_SLACK)
         for cur, nxt in zip(tail_below, tail_below[1:])
     ) and tail_below[-1] > tail_below[0]
-    diverges_below = sum_below >= DIVERGENCE_THRESHOLD or growing
-    return ConvergenceProbe(PROBE_DELTA, sum_above, sum_below, converges_above,
-                            diverges_below)
+    return (shrinking and gf_eval(spectrum, s_above) < DIVERGENCE_THRESHOLD,
+            growing or gf_eval(spectrum, s_below) >= DIVERGENCE_THRESHOLD)
 
 
-def abscissa_estimate(
-    spectrum: WeightSpectrum,
-) -> tuple[CapacityEstimate, ConvergenceProbe]:
+def abscissa_estimate(spectrum: WeightSpectrum) -> CapacityEstimate:
     """Estimate the abscissa of convergence from a truncated spectrum.
 
     The point estimate is the empirical trailing-window capacity; the series
@@ -210,38 +187,34 @@ def abscissa_estimate(
             f"(fitted exponent {report.fitted_K:.3g} exceeds cap "
             f"{DENSITY_POLY_CAP})"
         )
-    empirical, _ = empirical_capacity(spectrum)
-    probe = _probe(spectrum, empirical.value)
-    if not probe.consistent:
+    empirical = empirical_capacity(spectrum)
+    converges_above, diverges_below = _probe(spectrum, empirical.value)
+    if not (converges_above and diverges_below):
         raise EstimatorError(
             "convergence probe contradicts the abscissa estimate "
-            f"{empirical.value:.6g}: converges_above={probe.converges_above}, "
-            f"diverges_below={probe.diverges_below}"
+            f"{empirical.value:.6g}: converges_above={converges_above}, "
+            f"diverges_below={diverges_below}"
         )
-    return replace(empirical, method=ABSCISSA), probe
+    return replace(empirical, method=ABSCISSA)
 
 
 def combinatorial_capacity(
     system: BranchSystem, w_max, method: str = "auto"
 ) -> CapacityEstimate:
-    """Combinatorial capacity by the root, spectral or abscissa method.
+    """Combinatorial capacity by the auto, spectral or abscissa method.
 
-    ``auto`` picks the root for memoryless alphabets, the spectral radius for
-    FSMs and the abscissa otherwise.  Only the abscissa walks the spectrum to
-    ``w_max``; the other two methods ignore it.
+    ``auto`` takes the characteristic root of a memoryless alphabet, the
+    spectral radius of an FSM and the abscissa otherwise.  Only the abscissa
+    walks the spectrum to ``w_max``; the other methods ignore it.
     """
     if method == "auto":
-        method = ("root" if system.alphabet is not None
-                  else "spectral" if system.fsm is not None else "abscissa")
-    if method == "root":
         if system.alphabet is not None:
             return characteristic_root(system.alphabet)
-        raise InvalidSystemError("root method requires a memoryless system")
+        method = "spectral" if system.fsm is not None else "abscissa"
     if method == "spectral":
         if system.fsm is not None:
             return fsm_capacity(system.fsm)
         raise InvalidSystemError("spectral method requires an FSM-backed system")
     if method == "abscissa":
-        estimate, _ = abscissa_estimate(weight_spectrum(system, w_max))
-        return estimate
+        return abscissa_estimate(weight_spectrum(system, w_max))
     raise ValueError(f"unknown capacity method: {method!r}")

@@ -46,7 +46,7 @@ def _cmd_enumerate(args) -> int:
     system, _ = load_system(args.spec)
     spectrum = weight_spectrum(system, args.wmax)
     # both summaries can fail; compute them before writing anything
-    estimate, _ = empirical_capacity(spectrum)
+    estimate = empirical_capacity(spectrum)
     report = density_check(spectrum)
     _write_out(spectrum_tsv(spectrum), args.out)
     print(f"# empirical capacity: {estimate.value:.17g} nats/weight")
@@ -109,11 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="capacity estimate as JSON")
     p.add_argument("spec")
-    p.add_argument(
-        "--method",
-        choices=("auto", "root", "spectral", "abscissa"),
-        default="auto",
-    )
+    p.add_argument("--method", choices=("auto", "spectral", "abscissa"), default="auto")
     p.add_argument("--wmax", default="40", help="spectrum bound for abscissa")
     p.set_defaults(func=_cmd_capacity)
 

@@ -46,6 +46,8 @@ class WeightSpectrum:
                 raise ValueError("zero-count weights must be omitted")
             if previous is not None and weight <= previous:
                 raise ValueError("weights must be strictly increasing")
+            if weight > w_max:
+                raise ValueError(f"weight {weight} exceeds w_max {w_max}")
             previous = weight
         scale = math.lcm(*(w.denominator for w, _ in entries))
         self._set([w.numerator * (scale // w.denominator) for w, _ in entries],
@@ -314,23 +316,19 @@ def tail_estimate(values) -> CapacityEstimate:
     )
 
 
-def empirical_capacity(
-    spectrum: WeightSpectrum,
-) -> tuple[CapacityEstimate, tuple[tuple[float, float], ...]]:
-    """Capacity from raw counts: the limsup proxy max of trailing c_k values.
+def empirical_capacity(spectrum: WeightSpectrum) -> CapacityEstimate:
+    """Capacity from raw counts: the limsup proxy max of the trailing values
+    of c_k = ln N(w_k) / w_k.
 
-    Returns the estimate together with the full (w_k, c_k) sequence of
-    per-weight growth exponents c_k = ln N(w_k) / w_k.  The trailing-window
-    max is the least biased finite-sample stand-in for a limsup that is
-    approached from below; it is exact for sequences that are eventually
-    monotone.
+    The trailing-window max is the least biased finite-sample stand-in for a
+    limsup that is approached from below; it is exact for sequences that are
+    eventually monotone.
     """
     if len(spectrum) < 2:
         raise ValueError("empirical capacity needs a spectrum with >= 2 entries")
-    sequence = tuple(
-        (w, log / w) for w, log in zip(spectrum.float_weights, spectrum.log_counts)
+    return tail_estimate(
+        [log / w for w, log in zip(spectrum.float_weights, spectrum.log_counts)]
     )
-    return tail_estimate([c for _, c in sequence]), sequence
 
 
 def decimal(count: int) -> str:

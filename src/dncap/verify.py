@@ -71,7 +71,7 @@ def verify_equality(
         if exc.spectrum is None:
             raise
         try:
-            (c_comb, _), cut = abscissa_estimate(exc.spectrum), True
+            c_comb, cut = abscissa_estimate(exc.spectrum), True
         except (EstimatorError, ValueError):
             raise exc from None
     c_prob, levels = maxent_rate_estimate(walked, l_max)

@@ -20,13 +20,7 @@ from itertools import accumulate, islice, product
 
 import numpy as np
 
-from dncap.capacity import (
-    _EXP_OVERFLOW,
-    _RATIO_SLACK,
-    DIVERGENCE_THRESHOLD,
-    PROBE_DELTA,
-    ConvergenceProbe,
-)
+from dncap.capacity import _RATIO_SLACK, DIVERGENCE_THRESHOLD, PROBE_DELTA
 from dncap.errors import (
     BudgetExceededError,
     EstimatorError,
@@ -378,10 +372,7 @@ def _reference_power(n: int, k: float) -> float:
 def reference_empirical_capacity(spectrum):
     if len(spectrum) < 2:
         raise ValueError("empirical capacity needs a spectrum with >= 2 entries")
-    sequence = tuple(
-        (float(w), math.log(c) / float(w)) for w, c in spectrum.entries
-    )
-    return tail_estimate([c for _, c in sequence]), sequence
+    return tail_estimate([math.log(c) / float(w) for w, c in spectrum.entries])
 
 
 def reference_spectrum_tsv(spectrum) -> str:
@@ -396,8 +387,10 @@ def reference_spectrum_tsv(spectrum) -> str:
 
 def _reference_term(count: int, weight: float, s):
     sigma = s.real if isinstance(s, complex) else float(s)
-    exponent = math.log(count) - weight * sigma
-    magnitude = math.inf if exponent > _EXP_OVERFLOW else math.exp(exponent)
+    try:
+        magnitude = math.exp(math.log(count) - weight * sigma)
+    except OverflowError:
+        magnitude = math.inf
     if isinstance(s, complex):
         return magnitude * cmath.exp(complex(0.0, -weight * s.imag))
     return magnitude
@@ -418,7 +411,7 @@ def reference_gf_eval(spectrum, s, w_truncate=None):
     return total
 
 
-def _reference_probe(spectrum, value: float) -> ConvergenceProbe:
+def _reference_probe(spectrum, value: float) -> tuple[bool, bool]:
     s_above = value + PROBE_DELTA
     s_below = value - PROBE_DELTA
     terms_above = [_reference_term(c, float(w), s_above) for w, c in spectrum.entries]
@@ -438,9 +431,7 @@ def _reference_probe(spectrum, value: float) -> ConvergenceProbe:
         for cur, nxt in zip(tail_below, tail_below[1:])
     ) and tail_below[-1] > tail_below[0]
     diverges_below = sums_below[-1] >= DIVERGENCE_THRESHOLD or growing
-    return ConvergenceProbe(
-        PROBE_DELTA, sums_above[-1], sums_below[-1], converges_above, diverges_below,
-    )
+    return converges_above, diverges_below
 
 
 def reference_abscissa_estimate(spectrum):
@@ -452,15 +443,15 @@ def reference_abscissa_estimate(spectrum):
             f"(fitted exponent {report.fitted_K:.3g} exceeds cap "
             f"{DENSITY_POLY_CAP})"
         )
-    empirical, _ = reference_empirical_capacity(spectrum)
-    probe = _reference_probe(spectrum, empirical.value)
-    if not probe.consistent:
+    empirical = reference_empirical_capacity(spectrum)
+    converges_above, diverges_below = _reference_probe(spectrum, empirical.value)
+    if not (converges_above and diverges_below):
         raise EstimatorError(
             "convergence probe contradicts the abscissa estimate "
-            f"{empirical.value:.6g}: converges_above={probe.converges_above}, "
-            f"diverges_below={probe.diverges_below}"
+            f"{empirical.value:.6g}: converges_above={converges_above}, "
+            f"diverges_below={diverges_below}"
         )
-    return replace(empirical, method=ABSCISSA), probe
+    return replace(empirical, method=ABSCISSA)
 
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0

@@ -83,7 +83,7 @@ def test_criterion_3_theorem_one_at_desk_scale():
             root = d.fsm_capacity(system.fsm).value
         gaps = {}
         for w_max in (10, 40):
-            estimate, _ = d.abscissa_estimate(d.weight_spectrum(system, w_max))
+            estimate = d.abscissa_estimate(d.weight_spectrum(system, w_max))
             gaps[w_max] = abs(estimate.value - root)
         assert gaps[40] <= 0.08, name
         assert gaps[40] <= gaps[10] + 1e-12, name
@@ -93,8 +93,8 @@ def test_criterion_3_theorem_one_at_desk_scale():
 def test_criterion_4_dyck_equality():
     report = d.verify_equality(dyck(), 40, 40, tol=0.06)
     assert report.verdict == "PASS"
-    _, pairs = d.empirical_capacity(d.weight_spectrum(dyck(), 40))
-    growth = [c for _, c in pairs]
+    spectrum = d.weight_spectrum(dyck(), 40)
+    growth = [log / w for w, log in zip(spectrum.float_weights, spectrum.log_counts)]
     rates = [sol.rate for sol in report.levels]
     for sequence in (growth, rates):
         assert all(b >= a - 0.01 for a, b in zip(sequence, sequence[1:]))

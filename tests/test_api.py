@@ -31,6 +31,16 @@ def test_test_only_exports_are_gone():
         assert not hasattr(d, name)
 
 
+def test_capacity_estimators_return_one_estimate():
+    # the probe's totals are gf_eval's and its verdicts hold once it returns
+    for module in (d, capacity):
+        assert not hasattr(module, "ConvergenceProbe")
+    assert not hasattr(capacity, "_EXP_OVERFLOW")
+    spectrum = d.weight_spectrum(dyck(), 40)
+    for estimator in (d.abscissa_estimate, d.empirical_capacity):
+        assert isinstance(estimator(spectrum), d.CapacityEstimate)
+
+
 def test_graph_wrappers_are_gone():
     # an FSM's edges and components are read from the FSM itself
     assert "transition_matrix" not in d.__all__

@@ -80,6 +80,14 @@ class TestGfEval:
         with pytest.raises(ValueError, match="coverage"):
             d.gf_eval(spectrum, 1.0, w_truncate=11)
 
+    def test_terms_are_finite_up_to_the_end_of_the_float_range(self):
+        # e^705 is a float; only a term past e^709.78 reads inf
+        spectrum = d.WeightSpectrum(entries=((1, 1),), w_max=1)
+        assert d.gf_eval(spectrum, -705.0) == math.exp(705.0)
+        assert d.gf_eval(spectrum, complex(-705.0, 0.0)) == math.exp(705.0)
+        assert d.gf_eval(spectrum, -710.0) == math.inf
+        assert d.gf_eval(spectrum, complex(-710.0, 0.0)).real == math.inf
+
     def test_huge_counts_do_not_overflow(self):
         spectrum = d.weight_spectrum(mem_equal(), 1100)
         value = d.gf_eval(spectrum, math.log(2) + 0.01)
@@ -218,7 +226,7 @@ class TestFsmCapacity:
 
     def test_rll_1_3_cross_checks_against_spectrum(self):
         estimate = d.fsm_capacity(d.make_rll(1, 3))
-        empirical, _ = d.empirical_capacity(d.weight_spectrum(rll_system(1, 3), 60))
+        empirical = d.empirical_capacity(d.weight_spectrum(rll_system(1, 3), 60))
         assert abs(estimate.value - empirical.value) < 0.01
 
     def test_capacity_monotone_in_k(self):
@@ -339,28 +347,24 @@ class TestAbscissaEstimate:
     def test_equal_weights(self, monkeypatch):
         monkeypatch.setattr(capacity, "PROBE_DELTA", 0.1)
         spectrum = d.weight_spectrum(mem_equal(), 30)
-        estimate, probe = d.abscissa_estimate(spectrum)
+        estimate = d.abscissa_estimate(spectrum)
         assert abs(estimate.value - math.log(2)) < 1e-12
         assert estimate.method == "abscissa"
         # below the abscissa the truncated series has already blown past 100
-        assert probe.sum_below > 100
+        assert d.gf_eval(spectrum, estimate.value - 0.1) > 100
         # above it the partial sums settle near the closed-form limit
         z = 2 * math.exp(-(math.log(2) + 0.1))
         closed = z * (1 - z ** 30) / (1 - z)
-        assert abs(probe.sum_above - closed) < 1e-9
+        assert abs(d.gf_eval(spectrum, estimate.value + 0.1) - closed) < 1e-9
 
     def test_single_symbol(self):
         system = d.make_memoryless(d.symbols({"a": 1}))
-        estimate, probe = d.abscissa_estimate(d.weight_spectrum(system, 20))
-        assert estimate.value == 0.0
-        assert probe.consistent
+        assert d.abscissa_estimate(d.weight_spectrum(system, 20)).value == 0.0
 
     def test_dyck_probe_consistent(self, monkeypatch):
         monkeypatch.setattr(capacity, "PROBE_DELTA", 0.2)
         spectrum = d.weight_spectrum(dyck(), 40)
-        estimate, probe = d.abscissa_estimate(spectrum)
-        assert 0.63 <= estimate.value <= 0.70
-        assert probe.consistent
+        assert 0.63 <= d.abscissa_estimate(spectrum).value <= 0.70
 
     def test_too_dense_spectrum_is_rejected(self):
         from conftest import too_dense_spectrum
@@ -392,7 +396,7 @@ def test_theorem_one_gap_closes_with_truncation(name):
         root = d.fsm_capacity(system.fsm).value
     gaps = []
     for w_max in (10, 20, 40):
-        estimate, _ = d.abscissa_estimate(d.weight_spectrum(system, w_max))
+        estimate = d.abscissa_estimate(d.weight_spectrum(system, w_max))
         gaps.append(abs(estimate.value - root))
     assert gaps[2] <= 0.08
     # shrinks monotonically, up to a 0.01 noise window

@@ -309,10 +309,20 @@ class TestCapacity:
         assert code == 0
         assert doc["method"] == "abscissa"
 
-    def test_root_method_refuses_non_memoryless(self, tmp_spec, capsys):
-        code = main(["capacity", tmp_spec(DYCK), "--method", "root"])
+    def test_root_method_is_an_invalid_choice(self, tmp_spec, capsys):
+        # auto already takes the characteristic root of a memoryless alphabet
+        code = main(["capacity", tmp_spec(MEM_EQUAL), "--method", "root"])
         assert code == 1
-        assert "root method requires" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error: argument --method: invalid choice: 'root'")
+
+    def test_probe_contradiction_exits_three(self, capsys):
+        spec = Path(__file__).resolve().parent.parent / "demos/specs/dyck_prefix.json"
+        code = main(["capacity", str(spec), "--wmax", "2"])
+        assert code == 3
+        assert capsys.readouterr() == ("", (
+            "error: convergence probe contradicts the abscissa estimate 0.346574: "
+            "converges_above=False, diverges_below=True\n"))
 
     def test_spectral_on_memoryless_via_one_state_fsm(self, tmp_spec, capsys):
         code = main(["capacity", tmp_spec(MEM_EQUAL), "--method", "spectral"])

@@ -4,10 +4,11 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dncap as d
 from dncap import spectrum
+from dncap.capacity import combinatorial_capacity
 from conftest import (
     counted,
     dyck,
@@ -16,6 +17,7 @@ from conftest import (
     mem_equal,
     mem_rational,
     mem_unequal,
+    rational_alphabets,
     rll_system,
 )
 from oracles import LN_GOLDEN, bisect_root, reference_level_support
@@ -456,3 +458,41 @@ def test_float_sums_in_any_order_share_one_bucket():
     support = reference_level_support(system, 3)
     assert support[Fraction(0.1) + Fraction(0.2) + Fraction(0.3)] == 6
     assert support[3 * Fraction(0.2)] == 1
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(system=rational_alphabets())
+def test_every_level_of_an_alphabet_solves_its_characteristic_equation(system):
+    # the depth-l sum is (sum_i e^{-w_i s})^l, which is 1 at the alphabet's root
+    root = d.characteristic_root(system.alphabet).value
+    _, levels = d.maxent_rate_estimate(system, 12)
+    assert len(levels) == 12
+    assert all(abs(sol.rate - root) <= 1e-14 * root for sol in levels)
+
+
+@st.composite
+def unit_factorial_channels(draw):
+    """Golden mean, rll(0, k) for k <= 5, or 1 to 4 unit-weight symbols."""
+    n = draw(st.integers(1, 5))
+    return draw(st.sampled_from([
+        golden_mean_system(), rll_system(0, n),
+        d.make_memoryless(d.symbols(dict.fromkeys("abcde"[:n], 1))),
+    ]))
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(system=unit_factorial_channels())
+@example(system=golden_mean_system())
+def test_unit_weight_factorial_channels_never_rate_below_capacity(system):
+    # every factor of an accepted string is accepted, so N(m + n) <= N(m) N(n)
+    # and, by Fekete's lemma, ln N(l) / l >= C at every l: with unit weights
+    # that is R_l.  Equality (the alphabets) leaves room for rounding only
+    capacity = combinatorial_capacity(system, 1).value
+    _, levels = d.maxent_rate_estimate(system, 200)
+    assert all(sol.rate >= capacity * (1.0 - 1e-14) for sol in levels)
+
+
+def test_rll_with_a_minimum_run_is_not_factorial_from_its_start():
+    # from state 0, rll(1, 3) must open with a zero: N(1) = 1 and R_1 = 0 < C
+    rate = d.solve_level_rate(rll_system(1, 3), 1).rate
+    assert rate == 0.0 < d.fsm_capacity(d.make_rll(1, 3)).value

@@ -110,6 +110,10 @@ class TestWeightSpectrum:
             )
         with pytest.raises(ValueError, match="omitted"):
             d.WeightSpectrum(entries=((Fraction(1), 0),), w_max=Fraction(4))
+        # gf_eval sums to w_max, so a heavier entry would be counted by the
+        # empirical capacity and not by the series
+        with pytest.raises(ValueError, match="weight 5 exceeds w_max 2"):
+            d.WeightSpectrum(entries=((1, 2), (5, 100)), w_max=2)
         with pytest.raises(d.InvalidSystemError, match="positive"):
             d.WeightSpectrum(entries=(), w_max=Fraction(-1))
 
@@ -537,19 +541,21 @@ class TestDensityCheck:
 
 class TestEmpiricalCapacity:
     def test_equal_weights_give_log_two_everywhere(self):
-        estimate, sequence = d.empirical_capacity(d.weight_spectrum(mem_equal(), 30))
-        assert all(abs(c - math.log(2)) < 1e-12 for _, c in sequence)
+        spectrum = d.weight_spectrum(mem_equal(), 30)
+        estimate = d.empirical_capacity(spectrum)
+        assert all(abs(log / w - math.log(2)) < 1e-12
+                   for w, log in zip(spectrum.float_weights, spectrum.log_counts))
         assert abs(estimate.value - math.log(2)) < 1e-12
         assert estimate.method == "empirical"
 
     def test_single_symbol_has_zero_capacity(self):
         system = d.make_memoryless(d.symbols({"a": 1}))
-        estimate, sequence = d.empirical_capacity(d.weight_spectrum(system, 20))
-        assert estimate.value == 0.0
-        assert all(c == 0.0 for _, c in sequence)
+        spectrum = d.weight_spectrum(system, 20)
+        assert d.empirical_capacity(spectrum).value == 0.0
+        assert set(spectrum.log_counts) == {0.0}
 
     def test_dyck_estimate_window(self):
-        estimate, _ = d.empirical_capacity(d.weight_spectrum(dyck(), 40))
+        estimate = d.empirical_capacity(d.weight_spectrum(dyck(), 40))
         assert 0.63 <= estimate.value <= math.log(2)
         assert abs(estimate.value - math.log(math.comb(40, 20)) / 40) < 1e-12
 
@@ -559,7 +565,7 @@ class TestEmpiricalCapacity:
             d.empirical_capacity(spectrum)
 
     def test_bracket_encloses_value(self):
-        estimate, _ = d.empirical_capacity(d.weight_spectrum(golden_mean_system(), 30))
+        estimate = d.empirical_capacity(d.weight_spectrum(golden_mean_system(), 30))
         lo, hi = estimate.bracket
         assert lo <= estimate.value <= hi
 
