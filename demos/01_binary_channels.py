@@ -18,24 +18,26 @@ def show(title, estimate):
 
 def main():
     print("=== equal weights: labels 0 and 1, both weight 1 ===")
-    equal = d.make_memoryless(d.symbols({"0": 1, "1": 1}))
+    equal_alphabet = d.symbols({"0": 1, "1": 1})
+    equal = d.make_memoryless(equal_alphabet)
     spectrum = d.weight_spectrum(equal, 30)
     print("  counts at weight 1..6:", spectrum.counts[:6])
     empirical = d.empirical_capacity(spectrum)
     show("empirical (counts)", empirical)
-    show("characteristic root", d.characteristic_root(equal.alphabet))
+    show("characteristic root", d.characteristic_root(equal_alphabet))
     cprob, _ = d.maxent_rate_estimate(equal, 10)
     show("max entropy rate", cprob)
     print(f"  ln 2                       {math.log(2):.12f}")
 
     print()
     print("=== unequal weights: 0 costs 1, 1 costs 2 ===")
-    unequal = d.make_memoryless(d.symbols({"0": 1, "1": 2}))
+    unequal_alphabet = d.symbols({"0": 1, "1": 2})
+    unequal = d.make_memoryless(unequal_alphabet)
     spectrum = d.weight_spectrum(unequal, 30)
     print("  counts at weight 1..8:", spectrum.counts[:8], "(Fibonacci)")
     empirical = d.empirical_capacity(spectrum)
     show("empirical (counts)", empirical)
-    root = d.characteristic_root(unequal.alphabet)
+    root = d.characteristic_root(unequal_alphabet)
     show("characteristic root", root)
     cprob, _ = d.maxent_rate_estimate(unequal, 10)
     show("max entropy rate", cprob)

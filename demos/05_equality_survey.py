@@ -19,7 +19,7 @@ CHANNELS = [
      d.make_memoryless(d.symbols({"0": "1/3", "1": "1/2"})), 20, 12, 1e-9),
     ("golden mean (no 11)", d.fsm_to_branch_system(d.make_golden_mean()),
      30, 30, 0.02),
-    ("rll(1,3)", d.fsm_to_branch_system(d.make_rll(1, 3), name="rll(1,3)"),
+    ("rll(1,3)", d.fsm_to_branch_system(d.make_rll(1, 3)),
      40, 30, 0.02),
     ("balanced prefix (non-regular)", d.make_dyck_prefix(), 40, 40, 0.06),
 ]

@@ -49,7 +49,7 @@ def _term(log_count: float, weight: float, s) -> complex | float:
     except OverflowError:
         magnitude = math.inf
     if isinstance(s, complex):
-        return magnitude * cmath.exp(complex(0.0, -weight * s.imag))
+        return cmath.rect(magnitude, -weight * s.imag)
     return magnitude
 
 
@@ -203,13 +203,13 @@ def combinatorial_capacity(
 ) -> CapacityEstimate:
     """Combinatorial capacity by the auto, spectral or abscissa method.
 
-    ``auto`` takes the characteristic root of a memoryless alphabet, the
-    spectral radius of an FSM and the abscissa otherwise.  Only the abscissa
-    walks the spectrum to ``w_max``; the other methods ignore it.
+    ``auto`` takes the characteristic root of a one-state FSM's self-loops,
+    the spectral radius of any other FSM and the abscissa otherwise.  Only
+    the abscissa walks the spectrum to ``w_max``; the other methods ignore it.
     """
     if method == "auto":
-        if system.alphabet is not None:
-            return characteristic_root(system.alphabet)
+        if system.fsm is not None and system.fsm.num_states == 1:
+            return characteristic_root(sym for _, sym, _ in system.fsm.transitions)
         method = "spectral" if system.fsm is not None else "abscissa"
     if method == "spectral":
         if system.fsm is not None:

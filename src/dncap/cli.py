@@ -90,7 +90,7 @@ def _cmd_sample(args) -> int:
 def _cmd_verify(args) -> int:
     system, echo = load_system(args.spec)
     report = verify_equality(system, args.wmax, args.lmax, args.tol)
-    print(json.dumps(report.to_json_dict(system_echo=echo)))
+    print(json.dumps({"system": echo, **report.to_json_dict()}))
     return {PASS: 0, FAIL: 2, INCONCLUSIVE: 3}[report.verdict]
 
 

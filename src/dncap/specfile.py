@@ -104,7 +104,7 @@ def parse_system(doc: dict) -> BranchSystem:
     d = _require(doc, "d", int, "spec")
     k = _require(doc, "k", int, "spec")
     try:
-        return fsm_to_branch_system(make_rll(d, k), name=f"rll({d},{k})")
+        return fsm_to_branch_system(make_rll(d, k))
     except ValueError as exc:
         raise SpecFileError(f"spec: {exc}") from exc
 

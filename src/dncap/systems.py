@@ -15,7 +15,7 @@ rational they spell, and a float as the binary fraction it stores.
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -101,15 +101,13 @@ class BranchSystem:
     and owned by the system (state indices for FSMs, encoded prefix state for
     generators), so no tree is ever materialized.  Instances are immutable and
     ``expand`` must be a pure function of its handle, which makes concurrent
-    read access safe.  ``alphabet`` is set for memoryless channels and
-    ``fsm`` for every regular one (memoryless included); generators set neither.
+    read access safe.  ``fsm`` is set for every regular channel (a
+    memoryless one is its one-state FSM); generators leave it unset.
     """
 
     root: Hashable
     expand: Callable[[Hashable], Branches]
-    alphabet: tuple[Symbol, ...] | None = None
     fsm: "WeightedFsm | None" = None
-    name: str = "generator"
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,16 +238,13 @@ def strong_components(successors: list[list[int]]) -> np.ndarray:
     return np.array(label)
 
 
-def fsm_to_branch_system(fsm: WeightedFsm, name: str = "") -> BranchSystem:
+def fsm_to_branch_system(fsm: WeightedFsm) -> BranchSystem:
     """View an FSM as a branch system whose handles are state indices.
 
     Depth-l paths of the result are exactly the FSM's length-l transition
     sequences from the start state.
     """
-    return BranchSystem(
-        root=fsm.start, expand=fsm.outgoing.__getitem__,
-        fsm=fsm, name=name or f"fsm[{fsm.num_states}]",
-    )
+    return BranchSystem(root=fsm.start, expand=fsm.outgoing.__getitem__, fsm=fsm)
 
 
 def _checked_alphabet(alphabet: Sequence[Symbol]) -> tuple[Symbol, ...]:
@@ -262,17 +257,13 @@ def _checked_alphabet(alphabet: Sequence[Symbol]) -> tuple[Symbol, ...]:
     return alphabet
 
 
-def make_memoryless(alphabet: Sequence[Symbol], name: str = "") -> BranchSystem:
+def make_memoryless(alphabet: Sequence[Symbol]) -> BranchSystem:
     """An unconstrained channel: depth-l support is every l-tuple of symbols.
 
-    It carries its one-state FSM, whose self-loops are its branches.
+    It is its one-state FSM, whose self-loops are its branches.
     """
-    alphabet = _checked_alphabet(alphabet)
-    fsm = WeightedFsm(1, 0, tuple((0, sym, 0) for sym in alphabet))
-    label = name or "memoryless{%s}" % ",".join(
-        f"{s.label}:{s.weight}" for s in alphabet
-    )
-    return replace(fsm_to_branch_system(fsm, label), alphabet=alphabet)
+    loops = tuple((0, sym, 0) for sym in _checked_alphabet(alphabet))
+    return fsm_to_branch_system(WeightedFsm(1, 0, loops))
 
 
 _OPEN = Symbol("(", 1)
@@ -292,7 +283,7 @@ def make_dyck_prefix() -> BranchSystem:
     running balance.  The node handle is the current balance, so the state
     space is unbounded and the constraint is not regular.
     """
-    return BranchSystem(root=0, expand=_dyck_expand, name="dyck_prefix")
+    return BranchSystem(root=0, expand=_dyck_expand)
 
 
 def make_rll(d: int, k: int) -> WeightedFsm:

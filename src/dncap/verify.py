@@ -27,7 +27,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 class VerifyReport:
     """Verdict plus both trajectories and the epsilon probes."""
 
-    system: str
     c_comb: CapacityEstimate
     c_prob: CapacityEstimate
     difference: float
@@ -36,9 +35,8 @@ class VerifyReport:
     verdict: str
     levels: tuple[LevelSolution, ...]
 
-    def to_json_dict(self, system_echo=None) -> dict:
+    def to_json_dict(self) -> dict:
         return {
-            "system": system_echo if system_echo is not None else self.system,
             "c_comb": self.c_comb.to_json_dict(),
             "c_prob": self.c_prob.to_json_dict(),
             "difference": self.difference,
@@ -82,5 +80,4 @@ def verify_equality(
     io_pass = c_prob.value > c_comb.value - tol
     verdict = (INCONCLUSIVE if cut or len(levels) < l_max
                else PASS if difference <= tol else FAIL)
-    return VerifyReport(system.name, c_comb, c_prob, difference, ae_pass, io_pass,
-                        verdict, levels)
+    return VerifyReport(c_comb, c_prob, difference, ae_pass, io_pass, verdict, levels)

@@ -10,25 +10,29 @@ import dncap as d
 
 
 def mem_equal():
-    return d.make_memoryless(d.symbols({"0": 1, "1": 1}), name="mem{0:1,1:1}")
+    return d.make_memoryless(d.symbols({"0": 1, "1": 1}))
 
 
 def mem_unequal():
-    return d.make_memoryless(d.symbols({"0": 1, "1": 2}), name="mem{0:1,1:2}")
+    return d.make_memoryless(d.symbols({"0": 1, "1": 2}))
 
 
 def mem_rational():
-    return d.make_memoryless(
-        d.symbols({"0": "1/3", "1": "1/2"}), name="mem{0:1/3,1:1/2}"
-    )
+    return d.make_memoryless(d.symbols({"0": "1/3", "1": "1/2"}))
+
+
+def alphabet_of(system):
+    """The symbols of a memoryless channel: its one-state FSM's self-loops."""
+    assert system.fsm.num_states == 1
+    return tuple(sym for _, sym, _ in system.fsm.transitions)
 
 
 def golden_mean_system():
-    return d.fsm_to_branch_system(d.make_golden_mean(), name="golden_mean")
+    return d.fsm_to_branch_system(d.make_golden_mean())
 
 
 def rll_system(dd, kk):
-    return d.fsm_to_branch_system(d.make_rll(dd, kk), name=f"rll({dd},{kk})")
+    return d.fsm_to_branch_system(d.make_rll(dd, kk))
 
 
 def dyck():
@@ -44,7 +48,7 @@ def harmonic_steps():
             (d.Symbol("b", Fraction(1, depth + 2)), depth + 1),
         )
 
-    return d.BranchSystem(0, expand, name="harmonic_steps")
+    return d.BranchSystem(0, expand)
 
 
 def harmonic_dyck():
@@ -58,7 +62,7 @@ def harmonic_dyck():
         up = (d.Symbol("(", Fraction(1, balance + 2)), balance + 1)
         return ((d.Symbol(")", 1), balance - 1), up) if balance else (up,)
 
-    return d.BranchSystem(0, expand, name="harmonic_dyck")
+    return d.BranchSystem(0, expand)
 
 
 def dead_end():
@@ -68,7 +72,7 @@ def dead_end():
     is a dead end above the level.
     """
     table = {0: ((d.Symbol("a", 1), "x"), (d.Symbol("b", 1), 0)), "x": ()}
-    return d.BranchSystem(0, table.__getitem__, name="dead_end")
+    return d.BranchSystem(0, table.__getitem__)
 
 
 def three_way():
@@ -84,7 +88,7 @@ def three_way():
             (d.Symbol("c", 2), "x" if handle == 1 else 0),
         )
 
-    return d.BranchSystem(0, expand, name="three_way")
+    return d.BranchSystem(0, expand)
 
 
 def finite_tree(depth=3):
@@ -95,7 +99,7 @@ def finite_tree(depth=3):
             return ()
         return ((d.Symbol("a", 1), level + 1), (d.Symbol("b", 1), level + 1))
 
-    return d.BranchSystem(0, expand, name=f"finite_tree({depth})")
+    return d.BranchSystem(0, expand)
 
 
 def tuple_dyck():
@@ -109,7 +113,7 @@ def tuple_dyck():
             return (up,)
         return ((d.Symbol(")", Fraction(1, 2)), (balance - 1, 1 - parity)), up)
 
-    return d.BranchSystem((0, 0), expand, name="tuple_dyck")
+    return d.BranchSystem((0, 0), expand)
 
 
 def prefix_strings():
@@ -121,7 +125,7 @@ def prefix_strings():
         weights = {"a": 1, "b": Fraction(2, 3), "c": Fraction(3, 2)}
         return tuple((d.Symbol(x, weights[x]), prefix + x) for x in labels)
 
-    return d.BranchSystem("", expand, name="prefix_strings")
+    return d.BranchSystem("", expand)
 
 
 def underflowing_cycle():
@@ -250,7 +254,7 @@ def table_generators(draw):
              draw(st.sampled_from(children)))
             for k in range(count)
         )
-    return d.BranchSystem(0, table.__getitem__, name=f"table{table}")
+    return d.BranchSystem(0, table.__getitem__)
 
 
 @st.composite

@@ -392,7 +392,7 @@ def _reference_term(count: int, weight: float, s):
     except OverflowError:
         magnitude = math.inf
     if isinstance(s, complex):
-        return magnitude * cmath.exp(complex(0.0, -weight * s.imag))
+        return cmath.rect(magnitude, -weight * s.imag)
     return magnitude
 
 

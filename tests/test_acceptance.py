@@ -15,6 +15,7 @@ import dncap as d
 from conftest import (
     BUILTIN_FACTORIES,
     ROOT_BASED_FACTORIES,
+    alphabet_of,
     dyck,
     golden_mean_system,
     mem_equal,
@@ -62,7 +63,7 @@ def test_criterion_1_equal_weight_reproduction():
 def test_criterion_2_unequal_weight_reproduction():
     target = 0.4812118250596035  # ln((1 + sqrt 5) / 2)
     system = mem_unequal()
-    comb = d.characteristic_root(system.alphabet)
+    comb = d.characteristic_root(alphabet_of(system))
     prob, _ = d.maxent_rate_estimate(system, 10)
     for value in (comb.value, prob.value):
         assert abs(value - target) <= 1e-9
@@ -77,8 +78,8 @@ def test_criterion_2_unequal_weight_reproduction():
 def test_criterion_3_theorem_one_at_desk_scale():
     for name, factory in ROOT_BASED_FACTORIES.items():
         system = factory()
-        if system.alphabet is not None:
-            root = d.characteristic_root(system.alphabet).value
+        if system.fsm.num_states == 1:
+            root = d.characteristic_root(alphabet_of(system)).value
         else:
             root = d.fsm_capacity(system.fsm).value
         gaps = {}

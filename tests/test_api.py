@@ -50,7 +50,9 @@ def test_graph_wrappers_are_gone():
 
 
 def test_what_the_channel_determines_is_not_an_input():
-    assert "kind" not in {f.name for f in dataclasses.fields(d.BranchSystem)}
+    assert [f.name for f in dataclasses.fields(d.BranchSystem)] == [
+        "root", "expand", "fsm",
+    ]
     for name in ("MEMORYLESS", "FSM", "GENERATOR"):
         assert not hasattr(systems, name)
     assert list(inspect.signature(combinatorial_capacity).parameters) == [
@@ -59,7 +61,11 @@ def test_what_the_channel_determines_is_not_an_input():
     assert list(inspect.signature(d.maxent_chain).parameters) == ["fsm"]
     assert list(inspect.signature(d.maxent_pmf).parameters) == ["system", "level"]
     assert list(inspect.signature(d.kl_gap).parameters) == ["pmf", "system"]
-    assert "growth" not in {f.name for f in dataclasses.fields(d.VerifyReport)}
+    assert list(inspect.signature(d.fsm_to_branch_system).parameters) == ["fsm"]
+    assert list(inspect.signature(d.make_memoryless).parameters) == ["alphabet"]
+    report_fields = {f.name for f in dataclasses.fields(d.VerifyReport)}
+    assert not {"growth", "system"} & report_fields
+    assert list(inspect.signature(d.VerifyReport.to_json_dict).parameters) == ["self"]
     assert not hasattr(d.LevelPmf, "total")
 
 

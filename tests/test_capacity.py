@@ -11,10 +11,10 @@ from dncap import capacity, solvers
 from dncap.solvers import perron
 from dncap.systems import strong_components
 from conftest import (
-    dyck, golden_mean_system, mem_equal, mem_unequal, permutation_fsm,
+    alphabet_of, dyck, golden_mean_system, mem_equal, mem_unequal, permutation_fsm,
     permutation_fsms, rll_system, underflowing_cycle,
 )
-from oracles import LN_GOLDEN, bisect_root
+from oracles import LN_GOLDEN, bisect_root, reference_gf_eval
 
 
 def perron_of(matrix):
@@ -87,6 +87,15 @@ class TestGfEval:
         assert d.gf_eval(spectrum, complex(-705.0, 0.0)) == math.exp(705.0)
         assert d.gf_eval(spectrum, -710.0) == math.inf
         assert d.gf_eval(spectrum, complex(-710.0, 0.0)).real == math.inf
+
+    def test_a_term_past_the_float_range_keeps_its_phase(self):
+        # inf times e^{-0j} would put nan in the imaginary part
+        spectrum = d.WeightSpectrum(entries=((1, 1),), w_max=1)
+        for term in (d.gf_eval(spectrum, complex(-710.0, 0.0)),
+                     reference_gf_eval(spectrum, complex(-710.0, 0.0))):
+            assert (term.real, term.imag) == (math.inf, 0.0)
+        value = d.gf_eval(spectrum, complex(-710.0, 1.0))  # phase -1
+        assert (value.real, value.imag) == (math.inf, -math.inf)
 
     def test_huge_counts_do_not_overflow(self):
         spectrum = d.weight_spectrum(mem_equal(), 1100)
@@ -390,8 +399,8 @@ def test_theorem_one_gap_closes_with_truncation(name):
     from conftest import ROOT_BASED_FACTORIES
 
     system = ROOT_BASED_FACTORIES[name]()
-    if system.alphabet is not None:
-        root = d.characteristic_root(system.alphabet).value
+    if system.fsm.num_states == 1:
+        root = d.characteristic_root(alphabet_of(system)).value
     else:
         root = d.fsm_capacity(system.fsm).value
     gaps = []

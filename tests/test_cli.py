@@ -517,6 +517,40 @@ class TestVerify:
         assert captured.err == f"error: tol must be finite and >= 0, not {float(tol)}\n"
 
 
+# MEM_UNEQUAL as the one-state FSM whose self-loops are its symbols
+MEM_UNEQUAL_FSM = {
+    "kind": "fsm",
+    "states": 1,
+    "start": 0,
+    "transitions": [dict(symbol, **{"from": 0, "to": 0})
+                    for symbol in MEM_UNEQUAL["symbols"]],
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--wmax", "20"],
+    ["capacity"],
+    ["capacity", "--method", "spectral"],
+    ["capacity", "--method", "abscissa", "--wmax", "20"],
+    ["maxent", "--lmax", "10"],
+    ["sample", "--count", "3", "--steps", "12", "--seed", "1"],
+    ["verify", "--wmax", "20", "--lmax", "10", "--tol", "1e-9"],
+], ids=" ".join)
+def test_one_channel_one_answer(tmp_spec, capsys, command):
+    # a memoryless channel is its one-state FSM, whichever spec names it
+    outputs = []
+    for doc, name in ((MEM_UNEQUAL, "memoryless.json"), (MEM_UNEQUAL_FSM, "fsm.json")):
+        code = main([command[0], tmp_spec(doc, name), *command[1:]])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        if command[0] == "verify":
+            parsed = json.loads(out)
+            assert parsed.pop("system") == doc
+            out = json.dumps(parsed)
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 class TestUsage:
     @pytest.mark.parametrize("command", [
         ["enumerate", "--wmax", "4"],

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dncap as d
-from dncap import spectrum
+from dncap import maxent, spectrum
 from dncap.capacity import combinatorial_capacity
 from conftest import (
+    alphabet_of,
     counted,
     dyck,
     finite_tree,
@@ -143,6 +144,12 @@ class TestMaxentPmf:
         system = golden_mean_system()
         pmf = d.maxent_pmf(system, 5)
         assert len(set(round(p, 14) for p in pmf.probs.values())) == 1
+
+    def test_probabilities_off_one_raise(self, monkeypatch):
+        monkeypatch.setattr(maxent, "_SUM_TOL", -1.0)
+        with pytest.raises(d.EstimatorError,
+                           match=r"^level 3: maxent probabilities sum to \S+, not 1$"):
+            d.maxent_pmf(mem_equal(), 3)
 
 
 class TestEntropyAndAvgWeight:
@@ -367,7 +374,7 @@ class TestRepresentationIndependence:
         fsm = d.WeightedFsm(
             2, 0, ((0, d.Symbol("a", 1), 1), (1, d.Symbol("b", 1), 0)),
         )
-        return d.fsm_to_branch_system(fsm, name="alternating-chars")
+        return d.fsm_to_branch_system(fsm)
 
     @staticmethod
     def block_tree():
@@ -380,7 +387,7 @@ class TestRepresentationIndependence:
                 (2, d.Symbol("ab", 2), 2),
             ),
         )
-        return d.fsm_to_branch_system(fsm, name="alternating-blocks")
+        return d.fsm_to_branch_system(fsm)
 
     def test_both_decompositions_flatten_to_the_same_strings(self):
         def flattened(system, levels):
@@ -464,7 +471,7 @@ def test_float_sums_in_any_order_share_one_bucket():
 @given(system=rational_alphabets())
 def test_every_level_of_an_alphabet_solves_its_characteristic_equation(system):
     # the depth-l sum is (sum_i e^{-w_i s})^l, which is 1 at the alphabet's root
-    root = d.characteristic_root(system.alphabet).value
+    root = d.characteristic_root(alphabet_of(system)).value
     _, levels = d.maxent_rate_estimate(system, 12)
     assert len(levels) == 12
     assert all(abs(sol.rate - root) <= 1e-14 * root for sol in levels)

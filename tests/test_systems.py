@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import dncap as d
 from dncap.systems import strong_components
 from conftest import (
-    dyck, golden_mean_system, mem_equal, mem_rational, mem_unequal, outcome,
+    alphabet_of, dyck, golden_mean_system, mem_equal, mem_rational, mem_unequal, outcome,
 )
 from oracles import (
     dyck_prefix_count, reference_fsm_check, reference_strong_components, rll_word_ok,
@@ -224,7 +224,7 @@ class TestStructuralInvariants:
 
     def test_path_weight_additivity_is_exact(self):
         system = mem_rational()
-        by_label = {sym.label: sym.weight for sym in system.alphabet}
+        by_label = {sym.label: sym.weight for sym in alphabet_of(system)}
         for labels, weight in d.enumerate_level_paths(system, 5):
             assert weight == sum(by_label[l] for l in labels)
             assert isinstance(weight, Fraction)

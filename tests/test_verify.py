@@ -167,13 +167,10 @@ class TestVerifyEquality:
 
 def test_report_json_shape():
     report = d.verify_equality(mem_equal(), 10, 5, tol=1e-9)
-    doc = report.to_json_dict(system_echo={"kind": "memoryless"})
-    assert set(doc) == {
-        "system", "c_comb", "c_prob", "difference", "epsilon_probes", "verdict",
-    }
+    doc = report.to_json_dict()
+    assert set(doc) == {"c_comb", "c_prob", "difference", "epsilon_probes", "verdict"}
     assert set(doc["c_comb"]) == {
         "method", "value", "bracket", "residual", "iterations",
     }
     assert set(doc["epsilon_probes"]) == {"ae_pass", "io_pass"}
-    assert doc["system"] == {"kind": "memoryless"}
     assert doc["verdict"] == "PASS"
