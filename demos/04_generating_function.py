@@ -22,8 +22,9 @@ def main():
     print("partial sums of the generating function, binary channel:")
     print(f"{'truncation':>10} {'s = ln2 + 0.1':>16} {'s = ln2 - 0.1':>16}")
     for w in (5, 10, 20, 30):
-        above = d.gf_eval(spectrum, capacity + 0.1, w_truncate=w)
-        below = d.gf_eval(spectrum, capacity - 0.1, w_truncate=w)
+        truncated = d.weight_spectrum(system, w)
+        above = d.gf_eval(truncated, capacity + 0.1)
+        below = d.gf_eval(truncated, capacity - 0.1)
         print(f"{w:>10} {above:>16.6f} {below:>16.2f}")
     print("  (left column converges, right column is off to infinity)")
 
@@ -37,8 +38,9 @@ def main():
     grid = d.make_memoryless(d.symbols({"0": "1/3", "1": "1/2"}))
     gspec = d.weight_spectrum(grid, 20)
     print(f"  first weights: {[str(w) for w in gspec.weights[:6]]}")
-    report = d.density_check(gspec, L=6.0, K=1.0)
-    print(f"  density bound 6 n^1: passes = {report.passes} "
+    report = d.density_check(gspec)
+    passes = all(k <= 6 * n for n, k in zip(report.checkpoints, report.k_of_n))
+    print(f"  density bound 6 n^1: passes = {passes} "
           f"(at most 6 new weights per unit interval)")
 
     print()

@@ -11,9 +11,7 @@ a truncated-series estimate with convergence probes for everything else.
 
 import cmath
 import math
-from bisect import bisect_right
 from dataclasses import replace
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +29,7 @@ from .spectrum import (
     WeightSpectrum,
     density_check,
     empirical_capacity,
+    exact_w_max,
     tail_window,
     weight_spectrum,
 )
@@ -53,22 +52,14 @@ def _term(log_count: float, weight: float, s) -> complex | float:
     return magnitude
 
 
-def gf_eval(spectrum: WeightSpectrum, s, w_truncate=None):
-    """Partial sum of the generating function over weights <= w_truncate.
+def gf_eval(spectrum: WeightSpectrum, s):
+    """Sum of the generating function over the whole spectrum.
 
     ``s`` may be real or complex; the result is complex exactly when ``s``
-    is.  Asking for a truncation beyond the spectrum's coverage is an error
-    rather than a silently short sum.
+    is.
     """
-    if w_truncate is None:
-        w_truncate = spectrum.w_max
-    if w_truncate > spectrum.w_max:
-        raise ValueError(
-            f"truncation {w_truncate} exceeds spectrum coverage {spectrum.w_max}"
-        )
     total = 0j if isinstance(s, complex) else 0.0
-    stop = bisect_right(spectrum.units, Fraction(w_truncate) * spectrum.scale)
-    for weight, log in zip(spectrum.float_weights[:stop], spectrum.log_counts):
+    for weight, log in zip(spectrum.float_weights, spectrum.log_counts):
         total += _term(log, weight, s)
     return total
 
@@ -201,20 +192,17 @@ def abscissa_estimate(spectrum: WeightSpectrum) -> CapacityEstimate:
 def combinatorial_capacity(
     system: BranchSystem, w_max, method: str = "auto"
 ) -> CapacityEstimate:
-    """Combinatorial capacity by the auto, spectral or abscissa method.
+    """Combinatorial capacity by the auto or abscissa method.
 
     ``auto`` takes the characteristic root of a one-state FSM's self-loops,
-    the spectral radius of any other FSM and the abscissa otherwise.  Only
-    the abscissa walks the spectrum to ``w_max``; the other methods ignore it.
+    the spectral radius of any other FSM and the abscissa otherwise.
+    ``w_max`` is checked on every channel but walked to only by the abscissa.
     """
-    if method == "auto":
-        if system.fsm is not None and system.fsm.num_states == 1:
+    w_max = exact_w_max(w_max)
+    if method == "auto" and system.fsm is not None:
+        if system.fsm.num_states == 1:
             return characteristic_root(sym for _, sym, _ in system.fsm.transitions)
-        method = "spectral" if system.fsm is not None else "abscissa"
-    if method == "spectral":
-        if system.fsm is not None:
-            return fsm_capacity(system.fsm)
-        raise InvalidSystemError("spectral method requires an FSM-backed system")
-    if method == "abscissa":
+        return fsm_capacity(system.fsm)
+    if method in ("auto", "abscissa"):
         return abscissa_estimate(weight_spectrum(system, w_max))
     raise ValueError(f"unknown capacity method: {method!r}")

@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="capacity estimate as JSON")
     p.add_argument("spec")
-    p.add_argument("--method", choices=("auto", "spectral", "abscissa"), default="auto")
+    p.add_argument("--method", choices=("auto", "abscissa"), default="auto")
     p.add_argument("--wmax", default="40", help="spectrum bound for abscissa")
     p.set_defaults(func=_cmd_capacity)
 

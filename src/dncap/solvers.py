@@ -149,9 +149,11 @@ def perron(
 ) -> Perron:
     """Perron root and vectors of the irreducible nonnegative n x n matrix M
     with M[i, j] = sum of q over the edges i = src, j = dst.  Each side,
-    warm-started from ``right`` and ``left``, is certified by CW bounds that
-    close to PERRON_TOL: by ``_power`` steps on the edge list, or where those
-    stall, by ``_noda`` on the dense M from the same warm vector.
+    warm-started from ``right`` and ``left``, is bounded by ``_power`` steps
+    on the edge list, or where those stall, by ``_noda`` on the dense M from
+    the same warm vector.  The bounds close to PERRON_TOL unless ``_noda``
+    stops at a singular solve or at an iterate entry under _FLOOR; they hold
+    either way.
     """
     src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
     q = np.asarray(q, dtype=float)

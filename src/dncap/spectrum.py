@@ -239,9 +239,7 @@ class DensityReport:
     """Polynomial-density evidence for a spectrum's weight sequence.
 
     ``k_of_n[i]`` is the number of distinct weights below ``checkpoints[i]``.
-    ``passes`` means the counts stayed under fitted_L * n**fitted_K at every
-    integer n up to w_max (given-constants mode), or that the fitted exponent
-    stayed under the polynomial cap (auto-fit mode).
+    ``passes`` means the fitted exponent stayed under the polynomial cap.
     """
 
     checkpoints: tuple[int, ...]
@@ -251,37 +249,27 @@ class DensityReport:
     passes: bool
 
 
-def density_check(
-    spectrum: WeightSpectrum, L: float | None = None, K: float | None = None
-) -> DensityReport:
+def density_check(spectrum: WeightSpectrum) -> DensityReport:
     """Check that the number of distinct weights below n grows polynomially.
 
-    With L and K given, verifies k_of_n(n) <= L * n**K pointwise over the
-    integers n = 1..floor(w_max).  With both omitted, fits K as the largest
-    slope of ln k_of_n against ln n over consecutive integers and L as the
-    largest residual k_of_n(n) / n**K; the check passes when the fitted
-    exponent is at most ``DENSITY_POLY_CAP``.  The fit is a finite-sample
-    heuristic: it flags exponential growth masquerading as density, it does
-    not certify the existential constants.
+    Fits K as the largest slope of ln k_of_n against ln n over consecutive
+    integers and L as the largest residual k_of_n(n) / n**K; the check
+    passes when the fitted exponent is at most ``DENSITY_POLY_CAP``.  The
+    fit is a finite-sample heuristic: it flags exponential growth
+    masquerading as density, it does not certify the existential constants.
 
-    k_of_n is constant between its steps, and both sides of each test are
-    monotone in n there, so only the checkpoints are evaluated: 1,
-    floor(w_max), and n - 1 and n at each step n = floor(w) + 1.  That gives
-    the whole range's answer in O(entries).
+    k_of_n is constant between its steps, and k_of_n / n**K falls there, so
+    only the checkpoints are evaluated: 1, floor(w_max), and n - 1 and n at
+    each step n = floor(w) + 1.  That gives the whole range's answer in
+    O(entries).
     """
     if not spectrum.units:
         raise ValueError("density check needs a nonempty spectrum")
-    if (L is None) != (K is None):
-        raise ValueError("give both L and K, or neither")
     # For integer n, w < n exactly when floor(w) < n.
     floors = [u // spectrum.scale for u in spectrum.units]
     top, steps = max(math.floor(spectrum.w_max), 1), set(floors)
     checkpoints = tuple(sorted({1, top, *steps, *(f + 1 for f in steps)} - {0, top + 1}))
     k_of_n = tuple(bisect_left(floors, n) for n in checkpoints)
-    if L is not None:
-        passes = all(k <= L * _power(n, K) for n, k in zip(checkpoints, k_of_n))
-        return DensityReport(checkpoints, k_of_n, float(L), float(K), passes)
-
     points = [(n, k) for n, k in zip(checkpoints, k_of_n) if k >= 1]
     logs = [(math.log(n), math.log(k)) for n, k in points]
     # a flat stretch's slope is the 0 the max starts from; past 2**53 a step's

@@ -15,7 +15,7 @@ from .capacity import abscissa_estimate, combinatorial_capacity
 from .errors import BudgetExceededError, EstimatorError
 from .estimates import CapacityEstimate
 from .maxent import LevelSolution, maxent_rate_estimate
-from .spectrum import exact_w_max, shared
+from .spectrum import shared
 from .systems import BranchSystem
 
 PASS = "PASS"
@@ -62,7 +62,7 @@ def verify_equality(
     ``combinatorial_capacity``'s abscissa."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, not {tol}")
-    w_max, walked = exact_w_max(w_max), shared(system)
+    walked = shared(system)
     try:
         c_comb, cut = combinatorial_capacity(walked, w_max), False
     except BudgetExceededError as exc:

@@ -338,7 +338,7 @@ def reference_weight_spectrum(system, w_max: Fraction):
     return FractionSpectrum(tuple(sorted(counts.items())), w_max)
 
 
-def reference_density_check(spectrum, L=None, K=None):
+def reference_density_check(spectrum):
     """``density_check`` evaluated at every integer n = 1..floor(w_max): its
     ``checkpoints`` are that whole range.  A power past the float range is
     inf, as the library documents."""
@@ -347,9 +347,6 @@ def reference_density_check(spectrum, L=None, K=None):
     floors = [w.numerator // w.denominator for w in spectrum.weights]
     n_range = tuple(range(1, math.floor(spectrum.w_max) + 1)) or (1,)
     k_of_n = tuple(bisect_left(floors, n) for n in n_range)
-    if L is not None:
-        passes = all(k <= L * _reference_power(n, K) for n, k in zip(n_range, k_of_n))
-        return DensityReport(n_range, k_of_n, float(L), float(K), passes)
     points = [(n, k) for n, k in zip(n_range, k_of_n) if k >= 1]
     slopes = [
         (math.log(k2) - math.log(k1)) / (math.log(n2) - math.log(n1))
@@ -396,17 +393,9 @@ def _reference_term(count: int, weight: float, s):
     return magnitude
 
 
-def reference_gf_eval(spectrum, s, w_truncate=None):
-    if w_truncate is None:
-        w_truncate = spectrum.w_max
-    if w_truncate > spectrum.w_max:
-        raise ValueError(
-            f"truncation {w_truncate} exceeds spectrum coverage {spectrum.w_max}"
-        )
+def reference_gf_eval(spectrum, s):
     total = 0j if isinstance(s, complex) else 0.0
     for weight, count in spectrum.entries:
-        if weight > w_truncate:
-            break
         total += _reference_term(count, float(weight), s)
     return total
 

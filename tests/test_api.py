@@ -8,6 +8,7 @@ import pytest
 import dncap as d
 from dncap import capacity, maxent, spectrum, systems
 from dncap.capacity import combinatorial_capacity
+from dncap.cli import build_parser
 from conftest import dyck
 
 # fixed module constants: spectrum.TAIL_FRACTION, spectrum.LEVEL_BUDGET,
@@ -67,6 +68,17 @@ def test_what_the_channel_determines_is_not_an_input():
     assert not {"growth", "system"} & report_fields
     assert list(inspect.signature(d.VerifyReport.to_json_dict).parameters) == ["self"]
     assert not hasattr(d.LevelPmf, "total")
+
+
+def test_every_option_has_a_program_caller():
+    # one series, one density fit and one route per channel
+    assert list(inspect.signature(d.gf_eval).parameters) == ["spectrum", "s"]
+    assert list(inspect.signature(d.density_check).parameters) == ["spectrum"]
+    commands = build_parser()._subparsers._group_actions[0].choices
+    [method] = [a for a in commands["capacity"]._actions if a.dest == "method"]
+    assert method.choices == ("auto", "abscissa")
+    with pytest.raises(ValueError, match="unknown capacity method"):
+        combinatorial_capacity(dyck(), 40, "spectral")
 
 
 def test_one_budget_lives_in_spectrum():

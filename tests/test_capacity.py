@@ -75,11 +75,6 @@ class TestGfEval:
         assert isinstance(value, complex)
         assert abs(value - expected) < 1e-9
 
-    def test_truncation_beyond_coverage(self):
-        spectrum = d.weight_spectrum(mem_equal(), 10)
-        with pytest.raises(ValueError, match="coverage"):
-            d.gf_eval(spectrum, 1.0, w_truncate=11)
-
     def test_terms_are_finite_up_to_the_end_of_the_float_range(self):
         # e^705 is a float; only a term past e^709.78 reads inf
         spectrum = d.WeightSpectrum(entries=((1, 1),), w_max=1)
@@ -195,6 +190,32 @@ class TestPerron:
         assert result.lo * (1 - 1e-14) <= rho <= result.hi * (1 + 1e-14)
         assert abs(result.hi - rho) < 1e-12 * rho
         assert (result.right > 0).all() and (result.left > 0).all()
+
+    def test_an_iterate_below_the_float_floor_goes_to_the_dense_path(self, monkeypatch):
+        # a 10-cycle closed by an edge of 1e-305, plus a self-loop at state 0:
+        # the first power step puts 1e-306 at state 9, under _FLOOR
+        n = 10
+        src, dst = np.r_[np.arange(n), 0], np.r_[(np.arange(n) + 1) % n, 0]
+        q = np.r_[np.ones(n - 1), 1e-305, 1.0]
+        builds = count_calls(monkeypatch, solvers, "dense")
+        result = perron(n, src, q, dst)
+        assert builds == [1]
+        rho = max(abs(np.linalg.eigvals(solvers.dense(n, src, q, dst))))
+        assert result.lo <= rho <= result.hi
+
+    def test_a_singular_solve_keeps_the_first_bounds(self, monkeypatch):
+        # power steps on a 3-cycle with a chord stall, so Noda runs, and a
+        # solve that fails leaves it the CW bounds of the uniform iterate
+        matrix = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 1.0], [1.5, 0.0, 0.5]])
+        rho = max(abs(np.linalg.eigvals(matrix)))
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(solvers.np.linalg, "solve", singular)
+        result = perron_of(matrix)
+        assert (result.lo, result.hi) == (0.5, 2.0)
+        assert result.lo <= rho <= result.hi
 
 
 class TestFsmCapacity:
@@ -428,10 +449,15 @@ class TestCombinatorialCapacity:
         with pytest.raises(ValueError, match="bogus"):
             capacity.combinatorial_capacity(golden_mean_system(), 40, "bogus")
 
-    def test_root_and_spectral_ignore_w_max(self):
-        for system in (mem_unequal(), golden_mean_system()):
-            estimate = capacity.combinatorial_capacity(system, "abc")
-            assert abs(estimate.value - LN_GOLDEN) < 1e-12
+    def test_a_bad_w_max_raises_on_every_channel(self):
+        # checked before the dispatch, so the root routes refuse it too
+        bad = {"abc": "not a valid rational weight: 'abc'",
+               "0": "w_max must be positive", "-3": "w_max must be positive"}
+        for system in (mem_unequal(), golden_mean_system(), dyck()):
+            for w_max, message in bad.items():
+                with pytest.raises(ValueError) as caught:
+                    capacity.combinatorial_capacity(system, w_max)
+                assert str(caught.value) == message
 
     def test_auto_without_alphabet_or_fsm_takes_the_abscissa(self):
         bare = d.BranchSystem(0, mem_equal().expand)

@@ -324,17 +324,29 @@ class TestCapacity:
             "error: convergence probe contradicts the abscissa estimate 0.346574: "
             "converges_above=False, diverges_below=True\n"))
 
-    def test_spectral_on_memoryless_via_one_state_fsm(self, tmp_spec, capsys):
+    def test_spectral_method_is_an_invalid_choice(self, tmp_spec, capsys):
+        # auto already takes the spectral radius of a multi-state FSM
         code = main(["capacity", tmp_spec(MEM_EQUAL), "--method", "spectral"])
-        doc = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert abs(doc["value"] - math.log(2)) < 1e-9
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --method: invalid choice: 'spectral'")
+
+    @pytest.mark.parametrize("wmax", ["abc", "0", "-3"])
+    @pytest.mark.parametrize("spec", [MEM_UNEQUAL, RLL13], ids=["memoryless", "fsm"])
+    def test_a_bad_wmax_exits_one_on_a_regular_channel(self, tmp_spec, capsys, spec, wmax):
+        code = main(["capacity", tmp_spec(spec), "--wmax", wmax])
+        message = ("not a valid rational weight: 'abc'" if wmax == "abc"
+                   else "w_max must be positive")
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_iteration_cap_exits_three(self, tmp_spec, capsys, monkeypatch):
+        # the characteristic root and the spectral radius are both Newton's
         monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 0)
-        code = main(["capacity", tmp_spec(MEM_UNEQUAL), "--method", "spectral"])
-        assert code == 3
-        assert capsys.readouterr().err.startswith("error: Newton")
+        for spec in (MEM_UNEQUAL, RLL13):
+            code = main(["capacity", tmp_spec(spec)])
+            assert code == 3
+            assert capsys.readouterr().err.startswith("error: Newton")
 
 
 class TestMaxent:
@@ -530,7 +542,6 @@ MEM_UNEQUAL_FSM = {
 @pytest.mark.parametrize("command", [
     ["enumerate", "--wmax", "20"],
     ["capacity"],
-    ["capacity", "--method", "spectral"],
     ["capacity", "--method", "abscissa", "--wmax", "20"],
     ["maxent", "--lmax", "10"],
     ["sample", "--count", "3", "--steps", "12", "--seed", "1"],

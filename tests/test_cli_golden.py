@@ -28,7 +28,6 @@ COMMANDS = {
     "enumerate": ["enumerate", "--wmax", "20"],
     "capacity_auto": ["capacity"],
     "capacity_abscissa": ["capacity", "--method", "abscissa"],
-    "capacity_spectral": ["capacity", "--method", "spectral"],
     "maxent": ["maxent", "--lmax", "20"],
     "verify_default": ["verify"],
     "verify_loose": ["verify", "--wmax", "30", "--lmax", "30", "--tol", "0.06"],
