@@ -6,7 +6,7 @@ distribution, with no optimality claim beyond the solved level.
 import functools
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -228,13 +228,16 @@ def sample_paths(chain: MaxentChain, count: int, steps: int, seed: int) -> Sampl
     """Draw ``count`` label sequences of ``steps`` transitions each from the
     chain's start state, fixed by ``seed``.
 
-    Raises ``ValueError`` if either is below 1, ``BudgetExceededError``
-    past ``SAMPLE_BUDGET`` before anything is allocated, ``EstimatorError``
-    for the first sequence that the FSM's transitions (not the chain's rows)
-    reject, and ``OverflowError`` for a path weight past the float range.
+    Raises ``ValueError`` if either is below 1 or the seed is negative,
+    ``BudgetExceededError`` past ``SAMPLE_BUDGET`` before anything is
+    allocated, ``EstimatorError`` for the first sequence that the FSM's
+    transitions (not the chain's rows) reject, and ``OverflowError`` for a
+    path weight past the float range.
     """
     if count < 1 or steps < 1:
         raise ValueError("count and steps must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     _check_sample_size(count, steps)
     code: dict[str, int] = {}
     flat = [branch for row in chain.transition_probs for branch in row]
@@ -271,19 +274,21 @@ def sample_level_paths(
     A branch is taken with probability e^{-w R_l} Z(child) / Z(parent), Z
     the subtree partition sum to depth ``level``.  The root's ln Z must be
     0, since R_l solves the same sum, or ``EstimatorError`` is raised.  A
-    count below 1 and a level below 1 or past the end of a finite tree raise
-    ``ValueError``, and a path weight past the float range ``OverflowError``;
-    a sample past ``SAMPLE_BUDGET`` is refused before the walk, which is
-    capped at ``spectrum.LEVEL_BUDGET`` expansions.
+    count below 1, a negative seed and a level below 1 or past the end of a
+    finite tree raise ``ValueError``, and a path weight past the float range
+    ``OverflowError``; a sample past ``SAMPLE_BUDGET`` is refused before the
+    walk, which is capped at ``spectrum.LEVEL_BUDGET`` expansions.
 
     A depth's children are exactly the next depth's handles, so one buffer
     by handle id holds ln Z from the deepest depth up.  The draw tables span
     blocks of consecutive depths of at most ``_BLOCK_ROWS`` handle rows;
-    each depth's handle ids are sorted, so one ``np.searchsorted`` on the
-    keys depth * len(memo) + id maps each child to its row.
+    each depth's handle ids are sorted, so one ``np.searchsorted`` per depth,
+    in the next depth's sorted ids, maps each child to its row.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     _check_sample_size(count, level)
     depths = [np.zeros(1, dtype=np.intp)]  # each depth's distinct handle ids, sorted
     for frontier, scale, memo in frontier_walk(system, level):
@@ -321,16 +326,15 @@ def sample_level_paths(
             last, rows = first + 1, len(depths[first])
             while last < level and rows + len(depths[last]) <= _BLOCK_ROWS:
                 rows, last = rows + len(depths[last]), last + 1
-            # sorted keys of the block's depths and the next one's, which
-            # numbers from row 0 of the next block
-            key = np.concatenate([depth * len(memo) + depths[depth]
-                                  for depth in range(first, last + 1)])
+            at = np.concatenate(depths[first:last])
             ln_z = np.concatenate(log_z[first:last + 1])
-            at = key[:rows] % len(memo)
             real = valid.take(at, axis=1)
-            # a child's key is its parent's plus one depth; padding reads row 0
-            below = np.where(real, np.searchsorted(
-                key, key[:rows] - at + len(memo) + child.take(at, axis=1)), 0)
+            # a child's row is its rank in the next depth's sorted ids plus that
+            # depth's first row, `rows` for the next block's; padding reads row 0
+            ends = accumulate(map(len, depths[first:last]))
+            below = np.where(real, np.concatenate(
+                [np.searchsorted(depths[d + 1], child.take(depths[d], axis=1)) + end
+                 for d, end in zip(range(first, last), ends)], axis=1), 0)
             ln_q = ln_z.take(below) - cost.take(at, axis=1)
             to = np.where(below < rows, below, below - rows)
             yield from repeat(_table(ln_q, real, to, weight.take(at, axis=1),

@@ -88,21 +88,20 @@ def partition_root(problems) -> list[tuple]:
     computed ln Z serves as both bounds.
 
     Each problem gets the bits it would get alone: evaluations are
-    elementwise over all problems, sorted by support size; Z and sum w q are
-    reduced per group of equal support size, by ``sum(axis=1)`` and
+    elementwise over all problems, in the order given; runs of equal support
+    size are reduced together, Z and sum w q by ``sum(axis=1)`` and
     ``np.vecdot``, which equal each row's own 1-D sums; ln Z is ``math.log``
     per row.
     """
-    order = sorted(range(len(problems)), key=lambda i: len(problems[i][0]))
-    sizes = [len(problems[i][0]) for i in order]
+    sizes = [len(w) for w, _ in problems]
     weights, log_counts = (
-        np.fromiter(chain.from_iterable(problems[i][k] for i in order), float)
+        np.fromiter(chain.from_iterable(problem[k] for problem in problems), float)
         for k in (0, 1)
     )
-    row_of = np.repeat(np.arange(len(order)), sizes)
+    row_of = np.repeat(np.arange(len(problems)), sizes)
     starts = np.cumsum(sizes) - sizes
-    q, total, dot = np.empty(len(weights)), np.empty(len(order)), np.empty(len(order))
-    groups, row = [], 0  # (rows x size) views of one support size each
+    q, (total, dot) = np.empty(len(weights)), np.empty((2, len(problems)))
+    groups, row = [], 0  # (rows x size) views of one run of equal size each
     for size, members in groupby(sizes):
         count = len(list(members))
         entries = slice(starts[row], starts[row] + count * size)
@@ -121,10 +120,7 @@ def partition_root(problems) -> list[tuple]:
         log_z = top + np.array([math.log(t) for t in total.tolist()])
         return log_z, dot / total, log_z, log_z
 
-    roots = [None] * len(order)
-    for i, root in zip(order, newton_root(solve, len(order))):
-        roots[i] = root
-    return roots
+    return newton_root(solve, len(problems))
 
 
 @dataclass(frozen=True)
@@ -149,20 +145,19 @@ def perron(
 ) -> Perron:
     """Perron root and vectors of the irreducible nonnegative n x n matrix M
     with M[i, j] = sum of q over the edges i = src, j = dst.  Each side,
-    warm-started from ``right`` and ``left``, is bounded by ``_power`` steps
-    on the edge list, or where those stall, by ``_noda`` on the dense M from
-    the same warm vector.  The bounds close to PERRON_TOL unless ``_noda``
-    stops at a singular solve or at an iterate entry under _FLOOR; they hold
-    either way.
+    warm-started from ``right`` and ``left`` (uniform when None), is bounded
+    by ``_power`` steps on the edge list, or where those stall, by ``_noda``
+    on the dense M from the same warm vector.  The bounds close to
+    PERRON_TOL unless ``_noda`` stops at a singular solve or at an iterate
+    entry under _FLOOR; they hold either way.
     """
     src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
     q = np.asarray(q, dtype=float)
-    if (q < 0).any():
-        raise ValueError("edge weights must be nonnegative")
     steps = int(min(n, n ** 3 / (3 * len(q))))  # dense solve flops / step flops
     matrix = None
     sides = []
     for rows, cols, x in ((src, dst, right), (dst, src, left)):
+        x = np.full(n, 1.0 / n) if x is None else x
         found = _power(n, rows, q, cols, x, steps) if steps >= 2 else None
         if found is None:
             if matrix is None:
@@ -193,7 +188,6 @@ def _noda(matrix, x):
     quadratic (Elsner 1976), so that iterate sits at the rounding floor.
     """
     n = len(matrix)
-    x = np.full(n, 1.0 / n) if x is None else x
     scaled = np.empty_like(matrix)
     lo, hi, settled = 0.0, math.inf, False
     for _ in range(PERRON_MAX_ITER):
@@ -226,7 +220,7 @@ def _noda(matrix, x):
 
 def _power(n, rows, q, cols, x, steps):
     """Power steps x <- M x / sum(M x), M[i, j] = sum of q over the edges
-    rows -> cols, from ``x`` (uniform when None).
+    rows -> cols, from ``x``.
 
     Returns (lo, hi, x) once the CW bounds over the iterates close to
     PERRON_TOL * hi.  Returns None as soon as the gap, shrinking from the
@@ -236,7 +230,6 @@ def _power(n, rows, q, cols, x, steps):
     steps, lets the gap stall for a step or two, as it does at the rounding
     floor and when the second eigenvalue is complex.
     """
-    x = np.full(n, 1.0 / n) if x is None else x
     lo, hi = 0.0, math.inf
     for step in range(steps + 1):
         y = np.bincount(rows, weights=q * x[cols], minlength=n)

@@ -14,6 +14,7 @@ from conftest import (
     alphabet_of, dyck, golden_mean_system, mem_equal, mem_unequal, permutation_fsm,
     permutation_fsms, rll_system, underflowing_cycle,
 )
+from closed_forms import CLOSED_FORMS
 from oracles import LN_GOLDEN, bisect_root, reference_gf_eval
 
 
@@ -161,10 +162,6 @@ class TestPerron:
         assert result.lo <= rho <= result.hi
         assert abs(result.hi - rho) < 1e-12
         assert (result.right > 0).all() and (result.left > 0).all()
-
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            perron_of(np.array([[1.0, -1.0], [0.0, 1.0]]))
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(solvers, "PERRON_MAX_ITER", 1)
@@ -464,3 +461,9 @@ class TestCombinatorialCapacity:
         estimate = capacity.combinatorial_capacity(bare, 40)
         assert estimate.method == "abscissa"
         assert abs(estimate.value - math.log(2)) < 0.08
+
+    @pytest.mark.parametrize("build, w_max, closed_form", CLOSED_FORMS)
+    def test_certified_bracket_holds_the_closed_form(self, build, w_max, closed_form):
+        estimate = capacity.combinatorial_capacity(build(), w_max)
+        assert estimate.method in ("characteristic_root", "spectral_radius")
+        assert estimate.bracket[0] <= closed_form <= estimate.bracket[1]

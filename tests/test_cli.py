@@ -446,6 +446,13 @@ class TestSample:
                 balance += 1 if ch == "(" else -1
                 assert balance >= 0
 
+    @pytest.mark.parametrize("spec", [GOLDEN_FSM, DYCK], ids=["fsm", "level"])
+    def test_negative_seed_exits_one(self, spec, tmp_spec, capsys):
+        code = main(["sample", tmp_spec(spec), "--count", "2", "--steps", "5",
+                     "--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: seed must be >= 0\n")
+
     def test_root_subtree_sum_fault_exits_three(self, tmp_spec, capsys, monkeypatch):
         solve = maxent._solve_levels
 

@@ -167,6 +167,10 @@ class TestSamplePaths:
         assert first == second
         assert first != other
 
+    def test_negative_seed_is_refused_before_the_budget(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            d.sample_paths(golden_chain(), 10 ** 9, 100, seed=-1)
+
     def test_symbol_frequency_concentrates(self):
         samples = d.sample_paths(binary_chain(), 2000, 100, seed=7)
         zeros = sum(p.labels.count("0") for p in samples.paths)
@@ -292,6 +296,12 @@ class TestLevelSampler:
     def test_count_below_one_is_refused(self):
         with pytest.raises(ValueError, match="^count must be >= 1$"):
             d.sample_level_paths(dyck(), 5, 0, 1)
+
+    def test_negative_seed_is_refused_before_the_walk(self):
+        system, calls = counted(dyck())
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            d.sample_level_paths(system, 5, 10 ** 9, -1)
+        assert calls == [0]
 
     def test_reproducible(self):
         first = d.samples_tsv(d.sample_level_paths(dyck(), 5, 40, seed=2))

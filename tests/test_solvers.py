@@ -34,6 +34,9 @@ def _bits(roots):
 @given(problems=st.lists(partition_problems(), min_size=1, max_size=8))
 # Z(0) = 1 + e^{-4.187345}, a total whose np.log is one ulp off math.log
 @example(problems=[([1.0, 1.0], [0.0, -4.187345]), ([2.0], [3.0])])
+# support sizes 1, 8, 1, 8: each run of equal size is reduced apart
+@example(problems=[([2.0], [1.0]), ([k / 2 for k in range(1, 9)], [0.0] * 8),
+                   ([3.0], [2.5]), ([k / 3 for k in range(1, 9)], [1.0] * 8)])
 def test_batched_partition_root_matches_scalar_solves_bit_for_bit(problems):
     batch = _bits(solvers.partition_root(problems))
     assert batch == _bits(scalar_partition_root(*p) for p in problems)
