@@ -31,6 +31,11 @@ class MaxentChain:
     eigenvector of M(s*) normalized so the start entry is 1, and
     ``stationary`` is u o b / u^T b, u the left one.  Rows sum to one and
     the stationary entropy rate per unit weight reproduces s*.
+
+    Construction raises ``InvalidSystemError``, naming the first state that
+    differs, unless row i lists exactly the (symbol, next state) pairs of
+    ``fsm.outgoing[i]``, in order, one row per state; so every path the
+    chain draws from ``fsm.start`` is a path of the FSM.
     """
 
     fsm: WeightedFsm
@@ -38,6 +43,15 @@ class MaxentChain:
     transition_probs: tuple[tuple[tuple[Symbol, int, float], ...], ...]
     right_eigvec: tuple[float, ...]
     stationary: tuple[float, ...]
+
+    def __post_init__(self):
+        outgoing = self.fsm.outgoing
+        rows = [tuple((sym, to) for sym, to, _ in row) for row in self.transition_probs]
+        if rows != list(outgoing.values()):
+            state = next((i for i, row in enumerate(rows) if outgoing.get(i) != row),
+                         len(rows))
+            raise InvalidSystemError(
+                f"state {state}: the chain's row is not the FSM's outgoing transitions")
 
     def analytic_entropy_rate(self) -> float:
         """Stationary per-step entropy over stationary per-step weight."""
@@ -193,33 +207,13 @@ def _lock_step(tables, names, start: int, count: int, steps: int, seed: int):
     return SampleSet(tuple(names), labels, weight, log_prob)
 
 
-def _check_accepted(fsm: WeightedFsm, names, labels) -> None:
-    """Raise ``EstimatorError`` naming the first row of label codes into
-    ``names`` that ``fsm``'s transitions do not accept.  A missing edge is
-    -1, which indexes an extra all -1 row, so a rejected row stays
-    rejected."""
-    code = {name: i for i, name in enumerate(names)}
-    width = len(names)
-    step = np.full((fsm.num_states + 1) * width, -1)
-    for src, sym, dst in fsm.transitions:
-        if sym.label in code:
-            step[src * width + code[sym.label]] = dst
-    state = np.full(len(labels), fsm.start)
-    for column in labels.T:
-        state = step[state * width + column]
-    rejected = np.flatnonzero(state < 0)
-    if len(rejected):
-        row = labels[rejected[0]].tolist()
-        raise EstimatorError(
-            f"sampled sequence rejected by the FSM: {''.join(names[c] for c in row)}"
-        )
-
-
-def _check_sample_size(count: int, steps: int) -> None:
+def _check_sample_size(count: int, steps: int, labels: int = 1) -> None:
     """Raise ``BudgetExceededError`` before a draw of ``count`` paths of
-    ``steps`` labels allocates past ``SAMPLE_BUDGET`` bytes, counting one
-    byte a label code and eight 8-byte values a path."""
-    if count * (steps + 64) > SAMPLE_BUDGET:
+    ``steps`` codes into ``labels`` names allocates past ``SAMPLE_BUDGET``
+    bytes, counting a label code at ``_lock_step``'s width (one byte when
+    the names are not yet known) and eight 8-byte values a path."""
+    width = np.min_scalar_type(labels).itemsize
+    if count * (steps * width + 64) > SAMPLE_BUDGET:
         raise BudgetExceededError(f"a sample of {count} paths x {steps} steps is past "
                                   f"the sample budget of {SAMPLE_BUDGET} bytes")
 
@@ -230,28 +224,27 @@ def sample_paths(chain: MaxentChain, count: int, steps: int, seed: int) -> Sampl
 
     Raises ``ValueError`` if either is below 1 or the seed is negative,
     ``BudgetExceededError`` past ``SAMPLE_BUDGET`` before anything is
-    allocated, ``EstimatorError`` for the first sequence that the FSM's
-    transitions (not the chain's rows) reject, and ``OverflowError`` for a
-    path weight past the float range.
+    allocated, and ``OverflowError`` for a path weight past the float range.
+    Each drawn label is a branch of its state's chain row, and the chain's
+    rows are its FSM's, so every path is a path of the FSM.
     """
     if count < 1 or steps < 1:
         raise ValueError("count and steps must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    _check_sample_size(count, steps)
     code: dict[str, int] = {}
     flat = [branch for row in chain.transition_probs for branch in row]
+    codes = [code.setdefault(sym.label, len(code)) for sym, _, _ in flat]
+    _check_sample_size(count, steps, len(code))
     valid, ln_q, child, weight, label = _padded(
         [len(row) for row in chain.transition_probs],
         [math.log(prob) if prob else -math.inf for _, _, prob in flat],
         [dst for _, dst, _ in flat],
         [sym._float for sym, _, _ in flat],
-        [code.setdefault(sym.label, len(code)) for sym, _, _ in flat],
+        codes,
     )
     tables = repeat(_table(ln_q, valid, child, weight, label), steps)
-    samples = _lock_step(tables, code, chain.fsm.start, count, steps, seed)
-    _check_accepted(chain.fsm, samples.names, samples.labels)
-    return samples
+    return _lock_step(tables, code, chain.fsm.start, count, steps, seed)
 
 
 def empirical_entropy_rate(samples: SampleSet) -> float:
@@ -277,7 +270,8 @@ def sample_level_paths(
     count below 1, a negative seed and a level below 1 or past the end of a
     finite tree raise ``ValueError``, and a path weight past the float range
     ``OverflowError``; a sample past ``SAMPLE_BUDGET`` is refused before the
-    walk, which is capped at ``spectrum.LEVEL_BUDGET`` expansions.
+    walk at one byte a label code and after it at the codes' real width,
+    and the walk is capped at ``spectrum.LEVEL_BUDGET`` expansions.
 
     A depth's children are exactly the next depth's handles, so one buffer
     by handle id holds ln Z from the deepest depth up.  The draw tables span
@@ -304,6 +298,7 @@ def sample_level_paths(
         [sym._float for _, _, sym in flat],
         [code.setdefault(sym.label, len(code)) for _, _, sym in flat],
     )
+    _check_sample_size(count, level, len(code))
     cost = weight * rate
     buffer = np.zeros(len(memo))  # ln Z by handle id, one depth at a time
     log_z = [None] * level + [buffer[depths[level]]]

@@ -6,7 +6,7 @@ import inspect
 import pytest
 
 import dncap as d
-from dncap import capacity, maxent, spectrum, systems
+from dncap import capacity, maxent, sampler, spectrum, systems
 from dncap.capacity import combinatorial_capacity
 from dncap.cli import build_parser
 from conftest import dyck
@@ -79,6 +79,11 @@ def test_every_option_has_a_program_caller():
     assert method.choices == ("auto", "abscissa")
     with pytest.raises(ValueError, match="unknown capacity method"):
         combinatorial_capacity(dyck(), 40, "spectral")
+
+
+def test_a_chain_is_checked_against_its_fsm_once_when_built():
+    # construction checks the rows; no sample is walked through the FSM again
+    assert not hasattr(sampler, "_check_accepted")
 
 
 def test_one_budget_lives_in_spectrum():

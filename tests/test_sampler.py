@@ -205,6 +205,21 @@ class TestSamplePaths:
             d.sample_level_paths(system, 100, 10 ** 8, seed=1)
         assert calls == [0]  # before the walk
 
+    def test_the_budget_charges_two_bytes_a_code_past_255_labels(self, monkeypatch):
+        # 300 labels are coded as uint16: 3 paths of 4 steps take
+        # 3 * (4 * 2 + 64) = 216 bytes, not the one-byte 3 * (4 + 64) = 204
+        system = d.make_memoryless(d.symbols({f"x{i}": 1 for i in range(300)}))
+        chain = d.maxent_chain(system.fsm)
+        draws = [lambda: d.sample_paths(chain, 3, 4, seed=1),
+                 lambda: d.sample_level_paths(system, 4, 3, seed=1)]
+        for draw in draws:
+            monkeypatch.setattr(sampler, "SAMPLE_BUDGET", 204)
+            with pytest.raises(d.BudgetExceededError,
+                               match="^a sample of 3 paths x 4 steps is past"):
+                draw()
+            monkeypatch.setattr(sampler, "SAMPLE_BUDGET", 216)
+            assert draw().labels.dtype == np.uint16
+
     def test_rows_match_a_rewalk_of_the_transition_table(self):
         fsm = d.WeightedFsm(2, 0, (
             (0, d.Symbol("a", "1/2"), 0), (0, d.Symbol("b", "3/2"), 1),
@@ -220,17 +235,29 @@ class TestSamplePaths:
         chain = golden_chain()
         zero, one = (sym for sym, _, _ in chain.transition_probs[0])
         # state 1 may only emit "0"; this row also lets it emit "1"
-        forged = d.MaxentChain(
-            fsm=chain.fsm,
-            capacity=chain.capacity,
-            transition_probs=(
-                chain.transition_probs[0], ((zero, 0, 0.5), (one, 1, 0.5)),
-            ),
-            right_eigvec=chain.right_eigvec,
-            stationary=chain.stationary,
-        )
-        with pytest.raises(d.EstimatorError, match="rejected by the FSM"):
-            d.sample_paths(forged, 50, 20, seed=4)
+        with pytest.raises(d.InvalidSystemError, match="^state 1: the chain's row is not"):
+            d.MaxentChain(
+                fsm=chain.fsm,
+                capacity=chain.capacity,
+                transition_probs=(
+                    chain.transition_probs[0], ((zero, 0, 0.5), (one, 1, 0.5)),
+                ),
+                right_eigvec=chain.right_eigvec,
+                stationary=chain.stationary,
+            )
+
+    @pytest.mark.parametrize("forge, state", [
+        # "0" keeps its label but leads to state 1, which could then emit "11"
+        (lambda rows: (((rows[0][0][0], 1, rows[0][0][2]), rows[0][1]), rows[1]), 0),
+        (lambda rows: rows[:1], 1),
+        (lambda rows: (rows[0][::-1], rows[1]), 0),
+        (lambda rows: rows + rows[1:], 2),
+    ], ids=["moved destination", "row short", "row reversed", "row extra"])
+    def test_rows_other_than_the_fsm_s_are_refused(self, forge, state):
+        chain = golden_chain()
+        with pytest.raises(d.InvalidSystemError,
+                           match=f"^state {state}: the chain's row is not"):
+            dataclasses.replace(chain, transition_probs=forge(chain.transition_probs))
 
 
 class TestEmpiricalEntropyRate:
@@ -458,9 +485,8 @@ def test_fsm_samples_rewalk_and_forgeries_are_rejected(fsm, steps):
     forged_row += ((d.Symbol(min(lacking), 1), fsm.start, 0.5),)
     rows = list(chain.transition_probs)
     rows[fsm.start] = forged_row
-    forged = dataclasses.replace(chain, transition_probs=tuple(rows))
-    with pytest.raises(d.EstimatorError, match="rejected by the FSM"):
-        d.sample_paths(forged, 20, steps, seed=steps)
+    with pytest.raises(d.InvalidSystemError, match=f"^state {fsm.start}: "):
+        dataclasses.replace(chain, transition_probs=tuple(rows))
 
 
 @settings(max_examples=12, derandomize=True, deadline=None, database=None)
