@@ -8,6 +8,7 @@ numeric output is locale-independent with 17 significant digits.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -95,6 +96,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser; ``main`` builds one at its first call and keeps it."""
     parser = _Parser(
         prog="dncap",
         description="capacity and maxentropic sources for constrained channels",
@@ -136,10 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves a parser as it was, so one per process serves every call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:  # _UsageError, SpecFileError, InvalidSystemError
         print(f"error: {exc}", file=sys.stderr)

@@ -35,7 +35,9 @@ class MaxentChain:
     Construction raises ``InvalidSystemError``, naming the first state that
     differs, unless row i lists exactly the (symbol, next state) pairs of
     ``fsm.outgoing[i]``, in order, one row per state; so every path the
-    chain draws from ``fsm.start`` is a path of the FSM.
+    chain draws from ``fsm.start`` is a path of the FSM.  It then raises
+    ``EstimatorError``, naming the first state, if a row's probabilities
+    sum further than ``_ROW_SUM_TOL`` from one.
     """
 
     fsm: WeightedFsm
@@ -52,6 +54,11 @@ class MaxentChain:
                          len(rows))
             raise InvalidSystemError(
                 f"state {state}: the chain's row is not the FSM's outgoing transitions")
+        for state, row in enumerate(self.transition_probs):
+            total = left_sum(prob for _, _, prob in row)
+            if abs(total - 1.0) > _ROW_SUM_TOL:
+                raise EstimatorError(
+                    f"state {state}: transition probabilities sum to {float(total)}")
 
     def analytic_entropy_rate(self) -> float:
         """Stationary per-step entropy over stationary per-step weight."""
@@ -69,10 +76,10 @@ def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
     """The maxentropic chain of ``fsm`` at s* = ``fsm_capacity(fsm).value``.
 
     Raises ``InvalidSystemError`` unless the FSM is strongly connected, and
-    ``EstimatorError`` if a state's probabilities sum further than
-    ``_ROW_SUM_TOL`` from one or the entropy rate lies further than
-    ``_RATE_CHECK_TOL`` from s*.  ``outgoing`` keeps ``edges`` order within
-    each state, so a stable sort by source lines the probabilities up with it.
+    ``EstimatorError`` if ``MaxentChain`` refuses a row's sum or the entropy
+    rate lies further than ``_RATE_CHECK_TOL`` from s*.  ``outgoing`` keeps
+    ``edges`` order within each state, so a stable sort by source lines the
+    probabilities up with it.
     """
     if not fsm.is_strongly_connected():
         raise InvalidSystemError(
@@ -86,11 +93,6 @@ def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
     # math.exp, not np.exp: the two differ in the last bit on some inputs
     tilt = [math.exp(-w * s_star) for w in weights.tolist()]
     probs = vector[dst] / vector[src] * tilt
-    row_sums = np.bincount(src, weights=probs, minlength=fsm.num_states)
-    bad = np.flatnonzero(abs(row_sums - 1.0) > _ROW_SUM_TOL)
-    if len(bad):
-        raise EstimatorError(f"state {bad[0]}: transition probabilities sum to "
-                             f"{float(row_sums[bad[0]])}")
     by_row = iter(probs[np.argsort(src, kind="stable")].tolist())
     rows = [tuple((sym, to, next(by_row)) for sym, to in outs)
             for outs in fsm.outgoing.values()]

@@ -8,7 +8,6 @@ and weights exact rationals, so bucket identity is never a float question.
 
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -269,7 +268,13 @@ def density_check(spectrum: WeightSpectrum) -> DensityReport:
     floors = [u // spectrum.scale for u in spectrum.units]
     top, steps = max(math.floor(spectrum.w_max), 1), set(floors)
     checkpoints = tuple(sorted({1, top, *steps, *(f + 1 for f in steps)} - {0, top + 1}))
-    k_of_n = tuple(bisect_left(floors, n) for n in checkpoints)
+    # floors and checkpoints both ascend: one merge pass counts the floors below each n
+    counts, k, end = [], 0, len(floors)
+    for n in checkpoints:
+        while k < end and floors[k] < n:
+            k += 1
+        counts.append(k)
+    k_of_n = tuple(counts)
     points = [(n, k) for n, k in zip(checkpoints, k_of_n) if k >= 1]
     logs = [(math.log(n), math.log(k)) for n, k in points]
     # a flat stretch's slope is the 0 the max starts from; past 2**53 a step's

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dncap import maxent, solvers, spectrum, systems
+from dncap import cli, maxent, solvers, spectrum, systems
 from dncap.cli import main
 
 MEM_EQUAL = {
@@ -590,6 +591,43 @@ class TestUsage:
 
     def test_missing_required_flag(self, tmp_spec, capsys):
         assert main(["enumerate", tmp_spec(MEM_EQUAL)]) == 1
+
+    def test_one_parser_serves_every_call_in_a_process(self, tmp_spec, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def run(argv):
+            """(parsers built, exit code, stdout, stderr) of one call."""
+            before = len(built)
+            try:
+                code = main(argv)
+            except SystemExit as stop:  # --help
+                code = ("exit", stop.code)
+            return (len(built) - before, code, *capsys.readouterr())
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        spec = tmp_spec(GOLDEN_FSM)
+        calls = [["capacity", spec], ["capacity", spec, "--wmax"], ["--help"],
+                 ["maxent", spec, "--lmax", "5"], ["capacity", spec]]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        cli._parser.cache_clear()
+        kept = [run(argv) for argv in calls]
+        assert [runs for runs, *_ in fresh] == [6] * 5
+        assert [runs for runs, *_ in kept] == [6, 0, 0, 0, 0]
+        assert [code for _, code, *_ in kept] == [0, 1, ("exit", 0), 0, 0]
+        assert [output for _, *output in kept] == [output for _, *output in fresh]
+        assert kept[1][3].startswith("error: argument --wmax: expected one argument")
+        assert kept[2][2].startswith("usage: dncap")
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
     def test_module_entry_point(self, tmp_spec):
         result = subprocess.run(

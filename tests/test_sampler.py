@@ -259,6 +259,15 @@ class TestSamplePaths:
                            match=f"^state {state}: the chain's row is not"):
             dataclasses.replace(chain, transition_probs=forge(chain.transition_probs))
 
+    def test_a_row_that_does_not_sum_to_one_is_refused(self):
+        # _table would renormalize (0.1, 0.1) and sample it as (0.5, 0.5)
+        chain = golden_chain()
+        (zero, to_zero, _), (one, to_one, _) = chain.transition_probs[0]
+        rows = (((zero, to_zero, 0.1), (one, to_one, 0.1)), chain.transition_probs[1])
+        with pytest.raises(d.EstimatorError,
+                           match=r"^state 0: transition probabilities sum to 0\.2$"):
+            dataclasses.replace(chain, transition_probs=rows)
+
 
 class TestEmpiricalEntropyRate:
     def test_binary_chain_is_exact(self):

@@ -154,8 +154,18 @@ def fsm_rows(draw):
     return rows
 
 
+# long documents: valid, then one bad row late, so the column read falls back
+LONG = [{"from": i % 2, "label": f"s{i}", "weight": "1", "to": (i + 1) % 2}
+        for i in range(200)]
+BAD_LAST = LONG[:199] + [{"from": 1, "label": "z", "weight": "zero", "to": 0}]
+BOOL_FROM = LONG[:120] + [{**LONG[120], "from": True}] + LONG[121:]
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(rows=fsm_rows())
+@example(rows=LONG)
+@example(rows=BAD_LAST)
+@example(rows=BOOL_FROM)
 @example(rows=[{"from": 0, "label": "a", "weight": "1", "to": 1},
                {"from": 1, "label": "a", "weight": "1", "to": True}])
 @example(rows=[{"from": 0, "label": [0], "weight": "1", "to": 0}])
@@ -171,3 +181,4 @@ def test_rows_are_checked_as_the_per_row_reference_checks_them(rows):
 
     doc = fsm_doc(rows, states=2)
     assert outcome(lambda: parse_system(doc).fsm.transitions) == outcome(reference)
+

@@ -313,6 +313,8 @@ def fsm_parts(draw):
                        (2, d.Symbol("a", 1), 5))))  # out of range before unreachable
 @example(parts=(3, 1, ((0, d.Symbol("a", 1), 2), (1, d.Symbol("a", 1), 0),
                        (2, d.Symbol("a", 1), 1), (2, d.Symbol("b", 1), 2))))  # valid
+@example(parts=(2, 0, tuple((k % 2, d.Symbol(f"s{k}", 1), (k + 1) % 2) for k in range(150))
+                 + ((1, d.Symbol("x", 1), 5), (0, d.Symbol("y", 1), 7))))  # late range
 def test_fsm_checks_match_the_reference(parts):
     n, start, transitions = parts
     fsm = outcome(lambda: d.WeightedFsm(n, start, transitions))
