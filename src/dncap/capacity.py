@@ -23,7 +23,7 @@ from .estimates import (
     SPECTRAL_RADIUS,
     CapacityEstimate,
 )
-from .solvers import newton_root, partition_root, perron
+from .solvers import Perron, newton_root, partition_root, perron
 from .spectrum import (
     DENSITY_POLY_CAP,
     WeightSpectrum,
@@ -87,7 +87,14 @@ def fsm_capacity(fsm: WeightedFsm) -> CapacityEstimate:
     rho(M(s)) is the largest Perron root over the strongly connected
     components that carry a transition, so each is solved on its own, the
     largest root wins and ``iterations`` sums their Newton steps.
+    ``maxent_chain`` reads its vectors off the winner's final Newton
+    evaluation at s*, so the chain needs no second Perron solve.
     """
+    return _fsm_root(fsm)[0]
+
+
+def _fsm_root(fsm: WeightedFsm) -> tuple[CapacityEstimate, Perron]:
+    """``fsm_capacity`` and the ``Perron`` of the winning component at s*."""
     src, weights, dst = fsm.edges
     label = fsm.components
     inner = label[src] == label[dst]
@@ -101,15 +108,15 @@ def fsm_capacity(fsm: WeightedFsm) -> CapacityEstimate:
         ))
     if not roots:
         raise InvalidSystemError("no cycle reachable from start; capacity is undefined")
-    value, _, _, residual, _ = max(roots)
-    bracket = (max(r[1] for r in roots), max(r[2] for r in roots))
-    return CapacityEstimate(
-        value, SPECTRAL_RADIUS, bracket, residual, sum(r[4] for r in roots)
-    )
+    (value, _, _, residual, _), p = max(roots, key=lambda r: r[0])
+    bracket = (max(r[1] for r, _ in roots), max(r[2] for r, _ in roots))
+    steps = sum(r[4] for r, _ in roots)
+    return CapacityEstimate(value, SPECTRAL_RADIUS, bracket, residual, steps), p
 
 
-def _component_root(n: int, src, weights, dst) -> tuple:
-    """``newton_root`` of ln rho(M(s)) = 0 on one component, a batch of one.
+def _component_root(n: int, src, weights, dst) -> tuple[tuple, Perron]:
+    """``newton_root`` of ln rho(M(s)) = 0 on one component, a batch of one,
+    and the ``Perron`` of its final Newton evaluation, at the returned value.
 
     ln rho(M(s)) is convex and decreasing (Kingman 1961).  Its slope comes
     from the Perron vectors, d rho/ds = -u^T (W o M) v / u^T v summed over
@@ -117,20 +124,21 @@ def _component_root(n: int, src, weights, dst) -> tuple:
     warm-started with the previous vectors, and the logs of the CW bounds
     certify the bracket.
     """
-    warm = ()
+    warm, at = (), {}  # at: the first Perron solved at each point
 
     def solve(point: np.ndarray) -> np.ndarray:
         nonlocal warm
         q = np.exp(-weights * point[0])
         p = perron(n, src, q, dst, *warm)
         warm = (p.right, p.left)
+        at.setdefault(float(point[0]), p)
         slope = p.left[src] * weights * q @ p.right[dst]
         decay = float(slope / (p.left @ p.right) / p.hi)
         log_hi = math.log(p.hi)
         return np.array([[log_hi], [decay], [_log(p.lo)], [log_hi]])
 
     [root] = newton_root(solve, 1)
-    return root
+    return root, at[root[0]]
 
 
 def _log(x: float) -> float:

@@ -131,7 +131,7 @@ def maxent_pmf(system: BranchSystem, level: int) -> LevelPmf:
     probs = {labels: math.exp(-float(w) * rate) for labels, w in paths}
     weights = {labels: w for labels, w in paths}
     total = left_sum(probs.values())
-    if abs(total - 1.0) > _SUM_TOL:
+    if not abs(total - 1.0) <= _SUM_TOL:
         raise EstimatorError(
             f"level {level}: maxent probabilities sum to {total}, not 1"
         )
@@ -145,7 +145,7 @@ def entropy_and_avg_weight(pmf: LevelPmf) -> tuple[float, float]:
         if p < 0:
             raise ValueError(f"negative probability at {path}")
         total += p
-    if abs(total - 1.0) > _SUM_TOL:
+    if not abs(total - 1.0) <= _SUM_TOL:
         raise ValueError(f"probabilities sum to {total}, not 1")
     entropy = -left_sum(p * math.log(p) for p in pmf.probs.values() if p > 0.0)
     avg_weight = left_sum(

@@ -11,9 +11,9 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from . import maxent
-from .capacity import fsm_capacity
+from .capacity import _fsm_root
 from .errors import BudgetExceededError, EstimatorError, InvalidSystemError
-from .solvers import left_sum, perron
+from .solvers import left_sum
 from .spectrum import frontier_walk
 from .systems import BranchSystem, Symbol, WeightedFsm
 
@@ -56,7 +56,7 @@ class MaxentChain:
                 f"state {state}: the chain's row is not the FSM's outgoing transitions")
         for state, row in enumerate(self.transition_probs):
             total = left_sum(prob for _, _, prob in row)
-            if abs(total - 1.0) > _ROW_SUM_TOL:
+            if not abs(total - 1.0) <= _ROW_SUM_TOL:
                 raise EstimatorError(
                     f"state {state}: transition probabilities sum to {float(total)}")
 
@@ -77,18 +77,20 @@ def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
 
     Raises ``InvalidSystemError`` unless the FSM is strongly connected, and
     ``EstimatorError`` if ``MaxentChain`` refuses a row's sum or the entropy
-    rate lies further than ``_RATE_CHECK_TOL`` from s*.  ``outgoing`` keeps
-    ``edges`` order within each state, so a stable sort by source lines the
-    probabilities up with it.
+    rate lies further than ``_RATE_CHECK_TOL`` from s*.  The Perron vectors
+    are the capacity solve's, from its final Newton evaluation at s*, with
+    no second solve; they line up with ``edges``, as the FSM is one
+    component, and ``outgoing`` keeps ``edges`` order within each state, so
+    a stable sort by source lines the probabilities up with it.
     """
     if not fsm.is_strongly_connected():
         raise InvalidSystemError(
             "chain construction needs a strongly connected FSM "
             "(otherwise the Perron eigenvector is not unique)"
         )
-    s_star = fsm_capacity(fsm).value
+    estimate, p = _fsm_root(fsm)
+    s_star = estimate.value
     src, weights, dst = fsm.edges
-    p = perron(fsm.num_states, src, np.exp(-weights * s_star), dst)
     vector = p.right / p.right[fsm.start]
     # math.exp, not np.exp: the two differ in the last bit on some inputs
     tilt = [math.exp(-w * s_star) for w in weights.tolist()]
@@ -105,7 +107,7 @@ def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
         stationary=tuple(float(p) for p in stationary),
     )
     rate = chain.analytic_entropy_rate()
-    if abs(rate - s_star) > _RATE_CHECK_TOL:
+    if not abs(rate - s_star) <= _RATE_CHECK_TOL:
         raise EstimatorError(
             f"chain entropy rate {rate} disagrees with capacity {s_star}"
         )
@@ -311,7 +313,7 @@ def sample_level_paths(
                         -np.inf)
         buffer[at] = log_z[depth] = np.logaddexp.reduce(ln_q, axis=0)
     root = float(log_z[0][0])
-    if abs(root) > _ROW_SUM_TOL:
+    if not abs(root) <= _ROW_SUM_TOL:
         raise EstimatorError(
             f"level {level}: root subtree sum has ln Z = {root}, not 0, "
             f"at rate {rate}"

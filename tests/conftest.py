@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +148,21 @@ def counted(system):
         return system.expand(handle)
 
     return dataclasses.replace(system, expand=expand), calls
+
+
+def counted_calls(monkeypatch, function):
+    """A list that gains one entry per call of ``function`` through any dncap
+    module holding it under its own name, each holder patched for the test."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return function(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dncap") and vars(module).get(function.__name__) is function:
+            monkeypatch.setattr(module, function.__name__, counted)
+    return calls
 
 
 # every builtin, for oracle-equivalence and density sweeps

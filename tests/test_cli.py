@@ -11,6 +11,7 @@ import pytest
 
 from dncap import cli, maxent, solvers, spectrum, systems
 from dncap.cli import main
+from conftest import counted_calls
 
 MEM_EQUAL = {
     "kind": "memoryless",
@@ -52,6 +53,17 @@ GOLDEN_FSM = {
         {"from": 0, "label": "0", "weight": "1", "to": 0},
         {"from": 0, "label": "1", "weight": "1", "to": 1},
         {"from": 1, "label": "0", "weight": "1", "to": 0},
+    ],
+}
+
+# state 0 leads to state 1's loop and is never re-entered
+ONE_WAY_FSM = {
+    "kind": "fsm",
+    "states": 2,
+    "start": 0,
+    "transitions": [
+        {"from": 0, "label": "a", "weight": "1", "to": 1},
+        {"from": 1, "label": "b", "weight": "1", "to": 1},
     ],
 }
 
@@ -408,20 +420,22 @@ class TestSample:
 
     def test_fsm_sampling_labels_components_once(self, tmp_spec, monkeypatch):
         # the chain's connectivity check and its capacity read one labelling
-        calls, label = [], systems.strong_components
-
-        def counted(*args):
-            calls.append(1)
-            return label(*args)
-
-        for name, module in list(sys.modules.items()):  # every holder of it
-            held = vars(module).get("strong_components")
-            if name.startswith("dncap") and held is label:
-                monkeypatch.setattr(module, "strong_components", counted)
+        calls = counted_calls(monkeypatch, systems.strong_components)
         code = main(["sample", tmp_spec(GOLDEN_FSM), "--count", "2", "--steps", "3",
                      "--seed", "1"])
         assert code == 0
         assert calls == [1]
+
+    def test_a_reducible_fsm_exits_one_before_any_perron_solve(
+            self, tmp_spec, capsys, monkeypatch):
+        calls = counted_calls(monkeypatch, solvers.perron)
+        code = main(["sample", tmp_spec(ONE_WAY_FSM), "--count", "2", "--steps", "3",
+                     "--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr() == ("", (
+            "error: chain construction needs a strongly connected FSM "
+            "(otherwise the Perron eigenvector is not unique)\n"))
+        assert calls == []
 
     def test_memoryless_sampling(self, tmp_spec, capsys):
         code = main(["sample", tmp_spec(MEM_EQUAL), "--count", "3", "--steps", "4",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -151,6 +152,14 @@ class TestMaxentPmf:
                            match=r"^level 3: maxent probabilities sum to \S+, not 1$"):
             d.maxent_pmf(mem_equal(), 3)
 
+    def test_a_nan_rate_is_refused(self, monkeypatch):
+        solve = maxent.solve_level_rate
+        monkeypatch.setattr(maxent, "solve_level_rate", lambda system, level:
+                            dataclasses.replace(solve(system, level), rate=math.nan))
+        with pytest.raises(d.EstimatorError,
+                           match=r"^level 3: maxent probabilities sum to nan, not 1$"):
+            d.maxent_pmf(mem_equal(), 3)
+
 
 class TestEntropyAndAvgWeight:
     def test_uniform_cube(self):
@@ -201,6 +210,15 @@ class TestEntropyAndAvgWeight:
         )
         with pytest.raises(ValueError, match="negative"):
             d.entropy_and_avg_weight(negative)
+
+    def test_a_nan_probability_is_refused(self):
+        pmf = d.LevelPmf(
+            level=1,
+            probs={("a",): math.nan, ("b",): 0.5},
+            weights={("a",): Fraction(1), ("b",): Fraction(1)},
+        )
+        with pytest.raises(ValueError, match=r"^probabilities sum to nan, not 1$"):
+            d.entropy_and_avg_weight(pmf)
 
 
 class TestRateEstimate:
