@@ -87,14 +87,7 @@ def fsm_capacity(fsm: WeightedFsm) -> CapacityEstimate:
     rho(M(s)) is the largest Perron root over the strongly connected
     components that carry a transition, so each is solved on its own, the
     largest root wins and ``iterations`` sums their Newton steps.
-    ``maxent_chain`` reads its vectors off the winner's final Newton
-    evaluation at s*, so the chain needs no second Perron solve.
     """
-    return _fsm_root(fsm)[0]
-
-
-def _fsm_root(fsm: WeightedFsm) -> tuple[CapacityEstimate, Perron]:
-    """``fsm_capacity`` and the ``Perron`` of the winning component at s*."""
     src, weights, dst = fsm.edges
     label = fsm.components
     inner = label[src] == label[dst]
@@ -105,13 +98,13 @@ def _fsm_root(fsm: WeightedFsm) -> tuple[CapacityEstimate, Perron]:
         roots.append(_component_root(
             len(states), np.searchsorted(states, src[keep]), weights[keep],
             np.searchsorted(states, dst[keep]),
-        ))
+        )[0])
     if not roots:
         raise InvalidSystemError("no cycle reachable from start; capacity is undefined")
-    (value, _, _, residual, _), p = max(roots, key=lambda r: r[0])
-    bracket = (max(r[1] for r, _ in roots), max(r[2] for r, _ in roots))
-    steps = sum(r[4] for r, _ in roots)
-    return CapacityEstimate(value, SPECTRAL_RADIUS, bracket, residual, steps), p
+    value, _, _, residual, _ = max(roots, key=lambda r: r[0])
+    bracket = (max(r[1] for r in roots), max(r[2] for r in roots))
+    steps = sum(r[4] for r in roots)
+    return CapacityEstimate(value, SPECTRAL_RADIUS, bracket, residual, steps)
 
 
 def _component_root(n: int, src, weights, dst) -> tuple[tuple, Perron]:

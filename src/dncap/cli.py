@@ -1,15 +1,17 @@
 """Command-line front end: enumerate, capacity, maxent, sample, verify.
 
 Exit codes are a stable contract: 0 success (or verify PASS), 1 parse or
-validation failure, 2 verify FAIL, 3 verify INCONCLUSIVE, or a run stopped
-by the work or sample budget, by an estimator's contradiction, by running
-out of memory or by a weight or path weight past the float range.  All
-numeric output is locale-independent with 17 significant digits.
+validation failure or output that cannot be written, 2 verify FAIL, 3 verify
+INCONCLUSIVE, or a run stopped by the work or sample budget, by an
+estimator's contradiction, by running out of memory or by a weight or path
+weight past the float range.  All numeric output is locale-independent with
+17 significant digits.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .capacity import combinatorial_capacity
@@ -146,6 +148,15 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
+    except BrokenPipeError:  # stdout closed early, as by `| head`
+        try:  # point it at devnull, so the flush at exit has no pipe to report
+            stdout = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # no descriptor
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout)
+        os.close(devnull)
+        return 1
     except ValueError as exc:  # _UsageError, SpecFileError, InvalidSystemError
         print(f"error: {exc}", file=sys.stderr)
         return 1

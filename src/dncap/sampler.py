@@ -11,7 +11,7 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from . import maxent
-from .capacity import _fsm_root
+from .capacity import _component_root
 from .errors import BudgetExceededError, EstimatorError, InvalidSystemError
 from .solvers import left_sum
 from .spectrum import frontier_walk
@@ -77,20 +77,19 @@ def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
 
     Raises ``InvalidSystemError`` unless the FSM is strongly connected, and
     ``EstimatorError`` if ``MaxentChain`` refuses a row's sum or the entropy
-    rate lies further than ``_RATE_CHECK_TOL`` from s*.  The Perron vectors
-    are the capacity solve's, from its final Newton evaluation at s*, with
-    no second solve; they line up with ``edges``, as the FSM is one
-    component, and ``outgoing`` keeps ``edges`` order within each state, so
-    a stable sort by source lines the probabilities up with it.
+    rate lies further than ``_RATE_CHECK_TOL`` from s*.  The FSM is one
+    component, so s* and the Perron vectors come from one solve of it on
+    ``edges``, from its final Newton evaluation at s*; ``outgoing`` keeps
+    ``edges`` order within each state, so a stable sort by source lines the
+    probabilities up with it.
     """
     if not fsm.is_strongly_connected():
         raise InvalidSystemError(
             "chain construction needs a strongly connected FSM "
             "(otherwise the Perron eigenvector is not unique)"
         )
-    estimate, p = _fsm_root(fsm)
-    s_star = estimate.value
     src, weights, dst = fsm.edges
+    (s_star, *_), p = _component_root(fsm.num_states, src, weights, dst)
     vector = p.right / p.right[fsm.start]
     # math.exp, not np.exp: the two differ in the last bit on some inputs
     tilt = [math.exp(-w * s_star) for w in weights.tolist()]

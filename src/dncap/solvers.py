@@ -151,7 +151,8 @@ def perron(
     PERRON_TOL unless ``_noda`` stops at a singular solve or at an iterate
     entry under _FLOOR; they hold either way.
     """
-    src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+    # writeable copies: np.bincount copies a read-only index array per call
+    src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
     q = np.asarray(q, dtype=float)
     steps = int(min(n, n ** 3 / (3 * len(q))))  # dense solve flops / step flops
     matrix = None

@@ -13,7 +13,6 @@ parsed as exact rationals.
 """
 
 import json
-from itertools import chain
 
 from .errors import SpecFileError
 from .systems import (
@@ -52,34 +51,9 @@ def _parse_symbol(entry, where: str, interned: dict) -> Symbol:
         try:
             interned[key] = Symbol(*key)
         except ValueError as exc:
-            field = "weight" if key[0] else "label"
+            field = "label" if str(exc).startswith("symbol label") else "weight"
             raise SpecFileError(f"{where}.{field}: {exc}") from exc
     return interned[key]
-
-
-def _fsm_columns(rows: list):
-    """The rows' (from, symbol, to) transitions, read a column at a time with
-    one ``Symbol`` per distinct (label, weight) pair; None if some row is not
-    an object of two JSON integers and two strings, or holds a bad symbol."""
-    if not {*map(type, rows)} <= {dict}:
-        return None
-    try:
-        src, dst, labels, weights = ([row[field] for row in rows]
-                                     for field in ("from", "to", "label", "weight"))
-        interned = dict.fromkeys(zip(labels, weights))
-    except (KeyError, TypeError):  # a missing field, or an unhashable value
-        return None
-    # no JSON value but a string equals a string, so the distinct pairs show
-    # the type of every label and weight
-    if not ({*map(type, src), *map(type, dst)} <= {int}
-            and {*map(type, chain.from_iterable(interned))} <= {str}):
-        return None
-    try:
-        for key in interned:
-            interned[key] = Symbol(*key)
-    except ValueError:
-        return None
-    return tuple(zip(src, map(interned.__getitem__, zip(labels, weights)), dst))
 
 
 def parse_system(doc: dict) -> BranchSystem:
@@ -106,16 +80,24 @@ def parse_system(doc: dict) -> BranchSystem:
         num_states = _require(doc, "states", int, "spec")
         start = _require(doc, "start", int, "spec")
         rows = _require(doc, "transitions", list, "spec")
-        transitions = _fsm_columns(rows)
-        if transitions is None:  # row by row, to name the first bad one
-            transitions = []
-            for i, row in enumerate(rows):
-                where = f"spec.transitions[{i}]"
-                if not isinstance(row, dict):
-                    raise SpecFileError(f"{where}: must be an object")
-                src = _require(row, "from", int, where)
-                dst = _require(row, "to", int, where)
-                transitions.append((src, _parse_symbol(row, where, interned), dst))
+        transitions = []
+        for i, row in enumerate(rows):
+            # a row of two JSON integers and a pair seen before is taken as
+            # it is; any other is checked field by field, which names its
+            # fault or interns its pair
+            if isinstance(row, dict) and type(row.get("from")) is type(row.get("to")) is int:
+                try:
+                    sym = interned[row.get("label"), row.get("weight")]
+                    transitions.append((row["from"], sym, row["to"]))
+                    continue
+                except (KeyError, TypeError):  # a new pair, or an unhashable value
+                    pass
+            where = f"spec.transitions[{i}]"
+            if not isinstance(row, dict):
+                raise SpecFileError(f"{where}: must be an object")
+            src = _require(row, "from", int, where)
+            dst = _require(row, "to", int, where)
+            transitions.append((src, _parse_symbol(row, where, interned), dst))
         try:
             fsm = WeightedFsm(num_states, start, tuple(transitions))
         except ValueError as exc:

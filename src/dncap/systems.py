@@ -58,9 +58,9 @@ def parse_weight(value) -> Fraction:
 
 @dataclass(frozen=True)
 class Symbol:
-    """A channel symbol: a nonempty label and a strictly positive weight,
-    whose float is positive and finite too.  That float is kept as
-    ``_float``, an attribute outside the dataclass fields."""
+    """A channel symbol: a nonempty label with no tab or line break and a
+    strictly positive weight, whose float is positive and finite too.  That
+    float is kept as ``_float``, an attribute outside the dataclass fields."""
 
     label: str
     weight: Fraction
@@ -68,6 +68,8 @@ class Symbol:
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise InvalidSystemError("symbol label must be a nonempty string")
+        if {"\t", "\n", "\r"} & {*self.label}:  # the sample TSV's separators
+            raise InvalidSystemError("symbol label must hold no tab or line break")
         raw = self.weight
         try:
             object.__setattr__(self, "weight", parse_weight(raw))

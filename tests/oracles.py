@@ -302,7 +302,7 @@ def reference_fsm_rows(rows) -> list:
         try:
             sym = Symbol(label, weight)
         except ValueError as exc:
-            field = "weight" if label else "label"
+            field = "weight" if label and not {"\t", "\n", "\r"} & {*label} else "label"
             raise SpecFileError(f"{where}.{field}: {exc}") from exc
         transitions.append((src, sym, dst))
     return transitions

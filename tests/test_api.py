@@ -6,7 +6,7 @@ import inspect
 import pytest
 
 import dncap as d
-from dncap import capacity, maxent, sampler, spectrum, systems
+from dncap import capacity, maxent, sampler, specfile, spectrum, systems
 from dncap.capacity import combinatorial_capacity
 from dncap.cli import build_parser
 from conftest import dyck
@@ -84,6 +84,12 @@ def test_every_option_has_a_program_caller():
 def test_a_chain_is_checked_against_its_fsm_once_when_built():
     # construction checks the rows; no sample is walked through the FSM again
     assert not hasattr(sampler, "_check_accepted")
+
+
+def test_fsm_rows_and_the_chain_each_take_one_path():
+    # one loop reads every row; the chain solves its one component directly
+    assert not hasattr(specfile, "_fsm_columns")
+    assert not hasattr(capacity, "_fsm_root")
 
 
 def test_one_budget_lives_in_spectrum():

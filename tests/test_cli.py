@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import io
 import json
 import math
 import resource
@@ -639,6 +640,34 @@ class TestUsage:
         assert [output for _, *output in kept] == [output for _, *output in fresh]
         assert kept[1][3].startswith("error: argument --wmax: expected one argument")
         assert kept[2][2].startswith("usage: dncap")
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "binary_unequal.json", "--wmax", "3000"],
+        ["maxent", "golden_mean.json", "--lmax", "3000"],
+    ], ids=lambda argv: argv[0])
+    def test_a_closed_stdout_exits_one_with_no_traceback(self, argv):
+        # about 1 MB of table, far past a pipe's buffer, then a summary line
+        command, spec, *flags = argv
+        spec = Path(__file__).resolve().parent.parent / "demos/specs" / spec
+        with subprocess.Popen([sys.executable, "-m", "dncap.cli", command, str(spec),
+                               *flags], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"# ")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait()
+        assert (code, err) == (1, b"")
+
+    def test_a_broken_pipe_without_a_descriptor_exits_one(self, tmp_spec, capsys,
+                                                          monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        spec = tmp_spec(MEM_EQUAL)
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["capacity", spec]) == 1
+        assert capsys.readouterr().err == ""
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()

@@ -125,6 +125,22 @@ def test_an_empty_label_is_reported_at_the_label(tmp_spec, capsys, doc, where):
     assert err == f"error: {where}: symbol label must be a nonempty string\n"
 
 
+@pytest.mark.parametrize("doc, where", [
+    ({"kind": "memoryless", "symbols": [{"label": "a\tb", "weight": "1"},
+                                        {"label": "c\nd", "weight": "2"}]},
+     "spec.symbols[0].label"),
+    (fsm_doc([{"from": 0, "label": "a", "weight": "1", "to": 0},
+              {"from": 0, "label": "b\r", "weight": "1", "to": 0}], states=1),
+     "spec.transitions[1].label"),
+], ids=["memoryless", "fsm"])
+def test_a_tab_or_line_break_in_a_label_is_reported_at_the_label(tmp_spec, capsys,
+                                                                   doc, where):
+    # the sample TSV separates fields by tabs and paths by line breaks
+    code = main(["sample", tmp_spec(doc), "--count", "2", "--steps", "2", "--seed", "1"])
+    assert (code, *capsys.readouterr()) == (
+        1, "", f"error: {where}: symbol label must hold no tab or line break\n")
+
+
 FIELDS = {
     "from": st.integers(0, 1),
     "to": st.integers(0, 1),
@@ -154,11 +170,15 @@ def fsm_rows(draw):
     return rows
 
 
-# long documents: valid, then one bad row late, so the column read falls back
+# long documents: valid, then one bad row late, after many interned pairs
 LONG = [{"from": i % 2, "label": f"s{i}", "weight": "1", "to": (i + 1) % 2}
         for i in range(200)]
 BAD_LAST = LONG[:199] + [{"from": 1, "label": "z", "weight": "zero", "to": 0}]
 BOOL_FROM = LONG[:120] + [{**LONG[120], "from": True}] + LONG[121:]
+
+
+class Row(dict):
+    """A dict subclass, which a row may be."""
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -171,6 +191,12 @@ BOOL_FROM = LONG[:120] + [{**LONG[120], "from": True}] + LONG[121:]
 @example(rows=[{"from": 0, "label": [0], "weight": "1", "to": 0}])
 @example(rows=[{"from": 0, "label": "a", "weight": "1", "to": 1},
                {"from": 1, "label": "", "weight": "1", "to": 0}])
+@example(rows=[Row({"from": 0, "label": "a", "weight": "1", "to": 1})])
+@example(rows=[{"from": 0, "label": "a", "weight": "1", "to": 1},
+               {"from": True, "label": "a", "weight": "1", "to": 1}])
+@example(rows=[{"from": 0, "label": "1", "weight": "1", "to": 1},
+               {"from": 1, "label": 1, "weight": "1", "to": 0}])
+@example(rows=[{"from": 0, "label": "a\tb", "weight": "1", "to": 1}])
 def test_rows_are_checked_as_the_per_row_reference_checks_them(rows):
     def reference():
         transitions = reference_fsm_rows(rows)

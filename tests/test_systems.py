@@ -46,6 +46,13 @@ class TestSymbol:
         with pytest.raises(d.InvalidSystemError):
             d.Symbol("", 1)
 
+    @pytest.mark.parametrize("label", ["a\tb", "c\nd", "e\r", "\t"])
+    def test_rejects_a_tab_or_line_break_in_a_label(self, label):
+        # they separate the sample TSV's fields and rows
+        with pytest.raises(d.InvalidSystemError) as caught:
+            d.Symbol(label, 1)
+        assert str(caught.value) == "symbol label must hold no tab or line break"
+
     def test_rejects_garbage_weight(self):
         with pytest.raises(ValueError):
             d.Symbol("a", "one half")
