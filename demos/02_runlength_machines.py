@@ -24,9 +24,12 @@ def main():
 
     chain = d.maxent_chain(fsm)
     print("  maxent chain at the unconstrained state:")
-    for sym, dst, prob in chain.transition_probs[0]:
+    # one probability per transition; state 0's, in its outgoing order
+    start_probs = chain.probs[fsm.edges[0] == 0].tolist()
+    for (sym, dst), prob in zip(fsm.outgoing[0], start_probs):
         print(f"    emit {sym.label} -> state {dst}   p = {prob:.6f}")
-    print(f"  stationary distribution: {tuple(round(p, 6) for p in chain.stationary)}")
+    stationary = tuple(round(p, 6) for p in chain.stationary.tolist())
+    print(f"  stationary distribution: {stationary}")
     print(f"  analytic entropy rate:   {chain.analytic_entropy_rate():.12f}")
 
     samples = d.sample_paths(chain, count=2000, steps=200, seed=1)

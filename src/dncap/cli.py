@@ -34,9 +34,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_STDOUT_SLICE = 1 << 16  # characters a write takes; one large write misses a closed pipe
+
+
 def _write_out(text: str, out: str | None):
     if out in (None, "-"):
-        sys.stdout.write(text)
+        for start in range(0, len(text), _STDOUT_SLICE):
+            sys.stdout.write(text[start:start + _STDOUT_SLICE])
     else:
         try:
             with open(out, "w", encoding="utf-8") as handle:

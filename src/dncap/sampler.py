@@ -15,60 +15,60 @@ from .capacity import _component_root
 from .errors import BudgetExceededError, EstimatorError, InvalidSystemError
 from .solvers import left_sum
 from .spectrum import frontier_walk
-from .systems import BranchSystem, Symbol, WeightedFsm
+from .systems import BranchSystem, WeightedFsm
 
 _ROW_SUM_TOL = 1e-8
 _RATE_CHECK_TOL = 1e-6
 SAMPLE_BUDGET = 2 ** 28  # bytes of label codes and per-path arrays one draw may hold
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaxentChain:
     """The maxentropic Markov chain of a strongly connected weighted FSM.
 
-    ``transition_probs[i]`` lists (symbol, next state, probability) with
-    probability (b_j / b_i) e^{-w s*}, where b is the Perron right
-    eigenvector of M(s*) normalized so the start entry is 1, and
-    ``stationary`` is u o b / u^T b, u the left one.  Rows sum to one and
-    the stationary entropy rate per unit weight reproduces s*.
+    ``probs[k]`` is the probability (b_j / b_i) e^{-w s*} of
+    ``fsm.transitions[k]``, i -> j, where b is ``right_eigvec``, the Perron
+    right eigenvector of M(s*) normalized so the start entry is 1, and
+    ``stationary`` is u o b / u^T b, u the left one; all three are read-only
+    arrays.  Each state's probabilities sum to one and the stationary
+    entropy rate per unit weight reproduces s*.
 
-    Construction raises ``InvalidSystemError``, naming the first state that
-    differs, unless row i lists exactly the (symbol, next state) pairs of
-    ``fsm.outgoing[i]``, in order, one row per state; so every path the
-    chain draws from ``fsm.start`` is a path of the FSM.  It then raises
-    ``EstimatorError``, naming the first state, if a row's probabilities
-    sum further than ``_ROW_SUM_TOL`` from one.
+    Construction raises ``InvalidSystemError`` unless ``probs`` has one
+    entry per transition, then ``EstimatorError``, naming the first state,
+    if a state's probabilities sum further than ``_ROW_SUM_TOL`` from one.
     """
 
     fsm: WeightedFsm
     capacity: float
-    transition_probs: tuple[tuple[tuple[Symbol, int, float], ...], ...]
-    right_eigvec: tuple[float, ...]
-    stationary: tuple[float, ...]
+    probs: np.ndarray
+    right_eigvec: np.ndarray
+    stationary: np.ndarray
 
     def __post_init__(self):
-        outgoing = self.fsm.outgoing
-        rows = [tuple((sym, to) for sym, to, _ in row) for row in self.transition_probs]
-        if rows != list(outgoing.values()):
-            state = next((i for i, row in enumerate(rows) if outgoing.get(i) != row),
-                         len(rows))
-            raise InvalidSystemError(
-                f"state {state}: the chain's row is not the FSM's outgoing transitions")
-        for state, row in enumerate(self.transition_probs):
-            total = left_sum(prob for _, _, prob in row)
+        src = self.fsm.edges[0]
+        if self.probs.shape != src.shape:
+            raise InvalidSystemError(f"probs has shape {self.probs.shape}, not "
+                                     f"{src.shape}: one probability per transition")
+        # adds in transition order, so each state's sum is its `outgoing` row's
+        sums = np.bincount(src, self.probs)
+        for state, total in enumerate(sums.tolist()):
             if not abs(total - 1.0) <= _ROW_SUM_TOL:
                 raise EstimatorError(
-                    f"state {state}: transition probabilities sum to {float(total)}")
+                    f"state {state}: transition probabilities sum to {total}")
+        for array in (self.probs, self.right_eigvec, self.stationary):
+            array.flags.writeable = False
 
     def analytic_entropy_rate(self) -> float:
-        """Stationary per-step entropy over stationary per-step weight."""
-        entropy = 0.0
-        mean_weight = 0.0
-        for pi, row in zip(self.stationary, self.transition_probs):
-            for sym, _, prob in row:
-                if prob > 0.0:
-                    entropy -= pi * prob * math.log(prob)
-                    mean_weight += pi * prob * sym._float
+        """Stationary per-step entropy over stationary per-step weight,
+        summed state by state in ``outgoing`` order."""
+        src, weights, _ = self.fsm.edges
+        order = np.argsort(src, kind="stable")
+        entropy = mean_weight = 0.0
+        for pi, prob, weight in zip(self.stationary[src[order]].tolist(),
+                                    self.probs[order].tolist(), weights[order].tolist()):
+            if prob > 0.0:
+                entropy -= pi * prob * math.log(prob)
+                mean_weight += pi * prob * weight
         return entropy / mean_weight
 
 
@@ -76,12 +76,10 @@ def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
     """The maxentropic chain of ``fsm`` at s* = ``fsm_capacity(fsm).value``.
 
     Raises ``InvalidSystemError`` unless the FSM is strongly connected, and
-    ``EstimatorError`` if ``MaxentChain`` refuses a row's sum or the entropy
-    rate lies further than ``_RATE_CHECK_TOL`` from s*.  The FSM is one
-    component, so s* and the Perron vectors come from one solve of it on
-    ``edges``, from its final Newton evaluation at s*; ``outgoing`` keeps
-    ``edges`` order within each state, so a stable sort by source lines the
-    probabilities up with it.
+    ``EstimatorError`` if ``MaxentChain`` refuses a state's sum or the
+    entropy rate lies further than ``_RATE_CHECK_TOL`` from s*.  The FSM is
+    one component, so s* and the Perron vectors come from one solve of it on
+    ``edges``, from its final Newton evaluation at s*.
     """
     if not fsm.is_strongly_connected():
         raise InvalidSystemError(
@@ -93,18 +91,8 @@ def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
     vector = p.right / p.right[fsm.start]
     # math.exp, not np.exp: the two differ in the last bit on some inputs
     tilt = [math.exp(-w * s_star) for w in weights.tolist()]
-    probs = vector[dst] / vector[src] * tilt
-    by_row = iter(probs[np.argsort(src, kind="stable")].tolist())
-    rows = [tuple((sym, to, next(by_row)) for sym, to in outs)
-            for outs in fsm.outgoing.values()]
     stationary = p.left * p.right / (p.left @ p.right)
-    chain = MaxentChain(
-        fsm=fsm,
-        capacity=s_star,
-        transition_probs=tuple(rows),
-        right_eigvec=tuple(float(b) for b in vector),
-        stationary=tuple(float(p) for p in stationary),
-    )
+    chain = MaxentChain(fsm, s_star, vector[dst] / vector[src] * tilt, vector, stationary)
     rate = chain.analytic_entropy_rate()
     if not abs(rate - s_star) <= _RATE_CHECK_TOL:
         raise EstimatorError(
@@ -228,23 +216,23 @@ def sample_paths(chain: MaxentChain, count: int, steps: int, seed: int) -> Sampl
     Raises ``ValueError`` if either is below 1 or the seed is negative,
     ``BudgetExceededError`` past ``SAMPLE_BUDGET`` before anything is
     allocated, and ``OverflowError`` for a path weight past the float range.
-    Each drawn label is a branch of its state's chain row, and the chain's
-    rows are its FSM's, so every path is a path of the FSM.
+    The draw table holds the FSM's own transitions, each state's in
+    ``outgoing`` order, so every path is a path of the FSM.
     """
     if count < 1 or steps < 1:
         raise ValueError("count and steps must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    src, weights, dst = chain.fsm.edges
+    order = np.argsort(src, kind="stable")  # state-major, as `outgoing` lists them
     code: dict[str, int] = {}
-    flat = [branch for row in chain.transition_probs for branch in row]
-    codes = [code.setdefault(sym.label, len(code)) for sym, _, _ in flat]
+    codes = [code.setdefault(sym.label, len(code))
+             for outs in chain.fsm.outgoing.values() for sym, _ in outs]
     _check_sample_size(count, steps, len(code))
     valid, ln_q, child, weight, label = _padded(
-        [len(row) for row in chain.transition_probs],
-        [math.log(prob) if prob else -math.inf for _, _, prob in flat],
-        [dst for _, dst, _ in flat],
-        [sym._float for sym, _, _ in flat],
-        codes,
+        np.bincount(src),
+        [math.log(prob) if prob else -math.inf for prob in chain.probs[order].tolist()],
+        dst[order], weights[order], codes,
     )
     tables = repeat(_table(ln_q, valid, child, weight, label), steps)
     return _lock_step(tables, code, chain.fsm.start, count, steps, seed)

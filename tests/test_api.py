@@ -86,6 +86,14 @@ def test_a_chain_is_checked_against_its_fsm_once_when_built():
     assert not hasattr(sampler, "_check_accepted")
 
 
+def test_a_chain_is_one_probability_per_transition():
+    # arrays aligned with fsm.edges, no (symbol, next state, prob) rows
+    assert [f.name for f in dataclasses.fields(d.MaxentChain)] == [
+        "fsm", "capacity", "probs", "right_eigvec", "stationary",
+    ]
+    assert d.MaxentChain.__eq__ is object.__eq__  # compared by identity
+
+
 def test_fsm_rows_and_the_chain_each_take_one_path():
     # one loop reads every row; the chain solves its one component directly
     assert not hasattr(specfile, "_fsm_columns")

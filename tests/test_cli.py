@@ -644,9 +644,11 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["enumerate", "binary_unequal.json", "--wmax", "3000"],
         ["maxent", "golden_mean.json", "--lmax", "3000"],
+        ["sample", "golden_mean.json", "--count", "30000", "--steps", "30", "--seed", "1"],
     ], ids=lambda argv: argv[0])
     def test_a_closed_stdout_exits_one_with_no_traceback(self, argv):
-        # about 1 MB of table, far past a pipe's buffer, then a summary line
+        # about 1 MB of table, far past a pipe's buffer, then a summary line;
+        # or about 2 MB of samples and no summary line
         command, spec, *flags = argv
         spec = Path(__file__).resolve().parent.parent / "demos/specs" / spec
         with subprocess.Popen([sys.executable, "-m", "dncap.cli", command, str(spec),

@@ -58,44 +58,52 @@ def joined_tsv(samples):
     return "\n".join(lines) + "\n"
 
 
+def row_probs(chain, state):
+    """The probabilities of ``state``'s transitions, in ``outgoing`` order."""
+    return chain.probs[chain.fsm.edges[0] == state].tolist()
+
+
 def rewalk(chain, labels):
-    """Weight and log probability re-summed along the chain's rows."""
+    """Weight and log probability re-summed along the FSM's transitions."""
     state, weight, log_prob = chain.fsm.start, 0.0, 0.0
     for label in labels:
-        sym, state, prob = next(
-            t for t in chain.transition_probs[state] if t[0].label == label
+        k, (_, sym, state) = next(
+            (k, (src, sym, dst)) for k, (src, sym, dst) in enumerate(chain.fsm.transitions)
+            if src == state and sym.label == label
         )
         weight += float(sym.weight)
-        log_prob += math.log(prob)
+        log_prob += math.log(chain.probs[k])
     return weight, log_prob
 
 
 class TestMaxentChain:
     def test_binary_chain_is_fair(self):
         chain = binary_chain()
-        probs = [p for _, _, p in chain.transition_probs[0]]
-        assert probs == pytest.approx([0.5, 0.5], abs=1e-10)
+        assert chain.probs.tolist() == pytest.approx([0.5, 0.5], abs=1e-10)
 
     def test_golden_mean_probabilities(self):
         chain = golden_chain()
         golden = (1 + math.sqrt(5)) / 2
-        row = {sym.label: p for sym, _, p in chain.transition_probs[0]}
+        labels = [sym.label for sym, _ in chain.fsm.outgoing[0]]
+        row = dict(zip(labels, row_probs(chain, 0)))
         assert row["0"] == pytest.approx(1 / golden, abs=1e-9)
         assert row["1"] == pytest.approx(1 / golden ** 2, abs=1e-9)
 
     def test_golden_mean_chain_is_its_closed_form(self):
-        # row 0 is (1/phi, 1/phi^2), b = (1, 1/phi), pi = (phi^2, 1)/(phi^2 + 1)
+        # probs are (1/phi, 1/phi^2, 1) by transition, b = (1, 1/phi),
+        # pi = (phi^2, 1)/(phi^2 + 1)
         chain = golden_chain()
         with localcontext() as ctx:
             ctx.prec = 40
             phi = (1 + Decimal(5).sqrt()) / 2
             closed_forms = [
-                ([p for _, _, p in chain.transition_probs[0]], (1 / phi, 1 / phi ** 2)),
+                (chain.probs, (1 / phi, 1 / phi ** 2, Decimal(1))),
                 (chain.right_eigvec, (Decimal(1), 1 / phi)),
                 (chain.stationary, (phi ** 2 / (phi ** 2 + 1), 1 / (phi ** 2 + 1))),
             ]
             for got, want in closed_forms:
-                for x, exact in zip(got, want):
+                assert len(got) == len(want)
+                for x, exact in zip(got.tolist(), want):
                     assert abs(Decimal(x) - exact) <= 4 * Decimal(math.ulp(x)), (x, exact)
 
     @pytest.mark.parametrize("fsm_factory", [
@@ -122,20 +130,17 @@ class TestMaxentChain:
     def test_rows_sum_to_one(self, fsm_factory):
         fsm = fsm_factory()
         chain = d.maxent_chain(fsm)
-        for row in chain.transition_probs:
-            assert sum(p for _, _, p in row) == pytest.approx(1.0, abs=1e-10)
+        for state in range(fsm.num_states):
+            assert sum(row_probs(chain, state)) == pytest.approx(1.0, abs=1e-10)
 
     def test_probabilities_follow_the_eigenvector_tilt(self):
         chain = golden_chain()
-        b = chain.right_eigvec
+        b = chain.right_eigvec.tolist()
         assert b[chain.fsm.start] == pytest.approx(1.0, abs=0.0)
         assert all(value > 0 for value in b)
-        for state, row in enumerate(chain.transition_probs):
-            for sym, dst, prob in row:
-                expected = (b[dst] / b[state]) * math.exp(
-                    -float(sym.weight) * chain.capacity
-                )
-                assert prob == pytest.approx(expected, abs=1e-14)
+        for (src, sym, dst), prob in zip(chain.fsm.transitions, chain.probs.tolist()):
+            expected = (b[dst] / b[src]) * math.exp(-float(sym.weight) * chain.capacity)
+            assert prob == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize(
         "fsm_factory",
@@ -164,13 +169,10 @@ class TestMaxentChain:
     def test_probabilities_are_the_tilt_to_the_last_bit(self):
         fsm = permutation_fsm(np.random.default_rng(5), 40, "abc")
         chain = d.maxent_chain(fsm)
-        b = chain.right_eigvec
-        assert [
-            [prob for _, _, prob in row] for row in chain.transition_probs
-        ] == [
-            [b[dst] / b[state] * math.exp(-float(sym.weight) * chain.capacity)
-             for sym, dst in fsm.outgoing[state]]
-            for state in range(fsm.num_states)
+        b = chain.right_eigvec.tolist()
+        assert chain.probs.tolist() == [
+            b[dst] / b[src] * math.exp(-float(sym.weight) * chain.capacity)
+            for src, sym, dst in fsm.transitions
         ]
 
     @pytest.mark.xfail(
@@ -272,50 +274,37 @@ class TestSamplePaths:
             assert path.weight == pytest.approx(weight, rel=1e-12, abs=0)
             assert path.log_prob == pytest.approx(log_prob, rel=1e-12, abs=0)
 
-    def test_transition_outside_the_fsm_is_rejected(self):
-        chain = golden_chain()
-        zero, one = (sym for sym, _, _ in chain.transition_probs[0])
-        # state 1 may only emit "0"; this row also lets it emit "1"
-        with pytest.raises(d.InvalidSystemError, match="^state 1: the chain's row is not"):
-            d.MaxentChain(
-                fsm=chain.fsm,
-                capacity=chain.capacity,
-                transition_probs=(
-                    chain.transition_probs[0], ((zero, 0, 0.5), (one, 1, 0.5)),
-                ),
-                right_eigvec=chain.right_eigvec,
-                stationary=chain.stationary,
-            )
-
-    @pytest.mark.parametrize("forge, state", [
-        # "0" keeps its label but leads to state 1, which could then emit "11"
-        (lambda rows: (((rows[0][0][0], 1, rows[0][0][2]), rows[0][1]), rows[1]), 0),
-        (lambda rows: rows[:1], 1),
-        (lambda rows: (rows[0][::-1], rows[1]), 0),
-        (lambda rows: rows + rows[1:], 2),
-    ], ids=["moved destination", "row short", "row reversed", "row extra"])
-    def test_rows_other_than_the_fsm_s_are_refused(self, forge, state):
-        chain = golden_chain()
-        with pytest.raises(d.InvalidSystemError,
-                           match=f"^state {state}: the chain's row is not"):
-            dataclasses.replace(chain, transition_probs=forge(chain.transition_probs))
-
     def test_a_row_that_does_not_sum_to_one_is_refused(self):
         # _table would renormalize (0.1, 0.1) and sample it as (0.5, 0.5)
         chain = golden_chain()
-        (zero, to_zero, _), (one, to_one, _) = chain.transition_probs[0]
-        rows = (((zero, to_zero, 0.1), (one, to_one, 0.1)), chain.transition_probs[1])
         with pytest.raises(d.EstimatorError,
                            match=r"^state 0: transition probabilities sum to 0\.2$"):
-            dataclasses.replace(chain, transition_probs=rows)
+            dataclasses.replace(chain, probs=np.array([0.1, 0.1, 1.0]))
 
     def test_a_row_that_sums_to_nan_is_refused(self):
         chain = golden_chain()
-        (zero, to_zero, _), (one, to_one, _) = chain.transition_probs[0]
-        rows = (((zero, to_zero, math.nan), (one, to_one, 0.5)), chain.transition_probs[1])
         with pytest.raises(d.EstimatorError,
                            match=r"^state 0: transition probabilities sum to nan$"):
-            dataclasses.replace(chain, transition_probs=rows)
+            dataclasses.replace(chain, probs=np.array([math.nan, 0.5, 1.0]))
+
+    @pytest.mark.parametrize("probs, shape", [
+        ([0.5, 0.5], r"\(2,\)"),
+        ([0.5, 0.25, 0.25, 1.0], r"\(4,\)"),
+        ([[0.5, 0.5, 1.0]], r"\(1, 3\)"),
+    ], ids=["short", "long", "two-dimensional"])
+    def test_probs_of_another_shape_are_refused(self, probs, shape):
+        # one probability per transition of the FSM, golden mean's three
+        refusal = rf"^probs has shape {shape}, not \(3,\): one probability per transition$"
+        probs = np.array(probs)
+        with pytest.raises(d.InvalidSystemError, match=refusal):
+            dataclasses.replace(golden_chain(), probs=probs)
+        assert probs.flags.writeable  # a refused array is left as it was
+
+    def test_the_chain_s_arrays_are_read_only(self):
+        chain = golden_chain()
+        for array in (chain.probs, chain.right_eigvec, chain.stationary):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
 
 
 class TestEmpiricalEntropyRate:
@@ -552,16 +541,12 @@ def test_fsm_samples_rewalk_and_forgeries_are_rejected(fsm, steps):
         assert path.weight == pytest.approx(weight, rel=1e-12, abs=0)
         # rows are renormalized in log space; a row's sum is 1 to rounding
         assert path.log_prob == pytest.approx(log_prob, rel=1e-12, abs=1e-14 * steps)
-    # the start row gains, at half the mass, a label the start state lacks
-    start_row = chain.transition_probs[fsm.start]
-    lacking = {sym.label for _, sym, _ in fsm.transitions} | {"z"}
-    lacking -= {sym.label for sym, _, _ in start_row}
-    forged_row = tuple((sym, dst, prob / 2) for sym, dst, prob in start_row)
-    forged_row += ((d.Symbol(min(lacking), 1), fsm.start, 0.5),)
-    rows = list(chain.transition_probs)
-    rows[fsm.start] = forged_row
-    with pytest.raises(d.InvalidSystemError, match=f"^state {fsm.start}: "):
-        dataclasses.replace(chain, transition_probs=tuple(rows))
+    # the start state's transitions go to half their mass and a probability
+    # is added for a transition the FSM lacks: one more than it has
+    start = chain.fsm.edges[0] == fsm.start
+    forged = np.append(np.where(start, chain.probs / 2, chain.probs), 0.5)
+    with pytest.raises(d.InvalidSystemError, match="^probs has shape "):
+        dataclasses.replace(chain, probs=forged)
 
 
 @settings(max_examples=12, derandomize=True, deadline=None, database=None)
@@ -575,8 +560,8 @@ def test_maxent_chain_builds_wherever_the_capacity_certifies(fsm):
     chain = d.maxent_chain(fsm)
     assert chain.capacity == capacity
     assert abs(chain.analytic_entropy_rate() - capacity) < 1e-9
-    assert all(abs(sum(p for *_, p in row) - 1.0) < 1e-12
-               for row in chain.transition_probs)
+    assert all(abs(sum(row_probs(chain, state)) - 1.0) < 1e-12
+               for state in range(fsm.num_states))
 
 
 # sha256 of samples_tsv, generated before the sampler's tables were stored
