@@ -25,7 +25,6 @@ from .maxent import (
     LevelPmf,
     LevelSolution,
     entropy_and_avg_weight,
-    enumerate_level_paths,
     kl_gap,
     level_report_tsv,
     maxent_pmf,
@@ -42,7 +41,7 @@ from .sampler import (
     sample_paths,
     samples_tsv,
 )
-from .specfile import load_system, parse_system
+from .specfile import load_system
 from .spectrum import (
     DensityReport,
     WeightSpectrum,
@@ -60,7 +59,6 @@ from .systems import (
     make_golden_mean,
     make_memoryless,
     make_rll,
-    parse_weight,
     symbols,
 )
 from .verify import VerifyReport, verify_equality
@@ -90,7 +88,6 @@ __all__ = [
     "empirical_capacity",
     "empirical_entropy_rate",
     "entropy_and_avg_weight",
-    "enumerate_level_paths",
     "fsm_capacity",
     "fsm_to_branch_system",
     "gf_eval",
@@ -104,8 +101,6 @@ __all__ = [
     "maxent_chain",
     "maxent_pmf",
     "maxent_rate_estimate",
-    "parse_system",
-    "parse_weight",
     "sample_level_paths",
     "sample_paths",
     "samples_tsv",

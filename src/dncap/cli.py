@@ -23,15 +23,11 @@ from .spectrum import density_check, empirical_capacity, spectrum_tsv, weight_sp
 from .verify import FAIL, INCONCLUSIVE, PASS, verify_equality
 
 
-class _UsageError(ValueError):
-    """A bad command line, or an ``--out`` path that cannot be written."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the CLI reserves 2 for
     # verify FAIL, so route usage problems through the normal error path.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 _STDOUT_SLICE = 1 << 16  # characters a write takes; one large write misses a closed pipe
@@ -46,7 +42,7 @@ def _write_out(text: str, out: str | None):
             with open(out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise _UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _cmd_enumerate(args) -> int:
@@ -151,9 +147,14 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
-    except BrokenPipeError:  # stdout closed early, as by `| head`
-        try:  # point it at devnull, so the flush at exit has no pipe to report
+        code = args.func(args)
+        if sys.stdout is not None:  # a full disk shows at the flush
+            sys.stdout.flush()
+        return code
+    except OSError as exc:  # stdout closed early, as by `| head`, or unwritable
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        try:  # point it at devnull, so the flush at exit has nothing to report
             stdout = sys.stdout.fileno()
         except (AttributeError, OSError, ValueError):  # no descriptor
             return 1
@@ -161,7 +162,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, stdout)
         os.close(devnull)
         return 1
-    except ValueError as exc:  # _UsageError, SpecFileError, InvalidSystemError
+    except ValueError as exc:  # usage, SpecFileError, InvalidSystemError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (BudgetExceededError, EstimatorError, MemoryError, OverflowError) as exc:

@@ -147,10 +147,9 @@ def _padded(lengths, *columns):
     return padded
 
 
-def _table(ln_q, valid, child, weight, label, ln_total=None):
+def _table(ln_q, valid, child, weight, label):
     """One step's table from (branch x row) arrays; ``valid`` marks real
-    branches, and ln q elsewhere is ignored.  ``ln_total``, each row's
-    ln sum q, is reduced here when the caller does not have it.
+    branches, and ln q elsewhere is ignored.
 
     Returns the (branch x row) cumulative p and the flat child,
     ln p = ln q - ln sum q, weight and label arrays, read at
@@ -160,8 +159,7 @@ def _table(ln_q, valid, child, weight, label, ln_total=None):
     branch's row is all inf."""
     ln_q = np.where(valid, ln_q, -np.inf)
     live = ln_q > -np.inf
-    if ln_total is None:
-        ln_total = np.logaddexp.reduce(ln_q, axis=0)
+    ln_total = np.logaddexp.reduce(ln_q, axis=0)
     ln_p = np.subtract(ln_q, ln_total, out=np.full(ln_q.shape, -np.inf),
                        where=live)
     branch = np.arange(ln_q.shape[0])[:, None]
@@ -324,7 +322,7 @@ def sample_level_paths(
             ln_q = ln_z.take(below) - cost.take(at, axis=1)
             to = np.where(below < rows, below, below - rows)
             yield from repeat(_table(ln_q, real, to, weight.take(at, axis=1),
-                                     label.take(at, axis=1), ln_z[:rows]), last - first)
+                                     label.take(at, axis=1)), last - first)
             first = last
 
     return _lock_step(tables(), code, 0, count, level, seed)

@@ -153,7 +153,6 @@ def perron(
     """
     # writeable copies: np.bincount copies a read-only index array per call
     src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
-    q = np.asarray(q, dtype=float)
     steps = int(min(n, n ** 3 / (3 * len(q))))  # dense solve flops / step flops
     matrix = None
     sides = []

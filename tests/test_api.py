@@ -6,9 +6,10 @@ import inspect
 import pytest
 
 import dncap as d
-from dncap import capacity, maxent, sampler, specfile, spectrum, systems
+from dncap import capacity, cli, maxent, sampler, specfile, spectrum, systems
 from dncap.capacity import combinatorial_capacity
 from dncap.cli import build_parser
+from dncap.maxent import enumerate_level_paths
 from conftest import dyck
 
 # fixed module constants: spectrum.TAIL_FRACTION, spectrum.LEVEL_BUDGET,
@@ -27,9 +28,16 @@ def test_no_public_function_takes_a_tuning_parameter():
 
 def test_test_only_exports_are_gone():
     for name in ("check_label_uniqueness", "growth_sequence", "memoryless_fsm",
-                 "level_support"):
+                 "level_support", "enumerate_level_paths", "parse_system",
+                 "parse_weight"):
         assert name not in d.__all__
         assert not hasattr(d, name)
+
+
+def test_removed_private_paths_stay_gone():
+    # a block table reduces its own row totals; usage errors are ValueErrors
+    assert "ln_total" not in inspect.signature(sampler._table).parameters
+    assert not hasattr(cli, "_UsageError")
 
 
 def test_capacity_estimators_return_one_estimate():
@@ -113,7 +121,7 @@ def test_the_budget_is_read_when_a_walk_starts(monkeypatch):
     monkeypatch.setattr(spectrum, "LEVEL_BUDGET", 7)
     for run, walk in [(lambda: d.weight_spectrum(dyck(), 40), "weight spectrum walk"),
                       (lambda: d.solve_level_rate(dyck(), 40), "level walk"),
-                      (lambda: d.enumerate_level_paths(dyck(), 6),
+                      (lambda: enumerate_level_paths(dyck(), 6),
                        "explicit path enumeration")]:
         with pytest.raises(d.BudgetExceededError, match=f"^{walk}.* budget of 7\\b"):
             run()

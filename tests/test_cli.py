@@ -660,6 +660,23 @@ class TestUsage:
             code = proc.wait()
         assert (code, err) == (1, b"")
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "golden_mean.json"],
+        ["sample", "golden_mean.json", "--count", "30000", "--steps", "30", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_a_full_stdout_exits_one_with_one_error_line(self, argv):
+        # one short line that fails at the last flush, or about 2 MB that fail
+        # part way through
+        command, spec, *flags = argv
+        spec = Path(__file__).resolve().parent.parent / "demos/specs" / spec
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run([sys.executable, "-m", "dncap.cli", command,
+                                     str(spec), *flags], stdout=full,
+                                    stderr=subprocess.PIPE, text=True)
+        assert (result.returncode, result.stderr) == (
+            1, "error: cannot write stdout: No space left on device\n")
+
     def test_a_broken_pipe_without_a_descriptor_exits_one(self, tmp_spec, capsys,
                                                           monkeypatch):
         class Closed(io.StringIO):

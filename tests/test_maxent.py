@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import dncap as d
 from dncap import maxent, spectrum
 from dncap.capacity import combinatorial_capacity
+from dncap.maxent import enumerate_level_paths
 from conftest import (
     alphabet_of,
     counted,
@@ -38,7 +39,7 @@ class TestSolveLevelRate:
 
     def test_dyck_level_two_by_hand(self):
         # support is {"((", "()"}, both of weight 2, so 2 e^{-2s} = 1
-        paths = d.enumerate_level_paths(dyck(), 2)
+        paths = enumerate_level_paths(dyck(), 2)
         assert [(p, w) for p, w in paths] == [
             (("(", "("), 2), (("(", ")"), 2),
         ]
@@ -90,16 +91,26 @@ class TestSolveLevelRate:
 
     def test_level_below_one_is_refused(self):
         with pytest.raises(ValueError, match="^level must be >= 1$"):
-            d.enumerate_level_paths(dyck(), 0)
+            enumerate_level_paths(dyck(), 0)
 
     def test_budget_counts_every_expansion(self, monkeypatch):
-        # 210 branches reach level 20 of the Dyck walk, counted per frontier
-        # entry even where the handle's expansion is remembered
-        monkeypatch.setattr(spectrum, "LEVEL_BUDGET", 210)
-        d.solve_level_rate(dyck(), 20)
-        monkeypatch.setattr(spectrum, "LEVEL_BUDGET", 209)
-        with pytest.raises(d.BudgetExceededError, match="budget of 209 "):
-            d.solve_level_rate(dyck(), 20)
+        # the Dyck level walk to L expands L(L + 1) / 2 branches, counted per
+        # frontier entry even where the handle's expansion is remembered; the
+        # weight sweep to W expands 3W + 2 on weights 1 and 2, 14W - 61 on rll(2, 7)
+        for run, count in [
+            (lambda: d.solve_level_rate(dyck(), 20), 210),
+            (lambda: d.solve_level_rate(dyck(), 100), 5050),
+            (lambda: d.solve_level_rate(dyck(), 200), 20100),
+            (lambda: d.weight_spectrum(mem_unequal(), 1000), 3002),
+            (lambda: d.weight_spectrum(mem_unequal(), 2000), 6002),
+            (lambda: d.weight_spectrum(rll_system(2, 7), 1000), 13939),
+            (lambda: d.weight_spectrum(rll_system(2, 7), 2000), 27939),
+        ]:
+            monkeypatch.setattr(spectrum, "LEVEL_BUDGET", count)
+            run()
+            monkeypatch.setattr(spectrum, "LEVEL_BUDGET", count - 1)
+            with pytest.raises(d.BudgetExceededError, match=f"budget of {count - 1} "):
+                run()
 
     def test_float_and_rational_weights_share_the_walk(self):
         system = d.make_memoryless(d.symbols(
@@ -163,7 +174,7 @@ class TestMaxentPmf:
 
 class TestEntropyAndAvgWeight:
     def test_uniform_cube(self):
-        paths = d.enumerate_level_paths(mem_equal(), 3)
+        paths = enumerate_level_paths(mem_equal(), 3)
         pmf = d.LevelPmf(
             level=3,
             probs={labels: 0.125 for labels, _ in paths},
@@ -411,7 +422,7 @@ class TestRepresentationIndependence:
         def flattened(system, levels):
             out = {}
             for level in levels:
-                for path, weight in d.enumerate_level_paths(system, level):
+                for path, weight in enumerate_level_paths(system, level):
                     word = "".join(path)
                     assert word not in out, "two paths share a flattened string"
                     out[word] = weight
@@ -471,7 +482,7 @@ def test_float_alphabets_walk_like_their_fraction_twins(weights, level):
     assert d.weight_spectrum(floats, 1) == d.weight_spectrum(twin, 1)
     support = reference_level_support(floats, level)
     assert support == reference_level_support(twin, level)
-    assert support == Counter(w for _, w in d.enumerate_level_paths(floats, level))
+    assert support == Counter(w for _, w in enumerate_level_paths(floats, level))
     assert d.maxent_rate_estimate(floats, 6) == d.maxent_rate_estimate(twin, 6)
 
 

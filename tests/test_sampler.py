@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dncap as d
 from dncap import maxent, sampler, solvers, spectrum
+from dncap.maxent import enumerate_level_paths
 from dncap.solvers import left_sum
 from conftest import (
     counted, counted_calls, dead_end, dyck, harmonic_dyck, permutation_fsm,
@@ -359,7 +360,7 @@ class TestEmpiricalEntropyRate:
 class TestLevelSampler:
     def test_dyck_samples_are_valid_and_uniform_ish(self):
         samples = d.sample_level_paths(dyck(), 6, 2000, seed=13)
-        support = {p for p, _ in d.enumerate_level_paths(dyck(), 6)}
+        support = {p for p, _ in enumerate_level_paths(dyck(), 6)}
         counts = {}
         for path in samples.paths:
             assert path.labels in support
@@ -415,7 +416,7 @@ class TestLevelSampler:
         # every new maximum balance brings a new denominator to the walk
         system = harmonic_dyck()
         rate = d.solve_level_rate(system, 12).rate
-        support = {p for p, _ in d.enumerate_level_paths(system, 12)}
+        support = {p for p, _ in enumerate_level_paths(system, 12)}
         samples = d.sample_level_paths(system, 12, 200, seed=17)
         assert len(samples.paths) == 200
         for path in samples.paths:

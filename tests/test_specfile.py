@@ -5,6 +5,7 @@ import dncap as d
 from dncap.cli import main
 from dncap.errors import SpecFileError
 from dncap.specfile import parse_system
+from dncap.systems import parse_weight
 from conftest import outcome
 from oracles import reference_fsm_rows
 
@@ -37,7 +38,7 @@ def test_each_distinct_pair_builds_one_symbol(monkeypatch):
     assert len(built) == 12
     assert {id(sym) for _, sym, _ in fsm.transitions} == {id(sym) for sym in built}
     assert [(src, sym.label, sym.weight, dst) for src, sym, dst in fsm.transitions] == [
-        (row["from"], row["label"], d.parse_weight(row["weight"]), row["to"])
+        (row["from"], row["label"], parse_weight(row["weight"]), row["to"])
         for row in rows
     ]
 

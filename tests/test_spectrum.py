@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dncap as d
 from dncap import spectrum as spectrum_module
+from dncap.maxent import enumerate_level_paths
 from conftest import (
     BUILTIN_FACTORIES,
     counted,
@@ -127,7 +128,7 @@ class TestFrontierWalk:
         # depth-capped levels first: a walk that loses a rescale undercounts
         # weights, and unbounded by depth it would run away
         for level in range(1, 9):
-            paths = d.enumerate_level_paths(system, level)
+            paths = enumerate_level_paths(system, level)
             expected = Counter(weight for _, weight in paths)
             assert reference_level_support(system, level) == expected
         expected = naive_string_spectrum(system, w_max)
@@ -252,7 +253,7 @@ class TestIdKeyedWalk:
         assert hashlib.sha256(repr(sorted(support.items())).encode()).hexdigest(
         ).startswith(digest)
         small = min(level, 6)
-        paths = d.enumerate_level_paths(factory(), small)
+        paths = enumerate_level_paths(factory(), small)
         assert reference_level_support(factory(), small) == Counter(w for _, w in paths)
         system, calls = counted(factory())
         spectrum = d.weight_spectrum(system, 8)
@@ -273,7 +274,7 @@ class TestIdKeyedWalk:
     def test_level_sampler_draws_accepted_paths(self, name):
         factory, level, *_ = HANDLE_WALKS[name]
         small = min(level, 6)
-        support = dict(d.enumerate_level_paths(factory(), small))
+        support = dict(enumerate_level_paths(factory(), small))
         rate = d.solve_level_rate(factory(), small).rate
         samples = d.sample_level_paths(factory(), small, 200, seed=small)
         for path in samples.paths:
@@ -290,7 +291,7 @@ def test_walk_on_weighted_fsms_matches_explicit_enumeration(fsm):
     expected = naive_string_spectrum(system, 2)
     assert d.weight_spectrum(system, 2).entries == tuple(sorted(expected.items()))
     for level in range(1, 7):
-        paths = d.enumerate_level_paths(system, level)
+        paths = enumerate_level_paths(system, level)
         expected = Counter(weight for _, weight in paths)
         assert reference_level_support(system, level) == expected
 

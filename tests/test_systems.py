@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dncap as d
-from dncap.systems import strong_components
+from dncap.maxent import enumerate_level_paths
+from dncap.systems import parse_weight, strong_components
 from conftest import (
     alphabet_of, dyck, golden_mean_system, mem_equal, mem_rational, mem_unequal, outcome,
 )
@@ -16,7 +17,7 @@ from oracles import (
 
 
 def level_paths(system, level):
-    return d.enumerate_level_paths(system, level)
+    return enumerate_level_paths(system, level)
 
 
 class TestSymbol:
@@ -63,7 +64,7 @@ class TestSymbol:
     ], ids=["bool", "list"])
     def test_rejects_weight_types(self, value, message):
         with pytest.raises(TypeError) as caught:
-            d.parse_weight(value)
+            parse_weight(value)
         assert str(caught.value) == message
 
 
@@ -226,22 +227,22 @@ class TestStructuralInvariants:
     def test_label_uniqueness_to_debug_depth(self, factory):
         # every node expands, so a repeated label anywhere above depth 7
         # repeats a depth-7 label tuple
-        labels = [path for path, _ in d.enumerate_level_paths(factory(), 7)]
+        labels = [path for path, _ in enumerate_level_paths(factory(), 7)]
         assert len(set(labels)) == len(labels)
 
     def test_path_weight_additivity_is_exact(self):
         system = mem_rational()
         by_label = {sym.label: sym.weight for sym in alphabet_of(system)}
-        for labels, weight in d.enumerate_level_paths(system, 5):
+        for labels, weight in enumerate_level_paths(system, 5):
             assert weight == sum(by_label[l] for l in labels)
             assert isinstance(weight, Fraction)
 
     @pytest.mark.parametrize("factory", [mem_unequal, golden_mean_system, dyck])
     def test_support_nesting(self, factory):
         system = factory()
-        shallow = {p for p, _ in d.enumerate_level_paths(system, 4)}
+        shallow = {p for p, _ in enumerate_level_paths(system, 4)}
         deep_prefixes = {
-            p[:4] for p, _ in d.enumerate_level_paths(system, 5)
+            p[:4] for p, _ in enumerate_level_paths(system, 5)
         }
         assert shallow == deep_prefixes
 
