@@ -14,12 +14,12 @@ _METHODS = (EMPIRICAL, CHARACTERISTIC_ROOT, SPECTRAL_RADIUS, ABSCISSA)
 class CapacityEstimate:
     """A capacity value in nats per weight unit, with solver provenance.
 
-    ``bracket`` is the final enclosing interval (for root-based methods the
-    target function changes sign across it); ``residual`` is the absolute
-    deviation of the target function from its target at ``value`` and is 0.0
-    for enumeration-based estimates.  ``iterations`` counts Newton steps for
-    root-based methods and the length of the sequence behind an
-    enumeration-based estimate.
+    ``bracket`` is, for ``characteristic_root`` and ``spectral_radius``, the
+    final enclosing interval, across which the target function changes sign;
+    for ``empirical`` and ``abscissa`` it is the trailing window's [min, max],
+    which need not hold the capacity.  ``residual`` is the target function's
+    absolute deviation from its target at ``value``, 0.0 for the last two,
+    and ``iterations`` counts Newton steps or the length of their sequence.
     """
 
     value: float

@@ -6,7 +6,7 @@ distribution, with no optimality claim beyond the solved level.
 import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -264,20 +264,20 @@ def sample_level_paths(
 
     A depth's children are exactly the next depth's handles, so one buffer
     by handle id holds ln Z from the deepest depth up.  The draw tables span
-    blocks of consecutive depths of at most ``_BLOCK_ROWS`` handle rows;
-    each depth's handle ids are sorted, so one ``np.searchsorted`` per depth,
-    in the next depth's sorted ids, maps each child to its row.
+    blocks of consecutive depths of at most ``_BLOCK_ROWS`` handle rows, each
+    depth's in walk order; an array by handle id, refilled with the next
+    depth's rows before a depth's children are read, maps each child to its row.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     _check_sample_size(count, level)
-    depths = [np.zeros(1, dtype=np.intp)]  # each depth's distinct handle ids, sorted
+    depths = [np.zeros(1, dtype=np.intp)]  # each depth's distinct handle ids
     for frontier, scale, memo in frontier_walk(system, level):
         groups = list(frontier.values())
         at = groups[0] if len(groups) == 1 else set().union(*groups)
-        depths.append(np.sort(np.fromiter(at, dtype=np.intp, count=len(at))))
+        depths.append(np.fromiter(at, dtype=np.intp, count=len(at)))
     rate = maxent._solve_levels([maxent._level_row(frontier, scale)], level)[0].rate
     code: dict[str, int] = {}
     flat = [branch for row in memo for branch in row]
@@ -305,7 +305,7 @@ def sample_level_paths(
         )
 
     def tables():
-        first = 0
+        first, row = 0, np.zeros(len(memo), dtype=np.intp)  # a handle's row by id
         while first < level:  # depths first to last - 1 share one table
             last, rows = first + 1, len(depths[first])
             while last < level and rows + len(depths[last]) <= _BLOCK_ROWS:
@@ -313,12 +313,12 @@ def sample_level_paths(
             at = np.concatenate(depths[first:last])
             ln_z = np.concatenate(log_z[first:last + 1])
             real = valid.take(at, axis=1)
-            # a child's row is its rank in the next depth's sorted ids plus that
-            # depth's first row, `rows` for the next block's; padding reads row 0
-            ends = accumulate(map(len, depths[first:last]))
-            below = np.where(real, np.concatenate(
-                [np.searchsorted(depths[d + 1], child.take(depths[d], axis=1)) + end
-                 for d, end in zip(range(first, last), ends)], axis=1), 0)
+            below, end = [], 0  # each depth's child rows; padding reads row 0
+            for ids, next_ids in zip(depths[first:last], depths[first + 1:last + 1]):
+                end += len(ids)  # the next depth's first row, `rows` for the next block's
+                row[next_ids] = np.arange(end, end + len(next_ids))
+                below.append(row.take(child.take(ids, axis=1)))
+            below = np.where(real, np.concatenate(below, axis=1), 0)
             ln_q = ln_z.take(below) - cost.take(at, axis=1)
             to = np.where(below < rows, below, below - rows)
             yield from repeat(_table(ln_q, real, to, weight.take(at, axis=1),

@@ -471,6 +471,23 @@ class TestLevelSampler:
         monkeypatch.setattr(sampler, "_BLOCK_ROWS", block_rows)
         assert d.samples_tsv(draw()) == want
 
+    @pytest.mark.parametrize("draw", [
+        lambda: d.sample_level_paths(dyck(), 1040, 4, seed=23),
+        lambda: d.sample_level_paths(three_way(), 40, 300, seed=31),
+    ], ids=["dyck_1040x4", "three_way_40x300"])
+    def test_the_order_of_a_depths_handles_moves_no_draw(self, monkeypatch, draw):
+        # a path reads only its own row, so the rows' order within a depth is free
+        want = d.samples_tsv(draw())
+        walk = spectrum.frontier_walk
+
+        def reversed_entries(system, level):
+            for frontier, scale, memo in walk(system, level):
+                yield ({units: dict(reversed(group.items()))
+                        for units, group in frontier.items()}, scale, memo)
+
+        monkeypatch.setattr(sampler, "frontier_walk", reversed_entries)
+        assert d.samples_tsv(draw()) == want
+
     def test_one_table_per_block_of_depths(self, monkeypatch):
         # Dyck depth d holds the d // 2 + 1 balances of d's parity
         rows = sum(depth // 2 + 1 for depth in range(100))
