@@ -150,11 +150,16 @@ def perron(
     on the dense M from the same warm vector.  The bounds close to
     PERRON_TOL unless ``_noda`` stops at a singular solve or at an iterate
     entry under _FLOOR; they hold either way.
+
+    The left side's ``_noda`` starts from the right side's certified upper
+    bound, which holds for M^T as rho(M^T) = rho(M).  Its first shift then
+    sits within PERRON_TOL of rho, so a solve or two settle it, and it stops
+    once its own CW lower bound meets that bound.
     """
     # writeable copies: np.bincount copies a read-only index array per call
     src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
     steps = int(min(n, n ** 3 / (3 * len(q))))  # dense solve flops / step flops
-    matrix = None
+    matrix, cap = None, math.inf
     sides = []
     for rows, cols, x in ((src, dst, right), (dst, src, left)):
         x = np.full(n, 1.0 / n) if x is None else x
@@ -162,8 +167,9 @@ def perron(
         if found is None:
             if matrix is None:
                 matrix = dense(n, src, q, dst)
-            found = _noda(matrix if rows is src else matrix.T, x)
+            found = _noda(matrix if rows is src else matrix.T, x, cap)
         sides.append(found)
+        cap = found[1]
     (lo, hi, right), (_, _, left) = sides
     return Perron(lo, hi, right, left)
 
@@ -176,20 +182,23 @@ def dense(n: int, src, q, dst) -> np.ndarray:
     return matrix
 
 
-def _noda(matrix, x):
-    """Noda iteration x <- (hi I - M)^{-1} x, with hi the CW upper bound.
+def _noda(matrix, x, hi):
+    """Noda iteration x <- (hi I - M)^{-1} x, with hi the CW upper bound,
+    starting from ``hi``: inf, or an upper bound on rho already certified.
 
     For irreducible M the inverse is positive, so x stays positive and hi
     falls monotonically to rho.  Each step solves with D^{-1} M D, D = diag(x),
     whose Perron vector is near all-ones, so tiny entries of x stay accurate.
-    lo and hi are the best CW bounds over the iterates.  Returns (lo, hi, x)
-    once they close to PERRON_TOL * hi, or after bounding the iterate that
-    follows a step moving x by less than sqrt(PERRON_TOL): the convergence is
-    quadratic (Elsner 1976), so that iterate sits at the rounding floor.
+    lo and hi are the best CW bounds over the iterates and the given hi.
+    Returns (lo, hi, x) once they close to PERRON_TOL * hi (from a certified
+    hi, once this side's own lo meets it), or after bounding the iterate
+    that follows a step moving x by less than sqrt(PERRON_TOL): the
+    convergence is quadratic (Elsner 1976), so that iterate sits at the
+    rounding floor.
     """
     n = len(matrix)
     scaled = np.empty_like(matrix)
-    lo, hi, settled = 0.0, math.inf, False
+    lo, settled = 0.0, False
     for _ in range(PERRON_MAX_ITER):
         np.multiply(matrix, x, out=scaled)
         scaled /= x[:, None]

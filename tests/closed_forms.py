@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import dncap as d
-from conftest import dyck, golden_mean_system, mem_equal, mem_unequal, rll_system
+from conftest import (
+    cycle_with_loop, dyck, golden_mean_system, mem_equal, mem_unequal, rll_system,
+)
 from oracles import LN_GOLDEN, bisect_root
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
@@ -21,14 +23,6 @@ SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 def _root(*weights) -> float:
     """The s >= 0 with sum_w e^{-w s} = 1."""
     return bisect_root(lambda s: sum(math.exp(-w * s) for w in weights) - 1.0, 0.0, 10.0)
-
-
-def _cycle_with_chord(n):
-    """An n-cycle plus a self-loop at state 0, all weights 1: its loops at
-    state 0 weigh 1 and n."""
-    return d.fsm_to_branch_system(d.WeightedFsm(n, 0, tuple(
-        (i, d.Symbol("a", 1), (i + 1) % n) for i in range(n)
-    ) + ((0, d.Symbol("b", 1), 0),)))
 
 
 def _bare(fsm):
@@ -50,7 +44,8 @@ CLOSED_FORMS = [
     pytest.param(mem_unequal, 40, LN_GOLDEN, id="memoryless_1_2"),
     pytest.param(mem_equal, 40, math.log(2.0), id="binary_1_1"),
     pytest.param(lambda: rll_system(1, 3), 40, LN_RLL_1_3, id="rll_1_3"),
-    pytest.param(lambda: _cycle_with_chord(60), 40, _root(1, 60), id="cycle60_chord"),
+    pytest.param(lambda: d.fsm_to_branch_system(cycle_with_loop(60)), 40, _root(1, 60),
+                 id="cycle60_chord"),
     pytest.param(lambda: d.load_system(str(SPECS / "rational_weights.json"))[0],
                  40, _root(1 / 3, 1 / 2), id="rational_weights"),
     pytest.param(dyck, 40, math.log(2.0), id="dyck_abscissa",

@@ -129,6 +129,15 @@ def prefix_strings():
     return d.BranchSystem("", expand)
 
 
+def cycle_with_loop(n):
+    """An n-cycle plus a self-loop at state 0, all weights 1: its loops at
+    state 0 weigh 1 and n, and it mixes slowly, as the second eigenvalue
+    of M(s) nears the Perron root."""
+    return d.WeightedFsm(n, 0, tuple(
+        (i, d.Symbol("a", 1), (i + 1) % n) for i in range(n)
+    ) + ((0, d.Symbol("b", 1), 0),))
+
+
 def underflowing_cycle():
     """Golden-mean loops at state 0 and 1 plus a 4000-weight cycle through
     state 2, whose e^{-w s} at the capacity ln(phi) underflows to 0."""

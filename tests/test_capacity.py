@@ -4,15 +4,15 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 import dncap as d
 from dncap import capacity, solvers
 from dncap.solvers import perron
 from dncap.systems import strong_components
 from conftest import (
-    alphabet_of, dyck, golden_mean_system, mem_equal, mem_unequal, permutation_fsm,
-    permutation_fsms, rll_system, underflowing_cycle,
+    alphabet_of, cycle_with_loop, dyck, golden_mean_system, mem_equal, mem_unequal,
+    permutation_fsm, permutation_fsms, rll_system, underflowing_cycle,
 )
 from closed_forms import CLOSED_FORMS
 from oracles import LN_GOLDEN, bisect_root, reference_gf_eval
@@ -214,6 +214,25 @@ class TestPerron:
         assert (result.lo, result.hi) == (0.5, 2.0)
         assert result.lo <= rho <= result.hi
 
+    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @given(fsm=permutation_fsms(), s=st.sampled_from((0.0, 0.1, 0.5, 1.0)))
+    @example(fsm=cycle_with_loop(200), s=0.0)
+    @example(fsm=cycle_with_loop(200), s=0.02)
+    @example(fsm=cycle_with_loop(3), s=0.5)
+    @example(fsm=d.make_rll(1, 3), s=0.4)
+    @example(fsm=d.make_rll(2, 7), s=0.1)
+    @example(fsm=d.make_rll(1, 30), s=1.0)
+    def test_left_vector_meets_the_right_sides_bounds(self, fsm, s):
+        # the left side starts from the right side's upper bound; its vector
+        # must still be as good a Perron vector of M^T as the bounds say
+        src, weights, dst = fsm.edges
+        q = np.exp(-weights * s)
+        result = perron(fsm.num_states, src, q, dst)
+        ratios = solvers.dense(fsm.num_states, src, q, dst).T @ result.left / result.left
+        slack = 8 * solvers.PERRON_TOL * result.hi
+        assert result.lo - slack <= ratios.min()
+        assert ratios.max() <= result.hi + slack
+
 
 class TestFsmCapacity:
     def test_transition_matrix_matches_a_loop(self):
@@ -298,15 +317,15 @@ class TestFsmCapacity:
         # slow mixing: the second eigenvalue of M(s) nears the Perron root,
         # so the power steps give up and the dense path certifies
         n = 200
-        loop = (0, d.Symbol("b", 1), 0)
-        fsm = d.WeightedFsm(n, 0, tuple(
-            (i, d.Symbol("a", 1), (i + 1) % n) for i in range(n)
-        ) + (loop,))
+        fsm = cycle_with_loop(n)
         root = bisect_root(lambda s: math.exp(-s) + math.exp(-n * s) - 1, 0.0, 1.0)
         builds = count_calls(monkeypatch, solvers, "dense")
         solves = count_calls(monkeypatch, np.linalg, "solve")
         estimate = d.fsm_capacity(fsm)
         assert builds and solves
+        # a bound, not a pin: the left side's Noda starts from the right
+        # side's certified bound, so it settles in a solve or two
+        assert len(solves) <= 16
         assert abs(estimate.value - root) < 1e-12
         assert estimate.bracket[0] <= root <= estimate.bracket[1]
         chain = d.maxent_chain(fsm)

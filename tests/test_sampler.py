@@ -593,7 +593,7 @@ PINNED_SAMPLES = {
     ),
     "golden_10000x100": (  # crosses the writer's block boundaries
         lambda: d.sample_paths(golden_chain(), 10000, 100, seed=29),
-        "91054896bdb264d110b53dfda4471931c906734d1af82740fe749577b750052a",
+        "e809e9824e145c439f4c06ae369a2d6a17e448708f8f2c9556821bf1d51ac110",
     ),
     "three_way_dead_end": (
         lambda: d.sample_level_paths(three_way(), 40, 300, seed=31),
