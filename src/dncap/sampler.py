@@ -59,17 +59,11 @@ class MaxentChain:
             array.flags.writeable = False
 
     def analytic_entropy_rate(self) -> float:
-        """Stationary per-step entropy over stationary per-step weight,
-        summed state by state in ``outgoing`` order."""
+        """Stationary per-step entropy over stationary per-step weight, both
+        summed over ``fsm.edges``; a transition of probability 0 adds none."""
         src, weights, _ = self.fsm.edges
-        order = np.argsort(src, kind="stable")
-        entropy = mean_weight = 0.0
-        for pi, prob, weight in zip(self.stationary[src[order]].tolist(),
-                                    self.probs[order].tolist(), weights[order].tolist()):
-            if prob > 0.0:
-                entropy -= pi * prob * math.log(prob)
-                mean_weight += pi * prob * weight
-        return entropy / mean_weight
+        flow, live = self.stationary[src] * self.probs, self.probs > 0.0
+        return float(flow[live] @ -np.log(self.probs[live]) / (flow @ weights))
 
 
 def maxent_chain(fsm: WeightedFsm) -> MaxentChain:

@@ -6,6 +6,7 @@ of accepted strings of that weight.  Counts are arbitrary-precision integers
 and weights exact rationals, so bucket identity is never a float question.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -73,18 +74,15 @@ class WeightSpectrum:
 
 
 class _HandleGraph:
-    """The handle graph both walks extend.  The root's id is 0, any other
-    handle's the next when first seen as a child; ``memo[id]`` holds its
-    (units, child id, symbol) branches once expanded, () while ``pending``,
-    so ``expand`` runs once per handle.  ``scale`` is the LCM of the weight
-    denominators seen so far.  Called on a handle, it is ``system.expand``."""
+    """The handle graph one walk builds as it goes.  The root's id is 0, any
+    other handle's the next when first seen as a child; ``memo[id]`` holds
+    its (units, child id, symbol) branches once expanded, () while
+    ``pending``, so the walk expands each handle once.  ``scale`` is the LCM
+    of the weight denominators seen so far."""
 
     def __init__(self, system: BranchSystem):
         self.system, self.scale = system, 1
         self.ids, self.memo, self.pending = {system.root: 0}, [()], {0: system.root}
-
-    def __call__(self, handle):
-        return self.system.expand(handle)
 
     def expand(self, groups) -> int:
         """Expand the pending ids keying ``groups``, rescaling the memo in
@@ -103,9 +101,8 @@ class _HandleGraph:
                 if child not in ids:
                     ids[child], pending[len(memo)] = len(memo), child
                     memo.append(())
-            memo[i] = tuple(
-                (int(sym.weight * scale), ids[child], sym) for sym, child in branches
-            )
+            memo[i] = tuple((sym.weight.numerator * (scale // sym.weight.denominator),
+                             ids[child], sym) for sym, child in branches)
         return factor
 
 
@@ -119,13 +116,9 @@ def unit_floats(units, scale: int, kind: str) -> list[float]:
 
 
 def shared(system: BranchSystem) -> BranchSystem:
-    """``system`` with one handle graph, which all its walks extend."""
-    return replace(system, expand=_HandleGraph(system))
-
-
-def _graph(system: BranchSystem) -> _HandleGraph:
-    graph = system.expand
-    return graph if isinstance(graph, _HandleGraph) else _HandleGraph(system)
+    """``system`` with ``expand`` memoized, so walks that each build their
+    own handle graph still expand each handle once between them."""
+    return replace(system, expand=functools.cache(system.expand))
 
 
 def frontier_walk(system: BranchSystem, level: int):
@@ -139,13 +132,14 @@ def frontier_walk(system: BranchSystem, level: int):
     distinct label tuples, so path counts and string counts coincide.
     Groups and their entries are in first-push order: the order in which the
     previous depth's groups, their entries and each entry's branches, taken
-    in order, first reach them.  A depth expands its frontier in the handle
-    graph and charges its entries' branches to ``LEVEL_BUDGET`` (read at the
-    start) before merging them.  A depth that comes out empty, past the end
-    of a finite tree, raises ``ValueError`` naming the last nonempty one."""
+    in order, first reach them.  A depth expands its frontier in the walk's
+    own handle graph and charges its entries' branches to ``LEVEL_BUDGET``
+    (read at the start) before merging them.  A depth that comes out empty,
+    past the end of a finite tree, raises ``ValueError`` naming the last
+    nonempty one."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    graph, budget, frontier, work = _graph(system), LEVEL_BUDGET, {0: {0: 1}}, 0
+    graph, budget, frontier, work = _HandleGraph(system), LEVEL_BUDGET, {0: {0: 1}}, 0
     memo = graph.memo
     for depth in range(1, level + 1):
         if graph.pending and (factor := graph.expand(frontier.values())) > 1:
@@ -182,7 +176,7 @@ def exact_w_max(w_max) -> Fraction:
 def weight_spectrum(system: BranchSystem, w_max) -> WeightSpectrum:
     """Count accepted strings by exact weight, up to and including w_max.
 
-    A weight-major sweep over ``system``'s handle graph: a heap holds the
+    A weight-major sweep over a handle graph of its own: a heap holds the
     pending weights, in integer units, and a dict their groups, {handle id:
     path count}.  Weights are positive, so the lightest one's total is N(w)
     once it is popped; its branches then merge into the groups at w + units
@@ -192,7 +186,7 @@ def weight_spectrum(system: BranchSystem, w_max) -> WeightSpectrum:
     weight reached and keeps every weight popped as its exact ``spectrum``
     (None if only the root, the empty string, was)."""
     w_max = exact_w_max(w_max)
-    graph, budget, work = _graph(system), LEVEL_BUDGET, 0
+    graph, budget, work = _HandleGraph(system), LEVEL_BUDGET, 0
     memo, scale = graph.memo, graph.scale
     bound, heap, groups, units, counts = math.floor(w_max * scale), [0], {0: {0: 1}}, [], []
     while heap:

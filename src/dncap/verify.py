@@ -55,10 +55,11 @@ def verify_equality(
     before reaching ``l_max`` (partial trajectories are still attached) or
     the abscissa's spectrum walk blew it before ``w_max``; ``c_comb`` is
     then the abscissa of the spectrum the walk counted exactly, and the
-    budget error is raised if that has no estimate.  Both walks extend one
-    handle graph, so ``expand`` runs once per handle.  The epsilon probes
-    reuse ``tol`` as eps, which must be finite and >= 0 (``ValueError``
-    otherwise).  ``w_max`` is checked on every channel but walked to only by
+    budget error is raised if that has no estimate.  Each walk builds its
+    own handle graph over one ``shared`` system, whose memoized ``expand``
+    runs once per handle.  The epsilon probes reuse ``tol`` as eps, which
+    must be finite and >= 0 (``ValueError`` otherwise).  ``w_max`` is
+    checked on every channel but walked to only by
     ``combinatorial_capacity``'s abscissa."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, not {tol}")

@@ -114,21 +114,28 @@ class TestVerifyEquality:
 
     def test_generators_expand_each_handle_once(self):
         # the sweep to weight 40 expands balances 0..40, and the level walk
-        # to 40 extends the same handle graph, which already holds them all
+        # to 40 finds them all in the shared system's memoized expand
         system, calls = counted(dyck())
         d.verify_equality(system, 40, 40, tol=0.06)
         assert calls[0] == 41
 
     @pytest.mark.parametrize("factory", [harmonic_dyck, harmonic_steps])
     def test_a_shared_graph_keeps_both_walks_bit_identical(self, factory):
-        # the sweep grows the shared scale before the level walk starts, and
-        # the level rows still match a walk of their own bit for bit
+        # the level walk reads the handles the sweep expanded from the shared
+        # cache, and its rows still match a walk of their own bit for bit
         system = spectrum.shared(factory())
         swept = d.weight_spectrum(system, "9/2")
         levels = d.maxent_rate_estimate(system, 12)
-        assert system.expand.scale > 1
+        assert system.expand.cache_info().hits > 0
         assert swept == d.weight_spectrum(factory(), "9/2")
         assert levels == d.maxent_rate_estimate(factory(), 12)
+        # so do the level sampler's draws, here and over several Dyck blocks;
+        # factory's distinct weights grow exponentially, so it stops at 12
+        dyck_system = spectrum.shared(dyck())
+        d.weight_spectrum(dyck_system, 300)
+        for walked, fresh, level in ((system, factory(), 12), (dyck_system, dyck(), 300)):
+            assert (d.samples_tsv(d.sample_level_paths(walked, level, 5, seed=3))
+                    == d.samples_tsv(d.sample_level_paths(fresh, level, 5, seed=3)))
 
     def test_regular_verdict_needs_no_spectrum_entries(self):
         # up to weight 3/2 the golden mean's spectrum has one entry, weight 1
