@@ -23,7 +23,7 @@ from .estimates import (
     SPECTRAL_RADIUS,
     CapacityEstimate,
 )
-from .solvers import Perron, newton_root, partition_root, perron
+from .solvers import PERRON_TOL, newton_root, partition_root, perron_bounds
 from .spectrum import (
     DENSITY_POLY_CAP,
     WeightSpectrum,
@@ -107,28 +107,49 @@ def fsm_capacity(fsm: WeightedFsm) -> CapacityEstimate:
     return CapacityEstimate(value, SPECTRAL_RADIUS, bracket, residual, steps)
 
 
-def _component_root(n: int, src, weights, dst) -> tuple[tuple, Perron]:
+def _component_root(n: int, src, weights, dst) -> tuple[tuple, np.ndarray]:
     """``newton_root`` of ln rho(M(s)) = 0 on one component, a batch of one,
-    and the ``Perron`` of its final Newton evaluation, at the returned value.
+    and the right Perron iterate of its final Newton evaluation, at the
+    returned value.
 
-    ln rho(M(s)) is convex and decreasing (Kingman 1961).  Its slope comes
-    from the Perron vectors, d rho/ds = -u^T (W o M) v / u^T v summed over
-    the transitions, each ``perron`` call runs on the transition list and is
-    warm-started with the previous vectors, and the logs of the CW bounds
-    certify the bracket.
+    Each evaluation runs the right Perron side alone (``perron_bounds``),
+    warm-started from the last iterate.  ln f is ln lo, the log of its lower
+    CW bound, and the decay D is no lower than the true one: ln rho(M(s)) is
+    convex (Kingman 1961) and its decay is a Perron-weighted mean of the
+    edge weights, so D is the secant (ln hi_prev - ln lo) / (s - s_prev)
+    where that lies in (0, D_prev), else D_prev, and w_max at the first
+    evaluation and where s <= s_prev.  So no step passes the root.
+
+    The power steps stop at a relative gap of max(PERRON_TOL, (delta / (1 +
+    delta))^2), delta = max(0, min(ln lo, ln lo_prev - ln lo)): a Newton step
+    needs ln rho only to about the square of its distance to the root (Dembo,
+    Eisenstat and Steihaug 1982), the drop keeps the gaps from swamping the
+    secant after a short step, and delta / (1 + delta) < 1 keeps lo > 0.
+    Near the root, so at the last evaluation and the certification points,
+    the gap is PERRON_TOL.
     """
-    warm, at = (), {}  # at: the first Perron solved at each point
+    w_max = float(weights.max())
+    right, at = None, {}  # at: the first right iterate at each point
+    last = (math.inf, math.inf, math.inf, w_max)  # s, ln lo, ln hi, decay
+
+    def tolerance(lo: float) -> float:
+        log_lo = _log(lo)
+        delta = max(0.0, min(log_lo, last[1] - log_lo))
+        return max(PERRON_TOL, (delta / (1.0 + delta)) ** 2)
 
     def solve(point: np.ndarray) -> np.ndarray:
-        nonlocal warm
-        q = np.exp(-weights * point[0])
-        p = perron(n, src, q, dst, *warm)
-        warm = (p.right, p.left)
-        at.setdefault(float(point[0]), p)
-        slope = p.left[src] * weights * q @ p.right[dst]
-        decay = float(slope / (p.left @ p.right) / p.hi)
-        log_hi = math.log(p.hi)
-        return np.array([[log_hi], [decay], [_log(p.lo)], [log_hi]])
+        nonlocal right, last
+        s = float(point[0])
+        lo, hi, right = perron_bounds(n, src, np.exp(-weights * s), dst, right, tolerance)
+        log_lo, log_hi = _log(lo), math.log(hi)
+        s_last, _, log_hi_last, decay = last
+        if s <= s_last:
+            decay = w_max
+        elif 0.0 < (secant := (log_hi_last - log_lo) / (s - s_last)) < decay:
+            decay = secant
+        last = s, log_lo, log_hi, decay
+        at.setdefault(s, right)
+        return np.array([[log_lo], [decay], [log_lo], [log_hi]])
 
     [root] = newton_root(solve, 1)
     return root, at[root[0]]

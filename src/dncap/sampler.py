@@ -13,7 +13,7 @@ import numpy as np
 from . import maxent
 from .capacity import _component_root
 from .errors import BudgetExceededError, EstimatorError, InvalidSystemError
-from .solvers import left_sum
+from .solvers import left_sum, perron
 from .spectrum import frontier_walk
 from .systems import BranchSystem, WeightedFsm
 
@@ -72,8 +72,9 @@ def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
     Raises ``InvalidSystemError`` unless the FSM is strongly connected, and
     ``EstimatorError`` if ``MaxentChain`` refuses a state's sum or the
     entropy rate lies further than ``_RATE_CHECK_TOL`` from s*.  The FSM is
-    one component, so s* and the Perron vectors come from one solve of it on
-    ``edges``, from its final Newton evaluation at s*.
+    one component, so s* and the right Perron iterate come from one solve of
+    it on ``edges``, from its final Newton evaluation at s*; one ``perron``
+    call at s*, warm-started from that iterate, adds the left vector.
     """
     if not fsm.is_strongly_connected():
         raise InvalidSystemError(
@@ -81,7 +82,8 @@ def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
             "(otherwise the Perron eigenvector is not unique)"
         )
     src, weights, dst = fsm.edges
-    (s_star, *_), p = _component_root(fsm.num_states, src, weights, dst)
+    (s_star, *_), right = _component_root(fsm.num_states, src, weights, dst)
+    p = perron(fsm.num_states, src, np.exp(-weights * s_star), dst, right)
     vector = p.right / p.right[fsm.start]
     # math.exp, not np.exp: the two differ in the last bit on some inputs
     tilt = [math.exp(-w * s_star) for w in weights.tolist()]

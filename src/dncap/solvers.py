@@ -36,10 +36,13 @@ def newton_root(solve: Callable[[np.ndarray], tuple], rows: int) -> list[tuple]:
     ``solve(s)`` takes one point per row and returns arrays of ln f_i(s_i),
     the decay -d ln f_i/ds, and a lower and an upper bound on ln f_i(s_i).
     Each ln f_i must be convex and decreasing with ln f_i(0) >= 0, so Newton
-    from s = 0 climbs to the root without overshooting; a row stops once a
-    step no longer moves its s to the right (ln f <= 0 to rounding).  Its
-    [lo, hi] = [s - m, s + m] is then widened 4x, from the Newton distance
-    m = (|ln f| + 8 eps) / decay, until lower(lo) >= 0 >= upper(hi).
+    from s = 0 climbs to the root without overshooting.  ``solve`` may give
+    a certified lower bound of ln f_i and a certified upper bound of its
+    decay: a step then still lands at or left of the tangent's root.  A row
+    stops once a step no longer moves its s to the right (ln f <= 0 to
+    rounding).  Its [lo, hi] = [s - m, s + m] is then widened 4x, from the
+    Newton distance m = (|ln f| + 8 eps) / decay, until lower(lo) >= 0 >=
+    upper(hi).
     ``residual`` is the measured |f(value) - 1|.  Both loops raise
     ``EstimatorError`` at their caps, the certification naming the first
     row it missed.
@@ -154,24 +157,43 @@ def perron(
     The left side's ``_noda`` starts from the right side's certified upper
     bound, which holds for M^T as rho(M^T) = rho(M).  Its first shift then
     sits within PERRON_TOL of rho, so a solve or two settle it, and it stops
-    once its own CW lower bound meets that bound.
+    once its own CW lower bound meets that bound.  A right side warm-started
+    from an iterate whose own bounds have closed settles at its first bound.
+    ``perron_bounds`` runs the right side alone.
     """
+    [(lo, hi, right), (_, _, left)] = _sides(
+        n, src, q, dst, (right, left), lambda lo: PERRON_TOL)
+    return Perron(lo, hi, right, left)
+
+
+def perron_bounds(n: int, src, q, dst, right: np.ndarray | None, tolerance) -> tuple:
+    """(lo, hi, x): ``perron``'s right side alone, warm-started from ``right``
+    (uniform when None).  Its power steps stop once hi - lo <= tolerance(lo)
+    * hi, a relative gap of at least PERRON_TOL that the caller may loosen
+    where it needs rho only roughly; ``_noda`` closes to PERRON_TOL.
+    """
+    [bounds] = _sides(n, src, q, dst, (right,), tolerance)
+    return bounds
+
+
+def _sides(n, src, q, dst, vectors, tolerance):
+    """(lo, hi, x) of the right side, then of the left one when ``vectors``
+    holds two warm vectors; one dense M serves both sides' ``_noda``."""
     # writeable copies: np.bincount copies a read-only index array per call
     src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
     steps = int(min(n, n ** 3 / (3 * len(q))))  # dense solve flops / step flops
     matrix, cap = None, math.inf
     sides = []
-    for rows, cols, x in ((src, dst, right), (dst, src, left)):
+    for (rows, cols), x in zip(((src, dst), (dst, src)), vectors):
         x = np.full(n, 1.0 / n) if x is None else x
-        found = _power(n, rows, q, cols, x, steps) if steps >= 2 else None
+        found = _power(n, rows, q, cols, x, steps, tolerance) if steps >= 2 else None
         if found is None:
             if matrix is None:
                 matrix = dense(n, src, q, dst)
             found = _noda(matrix if rows is src else matrix.T, x, cap)
         sides.append(found)
         cap = found[1]
-    (lo, hi, right), (_, _, left) = sides
-    return Perron(lo, hi, right, left)
+    return sides
 
 
 def dense(n: int, src, q, dst) -> np.ndarray:
@@ -227,31 +249,31 @@ def _noda(matrix, x, hi):
     raise EstimatorError(f"Perron iteration did not settle in {PERRON_MAX_ITER} steps")
 
 
-def _power(n, rows, q, cols, x, steps):
+def _power(n, rows, q, cols, x, steps, tolerance):
     """Power steps x <- M x / sum(M x), M[i, j] = sum of q over the edges
     rows -> cols, from ``x``.
 
     Returns (lo, hi, x) once the CW bounds over the iterates close to
-    PERRON_TOL * hi.  Returns None as soon as the gap, shrinking from the
-    third iterate on at its mean rate per step so far, would not close
-    within ``steps`` steps, or the next iterate has an entry not above
-    _FLOOR.  The mean over the whole run, rather than over the last few
-    steps, lets the gap stall for a step or two, as it does at the rounding
-    floor and when the second eigenvalue is complex.
+    ``tolerance(lo) * hi``.  Returns None as soon as the gap, shrinking from
+    the third iterate on at its mean rate per step so far, would not close
+    that far within ``steps`` steps, or the next iterate has an entry not
+    above _FLOOR.  The mean over the whole run, rather than over the last
+    few steps, lets the gap stall for a step or two, as it does at the
+    rounding floor and when the second eigenvalue is complex.
     """
     lo, hi = 0.0, math.inf
     for step in range(steps + 1):
         y = np.bincount(rows, weights=q * x[cols], minlength=n)
         ratios = y / x
         lo, hi = max(lo, float(ratios.min())), min(hi, float(ratios.max()))
-        gap = hi - lo
-        if gap <= PERRON_TOL * hi:
+        gap, target = hi - lo, tolerance(lo) * hi
+        if gap <= target:
             return lo, hi, x
         if step == 0:
             first = gap
         elif step >= 2:
             # the gap after the steps left, at its mean rate so far
-            if gap * (gap / first) ** ((steps - step) / step) > PERRON_TOL * hi:
+            if gap * (gap / first) ** ((steps - step) / step) > target:
                 return None
         x = y / y.sum()
         if not x.min() > _FLOOR:

@@ -11,8 +11,9 @@ from dncap import capacity, solvers
 from dncap.solvers import perron
 from dncap.systems import strong_components
 from conftest import (
-    alphabet_of, cycle_with_loop, dyck, golden_mean_system, mem_equal, mem_unequal,
-    permutation_fsm, permutation_fsms, rll_system, underflowing_cycle,
+    alphabet_of, counted_calls, cycle_with_loop, dyck, golden_mean_system, mem_equal,
+    mem_unequal, permutation_fsm, permutation_fsms, rll_system, strongly_connected_fsms,
+    underflowing_cycle,
 )
 from closed_forms import CLOSED_FORMS
 from oracles import LN_GOLDEN, bisect_root, reference_gf_eval
@@ -174,6 +175,31 @@ class TestPerron:
         estimate = d.fsm_capacity(fsm)
         assert solves == []
         assert_bracket_confirmed(fsm, estimate.bracket)
+
+    def test_the_capacity_solve_runs_right_sides_only(self, monkeypatch):
+        # bounds, not pins: with both sides the solve took 685 power steps
+        fsm = permutation_fsm(np.random.default_rng(7), 240)
+        dst, sides, steps = fsm.edges[2], [], []
+        power, bincount = solvers._power, np.bincount
+
+        def side(n, rows, *rest):
+            sides.append("left" if np.array_equal(rows, dst) else "right")
+            return power(n, rows, *rest)
+
+        def step(*args, **kwargs):
+            steps.append(1)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_power", side)
+        calls = counted_calls(monkeypatch, solvers.perron)
+        monkeypatch.setattr(np, "bincount", step)
+        d.fsm_capacity(fsm)
+        monkeypatch.setattr(np, "bincount", bincount)
+        assert "left" not in sides and calls == []
+        assert 0 < len(steps) <= 350
+        sides.clear()
+        d.maxent_chain(fsm)
+        assert sides.count("left") == 1 and len(calls) == 1
 
     @pytest.mark.parametrize("n", [2, 200])
     def test_periodic_cycle_certifies_through_the_dense_path(self, monkeypatch, n):
@@ -379,6 +405,33 @@ class TestFsmCapacity:
     @example(fsm=permutation_fsm(np.random.default_rng(3), 300, "abcd"))
     def test_bracket_confirmed_by_eigvals_on_both_perron_paths(self, fsm):
         assert_bracket_confirmed(fsm, d.fsm_capacity(fsm).bracket)
+
+    @settings(max_examples=16, derandomize=True, deadline=None, database=None)
+    @given(fsm=st.one_of(permutation_fsms(), strongly_connected_fsms()))
+    @example(fsm=d.WeightedFsm(3, 0, (
+        (0, d.Symbol("a", "4/3"), 1), (1, d.Symbol("a", 1), 2),
+        (2, d.Symbol("a", "1/2"), 0), (0, d.Symbol("c", "2/3"), 0),
+        (2, d.Symbol("c", "2/3"), 0),
+    )))  # the last secant's difference rounds to 0 next to the root
+    def test_no_newton_step_passes_the_root(self, fsm):
+        points = []
+
+        def recording(solve, rows):
+            def recorded(s):
+                points.append(float(s[0]))
+                return solve(s)
+            return solvers.newton_root(recorded, rows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(capacity, "newton_root", recording)
+            estimate = d.fsm_capacity(fsm)
+        # the Newton points rise; certification starts below the last one
+        newton = points[:next(k for k in range(1, len(points))
+                              if points[k] <= points[k - 1])]
+        for s in newton:
+            radius = max(abs(np.linalg.eigvals(transition_matrix(fsm, s))))
+            assert radius >= 1.0 - 1e-12, (s, radius)
+        assert_bracket_confirmed(fsm, estimate.bracket)
 
     def test_newton_cap_raises(self, monkeypatch):
         monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 0)
