@@ -23,7 +23,7 @@ from .estimates import (
     SPECTRAL_RADIUS,
     CapacityEstimate,
 )
-from .solvers import PERRON_TOL, newton_root, partition_root, perron_bounds
+from .solvers import PERRON_TOL, newton_root, partition_root, perron
 from .spectrum import (
     DENSITY_POLY_CAP,
     WeightSpectrum,
@@ -112,11 +112,11 @@ def _component_root(n: int, src, weights, dst) -> tuple[tuple, np.ndarray]:
     and the right Perron iterate of its final Newton evaluation, at the
     returned value.
 
-    Each evaluation runs the right Perron side alone (``perron_bounds``),
-    warm-started from the last iterate.  ln f is ln lo, the log of its lower
-    CW bound, and the decay D is no lower than the true one: ln rho(M(s)) is
-    convex (Kingman 1961) and its decay is a Perron-weighted mean of the
-    edge weights, so D is the secant (ln hi_prev - ln lo) / (s - s_prev)
+    Each evaluation runs ``perron`` on the right side alone, warm-started
+    from the last iterate.  ln f is ln lo, the log of its lower CW bound,
+    ln hi is its upper bound, and the decay D is no lower than the true one: ln rho(M(s)) is convex
+    (Kingman 1961) and its decay is a Perron-weighted mean of the edge
+    weights, so D is the secant (ln hi_prev - ln lo) / (s - s_prev)
     where that lies in (0, D_prev), else D_prev, and w_max at the first
     evaluation and where s <= s_prev.  So no step passes the root.
 
@@ -140,7 +140,7 @@ def _component_root(n: int, src, weights, dst) -> tuple[tuple, np.ndarray]:
     def solve(point: np.ndarray) -> np.ndarray:
         nonlocal right, last
         s = float(point[0])
-        lo, hi, right = perron_bounds(n, src, np.exp(-weights * s), dst, right, tolerance)
+        lo, hi, right = perron(n, src, np.exp(-weights * s), dst, right, tolerance)
         log_lo, log_hi = _log(lo), math.log(hi)
         s_last, _, log_hi_last, decay = last
         if s <= s_last:
@@ -149,7 +149,7 @@ def _component_root(n: int, src, weights, dst) -> tuple[tuple, np.ndarray]:
             decay = secant
         last = s, log_lo, log_hi, decay
         at.setdefault(s, right)
-        return np.array([[log_lo], [decay], [log_lo], [log_hi]])
+        return np.array([[log_lo], [decay], [log_hi]])
 
     [root] = newton_root(solve, 1)
     return root, at[root[0]]

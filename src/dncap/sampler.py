@@ -73,8 +73,10 @@ def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
     ``EstimatorError`` if ``MaxentChain`` refuses a state's sum or the
     entropy rate lies further than ``_RATE_CHECK_TOL`` from s*.  The FSM is
     one component, so s* and the right Perron iterate come from one solve of
-    it on ``edges``, from its final Newton evaluation at s*; one ``perron``
-    call at s*, warm-started from that iterate, adds the left vector.
+    it on ``edges``, from its final Newton evaluation at s*.  One ``perron``
+    call at s*, warm-started from that iterate, settles the right vector; a
+    second on the swapped edges gives the left one, the right vector of M^T,
+    its Noda solves starting from the first call's upper bound.
     """
     if not fsm.is_strongly_connected():
         raise InvalidSystemError(
@@ -83,11 +85,13 @@ def maxent_chain(fsm: WeightedFsm) -> MaxentChain:
         )
     src, weights, dst = fsm.edges
     (s_star, *_), right = _component_root(fsm.num_states, src, weights, dst)
-    p = perron(fsm.num_states, src, np.exp(-weights * s_star), dst, right)
-    vector = p.right / p.right[fsm.start]
+    q = np.exp(-weights * s_star)
+    _, hi, right = perron(fsm.num_states, src, q, dst, right)
+    left = perron(fsm.num_states, dst, q, src, hi=hi)[2]
+    vector = right / right[fsm.start]
     # math.exp, not np.exp: the two differ in the last bit on some inputs
     tilt = [math.exp(-w * s_star) for w in weights.tolist()]
-    stationary = p.left * p.right / (p.left @ p.right)
+    stationary = left * right / (left @ right)
     chain = MaxentChain(fsm, s_star, vector[dst] / vector[src] * tilt, vector, stationary)
     rate = chain.analytic_entropy_rate()
     if not abs(rate - s_star) <= _RATE_CHECK_TOL:

@@ -1,10 +1,10 @@
 """Numeric kernels: ``newton_root``, the one root-finding loop, solves every
-capacity equation, and ``perron`` is the one certified Perron kernel.  Every
-iteration cap raises ``EstimatorError`` instead of returning unconverged.
+capacity equation, and ``perron``, the one certified Perron kernel, bounds
+the root and vector of one side of a matrix.  Every iteration cap raises
+``EstimatorError`` instead of returning unconverged.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import chain, groupby
 from typing import Callable
 
@@ -33,16 +33,16 @@ def newton_root(solve: Callable[[np.ndarray], tuple], rows: int) -> list[tuple]:
     """[(value, lo, hi, residual, Newton steps)] of ln f_i(s) = 0 for s >= 0,
     one tuple for each of ``rows`` equations, all solved in lock step.
 
-    ``solve(s)`` takes one point per row and returns arrays of ln f_i(s_i),
-    the decay -d ln f_i/ds, and a lower and an upper bound on ln f_i(s_i).
-    Each ln f_i must be convex and decreasing with ln f_i(0) >= 0, so Newton
-    from s = 0 climbs to the root without overshooting.  ``solve`` may give
-    a certified lower bound of ln f_i and a certified upper bound of its
-    decay: a step then still lands at or left of the tangent's root.  A row
-    stops once a step no longer moves its s to the right (ln f <= 0 to
-    rounding).  Its [lo, hi] = [s - m, s + m] is then widened 4x, from the
-    Newton distance m = (|ln f| + 8 eps) / decay, until lower(lo) >= 0 >=
-    upper(hi).
+    ``solve(s)`` takes one point per row and returns three arrays: ln
+    f_i(s_i), or a certified lower bound of it, the decay -d ln f_i/ds, or a
+    certified upper bound of it, and an upper bound on ln f_i(s_i).  Each ln
+    f_i must be convex and decreasing with ln f_i(0) >= 0, so Newton from
+    s = 0 climbs to the root without overshooting, and with the bounds a
+    step still lands at or left of the tangent's root.  A row stops once a
+    step no longer moves its s to the right (ln f <= 0 to rounding).  Its
+    [lo, hi] = [s - m, s + m] is then widened 4x, from the Newton distance
+    m = (|ln f| + 8 eps) / decay, until the first array is >= 0 at lo and
+    the third <= 0 at hi.
     ``residual`` is the measured |f(value) - 1|.  Both loops raise
     ``EstimatorError`` at their caps, the certification naming the first
     row it missed.
@@ -57,7 +57,7 @@ def newton_root(solve: Callable[[np.ndarray], tuple], rows: int) -> list[tuple]:
     steps = np.zeros(rows, dtype=int)
     active = np.ones(rows, dtype=bool)
     for step in range(NEWTON_MAX_ITER + 1):
-        log_f, decay, _, _ = solve(s)
+        log_f, decay, _ = solve(s)
         moved = s + log_f / decay
         active &= moved > s
         if not np.count_nonzero(active):
@@ -70,9 +70,9 @@ def newton_root(solve: Callable[[np.ndarray], tuple], rows: int) -> list[tuple]:
     pending = np.ones(rows, dtype=bool)
     for _ in range(CERTIFY_MAX_ITER):
         lo, hi = np.maximum(s - margin, 0.0), s + margin
-        below = pending & (solve(lo)[2] >= 0.0)
+        below = pending & (solve(lo)[0] >= 0.0)
         if np.count_nonzero(below):
-            pending &= ~(below & (solve(hi)[3] <= 0.0))
+            pending &= ~(below & (solve(hi)[2] <= 0.0))
         if not np.count_nonzero(pending):
             residual = [abs(math.expm1(x)) for x in log_f.tolist()]
             columns = s.tolist(), lo.tolist(), hi.tolist(), residual, steps.tolist()
@@ -88,7 +88,7 @@ def partition_root(problems) -> list[tuple]:
 
     ln Z is a logsumexp of ln c - w s, so huge counts and deep levels stay in
     range; its decay is the q-weighted mean weight, q = c e^{-w s} / Z.  The
-    computed ln Z serves as both bounds.
+    computed ln Z is its own upper bound.
 
     Each problem gets the bits it would get alone: evaluations are
     elementwise over all problems, in the order given; runs of equal support
@@ -121,79 +121,37 @@ def partition_root(problems) -> list[tuple]:
             np.add.reduce(group_q, axis=1, out=group_total)
             np.vecdot(w, group_q, out=group_dot)
         log_z = top + np.array([math.log(t) for t in total.tolist()])
-        return log_z, dot / total, log_z, log_z
+        return log_z, dot / total, log_z
 
     return newton_root(solve, len(problems))
 
 
-@dataclass(frozen=True)
-class Perron:
-    """Collatz-Wielandt (CW) bounds lo <= rho <= hi on the Perron root (min
-    and max of (M x)_i / x_i over positive iterates x), and the positive
-    right and left vectors.  ``hi`` is the root's estimate."""
+def perron(n: int, src, q, dst, x: np.ndarray | None = None,
+           tolerance=lambda lo: PERRON_TOL, hi: float = math.inf) -> tuple:
+    """(lo, hi, x): Collatz-Wielandt (CW) bounds lo <= rho <= hi on the
+    Perron root of the irreducible nonnegative n x n matrix M with M[i, j] =
+    sum of q over the edges i = src, j = dst (min and max of (M x)_i / x_i
+    over positive iterates x), and the last iterate, a positive right
+    Perron vector; ``hi`` is the root's estimate.  Swap ``src`` and ``dst``
+    for the left vector, the right one of M^T.
 
-    lo: float
-    hi: float
-    right: np.ndarray
-    left: np.ndarray
-
-
-def perron(
-    n: int,
-    src,
-    q,
-    dst,
-    right: np.ndarray | None = None,
-    left: np.ndarray | None = None,
-) -> Perron:
-    """Perron root and vectors of the irreducible nonnegative n x n matrix M
-    with M[i, j] = sum of q over the edges i = src, j = dst.  Each side,
-    warm-started from ``right`` and ``left`` (uniform when None), is bounded
-    by ``_power`` steps on the edge list, or where those stall, by ``_noda``
-    on the dense M from the same warm vector.  The bounds close to
-    PERRON_TOL unless ``_noda`` stops at a singular solve or at an iterate
-    entry under _FLOOR; they hold either way.
-
-    The left side's ``_noda`` starts from the right side's certified upper
-    bound, which holds for M^T as rho(M^T) = rho(M).  Its first shift then
-    sits within PERRON_TOL of rho, so a solve or two settle it, and it stops
-    once its own CW lower bound meets that bound.  A right side warm-started
-    from an iterate whose own bounds have closed settles at its first bound.
-    ``perron_bounds`` runs the right side alone.
+    From ``x`` (uniform when None), ``_power`` steps on the edge list stop
+    once hi - lo <= tolerance(lo) * hi, a relative gap of at least
+    PERRON_TOL that the caller may loosen where it needs rho only roughly.
+    Where those stall, ``_noda`` on the dense M from the same ``x`` closes
+    to PERRON_TOL, unless it stops at a singular solve or at an iterate
+    entry under _FLOOR; the bounds hold either way.  ``hi`` is inf or an
+    upper bound on rho already certified, such as the other side's, which
+    holds for M^T as rho(M^T) = rho(M).  ``_noda``'s first shift then sits
+    within PERRON_TOL of rho, so a solve or two settle it.  An ``x`` whose
+    own bounds have closed settles at its first bound.
     """
-    [(lo, hi, right), (_, _, left)] = _sides(
-        n, src, q, dst, (right, left), lambda lo: PERRON_TOL)
-    return Perron(lo, hi, right, left)
-
-
-def perron_bounds(n: int, src, q, dst, right: np.ndarray | None, tolerance) -> tuple:
-    """(lo, hi, x): ``perron``'s right side alone, warm-started from ``right``
-    (uniform when None).  Its power steps stop once hi - lo <= tolerance(lo)
-    * hi, a relative gap of at least PERRON_TOL that the caller may loosen
-    where it needs rho only roughly; ``_noda`` closes to PERRON_TOL.
-    """
-    [bounds] = _sides(n, src, q, dst, (right,), tolerance)
-    return bounds
-
-
-def _sides(n, src, q, dst, vectors, tolerance):
-    """(lo, hi, x) of the right side, then of the left one when ``vectors``
-    holds two warm vectors; one dense M serves both sides' ``_noda``."""
     # writeable copies: np.bincount copies a read-only index array per call
     src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+    x = np.full(n, 1.0 / n) if x is None else x
     steps = int(min(n, n ** 3 / (3 * len(q))))  # dense solve flops / step flops
-    matrix, cap = None, math.inf
-    sides = []
-    for (rows, cols), x in zip(((src, dst), (dst, src)), vectors):
-        x = np.full(n, 1.0 / n) if x is None else x
-        found = _power(n, rows, q, cols, x, steps, tolerance) if steps >= 2 else None
-        if found is None:
-            if matrix is None:
-                matrix = dense(n, src, q, dst)
-            found = _noda(matrix if rows is src else matrix.T, x, cap)
-        sides.append(found)
-        cap = found[1]
-    return sides
+    found = _power(n, src, q, dst, x, steps, tolerance) if steps >= 2 else None
+    return found or _noda(dense(n, src, q, dst), x, hi)
 
 
 def dense(n: int, src, q, dst) -> np.ndarray:

@@ -164,9 +164,9 @@ def counted_calls(monkeypatch, function):
     module holding it under its own name, each holder patched for the test."""
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return function(*args)
+        return function(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("dncap") and vars(module).get(function.__name__) is function:

@@ -16,9 +16,9 @@ from dncap import maxent, sampler, solvers, spectrum
 from dncap.maxent import enumerate_level_paths
 from dncap.solvers import left_sum
 from conftest import (
-    counted, counted_calls, dead_end, dyck, harmonic_dyck, permutation_fsm,
-    permutation_fsms, strongly_connected_fsms, table_generators, three_way,
-    underflowing_cycle,
+    counted, counted_calls, cycle_with_loop, dead_end, dyck, harmonic_dyck,
+    permutation_fsm, permutation_fsms, strongly_connected_fsms, table_generators,
+    three_way, underflowing_cycle,
 )
 from oracles import LN_GOLDEN
 
@@ -107,6 +107,19 @@ class TestMaxentChain:
                 for x, exact in zip(got.tolist(), want):
                     assert abs(Decimal(x) - exact) <= 4 * Decimal(math.ulp(x)), (x, exact)
 
+    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @given(fsm=strongly_connected_fsms())
+    # both sides by dense Noda, the left one from the right side's bound
+    @example(fsm=cycle_with_loop(200))
+    @example(fsm=permutation_fsm(np.random.default_rng(7), 240))  # power steps
+    @example(fsm=d.make_rll(2, 7))
+    def test_the_stationary_law_is_stationary(self, fsm):
+        chain = d.maxent_chain(fsm)
+        src, _, dst = fsm.edges
+        flow = np.bincount(dst, chain.stationary[src] * chain.probs, fsm.num_states)
+        np.testing.assert_allclose(flow, chain.stationary, rtol=1e-14, atol=0.0)
+        assert abs(chain.stationary.sum() - 1.0) <= 1e-14
+
     @pytest.mark.parametrize("fsm_factory", [
         d.make_golden_mean,
         lambda: d.make_rll(2, 7),
@@ -115,19 +128,17 @@ class TestMaxentChain:
         ) + ((0, d.Symbol("b", 1), 30),)),
         lambda: permutation_fsm(np.random.default_rng(3), 50, "abc"),
     ], ids=["golden_mean", "rll_2_7", "cycle60_chord", "permutation50"])
-    def test_the_chain_adds_one_perron_call_to_the_capacity_solve(
+    def test_the_chain_adds_two_perron_calls_to_the_capacity_solve(
             self, fsm_factory, monkeypatch):
-        # the capacity solve runs right sides only; the chain repeats it and
-        # takes both Perron vectors from one two-sided call at s*
+        # the capacity solve runs right sides only; the chain repeats it,
+        # then takes the right vector at s* and the left one, one call each
         fsm = fsm_factory()
-        sides = counted_calls(monkeypatch, solvers.perron_bounds)
         calls = counted_calls(monkeypatch, solvers.perron)
         estimate = d.fsm_capacity(fsm)
-        solves = len(sides)
-        assert solves > 0 and calls == []
+        solves = len(calls)
+        assert solves > 0
         chain = d.maxent_chain(fsm)
-        assert len(sides) == 2 * solves
-        assert len(calls) == 1
+        assert len(calls) == 2 * solves + 2
         assert chain.capacity == estimate.value
 
     @pytest.mark.parametrize(
@@ -356,7 +367,7 @@ class TestEmpiricalEntropyRate:
     def test_rate_is_the_per_path_sum_to_the_last_bit(self, draw, rate):
         # the rates the per-path sums gave before samples were kept as arrays;
         # each moved one ulp with the chain's Perron vectors, which since come
-        # from the secant capacity solve and one two-sided solve at s*
+        # from the secant capacity solve and the right and left sides at s*
         samples = draw()
         assert d.empirical_entropy_rate(samples) == rate
         assert rate == (-left_sum(path.log_prob for path in samples.paths)

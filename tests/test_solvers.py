@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -56,3 +57,13 @@ def test_certification_cap_names_the_root(monkeypatch):
     with pytest.raises(d.EstimatorError,
                        match=f"^no certified bracket around the root {value}$"):
         solvers.partition_root([([1.0, 2.0], [0.0, 0.0])])
+
+
+def test_the_bracket_widens_until_the_upper_bound_certifies():
+    # ln f = 1 - s exactly, but its upper bound lies 1e-6 above it, so hi
+    # must clear the root by that much
+    ones = np.ones(1)
+    [(value, lo, hi, _, _)] = solvers.newton_root(
+        lambda s: (1.0 - s, ones, 1.0 - s + 1e-6), 1)
+    assert value == 1.0
+    assert lo <= 1.0 and hi >= 1.0 + 1e-6
