@@ -13,7 +13,6 @@ exactly: ints and Fractions as they are, strings ("3/10" or "0.3") as the
 rational they spell, and a float as the binary fraction it stores.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,7 +119,10 @@ class WeightedFsm:
     outgoing transition (no dead ends -- a dead end would break Markov
     generability and is treated as a modeling bug, not silently pruned),
     all states are reachable from ``start``, and the labels leaving any one
-    state are pairwise distinct.
+    state are pairwise distinct.  The graph is derived then, once:
+    ``outgoing``, the read-only ``edges`` (source, float weight and target
+    arrays in ``transitions`` order) and the read-only ``components``,
+    whose one forward search from ``start`` also proves reachability.
     """
 
     num_states: int
@@ -148,43 +150,22 @@ class WeightedFsm:
             raise InvalidSystemError(
                 f"state {state} is a dead end (every state needs a successor)"
             )
-        for state, outs in self.outgoing.items():
-            if len({sym.label for sym, _ in outs}) != len(outs):
-                raise InvalidSystemError(f"state {state} has duplicate outgoing labels")
-        reached = _finish_order(self._successors, [self.start])
-        if len(reached) != self.num_states:
-            missing = sorted(set(range(self.num_states)) - set(reached))
-            raise InvalidSystemError(
-                f"states {missing} unreachable from start (prune them first)"
-            )
-
-    @functools.cached_property
-    def outgoing(self) -> dict[int, Branches]:
-        table: dict[int, list] = {i: [] for i in range(self.num_states)}
+        table: list[list] = [[] for _ in range(self.num_states)]
         for src, sym, dst in self.transitions:
             table[src].append((sym, dst))
-        return {state: tuple(outs) for state, outs in table.items()}
-
-    @functools.cached_property
-    def _successors(self) -> list[list[int]]:
-        return [[dst for _, dst in outs] for outs in self.outgoing.values()]
-
-    @functools.cached_property
-    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only source, float weight and target arrays, one entry per
-        transition in ``transitions`` order."""
+        outgoing = dict(enumerate(map(tuple, table)))
+        for state, outs in outgoing.items():
+            if len({sym.label for sym, _ in outs}) != len(outs):
+                raise InvalidSystemError(f"state {state} has duplicate outgoing labels")
+        label = strong_components([[dst for _, dst in outs] for outs in table], [self.start])
+        if (label < 0).any():
+            raise InvalidSystemError(f"states {np.flatnonzero(label < 0).tolist()} "
+                                     "unreachable from start (prune them first)")
         columns = zip(*((i, sym._float, j) for i, sym, j in self.transitions))
-        arrays = tuple(map(np.array, columns))
-        for array in arrays:
+        edges = tuple(map(np.array, columns))
+        for array in (*edges, label):
             array.flags.writeable = False
-        return arrays
-
-    @functools.cached_property
-    def components(self) -> np.ndarray:
-        """``strong_components`` of the transitions, read-only."""
-        label = strong_components(self._successors)
-        label.flags.writeable = False
-        return label
+        vars(self).update(outgoing=outgoing, edges=edges, components=label)
 
     def accepts(self, labels: Iterable[str]) -> bool:
         """Walk the label sequence from the start state; labels are atomic."""
@@ -221,22 +202,27 @@ def _finish_order(successors, roots, seen=None) -> list[int]:
     return order
 
 
-def strong_components(successors: list[list[int]]) -> np.ndarray:
-    """Each state's strongly connected component, named by one of its states,
-    for the successor lists of any directed multigraph; dead ends and
-    unreachable states are fine.
+def strong_components(successors: list[list[int]], roots) -> np.ndarray:
+    """Each state's strongly connected component, named by its smallest
+    state, for the successor lists of any directed multigraph; dead ends are
+    fine, and a state not reachable from ``roots`` is labelled -1.
 
     Kosaraju: a backward search in reverse forward-finishing order stays
-    inside one component.
+    inside one component.  The forward pass runs from ``roots`` only, and
+    the states it missed are marked seen, so no backward search enters them.
     """
     backward: list[list[int]] = [[] for _ in successors]
     for i, outs in enumerate(successors):
         for j in outs:
             backward[j].append(i)
-    label, seen = [0] * len(successors), set()
-    for root in reversed(_finish_order(successors, range(len(successors)))):
-        for state in _finish_order(backward, [root], seen):
-            label[state] = root
+    order = _finish_order(successors, roots)
+    label, seen = [-1] * len(successors), set(range(len(successors))) - set(order)
+    for root in reversed(order):
+        if root not in seen:
+            component = _finish_order(backward, [root], seen)
+            name = min(component)
+            for state in component:
+                label[state] = name
     return np.array(label)
 
 

@@ -138,6 +138,15 @@ def cycle_with_loop(n):
     ) + ((0, d.Symbol("b", 1), 0),))
 
 
+def reducible_fsm():
+    """Start state 2 loops on "a" and "b" (capacity ln 2) and leaves on "c"
+    for the golden-mean pair 0, 1, which it never reenters; unit weights."""
+    return d.WeightedFsm(3, 2, (
+        (0, d.Symbol("a", 1), 0), (0, d.Symbol("b", 1), 1), (1, d.Symbol("a", 1), 0),
+        (2, d.Symbol("a", 1), 2), (2, d.Symbol("b", 1), 2), (2, d.Symbol("c", 1), 0),
+    ))
+
+
 def underflowing_cycle():
     """Golden-mean loops at state 0 and 1 plus a 4000-weight cycle through
     state 2, whose e^{-w s} at the capacity ln(phi) underflows to 0."""
@@ -283,10 +292,12 @@ def table_generators(draw):
 
 
 @st.composite
-def rational_alphabets(draw):
-    """A memoryless alphabet of 1 to 4 symbols with weights p/q, p <= 4, q <= 4."""
-    weights = draw(st.lists(st.builds(Fraction, st.integers(1, 4), st.integers(1, 4)),
-                            min_size=1, max_size=4))
+def rational_alphabets(draw, max_denominator=4):
+    """A memoryless alphabet of 1 to 4 symbols with weights p/q, p <= 4,
+    q <= ``max_denominator``."""
+    weights = draw(st.lists(
+        st.builds(Fraction, st.integers(1, 4), st.integers(1, max_denominator)),
+        min_size=1, max_size=4))
     return d.make_memoryless(
         tuple(d.Symbol("abcd"[k], w) for k, w in enumerate(weights))
     )

@@ -15,6 +15,7 @@ import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, Inexact
 from fractions import Fraction
 from itertools import accumulate, islice, product
 
@@ -114,6 +115,64 @@ def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def exact_bracket_holds(fsm_or_problem, bracket) -> bool:
+    """Whether ``bracket`` = (lo, hi) holds the root of rho(M(s)) = 1 for an
+    FSM, or of sum_i c_i e^{-w_i s} = 1 for a level problem given as exact
+    (weight, count) pairs, decided in rationals (Shannon's determinant).
+
+    With L the weights' common denominator and t = e^{-s/L}, M(s) = A(t),
+    whose entries sum t^{L w}: integer polynomials, so rho(A(t)) increases
+    with t.  The bracket holds when rho(A(a)) < 1 at a rational a >=
+    e^{-hi/L} and not at a rational b <= e^{-lo/L}; a level problem is the
+    1x1 case.  rho(A) < 1 exactly when every leading principal minor of
+    I - A is positive (Berman and Plemmons, ch. 6).
+    """
+    if hasattr(fsm_or_problem, "transitions"):
+        n = fsm_or_problem.num_states
+        terms = [(i, sym.weight, j, 1) for i, sym, j in fsm_or_problem.transitions]
+    else:
+        n, terms = 1, [(0, Fraction(w), 0, c) for w, c in fsm_or_problem]
+    scale = math.lcm(*(w.denominator for _, w, _, _ in terms))
+    terms = [(i, int(w * scale), j, c) for i, w, j, c in terms]
+    lo, hi = bracket
+    return (_below_one(n, terms, _exp_bound(hi, scale, up=True))
+            and not _below_one(n, terms, _exp_bound(lo, scale, up=False)))
+
+
+def _exp_bound(s: float, scale: int, up: bool) -> Fraction:
+    """A rational at or above (``up``) or at or below e^{-s/scale}: the
+    exponent rounded toward that side at 60 digits, then ``exp``, which
+    rounds half-even, moved one unit in the last place unless it is exact."""
+    context = Context(prec=60, rounding=ROUND_FLOOR if up else ROUND_CEILING, traps=[])
+    exponent = context.minus(context.divide(Decimal(s), scale))
+    context.clear_flags()
+    value = context.exp(exponent)
+    if context.flags[Inexact]:
+        value = context.next_plus(value) if up else context.next_minus(value)
+    return Fraction(value)
+
+
+def _below_one(n: int, terms, t: Fraction) -> bool:
+    """rho(A(t)) < 1: Bareiss's fraction-free elimination on the integer
+    matrix q^m (I - A(p/q)), m the largest exponent, whose pivots are its
+    leading principal minors, all positive."""
+    p, q = t.numerator, t.denominator
+    m = max(e for _, e, _, _ in terms)
+    rows = [[q ** m * (i == j) for j in range(n)] for i in range(n)]
+    for i, e, j, c in terms:
+        rows[i][j] -= c * p ** e * q ** (m - e)
+    previous = 1
+    for k in range(n):
+        pivot = rows[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // previous
+        previous = pivot
+    return True
 
 
 def scalar_partition_root(weights, log_counts) -> tuple:
@@ -273,7 +332,8 @@ def _reference_finish_order(successors, roots, seen=None) -> list:
 
 def reference_strong_components(n: int, src, dst) -> np.ndarray:
     """``dncap.systems.strong_components`` with its own adjacency lists both
-    ways, built from the edge arrays: Kosaraju over all ``n`` roots."""
+    ways, built from the edge arrays: Kosaraju over all ``n`` roots, each
+    class named by its smallest state."""
     forward = [[] for _ in range(n)]
     backward = [[] for _ in range(n)]
     for i, j in zip(src.tolist(), dst.tolist()):
@@ -281,8 +341,9 @@ def reference_strong_components(n: int, src, dst) -> np.ndarray:
         backward[j].append(i)
     label, seen = [0] * n, set()
     for root in reversed(_reference_finish_order(forward, range(n))):
-        for state in _reference_finish_order(backward, [root], seen):
-            label[state] = root
+        component = _reference_finish_order(backward, [root], seen)
+        for state in component:
+            label[state] = min(component)
     return np.array(label)
 
 

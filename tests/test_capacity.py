@@ -1,22 +1,24 @@
 import cmath
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dncap as d
-from dncap import capacity, solvers
-from dncap.solvers import perron
+from dncap import capacity, maxent, solvers
+from dncap.solvers import partition_root, perron
+from dncap.spectrum import frontier_walk
 from dncap.systems import strong_components
 from conftest import (
     alphabet_of, cycle_with_loop, dyck, golden_mean_system, mem_equal,
-    mem_unequal, permutation_fsm, permutation_fsms, rll_system, strongly_connected_fsms,
-    underflowing_cycle,
+    mem_unequal, permutation_fsm, permutation_fsms, rational_alphabets, reducible_fsm,
+    rll_system, strongly_connected_fsms, underflowing_cycle,
 )
 from closed_forms import CLOSED_FORMS
-from oracles import LN_GOLDEN, bisect_root, reference_gf_eval
+from oracles import LN_GOLDEN, bisect_root, exact_bracket_holds, reference_gf_eval
 
 
 def both_sides(n, src, q, dst):
@@ -52,13 +54,33 @@ def count_calls(monkeypatch, module, name):
 
 
 def assert_bracket_confirmed(fsm, bracket):
-    """rho(M(lo)) >= 1 >= rho(M(hi)), by ``numpy.linalg.eigvals``."""
+    """rho(M(lo)) >= 1 >= rho(M(hi)), by ``numpy.linalg.eigvals``, and
+    exactly by ``exact_bracket_holds`` where the FSM is small and so is
+    L w_max, its largest weight in units of 1/L, L the weights' common
+    denominator."""
     def radius(s):
         return max(abs(np.linalg.eigvals(transition_matrix(fsm, s))))
 
     lo, hi = bracket
     assert radius(lo) >= 1.0 - 1e-12
     assert radius(hi) <= 1.0 + 1e-12
+    weights = [sym.weight for _, sym, _ in fsm.transitions]
+    if fsm.num_states <= 12 and max(weights) * math.lcm(
+            *(w.denominator for w in weights)) <= 24:
+        assert exact_bracket_holds(fsm, bracket)
+
+
+def level_problems(fsm, l_max):
+    """The level problems ``maxent_rate_estimate`` solves on the FSM's
+    channel to depth ``l_max``, as exact (weight, count) pairs, each with
+    its ``partition_root`` result from one batch, as that estimate solves
+    them."""
+    exact, rows = [], []
+    for frontier, scale, _ in frontier_walk(d.fsm_to_branch_system(fsm), l_max):
+        exact.append([(Fraction(u, scale), sum(group.values()))
+                      for u, group in frontier.items()])
+        rows.append(maxent._level_row(frontier, scale)[:2])
+    return zip(exact, partition_root(rows))
 
 
 class TestGfEval:
@@ -341,7 +363,7 @@ class TestFsmCapacity:
         src, weights, dst = np.array([0]), np.array([1.0]), np.array([1])
         fake = types.SimpleNamespace(
             num_states=2, edges=(src, weights, dst),
-            components=strong_components([[1], []]),
+            components=strong_components([[1], []], range(2)),
         )
         with pytest.raises(d.InvalidSystemError, match="cycle"):
             d.fsm_capacity(fake)
@@ -412,6 +434,32 @@ class TestFsmCapacity:
     @example(fsm=permutation_fsm(np.random.default_rng(3), 300, "abcd"))
     def test_bracket_confirmed_by_eigvals_on_both_perron_paths(self, fsm):
         assert_bracket_confirmed(fsm, d.fsm_capacity(fsm).bracket)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(fsm=st.one_of(
+        permutation_fsms(max_states=12), strongly_connected_fsms(),
+        rational_alphabets(max_denominator=3).map(lambda system: system.fsm),
+    ))
+    @example(fsm=reducible_fsm())
+    @example(fsm=d.make_golden_mean())
+    def test_every_bracket_holds_its_root_exactly(self, fsm):
+        # the capacity's bracket, a memoryless channel's characteristic root
+        # and the brackets of the maxent level problems on the same channel
+        assert exact_bracket_holds(fsm, d.fsm_capacity(fsm).bracket)
+        if fsm.num_states == 1:
+            alphabet = [sym for _, sym, _ in fsm.transitions]
+            assert exact_bracket_holds(fsm, d.characteristic_root(alphabet).bracket)
+        for problem, (_, lo, hi, _, _) in level_problems(fsm, 6):
+            assert exact_bracket_holds(problem, (lo, hi))
+
+    def test_the_exact_oracle_refuses_a_bracket_off_the_root(self):
+        fsm = d.make_golden_mean()
+        lo, hi = d.fsm_capacity(fsm).bracket
+        assert exact_bracket_holds(fsm, (lo, hi))
+        for shift in (-1e-13, 1e-13):
+            assert not exact_bracket_holds(fsm, (lo + shift, hi + shift))
+        assert not exact_bracket_holds([(Fraction(1), 2)], (0.7, 0.8))
+        assert exact_bracket_holds([(Fraction(1), 2)], (0.69, 0.7))
 
     @settings(max_examples=16, derandomize=True, deadline=None, database=None)
     @given(fsm=st.one_of(permutation_fsms(), strongly_connected_fsms()))

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dncap as d
-from dncap import maxent, spectrum
+from dncap import maxent, solvers, spectrum
 from dncap.capacity import combinatorial_capacity
 from dncap.maxent import enumerate_level_paths
 from conftest import (
     alphabet_of,
     counted,
+    counted_calls,
     dyck,
     finite_tree,
     golden_mean_system,
@@ -255,6 +256,13 @@ class TestRateEstimate:
         _, levels = d.maxent_rate_estimate(system, l_max)
         assert len(levels) == l_max
         assert max(abs(sol.rate - closed) for sol in levels) <= 1e-15
+
+    @pytest.mark.parametrize("factory, l_max", [(dyck, 200), (golden_mean_system, 250)])
+    def test_one_partition_root_solves_every_level(self, monkeypatch, factory, l_max):
+        # a growth law: the levels are one batch, not one solve per level
+        calls = counted_calls(monkeypatch, solvers.partition_root)
+        _, levels = d.maxent_rate_estimate(factory(), l_max)
+        assert len(levels) == l_max and calls == [1]
 
     def test_dyck_rates_climb_toward_log_two(self):
         estimate, levels = d.maxent_rate_estimate(dyck(), 16)

@@ -211,6 +211,12 @@ class TestMaxentChain:
 
 
 class TestSamplePaths:
+    @pytest.mark.parametrize("steps", [10, 1000])
+    def test_one_draw_table_serves_every_step(self, monkeypatch, steps):
+        calls = counted_calls(monkeypatch, sampler._table)
+        samples = d.sample_paths(golden_chain(), 3, steps, seed=1)
+        assert samples.steps == steps and calls == [1]
+
     def test_forbidden_word_never_appears(self):
         samples = d.sample_paths(golden_chain(), 300, 40, seed=11)
         assert all("11" not in "".join(p.labels) for p in samples.paths)

@@ -279,7 +279,7 @@ def mutually_reachable(n, pairs):
 @example(graph=(5, [(0, 0), (0, 1), (0, 1), (1, 0), (2, 1), (3, 3)]))
 def test_strong_components_are_the_mutual_reachability_classes(graph):
     n, pairs = graph
-    label = strong_components(successor_lists(n, pairs))
+    label = strong_components(successor_lists(n, pairs), range(n))
     same = mutually_reachable(n, pairs)
     assert [[label[i] == label[j] for j in range(n)] for i in range(n)] == same
     assert all(label[label[i]] == label[i] for i in range(n))
@@ -291,8 +291,14 @@ def test_strong_components_are_the_mutual_reachability_classes(graph):
 def test_strong_components_match_the_reference(graph):
     n, pairs = graph
     src, dst = (np.array([pair[k] for pair in pairs], dtype=np.intp) for k in (0, 1))
-    assert (strong_components(successor_lists(n, pairs)).tolist()
+    assert (strong_components(successor_lists(n, pairs), range(n)).tolist()
             == reference_strong_components(n, src, dst).tolist())
+
+
+def test_strong_components_label_only_what_the_roots_reach():
+    # 2 reaches 0 but not back, so from root 0 it is unreached
+    assert strong_components([[1], [1], [0]], [0]).tolist() == [0, 1, -1]
+    assert strong_components([[1], [1], [0]], range(3)).tolist() == [0, 1, 2]
 
 
 @st.composite

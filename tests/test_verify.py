@@ -3,15 +3,26 @@ import math
 import pytest
 
 import dncap as d
-from dncap import spectrum
+from dncap import solvers, spectrum
 from conftest import (
-    counted, dyck, golden_mean_system, harmonic_dyck, harmonic_steps, mem_equal,
+    counted, counted_calls, dyck, golden_mean_system, harmonic_dyck, harmonic_steps, mem_equal,
     mem_unequal, rll_system,
 )
 from oracles import LN_GOLDEN
 
 
 class TestVerifyEquality:
+    @pytest.mark.parametrize(
+        "factory, solves", [(dyck, 1), (golden_mean_system, 1), (mem_unequal, 2)],
+        ids=["dyck", "golden_mean", "memoryless"],
+    )
+    def test_partition_root_calls(self, monkeypatch, factory, solves):
+        # one batch for all the levels, and on an alphabet one more for its
+        # characteristic root
+        calls = counted_calls(monkeypatch, solvers.partition_root)
+        d.verify_equality(factory(), 30, 30, 0.1)
+        assert len(calls) == solves
+
     def test_equal_weights_pass_tight(self):
         report = d.verify_equality(mem_equal(), 30, 20, tol=1e-9)
         assert report.verdict == "PASS"
